@@ -29,9 +29,12 @@ def build(n_donors: int, days: int, t0_index: int, seed: int):
     treated[t0_index:] += LIFT
     values = np.vstack([treated, donors])
 
-    # donors each get their own state prefix; units sharing the treated
-    # unit's state are excluded from the candidate pool during a fit
-    units = ["10001"] + [f"{20 + i:02d}001" for i in range(n_donors)]
+    # donors each get their own state prefix, up to 80 states; further donors
+    # reuse those states with later county suffixes, so codes stay 5-digit
+    # FIPS. Units sharing the treated unit's state are excluded from the
+    # candidate pool during a fit
+    units = ["10001"] + [f"{20 + i % 80:02d}{1 + 2 * (i // 80):03d}"
+                         for i in range(n_donors)]
     dates = [START + dt.timedelta(days=i) for i in range(days)]
 
     # predictors: lagged outcome levels (enough to pin the weights down),

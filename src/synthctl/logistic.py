@@ -2,7 +2,9 @@
 
 Each unit's cumulative uptake series is summarized by three parameters: the
 ceiling K (saturation percentage), the growth rate nu, and the starting level
-p0. Cross-unit summaries then classify units into quadrants around the mean
+p0. Each fit is a bounded least-squares problem in (K, nu, p0), solved by a
+trust-region reflective method with the analytic Jacobian from a few seeded
+starts. Cross-unit summaries then classify units into quadrants around the mean
 ceiling and rate, regress parameters on vulnerability indices, and bin units
 into equal-count compartments of an index.
 """
@@ -14,11 +16,14 @@ from typing import Mapping, Sequence
 
 import numpy as np
 import scipy.optimize
+import scipy.special
 
 from .errors import DegenerateSeries, TooFewUnits, ZeroVariance
 
 K_CEILING = 120.0
 NU_FLOOR = 1e-6  # below this the curve is flat and K is unidentifiable
+P0_FLOOR = 1e-12  # lower bound on p0, keeping K/p0 and the Jacobian finite
+LSQ_MAX_NFEV = 1000  # residual evaluations per start
 
 
 def logistic_predict(K: float, nu: float, p0: float, t: np.ndarray) -> np.ndarray:
@@ -46,8 +51,23 @@ class LogisticFit:
     note: str | None = None
 
 
-def _expit(a: np.ndarray | float) -> np.ndarray | float:
-    return 1.0 / (1.0 + np.exp(-np.asarray(a, dtype=float)))
+def _residuals(x: np.ndarray, t: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return logistic_predict(x[0], x[1], x[2], t) - y
+
+
+def _jacobian(x: np.ndarray, t: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Columns d/dK, d/dnu, d/dp0 of the residuals at times t.
+
+    With E = e^(-nu t), c = K/p0 - 1 and D = 1 + c E the curve is K / D.
+    """
+    K, nu, p0 = x
+    E = np.exp(-nu * t)
+    c = (K - p0) / p0
+    D = 1.0 + c * E
+    D2 = D * D
+    return np.column_stack([1.0 / D - K * E / (p0 * D2),
+                            K * c * t * E / D2,
+                            K * K * E / (p0 * p0 * D2)])
 
 
 def fit_logistic(
@@ -57,13 +77,17 @@ def fit_logistic(
     seed: int = 42,
     n_starts: int = 10,
 ) -> LogisticFit:
-    """Least-squares logistic fit by seeded multistart Nelder-Mead.
+    """Least-squares logistic fit by seeded multistart bounded least squares.
 
-    The ceiling is constrained to (max(series), 120], the rate to nu >= 0,
-    and the start level to p0 > 0 through a smooth reparameterization, so the
-    simplex search itself is unconstrained. A rate that collapses below 1e-6
-    means the series is flat and the ceiling cannot be identified; the fit is
-    returned flagged rather than guessed at.
+    Each start runs a trust-region reflective solve
+    (`scipy.optimize.least_squares(method="trf")`, Branch, Coleman & Li 1999)
+    directly on (K, nu, p0) with the analytic Jacobian, inside the box
+    K in [max(series), 120], nu >= 0 and p0 > 0. The first start is a
+    data-driven anchor; the other n_starts - 1 are drawn from
+    `default_rng(seed)` around it and mapped into the box. The lowest SSE
+    wins. A rate that collapses below 1e-6 means the series is flat and the
+    ceiling cannot be identified; the fit is returned flagged rather than
+    guessed at.
 
     Raises DegenerateSeries for series with fewer than 10 usable points or no
     strictly positive value.
@@ -83,17 +107,6 @@ def fit_logistic(
     if k_min >= K_CEILING:
         raise ValueError(f"series maximum {k_min} exceeds the ceiling {K_CEILING}")
 
-    def unpack(theta: np.ndarray) -> tuple[float, float, float]:
-        K = k_min + (K_CEILING - k_min) * float(_expit(theta[0]))
-        nu = float(np.exp(theta[1]))
-        p0 = float(np.exp(theta[2]))
-        return K, nu, p0
-
-    def sse(theta: np.ndarray) -> float:
-        K, nu, p0 = unpack(theta)
-        resid = y - logistic_predict(K, nu, p0, tt)
-        return float(np.dot(resid, resid))
-
     # data-driven anchors: start level near the first positive value, rate
     # from the average log-growth between the first and last positive points
     positive = y > 0
@@ -106,23 +119,27 @@ def fit_logistic(
         nu_hat = 0.05
     anchor = np.array([0.0, np.log(nu_hat), np.log(first_pos)])
 
+    # starts are drawn on a logit/log scale and mapped into the box; expit
+    # saturates instead of overflowing
     rng = np.random.default_rng(seed)
     starts = [anchor]
     starts.extend(anchor + rng.normal(0.0, np.array([2.0, 1.0, 1.0]))
                   for _ in range(n_starts - 1))
+    lower = np.array([k_min, 0.0, P0_FLOOR])
+    upper = np.array([K_CEILING, np.inf, np.inf])
+    best_x, best_sse = None, np.inf
+    for theta in starts:
+        x0 = np.array([k_min + (K_CEILING - k_min) * scipy.special.expit(theta[0]),
+                       np.exp(theta[1]), max(np.exp(theta[2]), P0_FLOOR)])
+        res = scipy.optimize.least_squares(
+            _residuals, x0, jac=_jacobian, bounds=(lower, upper), method="trf",
+            x_scale="jac", ftol=1e-15, xtol=1e-15, gtol=1e-15, max_nfev=LSQ_MAX_NFEV,
+            args=(tt, y))
+        fit_sse = float(np.dot(res.fun, res.fun))
+        if fit_sse < best_sse:
+            best_x, best_sse = res.x, fit_sse
 
-    nm_options = {"maxiter": 3000, "maxfev": 4000, "xatol": 1e-10, "fatol": 1e-14}
-    best_theta, best_sse = None, np.inf
-    for theta0 in starts:
-        res = scipy.optimize.minimize(sse, theta0, method="Nelder-Mead", options=nm_options)
-        if res.fun < best_sse:
-            best_theta, best_sse = res.x, float(res.fun)
-    # a second descent from the winner lets the shrunken simplex re-expand
-    res = scipy.optimize.minimize(sse, best_theta, method="Nelder-Mead", options=nm_options)
-    if res.fun < best_sse:
-        best_theta, best_sse = res.x, float(res.fun)
-
-    K, nu, p0 = unpack(np.asarray(best_theta))
+    K, nu, p0 = (float(v) for v in best_x)
     pred = logistic_predict(K, nu, p0, tt)
     movement = float(pred.max() - pred.min())
     if movement < 1e-6 * max(1.0, K):

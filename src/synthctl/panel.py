@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import logging
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -129,7 +130,8 @@ class Panel:
         return Panel(tuple(units), self.dates, self.values[rows].copy(), meta)
 
     def with_metadata(self, meta: Mapping[str, UnitMeta]) -> "Panel":
-        kept = {u: m for u, m in meta.items() if u in set(self.units)}
+        units = set(self.units)
+        kept = {u: m for u, m in meta.items() if u in units}
         return Panel(self.units, self.dates, self.values, kept)
 
     def with_values(self, values: np.ndarray) -> "Panel":
@@ -245,8 +247,26 @@ def ingest_panel(
     return Panel(tuple(units_in_order), dates, values)
 
 
+def _parse_cell(text: str | None, path: str, unit: str, column: str) -> float:
+    """A finite number from a CSV cell, or an error naming where the cell is."""
+    raw = (text or "").strip()
+    try:
+        value = float(raw)
+    except ValueError:
+        raise ValueError(f"cannot parse {raw!r} as a number in column {column!r} "
+                         f"for unit {unit} in {path}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {raw!r} in column {column!r} "
+                         f"for unit {unit} in {path}")
+    return value
+
+
 def load_predictors(path: str) -> PredictorTable:
-    """Read a wide CSV (unit, predictor columns...) into a PredictorTable."""
+    """Read a wide CSV (unit, predictor columns...) into a PredictorTable.
+
+    Every predictor cell must hold a finite number: a missing or non-finite
+    value would silently distort standardization and the weight solve.
+    """
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames or []
@@ -254,13 +274,15 @@ def load_predictors(path: str) -> PredictorTable:
             raise ValueError(f"{path} must start with a 'unit' column (header: {header})")
         names = tuple(header[1:])
         units: list[str] = []
+        seen: set[str] = set()
         rows: list[list[float]] = []
         for row in reader:
             unit = validate_unit_code((row["unit"] or "").strip())
-            if unit in set(units):
+            if unit in seen:
                 raise DuplicateCell(f"unit {unit} listed twice in {path}")
+            seen.add(unit)
             units.append(unit)
-            rows.append([float(row[name]) for name in names])
+            rows.append([_parse_cell(row[name], path, unit, name) for name in names])
     if not units:
         raise EmptyFile(f"{path} contains no data rows")
     values = np.array(rows, dtype=float).T if names else np.zeros((0, len(units)))

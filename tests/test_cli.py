@@ -2,6 +2,9 @@
 
 import datetime as dt
 import json
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from synthctl import logistic_predict
 from synthctl.cli import main
 
 START = dt.date(2021, 3, 1)
+DEMO_SCRIPT = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "make_demo_data.py"
 
 
 def _dates(n):
@@ -175,9 +179,11 @@ def test_sweep_writes_sorted_rows(tmp_path):
 def test_logistic_fits_and_failures(tmp_path):
     T = 60
     t = np.arange(T, dtype=float)
+    # distinct rates: an exact fit of one shared rate leaves the nu
+    # regressions undefined (constant parameter)
     series = {
-        f"{40000 + 2 * i:05d}": logistic_predict(k, 0.15, 1.0, t)
-        for i, k in enumerate((50.0, 60.0, 70.0, 80.0))
+        f"{40000 + 2 * i:05d}": logistic_predict(k, nu, 1.0, t)
+        for i, (k, nu) in enumerate(((50.0, 0.12), (60.0, 0.15), (70.0, 0.18), (80.0, 0.21)))
     }
     series["49999"] = np.full(T, 25.0)  # constant: flagged, not fitted
     outcomes = _long_csv(tmp_path / "o.csv", series)
@@ -273,3 +279,40 @@ def test_fit_uniform_v_mode(tmp_path):
     result = json.loads((out / "result.json").read_text())
     v = list(result["v"].values())
     assert v == pytest.approx([0.25, 0.25, 0.25, 0.25])
+
+
+def _demo_files(out, *flags):
+    subprocess.run([sys.executable, str(DEMO_SCRIPT), "--out", str(out), *flags],
+                   check=True, capture_output=True)
+    return ["--outcomes", str(out / "outcomes.csv"), "--predictors",
+            str(out / "predictors.csv"), "--metadata", str(out / "metadata.csv")]
+
+
+@pytest.mark.parametrize("cell, complaint", [("nan", "non-finite value 'nan'"),
+                                             ("n/a", "cannot parse 'n/a'")])
+def test_fit_bad_predictor_cell_exits_3(tmp_path, capsys, cell, complaint):
+    data = tmp_path / "demo"
+    files = _demo_files(data)
+    predictors = data / "predictors.csv"
+    lines = predictors.read_text().splitlines()
+    header = lines[0].split(",")
+    row = lines[3].split(",")  # donor 21001
+    row[header.index("level_d018")] = cell
+    lines[3] = ",".join(row)
+    predictors.write_text("\n".join(lines) + "\n")
+    code = main(["fit", *files, "--treated", "10001", "--out", str(tmp_path / "out")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert complaint in err
+    assert "'level_d018'" in err and "21001" in err and str(predictors) in err
+
+
+def test_demo_data_with_100_donors_passes_fit(tmp_path):
+    data = tmp_path / "demo"
+    files = _demo_files(data, "--donors", "100")
+    out = tmp_path / "out"
+    code = main(["fit", *files, "--treated", "10001", "--v-mode", "uniform",
+                 "--out", str(out)])
+    assert code == 0
+    result = json.loads((out / "result.json").read_text())
+    assert len(result["w"]) == 100

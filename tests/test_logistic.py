@@ -1,5 +1,7 @@
 """Growth-curve fitting and summary tests."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -111,6 +113,36 @@ def test_fit_deterministic_for_seed():
     a = fit_logistic(y, seed=99)
     b = fit_logistic(y, seed=99)
     assert (a.K, a.nu, a.p0, a.sse) == (b.K, b.nu, b.p0, b.sse)
+
+
+def _noisy_uptake(rng, days=120):
+    """Logistic uptake plus noise of sd 0.3, made monotone by a running maximum."""
+    K, nu, p0 = rng.uniform(40.0, 90.0), rng.uniform(0.03, 0.10), rng.uniform(0.5, 4.0)
+    t = np.arange(days, dtype=float)
+    y = logistic_predict(K, nu, p0, t) + rng.normal(0.0, 0.3, size=days)
+    return (K, nu, p0), t, np.maximum.accumulate(np.maximum(y, 0.01))
+
+
+def test_fit_never_worse_than_truth_on_noisy_uptake():
+    rng = np.random.default_rng(2024)
+    for s in range(20):
+        (K, nu, p0), t, y = _noisy_uptake(rng)
+        fit = fit_logistic(y, seed=s)
+        assert y.max() <= fit.K <= 120.0
+        resid = y - logistic_predict(fit.K, fit.nu, fit.p0, t)
+        assert fit.sse == pytest.approx(resid @ resid, rel=1e-12)
+        truth = y - logistic_predict(max(K, y.max()), nu, p0, t)
+        assert fit.sse <= (truth @ truth) * (1 + 1e-9)
+
+
+def test_fit_raises_no_floating_point_warnings():
+    # the sixth series leads a search where an unguarded exp would overflow
+    rng = np.random.default_rng(1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for s in range(8):
+            _, _, y = _noisy_uptake(rng)
+            fit_logistic(y, seed=s)
 
 
 def test_fit_with_explicit_times():
