@@ -434,10 +434,11 @@ def cmd_ingest(settings: Settings) -> int:
     out = settings.out_dir()
     cleaned, report = clean_panel(panel, CleaningPolicy())
     clean_path = os.path.join(out, "panel_clean.csv")
+    days = [d.isoformat() for d in cleaned.dates]
     write_csv(clean_path, ["unit", "date", "value"],
-              [(u, d.isoformat(), float(cleaned.values[i, j]))
-               for i, u in enumerate(cleaned.units)
-               for j, d in enumerate(cleaned.dates)])
+              ((u, day, value)
+               for u, series in zip(cleaned.units, cleaned.values.tolist())
+               for day, value in zip(days, series)))
     dropped_path = os.path.join(out, "dropped.csv")
     write_csv(dropped_path, ["unit", "reason"], report)
     print(f"wrote {clean_path} ({cleaned.n_units} units kept, {len(report)} dropped)")

@@ -7,7 +7,7 @@ to minimize the validation-window outcome error. Final weights are then re-fit
 with the winning importance vector and the synthetic series is the weighted
 donor combination over the whole panel.
 
-Predictором matrices get one extra row beyond the unit-level predictors: each
+Predictor matrices get one extra row beyond the unit-level predictors: each
 unit's mean outcome over the training window, so the match is anchored to
 pre-intervention levels even when no predictor table is supplied. Predictor
 rows are z-scored across units by default so importance weights live on one
@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-import scipy.optimize
 
 from .errors import EmptyWindow, InvalidSplit, ZeroVariancePredictor
 from .panel import Panel, PredictorTable
@@ -286,6 +285,8 @@ def solve_v(
     if k == 1:
         return np.array([1.0])
 
+    import scipy.optimize  # only the search needs it; launches that never search skip it
+
     _, val = split_pre_period(spec.T0, spec.t_fit, spec.train_placement)
     Y1, Y0 = _outcome_block(panel, spec)
     val_idx = np.asarray(val, dtype=int)
@@ -302,8 +303,7 @@ def solve_v(
     except ZeroVariancePredictor:
         invvar = None
 
-    cheap_opts = SolverOptions(max_iters=400, tol=1e-7, restarts=1,
-                               constraint_mode=opts.constraint_mode)
+    cheap_opts = SolverOptions(max_iters=400, tol=1e-7, restarts=1)
     cheap_seed = derive_seed(seed, "v-search")
     warm: list[np.ndarray | None] = [None]
 

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-import scipy.optimize
-import scipy.special
 
 from .errors import DegenerateSeries, TooFewUnits, ZeroVariance
 
@@ -92,6 +90,9 @@ def fit_logistic(
     Raises DegenerateSeries for series with fewer than 10 usable points or no
     strictly positive value.
     """
+    import scipy.optimize
+    import scipy.special
+
     y = np.asarray(series, dtype=float)
     tt = np.arange(y.size, dtype=float) if t is None else np.asarray(t, dtype=float)
     if tt.shape != y.shape:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import functools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -105,10 +106,14 @@ class Panel:
     def n_dates(self) -> int:
         return len(self.dates)
 
+    @functools.cached_property
+    def _positions(self) -> dict[str, int]:
+        return {code: i for i, code in enumerate(self.units)}
+
     def unit_index(self, code: str) -> int:
         try:
-            return self.units.index(code)
-        except ValueError:
+            return self._positions[code]
+        except KeyError:
             raise KeyError(f"unit {code!r} not in panel") from None
 
     def date_index(self, day: dt.date) -> int:
@@ -165,10 +170,14 @@ class PredictorTable:
     def n_predictors(self) -> int:
         return len(self.names)
 
+    @functools.cached_property
+    def _positions(self) -> dict[str, int]:
+        return {code: i for i, code in enumerate(self.units)}
+
     def unit_index(self, code: str) -> int:
         try:
-            return self.units.index(code)
-        except ValueError:
+            return self._positions[code]
+        except KeyError:
             raise KeyError(f"unit {code!r} not in predictor table") from None
 
     def column(self, code: str) -> np.ndarray:
@@ -193,6 +202,10 @@ def _parse_date(text: str, context: str) -> dt.date:
         raise UnparseableDate(f"cannot parse date {text!r} {context}") from None
 
 
+def _where(column: str, unit: str, line: int, path: str) -> str:
+    return f"in column {column!r} for unit {unit} on line {line} of {path}"
+
+
 def ingest_panel(
     path: str,
     schema: tuple[str, str, str] = ("unit", "date", "value"),
@@ -205,59 +218,85 @@ def ingest_panel(
 
     The date grid spans the earliest through the latest date present in the
     file; (unit, date) cells with no row become NaN. Empty or NA-like value
-    fields also become NaN. A repeated (unit, date) pair is an error even if
-    the values agree, since silent aggregation would hide upstream defects.
+    fields also become NaN, as do the value fields of rows too short to hold
+    one; blank lines and extra fields are ignored. A repeated (unit, date)
+    pair is an error even if the values agree, since silent aggregation would
+    hide upstream defects; it is reported at the first repeating row, after
+    every row has parsed.
     """
-    unit_col, date_col, value_col = schema
-    cells: dict[tuple[str, dt.date], float] = {}
-    units_in_order: list[str] = []
-    seen_units: set[str] = set()
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
+        reader = csv.reader(fh)
+        header = next(reader, [])
         for col in schema:
             if col not in header:
                 raise ValueError(f"column {col!r} not found in {path} (header: {header})")
+        # a repeated column name resolves to its last occurrence, as in csv.DictReader
+        position = {name: i for i, name in enumerate(header)}
+        iu, idt, iv = (position[col] for col in schema)
+        width = max(iu, idt, iv) + 1
+        unit_at: dict[str, int] = {}  # raw unit field -> row of the grid
+        units: dict[str, int] = {}  # unit code -> row of the grid, in first-seen order
+        ordinal_of: dict[str, int] = {}  # raw date field -> date ordinal
+        cell_unit: list[int] = []
+        cell_day: list[int] = []
+        cell_value: list[float] = []
         for row in reader:
-            unit = validate_unit_code((row[unit_col] or "").strip())
-            day = _parse_date(row[date_col] or "", f"for unit {unit} in {path}")
-            raw = (row[value_col] or "").strip()
-            if raw.lower() in _MISSING_TOKENS:
-                value = np.nan
-            else:
+            if not row:
+                continue
+            if len(row) < width:
+                row += [""] * (width - len(row))
+            raw_unit, raw_day, raw = row[iu], row[idt], row[iv]
+            u = unit_at.get(raw_unit)
+            if u is None:
+                code = validate_unit_code(raw_unit.strip())
+                u = unit_at[raw_unit] = units.setdefault(code, len(units))
+            day = ordinal_of.get(raw_day)
+            if day is None:
+                context = f"for unit {raw_unit.strip()} in {path}"
+                day = ordinal_of[raw_day] = _parse_date(raw_day, context).toordinal()
+            try:
                 value = float(raw)
-            key = (unit, day)
-            if key in cells:
-                raise DuplicateCell(f"duplicate observation for unit {unit} on {day} in {path}")
-            cells[key] = value
-            if unit not in seen_units:
-                seen_units.add(unit)
-                units_in_order.append(unit)
-    if not cells:
+            except ValueError:
+                text = raw.strip()
+                if text.lower() not in _MISSING_TOKENS:
+                    where = _where(schema[2], raw_unit.strip(), reader.line_num, path)
+                    raise ValueError(f"cannot parse {text!r} as a number {where}") from None
+                value = math.nan
+            cell_unit.append(u)
+            cell_day.append(day)
+            cell_value.append(value)
+    if not cell_value:
         raise EmptyFile(f"{path} contains no data rows")
 
-    first = min(day for _, day in cells)
-    last = max(day for _, day in cells)
-    n_days = (last - first).days + 1
-    dates = tuple(first + DAY * i for i in range(n_days))
-    values = np.full((len(units_in_order), n_days), np.nan)
-    index = {u: i for i, u in enumerate(units_in_order)}
-    for (unit, day), value in cells.items():
-        values[index[unit], (day - first).days] = value
-    return Panel(tuple(units_in_order), dates, values)
+    days = np.array(cell_day)
+    first = int(days.min())
+    n_days = int(days.max()) - first + 1
+    cells = np.array(cell_unit) * n_days + (days - first)
+    order = np.argsort(cells, kind="stable")
+    ranked = cells[order]
+    repeats = order[1:][ranked[1:] == ranked[:-1]]
+    if repeats.size:
+        row = int(repeats.min())
+        codes = tuple(units)
+        raise DuplicateCell(f"duplicate observation for unit {codes[cell_unit[row]]} on "
+                            f"{dt.date.fromordinal(cell_day[row])} in {path}")
+    values = np.full(len(units) * n_days, np.nan)
+    values[cells] = cell_value
+    start = dt.date.fromordinal(first)
+    dates = tuple(start + DAY * i for i in range(n_days))
+    return Panel(tuple(units), dates, values.reshape(len(units), n_days))
 
 
-def _parse_cell(text: str | None, path: str, unit: str, column: str) -> float:
+def _parse_cell(text: str | None, path: str, unit: str, column: str, line: int) -> float:
     """A finite number from a CSV cell, or an error naming where the cell is."""
     raw = (text or "").strip()
     try:
         value = float(raw)
     except ValueError:
-        raise ValueError(f"cannot parse {raw!r} as a number in column {column!r} "
-                         f"for unit {unit} in {path}") from None
+        raise ValueError(f"cannot parse {raw!r} as a number "
+                         f"{_where(column, unit, line, path)}") from None
     if not math.isfinite(value):
-        raise ValueError(f"non-finite value {raw!r} in column {column!r} "
-                         f"for unit {unit} in {path}")
+        raise ValueError(f"non-finite value {raw!r} {_where(column, unit, line, path)}")
     return value
 
 
@@ -282,7 +321,8 @@ def load_predictors(path: str) -> PredictorTable:
                 raise DuplicateCell(f"unit {unit} listed twice in {path}")
             seen.add(unit)
             units.append(unit)
-            rows.append([_parse_cell(row[name], path, unit, name) for name in names])
+            rows.append([_parse_cell(row[name], path, unit, name, reader.line_num)
+                         for name in names])
     if not units:
         raise EmptyFile(f"{path} contains no data rows")
     values = np.array(rows, dtype=float).T if names else np.zeros((0, len(units)))
@@ -311,17 +351,25 @@ def load_metadata(path: str) -> dict[str, UnitMeta]:
             elif flag in _FALSY:
                 treated = False
             else:
-                raise ValueError(f"unreadable treated flag {row['treated']!r} for unit {unit}")
+                raise ValueError(f"unreadable treated flag {row['treated']!r} "
+                                 f"{_where('treated', unit, reader.line_num, path)}")
             t0_raw = (row.get("t0") or "").strip()
             t0 = _parse_date(t0_raw, f"for unit {unit} in {path}") if t0_raw else None
             cluster = (row.get("cluster") or "").strip() or None
             cat_raw = (row.get("incentive_category") or "").strip()
             category: int | None = None
             if cat_raw:
-                category = int(cat_raw)
+                try:
+                    category = int(cat_raw)
+                except ValueError:
+                    raise ValueError(
+                        f"cannot parse {cat_raw!r} as an integer "
+                        f"{_where('incentive_category', unit, reader.line_num, path)}"
+                    ) from None
                 if category not in (0, 1, 2, 3):
                     raise ValueError(
-                        f"incentive_category must be 0..3, got {category} for unit {unit}"
+                        f"incentive_category must be 0..3, got {category} "
+                        f"{_where('incentive_category', unit, reader.line_num, path)}"
                     )
             meta[unit] = UnitMeta(treated=treated, t0=t0, cluster=cluster,
                                   incentive_category=category)
@@ -496,8 +544,7 @@ def clean_panel(panel: Panel, policy: CleaningPolicy) -> tuple[Panel, list[tuple
     kept_units: list[str] = []
     kept_rows: list[np.ndarray] = []
     report: list[tuple[str, str]] = []
-    for unit in panel.units:
-        row = panel.values[panel.unit_index(unit)]
+    for unit, row in zip(panel.units, panel.values):
         try:
             result = clean_series(row, policy)
         except AllMissing:

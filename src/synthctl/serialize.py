@@ -78,14 +78,14 @@ def write_json(path: str, obj: object) -> None:
 
 
 def csv_cell(value: object) -> str:
+    if isinstance(value, float):
+        return fmt_float(value)
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return fmt_float(value)
     text = str(value)
-    if any(ch in text for ch in ',"\n'):
+    if "," in text or '"' in text or "\n" in text:
         text = '"' + text.replace('"', '""') + '"'
     return text
 
@@ -94,4 +94,4 @@ def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence[object]]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(csv_cell(cell) for cell in row) + "\n")
+            fh.write(",".join(map(csv_cell, row)) + "\n")

@@ -48,7 +48,6 @@ class SolverOptions:
     max_iters: int = 2000
     tol: float = 1e-9
     restarts: int = 8
-    constraint_mode: str = "simplex"
 
     def __post_init__(self) -> None:
         if self.max_iters < 1:
@@ -57,8 +56,6 @@ class SolverOptions:
             raise ValueError("tol must be positive")
         if self.restarts < 0:
             raise ValueError("restarts must be nonnegative")
-        if self.constraint_mode not in ("simplex", "penalized"):
-            raise ValueError(f"unknown constraint_mode {self.constraint_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -186,13 +183,13 @@ def solve_w(
         X0: donor predictor matrix, shape (k, J).
         v: nonnegative predictor importance weights, shape (k,).
         reg: penalty coefficients.
-        opts: solver budget and constraint mode.
+        opts: solver budget.
         seed: drives the random restart draws; same seed, same result.
         init: optional extra starting point, used alongside the restarts.
             With restarts=0 the descent runs from this point alone.
 
-    Returns the best restart's weights. In simplex mode the weights satisfy
-    sum(w) = 1 within 1e-8 and w >= 0 exactly (negative zeros clipped).
+    Returns the best restart's weights. They satisfy sum(w) = 1 within 1e-8
+    and w >= 0 exactly (negative zeros clipped).
     """
     opts = opts or SolverOptions()
     X1 = np.asarray(X1, dtype=float)
@@ -200,23 +197,21 @@ def solve_w(
     v = np.asarray(v, dtype=float)
     k, J = _check_inputs(X1, X0, v)
 
-    if J == 1 and opts.constraint_mode == "simplex":
+    if J == 1:
         w = np.array([1.0])
         f = objective(w, X1, X0, v, reg)
         return SolveResult(w, f, 0, True, (f,), (f,))
 
     vX0 = v[:, None] * X0
-    simplex = opts.constraint_mode == "simplex"
-    smooth_q = simplex and reg.l1 == 0.0
     # on the simplex the absolute sum is identically one, so the l2 term is a
     # constant offset and the l1 term is the only active penalty
-    offset = reg.l2 if simplex else 0.0
+    offset = reg.l2
 
     def q_of(w: np.ndarray) -> float:
         r = X1 - X0 @ w
         return float(np.dot(v, r * r))
 
-    if smooth_q:
+    if reg.l1 == 0.0:
         # with no Euclidean penalty the square root is a monotone wrapper, so
         # descend on the smooth quadratic itself and report the root
         def loss(w: np.ndarray) -> float:
@@ -231,10 +226,7 @@ def solve_w(
     else:
         def loss(w: np.ndarray) -> float:
             root = np.sqrt(max(q_of(w), 0.0))
-            value = root + reg.l1 * float(np.linalg.norm(w))
-            if not simplex:
-                value += reg.l2 * float(np.abs(w).sum())
-            return value
+            return root + reg.l1 * float(np.linalg.norm(w))
 
         def grad(w: np.ndarray) -> np.ndarray:
             r = X1 - X0 @ w
@@ -245,18 +237,10 @@ def solve_w(
             wn = float(np.linalg.norm(w))
             if reg.l1 > 0.0 and wn > 0.0:
                 g += reg.l1 * w / wn
-            if not simplex and reg.l2 > 0.0:
-                g += reg.l2 * np.sign(w)
             return g
 
         def report(f_internal: float) -> float:
             return f_internal + offset
-
-    if simplex:
-        project = project_simplex
-    else:
-        def project(y: np.ndarray) -> np.ndarray:
-            return np.asarray(y, dtype=float)
 
     rng = np.random.default_rng(seed)
     starts: list[np.ndarray] = []
@@ -272,16 +256,14 @@ def solve_w(
     best: tuple[float, np.ndarray, int, bool, list[float]] | None = None
     finals: list[float] = []
     for w0 in starts:
-        w, f, iters, converged, trace = _descend(w0, loss, grad, project, opts)
+        w, f, iters, converged, trace = _descend(w0, loss, grad, project_simplex, opts)
         finals.append(report(f))
         if best is None or f < best[0]:
             best = (f, w, iters, converged, trace)
     assert best is not None
     f_int, w, iters, converged, trace = best
-    if simplex:
-        w = np.maximum(w, 0.0)
     return SolveResult(
-        w=w,
+        w=np.maximum(w, 0.0),
         objective=report(f_int),
         n_iters=iters,
         converged=converged,

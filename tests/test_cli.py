@@ -2,13 +2,16 @@
 
 import datetime as dt
 import json
+import os
 import pathlib
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
 
+import synthctl
 from synthctl import logistic_predict
 from synthctl.cli import main
 
@@ -255,6 +258,31 @@ def test_ingest_cleans_and_reports(tmp_path):
     assert len(clean) == 22  # one kept unit, 21 days
 
 
+def test_ingest_bad_value_cell_exits_3(tmp_path, capsys):
+    path = tmp_path / "o.csv"
+    _long_csv(path, {"70001": np.linspace(1, 20, 21)})
+    lines = path.read_text().splitlines()
+    lines[4] = lines[4].rsplit(",", 1)[0] + ",abc"
+    path.write_text("\n".join(lines) + "\n")
+    code = main(["ingest", "--outcomes", str(path), "--out", str(tmp_path / "out")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "cannot parse 'abc' as a number in column 'value' for unit 70001" in err
+    assert f"on line 5 of {path}" in err
+
+
+def test_fit_bad_metadata_category_exits_3(tmp_path, capsys):
+    outcomes, _ = _study_files(tmp_path, seed=4)
+    metadata = _wide_csv(tmp_path / "m.csv", ["unit", "treated", "t0", "incentive_category"],
+                         [["10001", "1", _dates(40)[25], "2"], ["20002", "0", "", "x"]])
+    code = main(["fit", "--outcomes", outcomes, "--metadata", metadata,
+                 "--treated", "10001", "--out", str(tmp_path / "out")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "cannot parse 'x' as an integer in column 'incentive_category'" in err
+    assert f"for unit 20002 on line 3 of {metadata}" in err
+
+
 def test_fit_cluster_filter_falls_back_when_empty(tmp_path, capsys):
     outcomes, predictors = _study_files(tmp_path, seed=8)
     clusters = _wide_csv(tmp_path / "c.csv", ["fips", "cluster"],
@@ -316,3 +344,26 @@ def test_demo_data_with_100_donors_passes_fit(tmp_path):
     assert code == 0
     result = json.loads((out / "result.json").read_text())
     assert len(result["w"]) == 100
+
+
+def test_ingest_and_inverse_variance_fit_never_import_scipy(tmp_path):
+    # scipy costs about half a second per launch; only the solvers that need
+    # it may load it
+    files = _demo_files(tmp_path / "demo")
+    script = textwrap.dedent("""
+        import sys
+        from synthctl.cli import main
+        out, files = sys.argv[1], sys.argv[2:]
+        assert main(["ingest", *files[:2], *files[4:], "--out", out + "/ingest"]) == 0
+        assert main(["fit", *files, "--treated", "10001", "--v-mode", "inverse-variance",
+                     "--out", out + "/fit"]) == 0
+        loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+        assert not loaded, loaded
+    """)
+    src = str(pathlib.Path(synthctl.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "out"), *files],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out" / "fit" / "result.json").exists()

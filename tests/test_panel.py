@@ -1,5 +1,6 @@
 """Panel ingestion, joining, cleaning, and age-band rate tests."""
 
+import csv
 import datetime as dt
 
 import numpy as np
@@ -120,6 +121,88 @@ def test_ingest_bad_date_raises(tmp_path):
     path = _write(tmp_path / "p.csv", "unit,date,value\n01001,01/02/2021,1.0\n")
     with pytest.raises(UnparseableDate):
         ingest_panel(path)
+
+
+def test_ingest_reports_first_repeated_row_in_file_order(tmp_path):
+    # 01001's repeat sorts first by cell, but 02002's comes first in the file
+    path = _write(tmp_path / "p.csv", (
+        "unit,date,value\n"
+        "01001,2021-01-01,1.0\n"
+        "02002,2021-01-01,2.0\n"
+        "02002,2021-01-01,2.0\n"
+        "01001,2021-01-01,1.0\n"
+    ))
+    with pytest.raises(DuplicateCell, match="unit 02002 on 2021-01-01 in "):
+        ingest_panel(path)
+
+
+def test_ingest_short_row_without_date_raises(tmp_path):
+    path = _write(tmp_path / "p.csv", "unit,date,value\n01001,2021-01-01,1.0\n01001\n")
+    with pytest.raises(UnparseableDate, match="for unit 01001"):
+        ingest_panel(path)
+
+
+_MISSING = ("", "NA", "na", "nan", "NaN", "none", "None", "NULL")
+
+
+def _reference_ingest(path):
+    """Dict-based row-by-row reader: the specification ingest_panel must meet."""
+    with open(path, newline="") as fh:
+        header, *rows = [row for row in csv.reader(fh) if row]
+    at = [header.index(col) for col in ("unit", "date", "value")]
+    cells, units = {}, []
+    for row in rows:
+        unit, day, raw = ((row[i] if i < len(row) else "").strip() for i in at)
+        day = dt.date.fromisoformat(day)
+        assert (unit, day) not in cells
+        cells[unit, day] = np.nan if raw.lower() in {t.lower() for t in _MISSING} \
+            else float(raw)
+        if unit not in units:
+            units.append(unit)
+    first = min(day for _, day in cells)
+    n_days = (max(day for _, day in cells) - first).days + 1
+    values = np.full((len(units), n_days), np.nan)
+    for (unit, day), value in cells.items():
+        values[units.index(unit), (day - first).days] = value
+    return tuple(units), tuple(first + dt.timedelta(days=i) for i in range(n_days)), values
+
+
+@st.composite
+def _long_csv_text(draw):
+    """A long CSV with gaps, NA-like cells, padding, blank lines, short and long rows."""
+    units = draw(st.lists(st.sampled_from(["01001", "02003", "48201", "Ohio"]),
+                          min_size=1, max_size=4, unique=True))
+    n_days = draw(st.integers(1, 6))
+    start = dt.date(2021, 3, 1)
+    cells = [(u, start + dt.timedelta(days=d)) for u in units for d in range(n_days)]
+    present = draw(st.lists(st.sampled_from(cells), min_size=1, unique=True))
+    value = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                      st.sampled_from(_MISSING))
+    pad = st.sampled_from(["", " ", "  "])
+    lines = []
+    for unit, day in draw(st.permutations(present)):
+        fields = [unit, day.isoformat(), draw(value)]
+        shape = draw(st.sampled_from(["plain", "plain", "short", "extra"]))
+        if shape == "short":
+            fields.pop()
+        elif shape == "extra":
+            fields.append("note")
+        lines.append(",".join(draw(pad) + f + draw(pad) for f in fields))
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), "")
+    return "unit,date,value\n" + "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=_long_csv_text())
+def test_ingest_matches_row_by_row_reference(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("ingest") / "p.csv"
+    path.write_text(text)
+    panel = ingest_panel(str(path))
+    units, dates, values = _reference_ingest(path)
+    assert panel.units == units
+    assert panel.dates == dates
+    np.testing.assert_array_equal(panel.values, values)
 
 
 def test_load_predictors_shape(tmp_path):
