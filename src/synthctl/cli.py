@@ -32,7 +32,7 @@ from .panel import (
 )
 from .seeding import derive_seed
 from .serialize import write_csv, write_json
-from .weights import Regularization
+from .weights import Regularization, SolverOptions
 
 V_MODE_CHOICES = ("optimized", "inverse-variance", "uniform")
 FILTER_CHOICES = ("none", "cluster", "neighbors")
@@ -252,7 +252,13 @@ def cmd_fit(settings: Settings) -> int:
     standardize = not settings.flag("no_standardize")
     out = settings.out_dir()
 
-    result = fit_synth(spec, panel, predictors, seed=seed, standardize=standardize)
+    opts = SolverOptions()
+    result = fit_synth(spec, panel, predictors, seed=seed, opts=opts,
+                       standardize=standardize)
+    if not result.converged:
+        print(f"warning: donor weights for {spec.treated} stopped at "
+              f"max_iters={opts.max_iters} without converging "
+              f"(objective {result.objective:.6g})", file=sys.stderr)
     actual = panel.series(spec.treated)
     payload = {
         "treated": result.treated,

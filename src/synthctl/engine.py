@@ -87,6 +87,7 @@ class SynthResult:
     validation_mspe: float
     pre_mspe: float
     objective: float
+    converged: bool  # whether the final weight solve settled before max_iters
 
     @property
     def weights_by_donor(self) -> dict[str, float]:
@@ -249,6 +250,78 @@ class _SearchStalled(Exception):
     pass
 
 
+class _Exhausted(Exception):
+    pass
+
+
+def _nelder_mead(f, x0: np.ndarray, maxfev: int, xatol: float, fatol: float) -> None:
+    """Minimize f by the Nelder-Mead simplex method, for its calls alone.
+
+    Evaluates exactly the points, in the same order, that scipy's
+    minimize(method="Nelder-Mead") evaluates with these options and no bounds,
+    non-adaptive: reflection 1, expansion 2, contraction 0.5, shrink 0.5, the
+    initial simplex stepping each coordinate by 5 % (0.00025 from zero), and
+    at most maxfev calls. Each call gets a copy of its point. The caller keeps
+    what it needs from the calls, so nothing is returned; an exception raised
+    by f ends the search.
+    """
+    n = x0.size
+    sim = np.empty((n + 1, n))
+    sim[0] = x0
+    for i in range(n):
+        y = x0.copy()
+        y[i] = 1.05 * y[i] if y[i] != 0 else 0.00025
+        sim[i + 1] = y
+    fsim = np.full(n + 1, np.inf)
+    calls = 0
+
+    def call(x: np.ndarray) -> float:
+        nonlocal calls
+        if calls >= maxfev:
+            raise _Exhausted
+        calls += 1
+        return f(x.copy())
+
+    try:
+        for i in range(n + 1):
+            fsim[i] = call(sim[i])
+        for _ in range(2):  # scipy sorts twice here; ties can move between passes
+            order = np.argsort(fsim)
+            sim, fsim = sim[order], fsim[order]
+        while True:
+            if np.abs(sim[1:] - sim[0]).max() <= xatol and \
+                    np.abs(fsim[0] - fsim[1:]).max() <= fatol:
+                return
+            xbar = sim[:-1].sum(0) / n
+            xr = 2 * xbar - sim[-1]
+            fxr = call(xr)
+            if fxr < fsim[0]:
+                xe = 3 * xbar - 2 * sim[-1]
+                fxe = call(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:  # contract outside, toward the reflection
+                    xc = 1.5 * xbar - 0.5 * sim[-1]
+                    fxc = call(xc)
+                    accept = fxc <= fxr
+                else:  # contract inside, toward the worst vertex
+                    xc = 0.5 * xbar + 0.5 * sim[-1]
+                    fxc = call(xc)
+                    accept = fxc < fsim[-1]
+                if accept:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:  # shrink toward the best vertex
+                    for j in range(1, n + 1):
+                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                        fsim[j] = call(sim[j])
+            order = np.argsort(fsim)
+            sim, fsim = sim[order], fsim[order]
+    except _Exhausted:
+        return
+
+
 def solve_v(
     spec: StudySpec,
     panel: Panel,
@@ -284,8 +357,6 @@ def solve_v(
 
     if k == 1:
         return np.array([1.0])
-
-    import scipy.optimize  # only the search needs it; launches that never search skip it
 
     _, val = split_pre_period(spec.T0, spec.t_fit, spec.train_placement)
     Y1, Y0 = _outcome_block(panel, spec)
@@ -336,10 +407,7 @@ def solve_v(
     for theta0 in starts:
         since_improve = 0
         try:
-            scipy.optimize.minimize(
-                scored, theta0, method="Nelder-Mead",
-                options={"maxfev": maxfev, "xatol": 1e-3, "fatol": _V_STALL_TOL},
-            )
+            _nelder_mead(scored, theta0, maxfev, xatol=1e-3, fatol=_V_STALL_TOL)
         except _SearchStalled:
             pass
 
@@ -399,4 +467,5 @@ def fit_synth(
         validation_mspe=mspe(Y1, synthetic, val),
         pre_mspe=mspe(Y1, synthetic, range(spec.T0)),
         objective=result.objective,
+        converged=result.converged,
     )

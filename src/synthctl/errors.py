@@ -53,10 +53,6 @@ class DimensionMismatch(SynthctlError):
     """Matrix and vector shapes disagree."""
 
 
-class NonConvergence(SynthctlError):
-    """An iterative solve exhausted its budget without settling."""
-
-
 class InvalidSplit(SynthctlError):
     """A training window does not fit inside the pre-intervention period."""
 

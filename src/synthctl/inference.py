@@ -129,10 +129,6 @@ def placebo_run(
     if jobs == 1 or len(tasks) <= 1:
         entries.extend(_fit_ratio_task(t) for t in tasks)
     else:
-        if spec.v_mode == "optimized":
-            # import once here so forked workers inherit it instead of each
-            # paying for it
-            import scipy.optimize  # noqa: F401
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             entries.extend(pool.map(_fit_ratio_task, tasks))
 

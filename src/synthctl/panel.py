@@ -43,6 +43,14 @@ def validate_unit_code(code: str) -> str:
     return code
 
 
+def _unit_code(text: str, column: str, line: int, path: str) -> str:
+    """A validated unit code from a CSV cell, or an error naming where the cell is."""
+    try:
+        return validate_unit_code(text.strip())
+    except ValueError as exc:
+        raise ValueError(f"{exc} in column {column!r} on line {line} of {path}") from None
+
+
 def state_of(code: str) -> str:
     """State identifier of a unit: FIPS prefix for counties, the code itself otherwise."""
     if code.isdigit() and len(code) == 5:
@@ -248,7 +256,7 @@ def ingest_panel(
             raw_unit, raw_day, raw = row[iu], row[idt], row[iv]
             u = unit_at.get(raw_unit)
             if u is None:
-                code = validate_unit_code(raw_unit.strip())
+                code = _unit_code(raw_unit, schema[0], reader.line_num, path)
                 u = unit_at[raw_unit] = units.setdefault(code, len(units))
             day = ordinal_of.get(raw_day)
             if day is None:
@@ -316,7 +324,7 @@ def load_predictors(path: str) -> PredictorTable:
         seen: set[str] = set()
         rows: list[list[float]] = []
         for row in reader:
-            unit = validate_unit_code((row["unit"] or "").strip())
+            unit = _unit_code(row["unit"] or "", "unit", reader.line_num, path)
             if unit in seen:
                 raise DuplicateCell(f"unit {unit} listed twice in {path}")
             seen.add(unit)
@@ -342,7 +350,7 @@ def load_metadata(path: str) -> dict[str, UnitMeta]:
         if "unit" not in header or "treated" not in header:
             raise ValueError(f"{path} must carry 'unit' and 'treated' columns")
         for row in reader:
-            unit = validate_unit_code((row["unit"] or "").strip())
+            unit = _unit_code(row["unit"] or "", "unit", reader.line_num, path)
             if unit in meta:
                 raise DuplicateCell(f"unit {unit} listed twice in {path}")
             flag = (row["treated"] or "").strip().lower()

@@ -18,6 +18,7 @@ are always drawn from a flat Dirichlet instead of using the uniform vector.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,8 +36,8 @@ class Regularization:
     l2: float = 0.1
 
     def __post_init__(self) -> None:
-        if self.l1 < 0 or self.l2 < 0:
-            raise ValueError("penalty coefficients must be nonnegative")
+        if not all(0.0 <= c < math.inf for c in (self.l1, self.l2)):
+            raise ValueError("penalty coefficients must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -113,11 +114,11 @@ def objective(
 def project_simplex(y: np.ndarray) -> np.ndarray:
     """Euclidean projection onto the probability simplex, by the sorting method."""
     y = np.asarray(y, dtype=float)
-    u = np.sort(y)[::-1]
-    css = np.cumsum(u)
-    idx = np.arange(1, y.size + 1)
-    cond = u + (1.0 - css) / idx > 0
-    rho = int(np.nonzero(cond)[0][-1])
+    u = y.copy()
+    u.sort()
+    u = u[::-1]
+    css = u.cumsum()
+    rho = int((u + (1.0 - css) / np.arange(1.0, y.size + 1) > 0).nonzero()[0][-1])
     lam = (1.0 - css[rho]) / (rho + 1)
     return np.maximum(y + lam, 0.0)
 
@@ -131,26 +132,27 @@ def _descend(
 ) -> tuple[np.ndarray, float, int, bool, list[float]]:
     """Armijo-backtracked gradient descent from one starting point.
 
+    loss(w) returns the loss and the state it computed on the way; grad(w,
+    state) reuses that state at the accepted point instead of recomputing it.
     Only improving steps are ever accepted, so the loss trace is
     non-increasing; the descent cannot oscillate.
     """
     w = project(w0)
-    f = loss(w)
+    f, state = loss(w)
     trace = [f]
     alpha = 1.0
     converged = False
     it = 0
     for it in range(1, opts.max_iters + 1):
-        g = grad(w)
+        g = grad(w, state)
         alpha = min(alpha * 2.0, 1e8)
         accepted = False
         for _ in range(80):
             w_new = project(w - alpha * g)
             d = w_new - w
-            dnorm = float(np.abs(d).max(initial=0.0))
-            if dnorm == 0.0:
+            if not np.count_nonzero(d):  # a NaN entry counts as a move
                 break
-            f_new = loss(w_new)
+            f_new, state_new = loss(w_new)
             if f_new <= f + 1e-4 * float(g @ d):
                 accepted = True
                 break
@@ -159,7 +161,7 @@ def _descend(
             converged = True
             break
         drop = f - f_new
-        w, f = w_new, f_new
+        w, f, state = w_new, f_new, state_new
         trace.append(f)
         if drop < opts.tol * (abs(f) + opts.tol):
             converged = True
@@ -196,47 +198,49 @@ def solve_w(
     X0 = np.asarray(X0, dtype=float)
     v = np.asarray(v, dtype=float)
     k, J = _check_inputs(X1, X0, v)
+    for name, a in (("X1", X1), ("X0", X0), ("v", v)):
+        if not np.isfinite(a).all():
+            raise ValueError(f"{name} holds a NaN or an infinity; the weight solve "
+                             "needs finite inputs")
 
     if J == 1:
         w = np.array([1.0])
         f = objective(w, X1, X0, v, reg)
         return SolveResult(w, f, 0, True, (f,), (f,))
 
-    vX0 = v[:, None] * X0
+    vX0T = (v[:, None] * X0).T
     # on the simplex the absolute sum is identically one, so the l2 term is a
     # constant offset and the l1 term is the only active penalty
     offset = reg.l2
+    l1 = reg.l1
 
-    def q_of(w: np.ndarray) -> float:
-        r = X1 - X0 @ w
-        return float(np.dot(v, r * r))
-
-    if reg.l1 == 0.0:
+    if l1 == 0.0:
         # with no Euclidean penalty the square root is a monotone wrapper, so
         # descend on the smooth quadratic itself and report the root
-        def loss(w: np.ndarray) -> float:
-            return q_of(w)
-
-        def grad(w: np.ndarray) -> np.ndarray:
+        def loss(w: np.ndarray) -> tuple[float, np.ndarray]:
             r = X1 - X0 @ w
-            return -2.0 * (vX0.T @ r)
+            return float(v.dot(r * r)), r
+
+        def grad(w: np.ndarray, r: np.ndarray) -> np.ndarray:
+            return -2.0 * (vX0T @ r)
 
         def report(f_internal: float) -> float:
-            return float(np.sqrt(max(f_internal, 0.0))) + offset
+            return math.sqrt(max(f_internal, 0.0)) + offset
     else:
-        def loss(w: np.ndarray) -> float:
-            root = np.sqrt(max(q_of(w), 0.0))
-            return root + reg.l1 * float(np.linalg.norm(w))
-
-        def grad(w: np.ndarray) -> np.ndarray:
+        def loss(w: np.ndarray) -> tuple[float, tuple]:
             r = X1 - X0 @ w
-            q = float(np.dot(v, r * r))
-            g = np.zeros_like(w)
+            q = float(v.dot(r * r))
+            wn = math.sqrt(float(w.dot(w)))
+            return math.sqrt(max(q, 0.0)) + l1 * wn, (r, q, wn)
+
+        def grad(w: np.ndarray, state: tuple) -> np.ndarray:
+            r, q, wn = state
             if q > _TINY:
-                g -= (vX0.T @ r) / np.sqrt(q)
-            wn = float(np.linalg.norm(w))
-            if reg.l1 > 0.0 and wn > 0.0:
-                g += reg.l1 * w / wn
+                g = 0.0 - (vX0T @ r) / math.sqrt(q)  # not -(...): zeros stay +0.0
+            else:
+                g = np.zeros_like(w)
+            if wn > 0.0:
+                g += l1 * w / wn
             return g
 
         def report(f_internal: float) -> float:

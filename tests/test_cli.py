@@ -283,6 +283,49 @@ def test_fit_bad_metadata_category_exits_3(tmp_path, capsys):
     assert f"for unit 20002 on line 3 of {metadata}" in err
 
 
+@pytest.mark.parametrize("table", ["outcomes", "predictors", "metadata"])
+def test_bad_unit_code_names_file_line_and_column_exits_3(tmp_path, capsys, table):
+    outcomes, predictors = _study_files(tmp_path, seed=4)
+    metadata = _wide_csv(tmp_path / "m.csv", ["unit", "treated", "t0"],
+                         [["10001", "1", _dates(40)[25]], ["20002", "0", ""]])
+    path = {"outcomes": outcomes, "predictors": predictors, "metadata": metadata}[table]
+    lines = pathlib.Path(path).read_text().splitlines()
+    lines[2] = "1001" + lines[2][5:]  # a 4-digit code on line 3
+    pathlib.Path(path).write_text("\n".join(lines) + "\n")
+    code = main(["fit", "--outcomes", outcomes, "--predictors", predictors,
+                 "--metadata", metadata, "--treated", "10001",
+                 "--out", str(tmp_path / "out")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert ("numeric unit code '1001' must be a 5-digit FIPS code "
+            f"in column 'unit' on line 3 of {path}") in err
+
+
+def test_fit_warns_when_final_weights_do_not_converge(tmp_path, capsys):
+    # nearly collinear predictors and a treated unit inside the donor hull:
+    # without penalties the descent is still creeping at max_iters
+    rng = np.random.default_rng(1)
+    J, T = 4, 40
+    level = rng.normal(size=J)
+    w = rng.dirichlet(np.ones(J))
+    donors = 30 + 5 * level[:, None] + rng.normal(0, 0.1, size=(J, T))
+    P0 = level[None, :] + 1e-3 * rng.normal(size=(2, J))
+    units = ["10001"] + [f"{20000 + 2 * j:05d}" for j in range(J)]
+    outcomes = _long_csv(tmp_path / "o.csv", dict(zip(units, np.vstack([w @ donors, donors]))))
+    X = np.hstack([(P0 @ w)[:, None], P0])
+    predictors = _wide_csv(tmp_path / "p.csv", ["unit", "a", "b"],
+                           [[u, *map(str, X[:, i])] for i, u in enumerate(units)])
+    argv = ["fit", "--outcomes", outcomes, "--predictors", predictors, "--treated", "10001",
+            "--t0", _dates(T)[30], "--v-mode", "uniform", "--l2", "0"]
+    assert main([*argv, "--l1", "0", "--out", str(tmp_path / "out")]) == 0
+    err = capsys.readouterr().err
+    assert "warning: donor weights for 10001 stopped at max_iters=2000 without converging" in err
+    assert "(objective " in err
+    # the default penalty settles, and says nothing
+    assert main([*argv, "--out", str(tmp_path / "out2")]) == 0
+    assert "warning" not in capsys.readouterr().err
+
+
 def test_fit_cluster_filter_falls_back_when_empty(tmp_path, capsys):
     outcomes, predictors = _study_files(tmp_path, seed=8)
     clusters = _wide_csv(tmp_path / "c.csv", ["fips", "cluster"],
@@ -346,24 +389,49 @@ def test_demo_data_with_100_donors_passes_fit(tmp_path):
     assert len(result["w"]) == 100
 
 
-def test_ingest_and_inverse_variance_fit_never_import_scipy(tmp_path):
-    # scipy costs about half a second per launch; only the solvers that need
-    # it may load it
-    files = _demo_files(tmp_path / "demo")
-    script = textwrap.dedent("""
-        import sys
-        from synthctl.cli import main
-        out, files = sys.argv[1], sys.argv[2:]
-        assert main(["ingest", *files[:2], *files[4:], "--out", out + "/ingest"]) == 0
-        assert main(["fit", *files, "--treated", "10001", "--v-mode", "inverse-variance",
-                     "--out", out + "/fit"]) == 0
+def _scipy_free_run(script, *argv):
+    """Run script in a fresh interpreter that then must hold no scipy module."""
+    script = textwrap.dedent(script) + textwrap.dedent("""
         loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
         assert not loaded, loaded
     """)
     src = str(pathlib.Path(synthctl.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "out"), *files],
+    proc = subprocess.run([sys.executable, "-c", script, *argv],
                           env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_ingest_and_inverse_variance_fit_never_import_scipy(tmp_path):
+    # scipy costs about half a second per launch; only the solvers that need
+    # it may load it
+    files = _demo_files(tmp_path / "demo")
+    _scipy_free_run("""
+        import sys
+        from synthctl.cli import main
+        out, files = sys.argv[1], sys.argv[2:]
+        assert main(["ingest", *files[:2], *files[4:], "--out", out + "/ingest"]) == 0
+        assert main(["fit", *files, "--treated", "10001", "--v-mode", "inverse-variance",
+                     "--out", out + "/fit"]) == 0
+    """, str(tmp_path / "out"), *files)
     assert (tmp_path / "out" / "fit" / "result.json").exists()
+
+
+def test_study_commands_never_import_scipy(tmp_path):
+    # the importance search runs its own Nelder-Mead; only logistic loads scipy
+    demo = _demo_files(tmp_path / "demo")
+    small, _ = _study_files(tmp_path)
+    _scipy_free_run("""
+        import sys
+        from synthctl.cli import main
+        out, small, demo = sys.argv[1], sys.argv[2], sys.argv[3:]
+        study = [*demo, "--treated", "10001"]
+        assert main(["fit", *study, "--out", out + "/fit"]) == 0
+        assert main(["placebo", *study, "--jobs", "2", "--out", out + "/placebo"]) == 0
+        assert main(["sweep", "--outcomes", small, "--treated", "10001",
+                     "--t0", "2021-03-26", "--t-fit", "10", "--jobs", "2",
+                     "--out", out + "/sweep"]) == 0
+    """, str(tmp_path / "out"), small, *demo)
+    for name in ("fit/result.json", "placebo/placebo.json", "sweep/sweep.csv"):
+        assert (tmp_path / "out" / name).exists()

@@ -19,7 +19,7 @@ from synthctl import (
     solve_w,
     split_pre_period,
 )
-from synthctl.engine import OUTCOME_MEAN_NAME
+from synthctl.engine import OUTCOME_MEAN_NAME, _nelder_mead
 from synthctl.errors import (
     EmptyWindow,
     InvalidSplit,
@@ -263,3 +263,97 @@ def test_study_spec_validation():
         StudySpec(treated="01001", donors=("02002",), T0=20, v_mode="nope")
     with pytest.raises(ValueError):
         StudySpec(treated="01001", donors=("02002",), T0=20, v_mode="fixed")
+
+
+def test_fit_synth_reports_unconverged_final_solve(rng):
+    panel, predictors, spec = _small_study(rng, k=4, J=6, T=60, T0=40)
+    capped = fit_synth(spec, panel, predictors, seed=3,
+                       opts=SolverOptions(max_iters=2, restarts=1))
+    assert not capped.converged
+    settled = fit_synth(spec, panel, predictors, seed=3)
+    assert settled.converged
+
+
+# ---------------------------------------------------------------------------
+# the importance search's Nelder-Mead against scipy's
+# ---------------------------------------------------------------------------
+
+class _Stop(Exception):
+    pass
+
+
+def _evaluated_points(minimize, f, x0, maxfev, xatol, fatol, stop, scribble):
+    """Every point minimize(f, ...) hands to f, in order, as private copies.
+
+    With stop set, f raises after that many calls, as the importance search
+    raises when it stalls; with scribble, f overwrites the point it was given.
+    """
+    points = []
+
+    def recorded(x):
+        if len(points) == stop:
+            raise _Stop
+        points.append(x.copy())
+        value = f(x)
+        if scribble:
+            x[:] = 1e6
+        return value
+
+    try:
+        minimize(recorded, np.array(x0, dtype=float), maxfev, xatol, fatol)
+    except _Stop:
+        pass
+    return points
+
+
+def _scipy_nelder_mead(f, x0, maxfev, xatol, fatol):
+    import scipy.optimize
+    scipy.optimize.minimize(f, x0, method="Nelder-Mead",
+                            options={"maxfev": maxfev, "xatol": xatol, "fatol": fatol})
+
+
+def _rosenbrock(x):
+    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
+
+
+def _ridged(x):
+    return float(np.abs(x).sum() + np.cos(13.0 * x).prod())
+
+
+@pytest.mark.parametrize("f, x0, maxfev, xatol, fatol, stop, scribble", [
+    # a quadratic, run to its tolerances
+    (lambda x: float(np.dot(np.arange(1.0, 4.0) * (x - 0.3), x - 0.3)),
+     [1.0, -2.0, 0.5], 400, 1e-6, 1e-10, None, False),
+    (_rosenbrock, [-1.2, 1.0, -0.5, 0.8, 1.5], 600, 1e-3, 1e-10, None, False),
+    # plateaus: tied values in the sort, and rejected inside contractions
+    # that shrink the simplex
+    (lambda x: float(np.floor(4.0 * np.dot(x, x))), [2.9, -2.7, 2.4, 1.2], 300,
+     1e-3, 1e-10, None, False),
+    # ridges: a rejected outside contraction shrinks too
+    (_ridged, [0.2, 0.1, -0.3, 0.5], 300, 1e-8, 1e-12, None, False),
+    # zero entries take the absolute initial step; the objective scribbles on
+    # its argument, which must not reach the simplex
+    (lambda x: float(np.dot(x - 1.0, x - 1.0)), [0.0, 2.0, 0.0, -1.0], 300, 1e-3,
+     1e-10, None, True),
+    # stopped by an exception from the objective
+    (_rosenbrock, [0.5, -0.5, 1.5], 500, 1e-8, 1e-12, 45, False),
+])
+def test_nelder_mead_evaluates_scipys_points(f, x0, maxfev, xatol, fatol, stop, scribble):
+    args = (f, x0, maxfev, xatol, fatol, stop, scribble)
+    ours = _evaluated_points(_nelder_mead, *args)
+    theirs = _evaluated_points(_scipy_nelder_mead, *args)
+    assert len(ours) == len(theirs) <= maxfev
+    assert all(np.array_equal(a, b) for a, b in zip(ours, theirs))
+
+
+@pytest.mark.parametrize("f, x0", [(_rosenbrock, [2.0, 2.0, 2.0]),
+                                   (_ridged, [0.2, 0.1, -0.3, 0.5])])
+def test_nelder_mead_stops_where_scipy_does_at_every_maxfev(f, x0):
+    # each budget runs out at a different step: in the initial simplex, a
+    # reflection, an expansion, a contraction or a shrink
+    for maxfev in range(1, 90):
+        args = (f, x0, maxfev, 1e-8, 1e-12, None, False)
+        ours = _evaluated_points(_nelder_mead, *args)
+        theirs = _evaluated_points(_scipy_nelder_mead, *args)
+        assert len(ours) == len(theirs) == maxfev
+        assert all(np.array_equal(a, b) for a, b in zip(ours, theirs))

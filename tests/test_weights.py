@@ -161,6 +161,26 @@ def test_solver_feasibility_fuzz(seed):
     assert (result.w >= 0).all()
 
 
+@pytest.mark.parametrize("name, bad", [("X1", np.nan), ("X1", -np.inf), ("X0", np.nan),
+                                       ("X0", np.inf), ("v", np.nan), ("v", np.inf)])
+@pytest.mark.parametrize("l1", [0.0, 0.6])
+def test_solver_rejects_non_finite_inputs(name, bad, l1):
+    # a NaN used to surface as an IndexError from project_simplex, or as
+    # weights stuck at a random restart point
+    rng = np.random.default_rng(6)
+    args = {"X1": rng.normal(size=3), "X0": rng.normal(size=(3, 4)),
+            "v": np.ones(3)}
+    args[name].flat[1] = bad
+    with pytest.raises(ValueError, match=f"{name} holds a NaN or an infinity"):
+        solve_w(args["X1"], args["X0"], args["v"], Regularization(l1, 0.1))
+
+
+@pytest.mark.parametrize("l1, l2", [(np.nan, 0.1), (0.6, np.inf), (-0.1, 0.1)])
+def test_regularization_rejects_non_finite_or_negative(l1, l2):
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        Regularization(l1, l2)
+
+
 def test_l2_penalty_does_not_move_simplex_argmin():
     # on the simplex the ||w||_1 term is constant, so only the reported
     # objective shifts, not the winning weights
