@@ -4,7 +4,7 @@ Writes outcomes.csv (long form), predictors.csv (wide form), and
 metadata.csv into --out. The treated unit follows a convex combination
 of the first two donors through the pre-period, then drifts upward by a
 constant lift after the intervention date. The placebo test should rank
-the treated unit first; with regularization turned off (--l1 0 --l2 0)
+the treated unit first; with regularization turned off (--l1 0)
 the fit should also recover the two generating weights.
 """
 
@@ -90,7 +90,7 @@ def main() -> None:
     print("try:")
     print(f"  synthctl fit --outcomes {out}/outcomes.csv "
           f"--predictors {out}/predictors.csv --metadata {out}/metadata.csv "
-          f"--treated {units[0]} --l1 0 --l2 0 --out {out}/results")
+          f"--treated {units[0]} --l1 0 --out {out}/results")
     print(f"  synthctl placebo --outcomes {out}/outcomes.csv "
           f"--predictors {out}/predictors.csv --metadata {out}/metadata.csv "
           f"--treated {units[0]} --jobs 4 --out {out}/results")

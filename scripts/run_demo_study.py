@@ -54,7 +54,7 @@ def make_study(rng: np.random.Generator):
     names = tuple(f"level_d{c:02d}" for c in checkpoints) + ("trend",)
     predictors = PredictorTable(names, units, X)
     spec = StudySpec(treated=units[0], donors=units[1:], T0=T0, t_fit=10,
-                     v_mode="optimized", reg=Regularization(0.0, 0.0))
+                     v_mode="optimized", reg=Regularization(0.0))
     return panel, predictors, spec, w_true
 
 

@@ -20,7 +20,6 @@ from .engine import (
     StudySpec,
     SynthResult,
     build_design,
-    evaluate_v,
     fit_synth,
     inverse_variance_v,
     mspe,
@@ -34,7 +33,6 @@ from .inference import (
     SweepRow,
     p_value,
     placebo_run,
-    post_pre_ratio,
     rmse_window,
     training_sweep,
 )
@@ -74,8 +72,6 @@ from .weights import (
     objective,
     project_simplex,
     solve_w,
-    sparsify_and_resolve,
-    sparsify_weights,
 )
 
 __version__ = "0.1.0"
@@ -110,7 +106,6 @@ __all__ = [
     "decile_summary",
     "derive_seed",
     "enforce_monotone",
-    "evaluate_v",
     "filter_by_cluster",
     "filter_by_neighbor_states",
     "fit_logistic",
@@ -125,7 +120,6 @@ __all__ = [
     "objective",
     "p_value",
     "placebo_run",
-    "post_pre_ratio",
     "project_simplex",
     "repair_series",
     "rmse_window",
@@ -133,8 +127,6 @@ __all__ = [
     "select_predictors_naive",
     "solve_v",
     "solve_w",
-    "sparsify_and_resolve",
-    "sparsify_weights",
     "split_control_target",
     "split_pre_period",
     "theme_regression",

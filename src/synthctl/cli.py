@@ -219,7 +219,11 @@ def _study_spec(settings: Settings, panel: Panel,
     pool = _donor_pool(settings, panel, treated)
     if t_fit is None:
         t_fit = settings.integer("t_fit", 10)
-    reg = Regularization(l1=settings.floating("l1", 0.6), l2=settings.floating("l2", 0.1))
+    reg = Regularization(l1=settings.floating("l1", 0.6))
+    if settings.raw("l2") is not None:
+        settings.floating("l2", 0.0)  # a non-number is still a configuration error
+        print("warning: --l2 has no effect: the sum of the donor weights is always 1; "
+              "ignoring it", file=sys.stderr)
     placement = settings.choice("train_placement", ("head", "tail"), "tail")
     mode = settings.choice("v_mode", V_MODE_CHOICES, "optimized")
     v_fixed = None
@@ -309,7 +313,8 @@ def cmd_placebo(settings: Settings) -> int:
         "p_value": p,
         "entries": [
             {"unit": e.unit, "r": e.r, "R_pre": e.R_pre, "R_post": e.R_post,
-             "skipped": e.skipped}
+             "skipped": e.skipped, "reason": e.reason, "pre_floored": e.pre_floored,
+             "converged": e.converged}
             for e in ensemble.entries
         ],
     }
@@ -469,7 +474,7 @@ def _add_common(sub: argparse.ArgumentParser, *, study: bool) -> None:
         sub.add_argument("--t0", help="intervention date (ISO)")
         sub.add_argument("--t-fit", dest="t_fit", help="training window length")
         sub.add_argument("--l1", help="Euclidean norm penalty (default 0.6)")
-        sub.add_argument("--l2", help="absolute sum penalty (default 0.1)")
+        sub.add_argument("--l2", help="no effect; accepted so that old configs still run")
         sub.add_argument("--v-mode", dest="v_mode",
                          help="optimized | inverse-variance | uniform")
         sub.add_argument("--train-placement", dest="train_placement",

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import EmptyWindow, InvalidSplit, ZeroVariancePredictor
 from .panel import Panel, PredictorTable
 from .seeding import derive_seed
-from .weights import Regularization, SolveResult, SolverOptions, solve_w, sparsify_and_resolve
+from .weights import Regularization, SolveResult, SolverOptions, solve_w
 
 OUTCOME_MEAN_NAME = "outcome_training_mean"
 
@@ -54,7 +54,6 @@ class StudySpec:
     v_fixed: np.ndarray | None = None
     reg: Regularization = field(default_factory=Regularization)
     train_placement: str = "tail"
-    sparsify: bool = False
 
     def __post_init__(self) -> None:
         if not self.donors:
@@ -143,12 +142,14 @@ def inverse_variance_v(X: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Design:
-    """Predictor matrices for one study: treated column, donor block, raw copy."""
+    """One study's arrays: predictor matrices and outcome rows, treated first."""
 
     X1: np.ndarray
     X0: np.ndarray
     raw: np.ndarray  # unstandardized (k+1) x (1 + J), treated first
     names: tuple[str, ...]
+    Y1: np.ndarray  # treated outcome series over the whole panel
+    Y0: np.ndarray  # donor outcome series, J x T
 
 
 def build_design(
@@ -157,14 +158,20 @@ def build_design(
     spec: StudySpec,
     standardize: bool = True,
 ) -> Design:
-    """Assemble the predictor matrices for a study.
+    """Check the study against the panel and assemble its arrays.
 
-    Rows are the predictor table rows plus the appended training-window
-    outcome mean. Standardization z-scores each row across the treated unit
-    and donors together; constant rows become zeros.
+    Every unit must be in the panel and the pre-period must fit inside it.
+    Predictor rows are the predictor table rows plus the appended
+    training-window outcome mean. Standardization z-scores each row across
+    the treated unit and donors together; constant rows become zeros.
     """
-    train, _ = split_pre_period(spec.T0, spec.t_fit, spec.train_placement)
     order = (spec.treated,) + spec.donors
+    rows = [panel.unit_index(u) for u in order]
+    if not (spec.t_fit < spec.T0 <= panel.n_dates):
+        raise InvalidSplit(
+            f"pre-period T0={spec.T0} does not fit a panel of {panel.n_dates} days"
+        )
+    train, _ = split_pre_period(spec.T0, spec.t_fit, spec.train_placement)
     t_idx = np.asarray(train, dtype=int)
 
     if predictors is not None and predictors.n_predictors > 0:
@@ -177,7 +184,7 @@ def build_design(
         base = np.zeros((0, len(order)))
         names = ()
 
-    outcome_rows = np.stack([panel.series(u) for u in order])
+    outcome_rows = panel.values[rows]
     if not np.isfinite(outcome_rows).all():
         raise ValueError("outcome series contain missing values; clean the panel first")
     mean_row = outcome_rows[:, t_idx].mean(axis=1)
@@ -190,43 +197,8 @@ def build_design(
         scaled = np.where(sd > 0, (raw - mu) / np.where(sd > 0, sd, 1.0), 0.0)
     else:
         scaled = raw
-    return Design(X1=scaled[:, 0].copy(), X0=scaled[:, 1:].copy(), raw=raw, names=names)
-
-
-def _validate_against_panel(spec: StudySpec, panel: Panel) -> None:
-    panel.unit_index(spec.treated)
-    for d in spec.donors:
-        panel.unit_index(d)
-    if not (spec.t_fit < spec.T0 <= panel.n_dates):
-        raise InvalidSplit(
-            f"pre-period T0={spec.T0} does not fit a panel of {panel.n_dates} days"
-        )
-
-
-def _outcome_block(panel: Panel, spec: StudySpec) -> tuple[np.ndarray, np.ndarray]:
-    Y1 = panel.series(spec.treated)
-    Y0 = np.stack([panel.series(d) for d in spec.donors])
-    return Y1, Y0
-
-
-def evaluate_v(
-    spec: StudySpec,
-    panel: Panel,
-    predictors: PredictorTable | None,
-    v: np.ndarray,
-    seed: int = 42,
-    opts: SolverOptions | None = None,
-    standardize: bool = True,
-) -> float:
-    """Validation-window outcome error of the weights implied by importance v."""
-    opts = opts or SolverOptions()
-    _validate_against_panel(spec, panel)
-    design = build_design(panel, predictors, spec, standardize)
-    _, val = split_pre_period(spec.T0, spec.t_fit, spec.train_placement)
-    Y1, Y0 = _outcome_block(panel, spec)
-    v = _normalize_v(np.asarray(v, dtype=float), design.raw.shape[0])
-    res = solve_w(design.X1, design.X0, v, spec.reg, opts, seed=seed)
-    return mspe(Y1, Y0.T @ res.w, val)
+    return Design(X1=scaled[:, 0].copy(), X0=scaled[:, 1:].copy(), raw=raw, names=names,
+                  Y1=outcome_rows[0], Y0=outcome_rows[1:])
 
 
 def _normalize_v(v: np.ndarray, k: int) -> np.ndarray:
@@ -324,14 +296,12 @@ def _nelder_mead(f, x0: np.ndarray, maxfev: int, xatol: float, fatol: float) -> 
 
 def solve_v(
     spec: StudySpec,
-    panel: Panel,
-    predictors: PredictorTable | None = None,
+    design: Design,
     *,
     seed: int = 42,
     opts: SolverOptions | None = None,
-    standardize: bool = True,
 ) -> np.ndarray:
-    """Choose the predictor importance vector according to spec.v_mode.
+    """Choose the predictor importance vector for the study's design by spec.v_mode.
 
     fixed passes the supplied vector through (normalized); inverse_variance
     weights each predictor by 1/variance across units of its raw values.
@@ -345,8 +315,6 @@ def solve_v(
     baseline.
     """
     opts = opts or SolverOptions()
-    _validate_against_panel(spec, panel)
-    design = build_design(panel, predictors, spec, standardize)
     k = design.raw.shape[0]
 
     if spec.v_mode == "fixed":
@@ -359,10 +327,9 @@ def solve_v(
         return np.array([1.0])
 
     _, val = split_pre_period(spec.T0, spec.t_fit, spec.train_placement)
-    Y1, Y0 = _outcome_block(panel, spec)
     val_idx = np.asarray(val, dtype=int)
-    Y1_val = Y1[val_idx]
-    Y0_val = Y0[:, val_idx]
+    Y1_val = design.Y1[val_idx]
+    Y0_val = design.Y0[:, val_idx]
 
     def val_error(w: np.ndarray) -> float:
         diff = Y1_val - Y0_val.T @ w
@@ -442,18 +409,14 @@ def fit_synth(
     full pre-intervention windows.
     """
     opts = opts or SolverOptions()
-    _validate_against_panel(spec, panel)
     design = build_design(panel, predictors, spec, standardize)
     train, val = split_pre_period(spec.T0, spec.t_fit, spec.train_placement)
 
-    v = solve_v(spec, panel, predictors, seed=seed, opts=opts, standardize=standardize)
+    v = solve_v(spec, design, seed=seed, opts=opts)
     result: SolveResult = solve_w(design.X1, design.X0, v, spec.reg, opts, seed=seed)
-    if spec.sparsify:
-        result = sparsify_and_resolve(result.w, design.X1, design.X0, v,
-                                      spec.reg, opts, seed=seed)
 
-    Y1, Y0 = _outcome_block(panel, spec)
-    synthetic = Y0.T @ result.w
+    Y1 = design.Y1
+    synthetic = design.Y0.T @ result.w
     gap = Y1 - synthetic
     return SynthResult(
         treated=spec.treated,

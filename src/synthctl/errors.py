@@ -65,12 +65,6 @@ class ZeroVariancePredictor(SynthctlError):
     """A predictor is constant across units, so 1/variance is undefined."""
 
 
-# ---- inference ----
-
-class ZeroPreRMSE(SynthctlError):
-    """Pre-period fit error is exactly zero, so the post/pre ratio diverges."""
-
-
 # ---- growth-curve analysis ----
 
 class DegenerateSeries(SynthctlError):

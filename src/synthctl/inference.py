@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import StudySpec, fit_synth
-from .errors import EmptyWindow, SynthctlError, ZeroPreRMSE
+from .errors import EmptyWindow, SynthctlError
 from .panel import Panel, PredictorTable
 from .seeding import derive_seed
 from .weights import SolverOptions
@@ -39,13 +39,6 @@ def rmse_window(actual: np.ndarray, synthetic: np.ndarray, t1: int, t2: int) -> 
     return float(np.sqrt(np.mean(diff * diff)))
 
 
-def post_pre_ratio(r_post: float, r_pre: float) -> float:
-    """Post-period error over pre-period error."""
-    if r_pre == 0.0:
-        raise ZeroPreRMSE("pre-period RMSE is exactly zero; the ratio diverges")
-    return r_post / r_pre
-
-
 @dataclass(frozen=True)
 class PlaceboEntry:
     unit: str
@@ -55,6 +48,7 @@ class PlaceboEntry:
     skipped: bool
     reason: str | None = None
     pre_floored: bool = False
+    converged: bool | None = None  # the final weight solve's flag; None if skipped
 
 
 @dataclass(frozen=True)
@@ -82,7 +76,7 @@ def _fit_ratio_task(payload: tuple) -> PlaceboEntry:
     floored = R_pre < PRE_RMSE_FLOOR
     r = R_post / max(R_pre, PRE_RMSE_FLOOR)
     return PlaceboEntry(spec.treated, r, R_pre, R_post, skipped=False,
-                        pre_floored=floored)
+                        pre_floored=floored, converged=result.converged)
 
 
 def placebo_run(

@@ -1,13 +1,16 @@
 """Deterministic serialization for result files.
 
-Every float is written with 17 significant digits, which round-trips IEEE
-doubles exactly, so two runs that compute identical numbers produce
-byte-identical files. Dict insertion order is preserved and no timestamps or
-environment details are ever written.
+CSV floats are written with 17 significant digits and JSON floats in their
+shortest round-trip form, so both read back as exactly the doubles that were
+written, and two runs that compute identical numbers produce byte-identical
+files. Non-finite floats become empty CSV cells and JSON nulls. Dict
+insertion order is preserved and no timestamps or environment details are
+ever written.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from typing import Iterable, Sequence
 
@@ -19,61 +22,20 @@ def fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _json_scalar(value: object) -> str:
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            return "null"
-        return fmt_float(value)
-    if isinstance(value, str):
-        return _json_string(value)
-    raise TypeError(f"cannot serialize {type(value).__name__}")
-
-
-_ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t"}
-
-
-def _json_string(text: str) -> str:
-    out = ['"']
-    for ch in text:
-        if ch in _ESCAPES:
-            out.append(_ESCAPES[ch])
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    out.append('"')
-    return "".join(out)
-
-
-def dumps_json(obj: object, indent: int = 0) -> str:
-    """JSON text with deterministic float formatting and insertion order."""
-    pad = " " * indent
-    child = indent + 2
+def _finite_or_null(obj: object) -> object:
+    """obj with every non-finite float, at any depth, replaced by None."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [
-            f"{' ' * child}{_json_string(str(k))}: {dumps_json(v, child).lstrip()}"
-            for k, v in obj.items()
-        ]
-        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
+        return {k: _finite_or_null(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [f"{' ' * child}{dumps_json(v, child).lstrip()}" for v in obj]
-        return "[\n" + ",\n".join(items) + f"\n{pad}]"
-    return _json_scalar(obj)
+        return [_finite_or_null(v) for v in obj]
+    return obj
 
 
 def write_json(path: str, obj: object) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(dumps_json(obj))
+        json.dump(_finite_or_null(obj), fh, indent=2, ensure_ascii=False, allow_nan=False)
         fh.write("\n")
 
 

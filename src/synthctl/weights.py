@@ -3,11 +3,11 @@
 The treated unit is approximated by a convex combination of donors: weights
 are nonnegative and sum to one. The discrepancy being minimized is
 
-    sqrt( sum_h v_h * (X1_h - sum_j w_j * X0_hj)^2 ) + l1*||w||_2 + l2*||w||_1
+    sqrt( sum_h v_h * (X1_h - sum_j w_j * X0_hj)^2 ) + l1*||w||_2
 
-where v holds per-predictor importance weights. The knobs are named after the
-CLI flags they bind to: l1 scales the Euclidean norm of w and l2 scales the
-absolute sum of w.
+where v holds per-predictor importance weights and l1, named after the CLI
+flag it binds to, scales the Euclidean norm of w. A penalty on the absolute
+sum of w would be the constant 1 on the simplex, so there is none.
 
 The solver is projected gradient descent with Armijo backtracking, restarted
 from several random points on the simplex. A flat (uniform) start sits on a
@@ -17,7 +17,6 @@ are always drawn from a flat Dirichlet instead of using the uniform vector.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -30,14 +29,13 @@ _TINY = 1e-300
 
 @dataclass(frozen=True)
 class Regularization:
-    """Penalty coefficients: l1 multiplies ||w||_2, l2 multiplies ||w||_1."""
+    """Penalty coefficient: l1 multiplies ||w||_2."""
 
     l1: float = 0.6
-    l2: float = 0.1
 
     def __post_init__(self) -> None:
-        if not all(0.0 <= c < math.inf for c in (self.l1, self.l2)):
-            raise ValueError("penalty coefficients must be finite and nonnegative")
+        if not 0.0 <= self.l1 < math.inf:
+            raise ValueError("penalty coefficient must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -108,7 +106,7 @@ def objective(
         raise DimensionMismatch(f"w has shape {w.shape}, expected ({J},)")
     r = X1 - X0 @ w
     q = float(np.dot(v, r * r))
-    return float(np.sqrt(q) + reg.l1 * np.linalg.norm(w) + reg.l2 * np.abs(w).sum())
+    return float(np.sqrt(q) + reg.l1 * np.linalg.norm(w))
 
 
 def project_simplex(y: np.ndarray) -> np.ndarray:
@@ -209,9 +207,6 @@ def solve_w(
         return SolveResult(w, f, 0, True, (f,), (f,))
 
     vX0T = (v[:, None] * X0).T
-    # on the simplex the absolute sum is identically one, so the l2 term is a
-    # constant offset and the l1 term is the only active penalty
-    offset = reg.l2
     l1 = reg.l1
 
     if l1 == 0.0:
@@ -225,7 +220,7 @@ def solve_w(
             return -2.0 * (vX0T @ r)
 
         def report(f_internal: float) -> float:
-            return math.sqrt(max(f_internal, 0.0)) + offset
+            return math.sqrt(max(f_internal, 0.0))
     else:
         def loss(w: np.ndarray) -> tuple[float, tuple]:
             r = X1 - X0 @ w
@@ -244,7 +239,7 @@ def solve_w(
             return g
 
         def report(f_internal: float) -> float:
-            return f_internal + offset
+            return f_internal
 
     rng = np.random.default_rng(seed)
     starts: list[np.ndarray] = []
@@ -275,60 +270,3 @@ def solve_w(
         restart_objectives=tuple(finals),
     )
 
-
-def sparsify_weights(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """Zero out weights below half the fifth-largest weight and renormalize.
-
-    Returns (new weights, mask of zeroed entries, threshold). Vectors with
-    fewer than five entries pass through untouched.
-    """
-    w = np.asarray(w, dtype=float)
-    if w.size < 5:
-        return w.copy(), np.zeros(w.size, dtype=bool), 0.0
-    fifth = float(np.sort(w)[::-1][4])
-    threshold = 0.5 * fifth
-    mask = w < threshold
-    if not mask.any():
-        return w.copy(), mask, threshold
-    out = np.where(mask, 0.0, w)
-    out = out / out.sum()
-    return out, mask, threshold
-
-
-def sparsify_and_resolve(
-    w: np.ndarray,
-    X1: np.ndarray,
-    X0: np.ndarray,
-    v: np.ndarray,
-    reg: Regularization,
-    opts: SolverOptions | None = None,
-    seed: int = 42,
-) -> SolveResult:
-    """Drop negligible donors, then re-optimize over the survivors.
-
-    The re-solve starts from the renormalized surviving weights rather than
-    from fresh random points. When thresholding removes nothing (including
-    any vector shorter than five) the input passes through unchanged.
-    """
-    opts = opts or SolverOptions()
-    w = np.asarray(w, dtype=float)
-    X1 = np.asarray(X1, dtype=float)
-    X0 = np.asarray(X0, dtype=float)
-    v = np.asarray(v, dtype=float)
-    _check_inputs(X1, X0, v)
-    if w.shape != (X0.shape[1],):
-        raise DimensionMismatch(f"w has shape {w.shape}, expected ({X0.shape[1]},)")
-
-    renorm, mask, _ = sparsify_weights(w)
-    if not mask.any():
-        f = objective(w, X1, X0, v, reg)
-        return SolveResult(w.copy(), f, 0, True, (f,), (f,))
-
-    survivors = ~mask
-    sub_opts = dataclasses.replace(opts, restarts=0)
-    sub = solve_w(X1, X0[:, survivors], v, reg, sub_opts, seed=seed,
-                  init=renorm[survivors])
-    out = np.zeros_like(w)
-    out[survivors] = sub.w
-    return SolveResult(out, sub.objective, sub.n_iters, sub.converged,
-                       sub.trace, sub.restart_objectives)

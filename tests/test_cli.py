@@ -4,6 +4,7 @@ import datetime as dt
 import json
 import os
 import pathlib
+import shlex
 import subprocess
 import sys
 import textwrap
@@ -137,6 +138,33 @@ def test_config_file_supplies_options_and_flags_win(tmp_path):
     assert (flag_out / "result.json").exists()
 
 
+def test_l2_warns_and_changes_no_output(tmp_path, capsys):
+    # a 1-norm penalty is constant on the simplex, so the option is accepted
+    # for old configs and ignored
+    outcomes, predictors = _study_files(tmp_path, seed=4)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("l2 = 5\n")
+    argv = ["fit", "--outcomes", outcomes, "--predictors", predictors,
+            "--treated", "10001", "--t0", _dates(40)[25], "--seed", "7"]
+    outputs = []
+    for name, extra in (("plain", []), ("flag", ["--l2", "5"]),
+                        ("config", ["--config", str(cfg)])):
+        assert main([*argv, *extra, "--out", str(tmp_path / name)]) == 0
+        err = capsys.readouterr().err
+        assert ("warning: --l2 has no effect" in err) == bool(extra)
+        outputs.append([(tmp_path / name / f).read_bytes()
+                        for f in ("result.json", "curve.csv")])
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_l2_that_is_not_a_number_exits_2(tmp_path, capsys):
+    outcomes, _ = _study_files(tmp_path)
+    code = main(["fit", "--outcomes", outcomes, "--treated", "10001",
+                 "--t0", _dates(40)[25], "--l2", "abc", "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "--l2 must be a number, got 'abc'" in capsys.readouterr().err
+
+
 def test_config_file_unknown_key_exits_2(tmp_path, capsys):
     outcomes, _ = _study_files(tmp_path)
     cfg = tmp_path / "run.cfg"
@@ -165,6 +193,23 @@ def test_placebo_outputs_and_parallel_determinism(tmp_path):
     header, row = payloads[0][1].decode().splitlines()
     assert header == "treated,p_value,n_valid,n_skipped"
     assert row.startswith("10001,")
+
+
+def test_placebo_entries_say_why_a_placebo_was_skipped(tmp_path):
+    # with one donor, the donor's placebo has no donors of its own
+    outcomes, predictors = _study_files(tmp_path, n_donors=1, seed=5)
+    out = tmp_path / "out"
+    assert main(["placebo", "--outcomes", outcomes, "--predictors", predictors,
+                 "--treated", "10001", "--t0", _dates(40)[25], "--out", str(out)]) == 0
+    treated, donor = json.loads((out / "placebo.json").read_text())["entries"]
+    assert donor == {"unit": "20000", "r": None, "R_pre": None, "R_post": None,
+                     "skipped": True, "reason": "donor pool must be non-empty",
+                     "pre_floored": False, "converged": None}
+    # the treated unit copies its one donor exactly
+    assert treated["unit"] == "10001" and not treated["skipped"]
+    assert treated["reason"] is None
+    assert treated["pre_floored"] is True
+    assert treated["converged"] is True
 
 
 def test_sweep_writes_sorted_rows(tmp_path):
@@ -316,7 +361,7 @@ def test_fit_warns_when_final_weights_do_not_converge(tmp_path, capsys):
     predictors = _wide_csv(tmp_path / "p.csv", ["unit", "a", "b"],
                            [[u, *map(str, X[:, i])] for i, u in enumerate(units)])
     argv = ["fit", "--outcomes", outcomes, "--predictors", predictors, "--treated", "10001",
-            "--t0", _dates(T)[30], "--v-mode", "uniform", "--l2", "0"]
+            "--t0", _dates(T)[30], "--v-mode", "uniform"]
     assert main([*argv, "--l1", "0", "--out", str(tmp_path / "out")]) == 0
     err = capsys.readouterr().err
     assert "warning: donor weights for 10001 stopped at max_iters=2000 without converging" in err
@@ -387,6 +432,17 @@ def test_demo_data_with_100_donors_passes_fit(tmp_path):
     assert code == 0
     result = json.loads((out / "result.json").read_text())
     assert len(result["w"]) == 100
+
+
+def test_quick_start_fit_runs_clean(tmp_path, capsys):
+    # the fit command that make_demo_data.py prints, as the README's quick start runs it
+    printed = subprocess.run([sys.executable, str(DEMO_SCRIPT), "--out", str(tmp_path)],
+                             check=True, capture_output=True, text=True).stdout
+    command = next(line for line in printed.splitlines()
+                   if line.strip().startswith("synthctl fit "))
+    assert main(shlex.split(command)[1:]) == 0
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / "results" / "result.json").exists()
 
 
 def _scipy_free_run(script, *argv):

@@ -11,7 +11,6 @@ from synthctl import (
     SolverOptions,
     StudySpec,
     build_design,
-    evaluate_v,
     fit_synth,
     inverse_variance_v,
     mspe,
@@ -19,6 +18,7 @@ from synthctl import (
     solve_w,
     split_pre_period,
 )
+from synthctl import engine
 from synthctl.engine import OUTCOME_MEAN_NAME, _nelder_mead
 from synthctl.errors import (
     EmptyWindow,
@@ -99,7 +99,7 @@ def _small_study(rng, k=3, J=4, T=40, T0=25):
     units = panel.units
     predictors = make_predictors(rng.normal(size=(k, J + 1)), units)
     spec = StudySpec(treated=units[0], donors=units[1:], T0=T0, t_fit=10,
-                     v_mode="optimized", reg=Regularization(0.0, 0.0))
+                     v_mode="optimized", reg=Regularization(0.0))
     return panel, predictors, spec
 
 
@@ -129,6 +129,23 @@ def test_design_reserves_outcome_mean_name(rng):
         build_design(panel, bad, spec)
 
 
+def test_design_keeps_outcome_rows(rng):
+    panel, predictors, spec = _small_study(rng)
+    design = build_design(panel, predictors, spec)
+    assert np.array_equal(design.Y1, panel.series(spec.treated))
+    assert np.array_equal(design.Y0, np.stack([panel.series(d) for d in spec.donors]))
+
+
+def test_design_checks_the_study_against_the_panel(rng):
+    panel, predictors, spec = _small_study(rng, T=40, T0=25)
+    with pytest.raises(KeyError, match="not in panel"):
+        build_design(panel, predictors, StudySpec(
+            treated=spec.treated, donors=spec.donors[:-1] + ("99999",), T0=25))
+    with pytest.raises(InvalidSplit, match="does not fit a panel of 40 days"):
+        build_design(panel, predictors, StudySpec(
+            treated=spec.treated, donors=spec.donors, T0=41))
+
+
 def test_design_requires_finite_outcomes(rng):
     panel, predictors, spec = _small_study(rng)
     values = panel.values.copy()
@@ -147,20 +164,25 @@ def test_solve_v_fixed_passes_through_normalized(rng):
     spec = StudySpec(treated=spec.treated, donors=spec.donors, T0=spec.T0,
                      t_fit=spec.t_fit, v_mode="fixed",
                      v_fixed=np.array([2.0, 1.0, 1.0, 4.0]), reg=spec.reg)
-    v = solve_v(spec, panel, predictors)
+    v = solve_v(spec, build_design(panel, predictors, spec))
     assert np.allclose(v, [0.25, 0.125, 0.125, 0.5])
 
 
 def test_solve_v_never_loses_to_uniform_or_invvar(rng):
     panel, predictors, spec = _small_study(rng, k=4, J=6, T=60, T0=40)
     opts = SolverOptions(max_iters=800, restarts=2)
-    v_star = solve_v(spec, panel, predictors, seed=7, opts=opts)
-    k = v_star.size
-    best = evaluate_v(spec, panel, predictors, v_star, seed=7, opts=opts)
-    uniform = evaluate_v(spec, panel, predictors, np.ones(k) / k, seed=7, opts=opts)
     design = build_design(panel, predictors, spec)
-    invvar = evaluate_v(spec, panel, predictors, inverse_variance_v(design.raw),
-                        seed=7, opts=opts)
+    v_star = solve_v(spec, design, seed=7, opts=opts)
+    k = v_star.size
+    _, val = split_pre_period(spec.T0, spec.t_fit, spec.train_placement)
+
+    def validation_error(v):
+        w = solve_w(design.X1, design.X0, v, spec.reg, opts, seed=7).w
+        return mspe(design.Y1, design.Y0.T @ w, val)
+
+    best = validation_error(v_star)
+    uniform = validation_error(np.ones(k) / k)
+    invvar = validation_error(inverse_variance_v(design.raw))
     assert best <= uniform
     assert best <= invvar
 
@@ -183,8 +205,8 @@ def test_solve_v_downweights_noise_predictor():
     ])
     predictors = make_predictors(X, units)
     spec = StudySpec(treated=units[0], donors=units[1:], T0=T0, t_fit=10,
-                     v_mode="optimized", reg=Regularization(0.0, 0.0))
-    v = solve_v(spec, panel, predictors, seed=5)
+                     v_mode="optimized", reg=Regularization(0.0))
+    v = solve_v(spec, build_design(panel, predictors, spec), seed=5)
     # rows: driver, noise, outcome mean; noise must not dominate
     assert v[1] < max(v[0], v[2])
 
@@ -193,7 +215,7 @@ def test_fit_synth_with_fixed_v_matches_direct_solve(rng):
     panel, predictors, spec = _small_study(rng)
     spec = StudySpec(treated=spec.treated, donors=spec.donors, T0=spec.T0,
                      t_fit=spec.t_fit, v_mode="fixed",
-                     v_fixed=np.ones(4), reg=Regularization(0.0, 0.0))
+                     v_fixed=np.ones(4), reg=Regularization(0.0))
     result = fit_synth(spec, panel, predictors, seed=13)
     design = build_design(panel, predictors, spec)
     direct = solve_w(design.X1, design.X0, np.ones(4) / 4, spec.reg, seed=13)
@@ -204,7 +226,7 @@ def test_fit_synth_with_fixed_v_matches_direct_solve(rng):
 def test_fit_synth_perfect_combination_zero_gap(rng):
     panel, predictors, units, w_true, T0 = combo_study(rng, n_distractors=4, k=8)
     spec = StudySpec(treated=units[0], donors=units[1:], T0=T0, t_fit=10,
-                     v_mode="optimized", reg=Regularization(0.0, 0.0))
+                     v_mode="optimized", reg=Regularization(0.0))
     result = fit_synth(spec, panel, predictors, seed=42)
     assert np.max(np.abs(result.w_star - w_true)) < 1e-3
     assert np.sqrt(np.mean(result.gap[:T0] ** 2)) < 1e-6
@@ -241,15 +263,17 @@ def test_fit_synth_deterministic(rng):
     assert a.validation_mspe == b.validation_mspe
 
 
-def test_fit_synth_sparsify_keeps_simplex(rng):
-    panel, predictors, units, w_true, T0 = combo_study(rng, n_distractors=8, k=10)
-    spec = StudySpec(treated=units[0], donors=units[1:], T0=T0, t_fit=10,
-                     v_mode="optimized", reg=Regularization(0.0, 0.0),
-                     sparsify=True)
-    result = fit_synth(spec, panel, predictors, seed=2)
-    assert result.w_star.sum() == pytest.approx(1.0, abs=1e-8)
-    assert (result.w_star >= 0).all()
-    assert np.max(np.abs(result.w_star - w_true)) < 1e-3
+def test_fit_synth_builds_the_design_once(rng, monkeypatch):
+    panel, predictors, spec = _small_study(rng)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build_design(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "build_design", counted)
+    fit_synth(spec, panel, predictors, seed=3)
+    assert len(calls) == 1
 
 
 def test_study_spec_validation():

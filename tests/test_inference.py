@@ -16,11 +16,10 @@ from synthctl import (
     StudySpec,
     p_value,
     placebo_run,
-    post_pre_ratio,
     rmse_window,
     training_sweep,
 )
-from synthctl.errors import EmptyWindow, ZeroPreRMSE
+from synthctl.errors import EmptyWindow
 
 LIGHT = SolverOptions(max_iters=400, restarts=2)
 
@@ -41,15 +40,6 @@ def test_rmse_window_hand_values():
 def test_rmse_window_empty_raises():
     with pytest.raises(EmptyWindow):
         rmse_window(np.ones(3), np.ones(3), 2, 1)
-
-
-def test_post_pre_ratio_hand_value():
-    assert post_pre_ratio(4.0, 2.0) == pytest.approx(2.0)
-
-
-def test_post_pre_ratio_zero_pre_raises():
-    with pytest.raises(ZeroPreRMSE):
-        post_pre_ratio(1.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +140,7 @@ def test_placebo_pools_exclude_treated_unit():
     twin_panel = panel.with_values(values)
     spec = StudySpec(treated=twin_panel.units[0], donors=twin_panel.units[1:],
                      T0=25, t_fit=10, v_mode="optimized",
-                     reg=Regularization(0.0, 0.0))
+                     reg=Regularization(0.0))
     ens = placebo_run(spec, twin_panel, None, seed=2, opts=LIGHT)
     twin_entry = next(e for e in ens.entries if e.unit == twin_panel.units[1])
     # donors for the twin exclude the treated unit, so its pre-fit is imperfect
@@ -189,7 +179,7 @@ def test_placebo_perfect_pre_fit_floors_ratio():
     panel = base.with_values(values)
     spec = StudySpec(treated=panel.units[0], donors=panel.units[1:3], T0=T0,
                      t_fit=10, v_mode="fixed", v_fixed=np.ones(1),
-                     reg=Regularization(0.0, 0.0))
+                     reg=Regularization(0.0))
     ens = placebo_run(spec, panel, None, seed=9, opts=LIGHT)
     floored = [e for e in ens.entries if e.pre_floored]
     assert len(floored) == 2

@@ -12,8 +12,6 @@ from synthctl import (
     objective,
     project_simplex,
     solve_w,
-    sparsify_and_resolve,
-    sparsify_weights,
 )
 from synthctl.errors import DimensionMismatch
 
@@ -25,13 +23,13 @@ TIGHT = SolverOptions(max_iters=5000, tol=1e-14, restarts=8)
 # ---------------------------------------------------------------------------
 
 def test_objective_hand_value_with_penalties():
-    # discrepancy 0, ||w||_2 = 1/sqrt(2), ||w||_1 = 1
+    # discrepancy 0, ||w||_2 = 1/sqrt(2)
     w = np.array([0.5, 0.5])
     X1 = np.array([0.0])
     X0 = np.array([[1.0, -1.0]])
     v = np.array([1.0])
-    val = objective(w, X1, X0, v, Regularization(l1=1.0, l2=1.0))
-    assert val == pytest.approx(1.0 / np.sqrt(2.0) + 1.0)
+    val = objective(w, X1, X0, v, Regularization(l1=1.0))
+    assert val == pytest.approx(1.0 / np.sqrt(2.0))
 
 
 def test_objective_weighted_discrepancy():
@@ -40,7 +38,7 @@ def test_objective_weighted_discrepancy():
     X1 = np.array([1.0, 2.0])
     X0 = np.array([[0.0], [0.0]])
     v = np.array([1.0, 3.0])
-    val = objective(w, X1, X0, v, Regularization(l1=0.0, l2=0.0))
+    val = objective(w, X1, X0, v, Regularization(l1=0.0))
     assert val == pytest.approx(np.sqrt(13.0))
 
 
@@ -82,8 +80,7 @@ def test_project_simplex_feasible_and_order_preserving(values):
 def _grid_oracle(X1, X0, v, reg, grid):
     resid = X1[:, None] - X0 @ grid.T  # (k, n_grid)
     disc = np.sqrt(np.einsum("k,kn->n", v, resid ** 2))
-    vals = disc + reg.l1 * np.linalg.norm(grid, axis=1) \
-        + reg.l2 * np.abs(grid).sum(axis=1)
+    vals = disc + reg.l1 * np.linalg.norm(grid, axis=1)
     i = int(np.argmin(vals))
     return grid[i], float(vals[i])
 
@@ -93,8 +90,11 @@ def test_solver_beats_grid_oracle(case):
     rng = np.random.default_rng(100 + case)
     X1 = rng.normal(size=2)
     X0 = rng.normal(size=(2, 3))
-    reg = Regularization(l1=0.0, l2=0.0) if case % 2 == 0 else \
-        Regularization(l1=float(rng.uniform(0, 1)), l2=float(rng.uniform(0, 0.5)))
+    if case % 2 == 0:
+        reg = Regularization(l1=0.0)
+    else:
+        reg = Regularization(l1=float(rng.uniform(0, 1)))
+        rng.uniform(0, 0.5)  # drawn for the former 1-norm penalty; keeps the cases as they were
     v = rng.uniform(0.5, 2.0, size=2)
     grid = grid_simplex_3(1e-2)
     _, oracle_val = _grid_oracle(X1, X0, v, reg, grid)
@@ -106,7 +106,7 @@ def test_solver_exact_interpolation():
     # treated is donor 2 exactly: the solver must find the vertex
     X0 = np.array([[1.0, 5.0, 9.0], [2.0, 7.0, 3.0]])
     X1 = X0[:, 1].copy()
-    result = solve_w(X1, X0, np.ones(2), Regularization(0.0, 0.0), TIGHT)
+    result = solve_w(X1, X0, np.ones(2), Regularization(0.0), TIGHT)
     assert np.allclose(result.w, [0.0, 1.0, 0.0], atol=1e-6)
     assert result.objective <= 1e-7
 
@@ -154,7 +154,8 @@ def test_solver_feasibility_fuzz(seed):
     X1 = rng.normal(size=k) * rng.uniform(0.1, 10)
     X0 = rng.normal(size=(k, J)) * rng.uniform(0.1, 10)
     v = rng.uniform(0.1, 3.0, size=k)
-    reg = Regularization(l1=float(rng.uniform(0, 2)), l2=float(rng.uniform(0, 2)))
+    reg = Regularization(l1=float(rng.uniform(0, 2)))
+    rng.uniform(0, 2)  # drawn for the former 1-norm penalty; keeps the cases as they were
     result = solve_w(X1, X0, v, reg, SolverOptions(max_iters=300, restarts=2),
                      seed=seed)
     assert result.w.sum() == pytest.approx(1.0, abs=1e-8)
@@ -172,26 +173,13 @@ def test_solver_rejects_non_finite_inputs(name, bad, l1):
             "v": np.ones(3)}
     args[name].flat[1] = bad
     with pytest.raises(ValueError, match=f"{name} holds a NaN or an infinity"):
-        solve_w(args["X1"], args["X0"], args["v"], Regularization(l1, 0.1))
+        solve_w(args["X1"], args["X0"], args["v"], Regularization(l1))
 
 
-@pytest.mark.parametrize("l1, l2", [(np.nan, 0.1), (0.6, np.inf), (-0.1, 0.1)])
-def test_regularization_rejects_non_finite_or_negative(l1, l2):
+@pytest.mark.parametrize("l1", [np.nan, np.inf, -0.1])
+def test_regularization_rejects_non_finite_or_negative(l1):
     with pytest.raises(ValueError, match="finite and nonnegative"):
-        Regularization(l1, l2)
-
-
-def test_l2_penalty_does_not_move_simplex_argmin():
-    # on the simplex the ||w||_1 term is constant, so only the reported
-    # objective shifts, not the winning weights
-    rng = np.random.default_rng(21)
-    X1 = rng.normal(size=3)
-    X0 = rng.normal(size=(3, 4))
-    v = np.ones(3)
-    base = solve_w(X1, X0, v, Regularization(l1=0.0, l2=0.0), TIGHT, seed=4)
-    shifted = solve_w(X1, X0, v, Regularization(l1=0.0, l2=0.7), TIGHT, seed=4)
-    assert np.allclose(base.w, shifted.w, atol=1e-7)
-    assert shifted.objective == pytest.approx(base.objective + 0.7, abs=1e-7)
+        Regularization(l1)
 
 
 def test_permutation_equivariance():
@@ -201,8 +189,8 @@ def test_permutation_equivariance():
     X0 = rng.normal(size=(k, J))
     v = rng.uniform(0.5, 2.0, size=k)
     perm = np.array([2, 0, 3, 1])
-    a = solve_w(X1, X0, v, Regularization(0.0, 0.0), TIGHT, seed=11)
-    b = solve_w(X1, X0[:, perm], v, Regularization(0.0, 0.0), TIGHT, seed=12)
+    a = solve_w(X1, X0, v, Regularization(0.0), TIGHT, seed=11)
+    b = solve_w(X1, X0[:, perm], v, Regularization(0.0), TIGHT, seed=12)
     assert np.allclose(a.w[perm], b.w, atol=1e-5)
 
 
@@ -211,59 +199,7 @@ def test_init_point_is_honored():
     X0 = np.array([[2.0, 4.0], [1.0, 5.0]])
     w_true = np.array([0.25, 0.75])
     X1 = X0 @ w_true
-    result = solve_w(X1, X0, np.ones(2), Regularization(0.0, 0.0),
+    result = solve_w(X1, X0, np.ones(2), Regularization(0.0),
                      SolverOptions(restarts=0), init=w_true)
     assert np.allclose(result.w, w_true, atol=1e-9)
 
-
-# ---------------------------------------------------------------------------
-# sparsification
-# ---------------------------------------------------------------------------
-
-def test_sparsify_hand_fixture():
-    w = np.array([0.30, 0.25, 0.15, 0.10, 0.06, 0.05, 0.04, 0.03, 0.01, 0.01])
-    new_w, mask, threshold = sparsify_weights(w)
-    assert threshold == pytest.approx(0.03)
-    assert mask.sum() == 2          # the two 0.01 entries, strictly below 0.03
-    assert not mask[7]              # 0.03 itself survives the strict rule
-    assert new_w.sum() == pytest.approx(1.0)
-    assert new_w[0] == pytest.approx(0.30 / 0.98)
-
-
-def test_sparsify_short_vector_passthrough():
-    w = np.array([0.5, 0.3, 0.2])
-    new_w, mask, threshold = sparsify_weights(w)
-    assert np.array_equal(new_w, w)
-    assert not mask.any()
-
-
-def test_sparsify_nothing_below_threshold_passthrough():
-    w = np.full(5, 0.2)
-    new_w, mask, _ = sparsify_weights(w)
-    assert np.array_equal(new_w, w)
-    assert not mask.any()
-
-
-def test_sparsify_and_resolve_zeroes_stay_zero():
-    rng = np.random.default_rng(17)
-    k, J = 8, 10
-    X0 = rng.normal(size=(k, J))
-    w_true = np.zeros(J)
-    w_true[:3] = (0.5, 0.3, 0.2)
-    X1 = X0 @ w_true
-    first = solve_w(X1, X0, np.ones(k), Regularization(0.0, 0.0), TIGHT, seed=9)
-    result = sparsify_and_resolve(first.w, X1, X0, np.ones(k),
-                                  Regularization(0.0, 0.0), TIGHT, seed=9)
-    _, mask, _ = sparsify_weights(first.w)
-    assert (result.w[mask] == 0.0).all()
-    assert result.w.sum() == pytest.approx(1.0, abs=1e-8)
-    assert result.objective <= first.objective + 1e-6
-
-
-@given(st.lists(st.floats(min_value=1e-4, max_value=1.0), min_size=5, max_size=20))
-def test_sparsify_preserves_total_mass(raw):
-    w = np.array(raw)
-    w = w / w.sum()
-    new_w, mask, _ = sparsify_weights(w)
-    assert new_w.sum() == pytest.approx(1.0, abs=1e-9)
-    assert ((new_w == 0) == mask).all() or not mask.any()
