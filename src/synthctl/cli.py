@@ -101,14 +101,18 @@ class Settings:
             raise ConfigError(f"file not found: {value}")
         return value
 
-    def integer(self, key: str, default: int) -> int:
+    def integer(self, key: str, default: int, minimum: int | None = None) -> int:
         value = self.raw(key)
         if value is None:
             return default
+        flag = f"--{key.replace('_', '-')}"
         try:
-            return int(value)
+            number = int(value)
         except ValueError:
-            raise ConfigError(f"--{key.replace('_', '-')} must be an integer, got {value!r}")
+            raise ConfigError(f"{flag} must be an integer, got {value!r}")
+        if minimum is not None and number < minimum:
+            raise ConfigError(f"{flag} must be at least {minimum}, got {number}")
+        return number
 
     def floating(self, key: str, default: float) -> float:
         value = self.raw(key)
@@ -235,7 +239,8 @@ def _study_spec(settings: Settings, panel: Panel,
     try:
         return StudySpec(treated=treated, donors=pool, T0=T0, t_fit=t_fit,
                          v_mode=mode, v_fixed=v_fixed, reg=reg,
-                         train_placement=placement)
+                         train_placement=placement,
+                         standardize=not settings.flag("no_standardize"))
     except (SynthctlError, ValueError) as exc:
         raise ConfigError(str(exc))
 
@@ -252,13 +257,11 @@ def cmd_fit(settings: Settings) -> int:
     panel = _load_panel(settings)
     predictors = _load_predictor_table(settings, panel)
     spec = _study_spec(settings, panel, predictors)
-    seed = settings.integer("seed", 42)
-    standardize = not settings.flag("no_standardize")
+    seed = settings.integer("seed", 42, minimum=0)
     out = settings.out_dir()
 
     opts = SolverOptions()
-    result = fit_synth(spec, panel, predictors, seed=seed, opts=opts,
-                       standardize=standardize)
+    result = fit_synth(spec, panel, predictors, seed=seed, opts=opts)
     if not result.converged:
         print(f"warning: donor weights for {spec.treated} stopped at "
               f"max_iters={opts.max_iters} without converging "
@@ -291,9 +294,8 @@ def cmd_placebo(settings: Settings) -> int:
     panel = _load_panel(settings)
     predictors = _load_predictor_table(settings, panel)
     spec = _study_spec(settings, panel, predictors)
-    seed = settings.integer("seed", 42)
-    jobs = settings.integer("jobs", 1)
-    standardize = not settings.flag("no_standardize")
+    seed = settings.integer("seed", 42, minimum=0)
+    jobs = settings.integer("jobs", 1, minimum=1)
     placebo_t0_date = settings.date("placebo_t0")
     if placebo_t0_date is not None:
         try:
@@ -306,7 +308,7 @@ def cmd_placebo(settings: Settings) -> int:
     out = settings.out_dir()
 
     ensemble = placebo_run(spec, panel, predictors, seed=seed, jobs=jobs,
-                           placebo_T0=placebo_T0, standardize=standardize)
+                           placebo_T0=placebo_T0)
     p = p_value(ensemble)
     payload = {
         "treated": ensemble.treated,
@@ -341,13 +343,11 @@ def cmd_sweep(settings: Settings) -> int:
     if not t_fits:
         raise ConfigError("--t-fit selected no window lengths")
     spec = _study_spec(settings, panel, predictors, t_fit=min(t_fits))
-    seed = settings.integer("seed", 42)
-    jobs = settings.integer("jobs", 1)
-    standardize = not settings.flag("no_standardize")
+    seed = settings.integer("seed", 42, minimum=0)
+    jobs = settings.integer("jobs", 1, minimum=1)
     out = settings.out_dir()
 
-    rows = training_sweep(spec, t_fits, panel, predictors, seed=seed, jobs=jobs,
-                          standardize=standardize)
+    rows = training_sweep(spec, t_fits, panel, predictors, seed=seed, jobs=jobs)
     sweep_path = os.path.join(out, "sweep.csv")
     write_csv(sweep_path, ["t_fit", "pre_deviation", "p_value"],
               [(row.t_fit,
@@ -363,8 +363,8 @@ def cmd_logistic(settings: Settings) -> int:
     themes = load_predictors(settings.path("predictors", required=True))
     join = join_on_key([panel, themes])
     units = list(join.units)
-    seed = settings.integer("seed", 42)
-    bins = settings.integer("bins", 10)
+    seed = settings.integer("seed", 42, minimum=0)
+    bins = settings.integer("bins", 10, minimum=1)
     out = settings.out_dir()
 
     fits = {}

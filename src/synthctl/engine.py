@@ -10,8 +10,8 @@ donor combination over the whole panel.
 Predictor matrices get one extra row beyond the unit-level predictors: each
 unit's mean outcome over the training window, so the match is anchored to
 pre-intervention levels even when no predictor table is supplied. Predictor
-rows are z-scored across units by default so importance weights live on one
-scale; pass standardize=False to keep raw rows.
+rows are z-scored across units so importance weights live on one scale,
+unless the study's spec sets standardize=False to keep raw rows.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ class StudySpec:
     T0 counts pre-intervention days, so panel column T0 is the first
     post-intervention day. t_fit training days are carved out of the
     pre-period at the head or tail; the remainder is the validation window.
+    standardize z-scores each predictor row across the study's units.
     """
 
     treated: str
@@ -54,6 +55,7 @@ class StudySpec:
     v_fixed: np.ndarray | None = None
     reg: Regularization = field(default_factory=Regularization)
     train_placement: str = "tail"
+    standardize: bool = True
 
     def __post_init__(self) -> None:
         if not self.donors:
@@ -156,14 +158,14 @@ def build_design(
     panel: Panel,
     predictors: PredictorTable | None,
     spec: StudySpec,
-    standardize: bool = True,
 ) -> Design:
     """Check the study against the panel and assemble its arrays.
 
     Every unit must be in the panel and the pre-period must fit inside it.
     Predictor rows are the predictor table rows plus the appended
-    training-window outcome mean. Standardization z-scores each row across
-    the treated unit and donors together; constant rows become zeros.
+    training-window outcome mean. If spec.standardize is set, each row is
+    z-scored across the treated unit and donors together; constant rows
+    become zeros.
     """
     order = (spec.treated,) + spec.donors
     rows = [panel.unit_index(u) for u in order]
@@ -191,7 +193,7 @@ def build_design(
     raw = np.vstack([base, mean_row[None, :]])
     names = names + (OUTCOME_MEAN_NAME,)
 
-    if standardize:
+    if spec.standardize:
         mu = raw.mean(axis=1, keepdims=True)
         sd = raw.std(axis=1, keepdims=True)
         scaled = np.where(sd > 0, (raw - mu) / np.where(sd > 0, sd, 1.0), 0.0)
@@ -399,7 +401,6 @@ def fit_synth(
     *,
     seed: int = 42,
     opts: SolverOptions | None = None,
-    standardize: bool = True,
 ) -> SynthResult:
     """Fit a synthetic control for the study and score it.
 
@@ -409,7 +410,7 @@ def fit_synth(
     full pre-intervention windows.
     """
     opts = opts or SolverOptions()
-    design = build_design(panel, predictors, spec, standardize)
+    design = build_design(panel, predictors, spec)
     train, val = split_pre_period(spec.T0, spec.t_fit, spec.train_placement)
 
     v = solve_v(spec, design, seed=seed, opts=opts)

@@ -61,21 +61,40 @@ class PlaceboEnsemble:
     T0: int
 
 
-def _fit_ratio_task(payload: tuple) -> PlaceboEntry:
-    spec, panel, predictors, seed, opts, standardize, T0 = payload
+# the study every placebo task of one placebo_run fits against: set once per
+# process by _share_study, so that each task sends only its unit code
+_study: tuple = ()
+
+
+def _share_study(*study) -> None:
+    global _study
+    _study = study
+
+
+def _fit_ratio_task(unit: str) -> PlaceboEntry:
+    """Fit `unit` of the shared study as if treated, and return its ratio entry.
+
+    The treated unit keeps the study's spec; a donor is fit against the other
+    donors at placebo_T0 (the study's T0 if None), with a seed hashed from
+    the base seed and its code. A spec or fit that fails gives a skipped entry.
+    """
+    spec, panel, predictors, seed, opts, placebo_T0 = _study
     try:
-        result = fit_synth(spec, panel, predictors, seed=seed, opts=opts,
-                           standardize=standardize)
+        if unit != spec.treated:
+            spec = dataclasses.replace(
+                spec, treated=unit, donors=tuple(d for d in spec.donors if d != unit),
+                T0=spec.T0 if placebo_T0 is None else placebo_T0)
+        result = fit_synth(spec, panel, predictors,
+                           seed=derive_seed(seed, "placebo", unit), opts=opts)
     except (SynthctlError, ValueError) as exc:
-        return PlaceboEntry(spec.treated, float("nan"), float("nan"), float("nan"),
+        return PlaceboEntry(unit, float("nan"), float("nan"), float("nan"),
                             skipped=True, reason=str(exc))
-    actual = panel.series(spec.treated)
-    T = actual.size
-    R_pre = rmse_window(actual, result.synthetic, 0, T0 - 1)
-    R_post = rmse_window(actual, result.synthetic, T0, T - 1)
+    actual = panel.series(unit)
+    R_pre = rmse_window(actual, result.synthetic, 0, spec.T0 - 1)
+    R_post = rmse_window(actual, result.synthetic, spec.T0, actual.size - 1)
     floored = R_pre < PRE_RMSE_FLOOR
     r = R_post / max(R_pre, PRE_RMSE_FLOOR)
-    return PlaceboEntry(spec.treated, r, R_pre, R_post, skipped=False,
+    return PlaceboEntry(unit, r, R_pre, R_post, skipped=False,
                         pre_floored=floored, converged=result.converged)
 
 
@@ -88,43 +107,33 @@ def placebo_run(
     jobs: int = 1,
     placebo_T0: int | None = None,
     opts: SolverOptions | None = None,
-    standardize: bool = True,
 ) -> PlaceboEnsemble:
     """Fit the treated unit and every donor-as-placebo, collecting ratios.
 
     Each placebo inherits the treated unit's intervention index unless
     placebo_T0 overrides it, and is fit against the other donors only; the
-    truly treated unit never enters any placebo's pool. Per-unit seeds are
-    hashed from the base seed and the unit code, and entries are ordered by
-    unit code, so output is identical for any job count.
+    truly treated unit never enters any placebo's pool. The study goes to
+    each worker process once, and each task is one unit code. Per-unit seeds
+    are hashed from the base seed and the unit code, and entries are ordered
+    by unit code, so output is identical for any job count.
     """
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
     if spec.T0 >= panel.n_dates:
         raise ValueError(f"T0={spec.T0} leaves no post-period in a {panel.n_dates}-day panel")
 
-    tasks: list[tuple] = []
-    entries: list[PlaceboEntry] = []
-    for unit in (spec.treated,) + spec.donors:
-        if unit == spec.treated:
-            sub_spec, T0 = spec, spec.T0
-        else:
-            T0 = placebo_T0 if placebo_T0 is not None else spec.T0
-            pool = tuple(d for d in spec.donors if d != unit)
-            try:
-                sub_spec = dataclasses.replace(spec, treated=unit, donors=pool, T0=T0)
-            except (SynthctlError, ValueError) as exc:
-                entries.append(PlaceboEntry(unit, float("nan"), float("nan"),
-                                            float("nan"), skipped=True, reason=str(exc)))
-                continue
-        tasks.append((sub_spec, panel, predictors, derive_seed(seed, "placebo", unit),
-                      opts, standardize, T0))
-
-    if jobs == 1 or len(tasks) <= 1:
-        entries.extend(_fit_ratio_task(t) for t in tasks)
+    units = (spec.treated,) + spec.donors
+    study = (spec, panel, predictors, seed, opts, placebo_T0)
+    if jobs == 1:
+        _share_study(*study)
+        try:
+            entries = [_fit_ratio_task(unit) for unit in units]
+        finally:
+            _share_study()
     else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            entries.extend(pool.map(_fit_ratio_task, tasks))
+        with concurrent.futures.ProcessPoolExecutor(
+                max_workers=jobs, initializer=_share_study, initargs=study) as pool:
+            entries = list(pool.map(_fit_ratio_task, units))
 
     entries.sort(key=lambda e: e.unit)
     ordered = tuple(entries)
@@ -166,25 +175,31 @@ def training_sweep(
     seed: int = 42,
     jobs: int = 1,
     opts: SolverOptions | None = None,
-    standardize: bool = True,
 ) -> tuple[SweepRow, ...]:
     """Refit the study for each training-window length and tabulate quality.
 
-    pre_deviation is the summed squared gap over the whole pre-period, so
-    rows are comparable across window lengths; p_value comes from a fresh
-    placebo run per row. A failing configuration yields a marked row rather
-    than aborting the sweep.
+    Each row comes from one placebo run. Its p_value ranks the treated unit
+    in that ensemble, and its pre_deviation is the treated fit's summed
+    squared gap over the whole pre-period (R_pre^2 * T0), so rows are
+    comparable across window lengths. A failing configuration, or a treated
+    fit that was skipped, yields a marked row rather than aborting the sweep.
     """
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
     rows = []
     for t_fit in sorted(set(t_fit_values)):
         try:
-            sub = dataclasses.replace(spec, t_fit=t_fit)
-            fit = fit_synth(sub, panel, predictors, seed=seed, opts=opts,
-                            standardize=standardize)
-            ensemble = placebo_run(sub, panel, predictors, seed=seed, jobs=jobs,
-                                   opts=opts, standardize=standardize)
-            rows.append(SweepRow(t_fit, fit.pre_mspe, p_value(ensemble)))
+            ensemble = placebo_run(dataclasses.replace(spec, t_fit=t_fit), panel,
+                                   predictors, seed=seed, jobs=jobs, opts=opts)
         except (SynthctlError, ValueError) as exc:
             rows.append(SweepRow(t_fit, float("nan"), float("nan"),
                                  failed=True, reason=str(exc)))
+            continue
+        treated = ensemble.entries[ensemble.treated_index]
+        if treated.skipped:
+            rows.append(SweepRow(t_fit, float("nan"), float("nan"),
+                                 failed=True, reason=treated.reason))
+        else:
+            rows.append(SweepRow(t_fit, treated.R_pre ** 2 * ensemble.T0,
+                                 p_value(ensemble)))
     return tuple(rows)

@@ -170,10 +170,6 @@ class PredictorTable:
                 f"{len(self.names)} predictors x {len(self.units)} units"
             )
 
-    @classmethod
-    def empty(cls, units: Sequence[str]) -> "PredictorTable":
-        return cls((), tuple(units), np.zeros((0, len(units))))
-
     @property
     def n_predictors(self) -> int:
         return len(self.names)
@@ -201,6 +197,7 @@ class PredictorTable:
 # ---------------------------------------------------------------------------
 
 _MISSING_TOKENS = {"", "na", "nan", "null", "none"}
+_LONG_COLUMNS = ("unit", "date", "value")
 
 
 def _parse_date(text: str, context: str) -> dt.date:
@@ -214,15 +211,8 @@ def _where(column: str, unit: str, line: int, path: str) -> str:
     return f"in column {column!r} for unit {unit} on line {line} of {path}"
 
 
-def ingest_panel(
-    path: str,
-    schema: tuple[str, str, str] = ("unit", "date", "value"),
-) -> Panel:
-    """Read a long-format CSV into a dense daily panel.
-
-    Args:
-        path: CSV with one observation per row.
-        schema: names of the unit, date, and value columns, in that order.
+def ingest_panel(path: str) -> Panel:
+    """Read a long-format unit,date,value CSV into a dense daily panel.
 
     The date grid spans the earliest through the latest date present in the
     file; (unit, date) cells with no row become NaN. Empty or NA-like value
@@ -235,12 +225,12 @@ def ingest_panel(
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
-        for col in schema:
+        for col in _LONG_COLUMNS:
             if col not in header:
                 raise ValueError(f"column {col!r} not found in {path} (header: {header})")
         # a repeated column name resolves to its last occurrence, as in csv.DictReader
         position = {name: i for i, name in enumerate(header)}
-        iu, idt, iv = (position[col] for col in schema)
+        iu, idt, iv = (position[col] for col in _LONG_COLUMNS)
         width = max(iu, idt, iv) + 1
         unit_at: dict[str, int] = {}  # raw unit field -> row of the grid
         units: dict[str, int] = {}  # unit code -> row of the grid, in first-seen order
@@ -256,7 +246,7 @@ def ingest_panel(
             raw_unit, raw_day, raw = row[iu], row[idt], row[iv]
             u = unit_at.get(raw_unit)
             if u is None:
-                code = _unit_code(raw_unit, schema[0], reader.line_num, path)
+                code = _unit_code(raw_unit, "unit", reader.line_num, path)
                 u = unit_at[raw_unit] = units.setdefault(code, len(units))
             day = ordinal_of.get(raw_day)
             if day is None:
@@ -267,7 +257,7 @@ def ingest_panel(
             except ValueError:
                 text = raw.strip()
                 if text.lower() not in _MISSING_TOKENS:
-                    where = _where(schema[2], raw_unit.strip(), reader.line_num, path)
+                    where = _where("value", raw_unit.strip(), reader.line_num, path)
                     raise ValueError(f"cannot parse {text!r} as a number {where}") from None
                 value = math.nan
             cell_unit.append(u)
@@ -435,21 +425,16 @@ class CleaningPolicy:
     max_bad_fraction: tolerated share of missing-or-zero cells after the
         series' first positive value; above it the series is dropped.
     window: trailing rolling-mean width in days.
-    repair_mode: 'interpolate' fills bad cells linearly, 'cumulative_max'
-        enforces a running maximum, 'both' interpolates then enforces.
     """
 
     max_bad_fraction: float = 0.10
     window: int = 7
-    repair_mode: str = "interpolate"
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.max_bad_fraction <= 1.0):
             raise ValueError("max_bad_fraction must lie in [0, 1]")
         if self.window < 1:
             raise ValueError("window must be at least 1 day")
-        if self.repair_mode not in ("interpolate", "cumulative_max", "both"):
-            raise ValueError(f"unknown repair_mode {self.repair_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -488,26 +473,15 @@ def _bad_mask(series: np.ndarray) -> tuple[np.ndarray, float]:
     return bad, fraction
 
 
-def repair_series(series: np.ndarray, policy: CleaningPolicy) -> np.ndarray:
-    """Fill bad cells per the policy's repair mode, without smoothing."""
+def repair_series(series: np.ndarray) -> np.ndarray:
+    """Fill bad cells by linear interpolation between good ones, without smoothing."""
     x = np.asarray(series, dtype=float).copy()
     bad, _ = _bad_mask(x)
-    mode = policy.repair_mode
-    if mode in ("interpolate", "both"):
-        good = ~bad
-        if not good.any():
-            raise AllMissing("series has no usable cell to interpolate from")
-        idx = np.arange(x.size)
-        x[bad] = np.interp(idx[bad], idx[good], x[good])
-    if mode in ("cumulative_max", "both"):
-        x = enforce_monotone(x)
-        if not np.isfinite(x).all():
-            # leading missing cells survive a running max; extend the first
-            # repaired value backwards so downstream smoothing stays finite
-            finite = np.isfinite(x)
-            if not finite.any():
-                raise AllMissing("series has no usable cell")
-            x[~finite] = x[finite][0]
+    good = ~bad
+    if not good.any():
+        raise AllMissing("series has no usable cell to interpolate from")
+    idx = np.arange(x.size)
+    x[bad] = np.interp(idx[bad], idx[good], x[good])
     return x
 
 
@@ -542,7 +516,7 @@ def clean_series(series: np.ndarray, policy: CleaningPolicy) -> CleanResult:
     if fraction > policy.max_bad_fraction:
         return CleanResult(None, True, f"bad fraction {fraction:.4f} exceeds "
                            f"{policy.max_bad_fraction:.4f}", fraction, 0)
-    repaired = repair_series(x, policy)
+    repaired = repair_series(x)
     smoothed = rolling_mean(repaired, policy.window)
     return CleanResult(smoothed, False, None, fraction, int(bad.sum()))
 

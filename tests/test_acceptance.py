@@ -234,7 +234,7 @@ def test_criterion_08_cleaning_invariants(capsys):
     x = 3.0 * np.arange(40, dtype=float) + 2.0
     holed = x.copy()
     holed[[3, 4, 17, 30, 31, 32]] = np.nan
-    restored = repair_series(holed, CleaningPolicy(repair_mode="interpolate"))
+    restored = repair_series(holed)
     linear_ok = bool(np.array_equal(restored, x))
 
     # monotone fuzz

@@ -195,6 +195,39 @@ def test_placebo_outputs_and_parallel_determinism(tmp_path):
     assert row.startswith("10001,")
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("sweep", "--jobs", "0"),
+    ("placebo", "--jobs", "0"),
+    ("fit", "--seed", "-1"),
+    ("logistic", "--bins", "0"),
+])
+def test_out_of_range_flag_exits_2(tmp_path, capsys, command, flag, value):
+    outcomes, predictors = _study_files(tmp_path, seed=5)
+    out = tmp_path / "out"
+    argv = [command, "--outcomes", outcomes, "--predictors", predictors, flag, value,
+            "--out", str(out)]
+    if command != "logistic":
+        argv += ["--treated", "10001", "--t0", _dates(40)[25], "--t-fit", "10"]
+    assert main(argv) == 2
+    assert f"{flag} must be at least" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_placebo_no_standardize_reaches_every_worker(tmp_path):
+    outcomes, predictors = _study_files(tmp_path, n_donors=4, seed=5)
+    study = ["placebo", "--outcomes", outcomes, "--predictors", predictors,
+             "--treated", "10001", "--t0", _dates(40)[25], "--seed", "11"]
+    written = {}
+    for name, flags in (("raw1", ["--no-standardize", "--jobs", "1"]),
+                        ("raw2", ["--no-standardize", "--jobs", "2"]),
+                        ("scaled", ["--jobs", "2"])):
+        out = tmp_path / name
+        assert main([*study, *flags, "--out", str(out)]) == 0
+        written[name] = (out / "placebo.json").read_bytes()
+    assert written["raw1"] == written["raw2"]
+    assert written["raw1"] != written["scaled"]
+
+
 def test_placebo_entries_say_why_a_placebo_was_skipped(tmp_path):
     # with one donor, the donor's placebo has no donors of its own
     outcomes, predictors = _study_files(tmp_path, n_donors=1, seed=5)
@@ -222,6 +255,18 @@ def test_sweep_writes_sorted_rows(tmp_path):
     lines = (out / "sweep.csv").read_text().splitlines()
     assert lines[0] == "t_fit,pre_deviation,p_value"
     assert [int(l.split(",")[0]) for l in lines[1:]] == [10, 20]
+
+
+def test_sweep_jobs_do_not_change_output(tmp_path):
+    outcomes, predictors = _study_files(tmp_path, T=60, seed=6)
+    written = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"j{jobs}"
+        assert main(["sweep", "--outcomes", outcomes, "--predictors", predictors,
+                     "--treated", "10001", "--t0", _dates(60)[40], "--t-fit", "20,10",
+                     "--jobs", jobs, "--out", str(out)]) == 0
+        written.append((out / "sweep.csv").read_bytes())
+    assert written[0] == written[1]
 
 
 def test_logistic_fits_and_failures(tmp_path):

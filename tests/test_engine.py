@@ -1,5 +1,7 @@
 """Study assembly and nested-optimization tests."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -105,7 +107,8 @@ def _small_study(rng, k=3, J=4, T=40, T0=25):
 
 def test_design_appends_outcome_mean_row(rng):
     panel, predictors, spec = _small_study(rng)
-    design = build_design(panel, predictors, spec, standardize=False)
+    design = build_design(panel, predictors,
+                          dataclasses.replace(spec, standardize=False))
     assert design.names == predictors.names + (OUTCOME_MEAN_NAME,)
     train, _ = split_pre_period(spec.T0, spec.t_fit, spec.train_placement)
     expected = panel.series(spec.treated)[list(train)].mean()
@@ -115,7 +118,7 @@ def test_design_appends_outcome_mean_row(rng):
 
 def test_design_standardizes_rows_across_all_units(rng):
     panel, predictors, spec = _small_study(rng)
-    design = build_design(panel, predictors, spec, standardize=True)
+    design = build_design(panel, predictors, spec)
     full = np.column_stack([design.X1, design.X0])
     assert np.allclose(full.mean(axis=1), 0.0, atol=1e-12)
     assert np.allclose(full.std(axis=1), 1.0, atol=1e-12)

@@ -1,6 +1,7 @@
 """Placebo-permutation inference tests."""
 
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -19,7 +20,10 @@ from synthctl import (
     rmse_window,
     training_sweep,
 )
+from synthctl import inference
+from synthctl.engine import mspe
 from synthctl.errors import EmptyWindow
+from synthctl.seeding import derive_seed
 
 LIGHT = SolverOptions(max_iters=400, restarts=2)
 
@@ -151,12 +155,8 @@ def test_placebo_jobs_parallel_matches_serial():
     panel, spec = _null_study(seed=3)
     serial = placebo_run(spec, panel, None, seed=5, jobs=1, opts=LIGHT)
     parallel = placebo_run(spec, panel, None, seed=5, jobs=4, opts=LIGHT)
-    assert len(serial.entries) == len(parallel.entries)
-    for a, b in zip(serial.entries, parallel.entries):
-        assert a.unit == b.unit
-        assert a.r == b.r
-        assert a.R_pre == b.R_pre
-        assert a.R_post == b.R_post
+    # repr spells out every field of every entry, floats exactly
+    assert repr(serial) == repr(parallel)
 
 
 def test_placebo_custom_t0_applies_to_placebos_only():
@@ -218,3 +218,68 @@ def test_training_sweep_marks_impossible_windows():
     assert by_t[25].failed
     assert by_t[25].reason
     assert np.isnan(by_t[25].p_value)
+
+
+def test_placebo_tasks_send_no_panel_data(monkeypatch):
+    sizes = []
+    task = inference._fit_ratio_task
+
+    def measured(*args):
+        sizes.append(len(pickle.dumps(args)))
+        return task(*args)
+
+    monkeypatch.setattr(inference, "_fit_ratio_task", measured)
+    for T in (40, 400):
+        panel, spec = _null_study(seed=16, n=4, T=T, T0=25)
+        placebo_run(spec, panel, None, seed=17, opts=LIGHT)
+    short, long = sizes[:4], sizes[4:]
+    assert max(long) <= max(short)
+
+
+def _sweep_study():
+    rng = np.random.default_rng(18)
+    panel = random_walk_panel(rng, 5, 40)
+    spec = StudySpec(treated=panel.units[0], donors=panel.units[1:], T0=25,
+                     t_fit=10, v_mode="inverse_variance")
+    return panel, spec
+
+
+def test_training_sweep_fits_each_unit_once(monkeypatch):
+    panel, spec = _sweep_study()
+    calls = []
+    fit = inference.fit_synth
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].treated)
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(inference, "fit_synth", counted)
+    training_sweep(spec, [10], panel, None, seed=19, opts=LIGHT)
+    assert sorted(calls) == sorted(panel.units)
+
+
+def test_training_sweep_row_comes_from_the_placebo_run():
+    panel, spec = _null_study(seed=20, n=5)
+    (row,) = training_sweep(spec, [10], panel, None, seed=19, opts=LIGHT)
+    ensemble = placebo_run(spec, panel, None, seed=19, opts=LIGHT)
+    assert row.p_value == p_value(ensemble)
+    treated_fit = inference.fit_synth(spec, panel, None, opts=LIGHT,
+                                      seed=derive_seed(19, "placebo", spec.treated))
+    gap = mspe(panel.series(spec.treated), treated_fit.synthetic, range(spec.T0))
+    assert row.pre_deviation == pytest.approx(gap, rel=1e-12, abs=0)
+
+
+def test_training_sweep_marks_a_skipped_treated_fit():
+    panel, spec = _sweep_study()
+    values = panel.values.copy()
+    values[0, 3] = np.nan  # the treated series cannot be fit; placebos can
+    (row,) = training_sweep(spec, [10], panel.with_values(values), None, seed=19,
+                            opts=LIGHT)
+    assert row.failed
+    assert row.reason == "outcome series contain missing values; clean the panel first"
+
+
+def test_training_sweep_rejects_jobs_below_one():
+    panel, spec = _sweep_study()
+    with pytest.raises(ValueError, match="jobs must be at least 1"):
+        training_sweep(spec, [10, 20], panel, None, jobs=0)

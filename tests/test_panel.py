@@ -283,13 +283,13 @@ def test_interpolation_restores_linear_series_exactly():
     x = np.arange(30, dtype=float) * 2.0 + 5.0
     holed = x.copy()
     holed[[4, 5, 11, 20]] = np.nan
-    out = repair_series(holed, CleaningPolicy(repair_mode="interpolate"))
+    out = repair_series(holed)
     assert np.allclose(out, x, atol=0, rtol=0)
 
 
 def test_zero_after_first_positive_is_repaired():
     x = np.array([0.0, 0.0, 2.0, 0.0, 6.0])
-    out = repair_series(x, CleaningPolicy(repair_mode="interpolate"))
+    out = repair_series(x)
     # leading zeros are genuine, the interior zero is a reporting failure
     assert np.allclose(out, [0.0, 0.0, 2.0, 4.0, 6.0])
 
@@ -355,9 +355,8 @@ def test_repair_interpolate_is_idempotent(values):
     x = np.array(values)
     if not np.isfinite(x).any():
         return
-    policy = CleaningPolicy(repair_mode="interpolate")
-    once = repair_series(x, policy)
-    twice = repair_series(once, policy)
+    once = repair_series(x)
+    twice = repair_series(once)
     assert np.array_equal(once, twice, equal_nan=True)
 
 
