@@ -29,6 +29,7 @@ from .panel import (
     join_on_key,
     load_metadata,
     load_predictors,
+    parse_bool,
 )
 from .seeding import derive_seed
 from .serialize import write_csv, write_json
@@ -85,7 +86,10 @@ class Settings:
         text = self._file.get(key)
         if text is None:
             return False
-        return text.strip().lower() in ("1", "true", "yes", "y", "t")
+        value = parse_bool(text)
+        if value is None:
+            raise ConfigError(f"{key} must be true or false, got {text!r} in {self._args.config}")
+        return value
 
     def require(self, key: str) -> str:
         value = self.raw(key)
@@ -213,9 +217,7 @@ def _donor_pool(settings: Settings, panel: Panel, treated: str) -> tuple[str, ..
     return pool
 
 
-def _study_spec(settings: Settings, panel: Panel,
-                predictors: PredictorTable | None,
-                t_fit: int | None = None) -> StudySpec:
+def _study_spec(settings: Settings, panel: Panel, t_fit: int | None = None) -> StudySpec:
     treated = settings.require("treated")
     if treated not in panel.units:
         raise ConfigError(f"treated unit {treated!r} is not in the outcome panel")
@@ -229,16 +231,10 @@ def _study_spec(settings: Settings, panel: Panel,
         print("warning: --l2 has no effect: the sum of the donor weights is always 1; "
               "ignoring it", file=sys.stderr)
     placement = settings.choice("train_placement", ("head", "tail"), "tail")
-    mode = settings.choice("v_mode", V_MODE_CHOICES, "optimized")
-    v_fixed = None
-    if mode == "uniform":
-        k_eff = (predictors.n_predictors if predictors is not None else 0) + 1
-        mode, v_fixed = "fixed", np.ones(k_eff)
-    elif mode == "inverse-variance":
-        mode = "inverse_variance"
+    mode = settings.choice("v_mode", V_MODE_CHOICES, "optimized").replace("-", "_")
     try:
         return StudySpec(treated=treated, donors=pool, T0=T0, t_fit=t_fit,
-                         v_mode=mode, v_fixed=v_fixed, reg=reg,
+                         v_mode=mode, reg=reg,
                          train_placement=placement,
                          standardize=not settings.flag("no_standardize"))
     except (SynthctlError, ValueError) as exc:
@@ -256,7 +252,7 @@ def _dates_map(panel: Panel, values: np.ndarray) -> dict[str, float]:
 def cmd_fit(settings: Settings) -> int:
     panel = _load_panel(settings)
     predictors = _load_predictor_table(settings, panel)
-    spec = _study_spec(settings, panel, predictors)
+    spec = _study_spec(settings, panel)
     seed = settings.integer("seed", 42, minimum=0)
     out = settings.out_dir()
 
@@ -293,7 +289,7 @@ def cmd_fit(settings: Settings) -> int:
 def cmd_placebo(settings: Settings) -> int:
     panel = _load_panel(settings)
     predictors = _load_predictor_table(settings, panel)
-    spec = _study_spec(settings, panel, predictors)
+    spec = _study_spec(settings, panel)
     seed = settings.integer("seed", 42, minimum=0)
     jobs = settings.integer("jobs", 1, minimum=1)
     placebo_t0_date = settings.date("placebo_t0")
@@ -342,7 +338,7 @@ def cmd_sweep(settings: Settings) -> int:
         raise ConfigError(f"--t-fit must be a comma-separated list of integers, got {raw!r}")
     if not t_fits:
         raise ConfigError("--t-fit selected no window lengths")
-    spec = _study_spec(settings, panel, predictors, t_fit=min(t_fits))
+    spec = _study_spec(settings, panel, t_fit=min(t_fits))
     seed = settings.integer("seed", 42, minimum=0)
     jobs = settings.integer("jobs", 1, minimum=1)
     out = settings.out_dir()
@@ -354,6 +350,9 @@ def cmd_sweep(settings: Settings) -> int:
                 None if row.failed else row.pre_deviation,
                 None if row.failed else row.p_value)
                for row in rows])
+    for row in rows:
+        if row.failed:
+            print(f"warning: t_fit={row.t_fit}: {row.reason}", file=sys.stderr)
     print(f"wrote {sweep_path}")
     return 0
 

@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import DuplicateCell, EmptyBlock, EmptyFile, UnknownState, UnlabeledUnit, ZeroVariance
-from .panel import Panel, state_of, validate_unit_code
+from .panel import Panel, _unit_code, state_of
 
 
 def abs_correlation(X: np.ndarray) -> np.ndarray:
@@ -162,7 +162,8 @@ def load_blocks(path: str) -> dict[str, list[str]]:
             block = (row["block"] or "").strip()
             predictor = (row["predictor"] or "").strip()
             if not block or not predictor:
-                raise ValueError(f"blank block or predictor in {path}")
+                raise ValueError(
+                    f"blank block or predictor on line {reader.line_num} of {path}")
             blocks.setdefault(block, []).append(predictor)
     if not blocks:
         raise EmptyFile(f"{path} contains no data rows")
@@ -177,7 +178,7 @@ def load_clusters(path: str) -> dict[str, str]:
         if not reader.fieldnames or {"fips", "cluster"} - set(reader.fieldnames):
             raise ValueError(f"{path} must carry 'fips' and 'cluster' columns")
         for row in reader:
-            unit = validate_unit_code((row["fips"] or "").strip())
+            unit = _unit_code(row["fips"] or "", "fips", reader.line_num, path)
             if unit in clusters:
                 raise DuplicateCell(f"unit {unit} listed twice in {path}")
             clusters[unit] = (row["cluster"] or "").strip()
@@ -197,7 +198,8 @@ def load_adjacency(path: str) -> dict[str, list[str]]:
             state = (row["state"] or "").strip()
             neighbor = (row["neighbor"] or "").strip()
             if not state or not neighbor:
-                raise ValueError(f"blank state or neighbor in {path}")
+                raise ValueError(
+                    f"blank state or neighbor on line {reader.line_num} of {path}")
             adjacency.setdefault(state, []).append(neighbor)
     if not adjacency:
         raise EmptyFile(f"{path} contains no data rows")

@@ -2,10 +2,12 @@
 
 Fitting runs in four steps. The pre-intervention span splits into a training
 and a validation window. For a candidate importance vector v, donor weights
-w(v) are fit on training-window predictors. The importance vector is chosen
-to minimize the validation-window outcome error. Final weights are then re-fit
-with the winning importance vector and the synthetic series is the weighted
-donor combination over the whole panel.
+w(v) are fit on training-window predictors. In optimized mode a search looks
+for the v whose weights minimize the validation-window outcome error; the
+search winner, the uniform vector and the inverse-variance vector are then
+each solved once at the full solver budget, and the solve with the lowest
+validation error gives the final weights. The synthetic series is the
+weighted donor combination over the whole panel.
 
 Predictor matrices get one extra row beyond the unit-level predictors: each
 unit's mean outcome over the training window, so the match is anchored to
@@ -24,11 +26,11 @@ import numpy as np
 from .errors import EmptyWindow, InvalidSplit, ZeroVariancePredictor
 from .panel import Panel, PredictorTable
 from .seeding import derive_seed
-from .weights import Regularization, SolveResult, SolverOptions, solve_w
+from .weights import Regularization, SolverOptions, solve_w
 
 OUTCOME_MEAN_NAME = "outcome_training_mean"
 
-V_MODES = ("optimized", "inverse_variance", "fixed")
+V_MODES = ("optimized", "inverse_variance", "uniform")
 PLACEMENTS = ("head", "tail")
 
 # search budget for the importance vector: improvements smaller than this over
@@ -44,7 +46,10 @@ class StudySpec:
     T0 counts pre-intervention days, so panel column T0 is the first
     post-intervention day. t_fit training days are carved out of the
     pre-period at the head or tail; the remainder is the validation window.
-    standardize z-scores each predictor row across the study's units.
+    v_mode picks the predictor importance vector: optimized searches for it,
+    inverse_variance weights each predictor row by 1/variance across units,
+    and uniform weights every row equally. standardize z-scores each
+    predictor row across the study's units.
     """
 
     treated: str
@@ -52,7 +57,6 @@ class StudySpec:
     T0: int
     t_fit: int = 10
     v_mode: str = "optimized"
-    v_fixed: np.ndarray | None = None
     reg: Regularization = field(default_factory=Regularization)
     train_placement: str = "tail"
     standardize: bool = True
@@ -66,8 +70,6 @@ class StudySpec:
             raise ValueError("treated unit cannot be its own donor")
         if self.v_mode not in V_MODES:
             raise ValueError(f"v_mode must be one of {V_MODES}, got {self.v_mode!r}")
-        if self.v_mode == "fixed" and self.v_fixed is None:
-            raise ValueError("v_mode 'fixed' needs v_fixed")
         if self.train_placement not in PLACEMENTS:
             raise ValueError(f"train_placement must be one of {PLACEMENTS}")
         split_pre_period(self.T0, self.t_fit, self.train_placement)  # validates
@@ -144,7 +146,7 @@ def inverse_variance_v(X: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Design:
-    """One study's arrays: predictor matrices and outcome rows, treated first."""
+    """One study's arrays: predictor matrices, outcome rows and pre-period windows."""
 
     X1: np.ndarray
     X0: np.ndarray
@@ -152,6 +154,13 @@ class Design:
     names: tuple[str, ...]
     Y1: np.ndarray  # treated outcome series over the whole panel
     Y0: np.ndarray  # donor outcome series, J x T
+    train: np.ndarray  # training-window day indices
+    val: np.ndarray  # validation-window day indices
+
+    def validation_error(self, w: np.ndarray) -> float:
+        """Summed squared outcome gap of donor weights w over the validation window."""
+        diff = self.Y1[self.val] - self.Y0[:, self.val].T @ w
+        return float(np.dot(diff, diff))
 
 
 def build_design(
@@ -173,8 +182,8 @@ def build_design(
         raise InvalidSplit(
             f"pre-period T0={spec.T0} does not fit a panel of {panel.n_dates} days"
         )
-    train, _ = split_pre_period(spec.T0, spec.t_fit, spec.train_placement)
-    t_idx = np.asarray(train, dtype=int)
+    train, val = split_pre_period(spec.T0, spec.t_fit, spec.train_placement)
+    train, val = np.asarray(train, dtype=int), np.asarray(val, dtype=int)
 
     if predictors is not None and predictors.n_predictors > 0:
         if OUTCOME_MEAN_NAME in predictors.names:
@@ -189,7 +198,7 @@ def build_design(
     outcome_rows = panel.values[rows]
     if not np.isfinite(outcome_rows).all():
         raise ValueError("outcome series contain missing values; clean the panel first")
-    mean_row = outcome_rows[:, t_idx].mean(axis=1)
+    mean_row = outcome_rows[:, train].mean(axis=1)
     raw = np.vstack([base, mean_row[None, :]])
     names = names + (OUTCOME_MEAN_NAME,)
 
@@ -200,18 +209,16 @@ def build_design(
     else:
         scaled = raw
     return Design(X1=scaled[:, 0].copy(), X0=scaled[:, 1:].copy(), raw=raw, names=names,
-                  Y1=outcome_rows[0], Y0=outcome_rows[1:])
+                  Y1=outcome_rows[0], Y0=outcome_rows[1:], train=train, val=val)
 
 
-def _normalize_v(v: np.ndarray, k: int) -> np.ndarray:
-    if v.shape != (k,):
-        raise ValueError(f"importance vector has shape {v.shape}, expected ({k},)")
-    if (v < 0).any():
-        raise ValueError("importance weights must be nonnegative")
-    total = float(v.sum())
-    if total <= 0:
-        raise ValueError("importance weights must not all be zero")
-    return v / total
+def _baselines(design: Design) -> list[np.ndarray]:
+    """The uniform vector, then the inverse-variance one when every row varies."""
+    k = design.raw.shape[0]
+    try:
+        return [np.full(k, 1.0 / k), inverse_variance_v(design.raw)]
+    except ZeroVariancePredictor:
+        return [np.full(k, 1.0 / k)]
 
 
 def _softmax(theta: np.ndarray) -> np.ndarray:
@@ -305,50 +312,29 @@ def solve_v(
 ) -> np.ndarray:
     """Choose the predictor importance vector for the study's design by spec.v_mode.
 
-    fixed passes the supplied vector through (normalized); inverse_variance
-    weights each predictor by 1/variance across units of its raw values.
-    optimized runs a derivative-free search over softmax-parameterized
-    importance vectors, scoring each candidate by the validation-window error
-    of its implied donor weights. The search phase uses warm-started
-    single-restart solves for speed; the uniform vector, the
-    inverse-variance vector, and the search winner are then re-scored at the
-    full solver budget with the run seed, and the best re-scored candidate
-    wins. The returned vector therefore never validates worse than either
-    baseline.
+    uniform weights every predictor row 1/k; inverse_variance weights each
+    row by 1/variance across units of its raw values. optimized runs a
+    derivative-free search over softmax-parameterized importance vectors,
+    scoring each candidate by the validation-window error of its implied
+    donor weights, and returns the best vector it scored (uniform if it
+    scored no finite error, or if there is a single row). The search uses
+    warm-started single-restart solves on its own reduced budget, so opts is
+    not read here; fit_synth compares the winner with the baselines at the
+    full budget.
     """
-    opts = opts or SolverOptions()
     k = design.raw.shape[0]
-
-    if spec.v_mode == "fixed":
-        assert spec.v_fixed is not None
-        return _normalize_v(np.asarray(spec.v_fixed, dtype=float), k)
     if spec.v_mode == "inverse_variance":
         return inverse_variance_v(design.raw)
+    if spec.v_mode == "uniform" or k == 1:
+        return np.full(k, 1.0 / k)
 
-    if k == 1:
-        return np.array([1.0])
-
-    _, val = split_pre_period(spec.T0, spec.t_fit, spec.train_placement)
-    val_idx = np.asarray(val, dtype=int)
-    Y1_val = design.Y1[val_idx]
-    Y0_val = design.Y0[:, val_idx]
-
-    def val_error(w: np.ndarray) -> float:
-        diff = Y1_val - Y0_val.T @ w
-        return float(np.dot(diff, diff))
-
-    uniform = np.full(k, 1.0 / k)
-    try:
-        invvar: np.ndarray | None = inverse_variance_v(design.raw)
-    except ZeroVariancePredictor:
-        invvar = None
-
+    baselines = _baselines(design)
     cheap_opts = SolverOptions(max_iters=400, tol=1e-7, restarts=1)
     cheap_seed = derive_seed(seed, "v-search")
     warm: list[np.ndarray | None] = [None]
 
     best_f = np.inf
-    best_v: np.ndarray | None = None
+    best_v = baselines[0]
     since_improve = 0
 
     def scored(theta: np.ndarray) -> float:
@@ -357,7 +343,7 @@ def solve_v(
         res = solve_w(design.X1, design.X0, v, spec.reg, cheap_opts,
                       seed=cheap_seed, init=warm[0])
         warm[0] = res.w
-        f = val_error(res.w)
+        f = design.validation_error(res.w)
         if f < best_f - _V_STALL_TOL:
             best_f, best_v, since_improve = f, v, 0
         else:
@@ -367,8 +353,8 @@ def solve_v(
         return f
 
     starts = [np.zeros(k)]
-    if invvar is not None:
-        starts.append(np.log(invvar))
+    if len(baselines) == 2:
+        starts.append(np.log(baselines[1]))
     else:
         starts.append(np.random.default_rng(derive_seed(seed, "v-start")).normal(size=k))
 
@@ -379,19 +365,7 @@ def solve_v(
             _nelder_mead(scored, theta0, maxfev, xatol=1e-3, fatol=_V_STALL_TOL)
         except _SearchStalled:
             pass
-
-    candidates = [uniform]
-    if invvar is not None:
-        candidates.append(invvar)
-    if best_v is not None:
-        candidates.append(best_v)
-
-    def full_score(v: np.ndarray) -> float:
-        res = solve_w(design.X1, design.X0, v, spec.reg, opts, seed=seed)
-        return val_error(res.w)
-
-    scores = [full_score(v) for v in candidates]
-    return candidates[int(np.argmin(scores))]
+    return best_v
 
 
 def fit_synth(
@@ -407,14 +381,22 @@ def fit_synth(
     Returns the donor weights, the importance vector that chose them, the
     synthetic series over the whole panel, the per-day gap (actual minus
     synthetic), and summed squared errors over the training, validation, and
-    full pre-intervention windows.
+    full pre-intervention windows. In optimized mode with more than one
+    predictor row, the uniform vector, the inverse-variance vector (when
+    every row varies) and solve_v's winner are each solved once at the full
+    budget with the run seed, and the solve with the lowest validation error
+    is kept (the first on ties), so the fit never validates worse than
+    either baseline. Otherwise solve_v's vector is solved once.
     """
     opts = opts or SolverOptions()
     design = build_design(panel, predictors, spec)
-    train, val = split_pre_period(spec.T0, spec.t_fit, spec.train_placement)
 
-    v = solve_v(spec, design, seed=seed, opts=opts)
-    result: SolveResult = solve_w(design.X1, design.X0, v, spec.reg, opts, seed=seed)
+    candidates = [solve_v(spec, design, seed=seed, opts=opts)]
+    if spec.v_mode == "optimized" and design.raw.shape[0] > 1:
+        candidates = _baselines(design) + candidates
+    solves = [solve_w(design.X1, design.X0, v, spec.reg, opts, seed=seed) for v in candidates]
+    best = int(np.argmin([design.validation_error(res.w) for res in solves]))
+    v, result = candidates[best], solves[best]
 
     Y1 = design.Y1
     synthetic = design.Y0.T @ result.w
@@ -427,8 +409,8 @@ def fit_synth(
         v_star=v,
         synthetic=synthetic,
         gap=gap,
-        train_mspe=mspe(Y1, synthetic, train),
-        validation_mspe=mspe(Y1, synthetic, val),
+        train_mspe=mspe(Y1, synthetic, design.train),
+        validation_mspe=mspe(Y1, synthetic, design.val),
         pre_mspe=mspe(Y1, synthetic, range(spec.T0)),
         objective=result.objective,
         converged=result.converged,

@@ -331,6 +331,16 @@ _TRUTHY = {"1", "true", "yes", "y", "t"}
 _FALSY = {"", "0", "false", "no", "n", "f"}
 
 
+def parse_bool(text: str) -> bool | None:
+    """A true/false cell in any case (1, true, yes, y, t; 0, false, no, n, f, blank), else None."""
+    word = text.strip().lower()
+    if word in _TRUTHY:
+        return True
+    if word in _FALSY:
+        return False
+    return None
+
+
 def load_metadata(path: str) -> dict[str, UnitMeta]:
     """Read per-unit metadata: unit, treated, t0, cluster, incentive_category."""
     meta: dict[str, UnitMeta] = {}
@@ -343,12 +353,8 @@ def load_metadata(path: str) -> dict[str, UnitMeta]:
             unit = _unit_code(row["unit"] or "", "unit", reader.line_num, path)
             if unit in meta:
                 raise DuplicateCell(f"unit {unit} listed twice in {path}")
-            flag = (row["treated"] or "").strip().lower()
-            if flag in _TRUTHY:
-                treated = True
-            elif flag in _FALSY:
-                treated = False
-            else:
+            treated = parse_bool(row["treated"] or "")
+            if treated is None:
                 raise ValueError(f"unreadable treated flag {row['treated']!r} "
                                  f"{_where('treated', unit, reader.line_num, path)}")
             t0_raw = (row.get("t0") or "").strip()

@@ -174,6 +174,29 @@ def test_config_file_unknown_key_exits_2(tmp_path, capsys):
     assert "whatever" in capsys.readouterr().err
 
 
+def test_config_boolean_must_read_true_or_false(tmp_path, capsys):
+    outcomes, predictors = _study_files(tmp_path, seed=4)
+    argv = ["fit", "--outcomes", outcomes, "--predictors", predictors,
+            "--treated", "10001", "--t0", _dates(40)[25]]
+
+    def result(name, *extra):
+        assert main([*argv, *extra, "--out", str(tmp_path / name)]) == 0
+        return (tmp_path / name / "result.json").read_bytes()
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("no_standardize = on\n")
+    assert main([*argv, "--config", str(cfg), "--out", str(tmp_path / "bad")]) == 2
+    assert f"no_standardize must be true or false, got 'on' in {cfg}" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "bad").exists()
+    plain, raw = result("plain"), result("raw", "--no-standardize")
+    assert plain != raw
+    # the spellings a metadata file's treated column accepts
+    for word, expected in (("Yes", raw), ("t", raw), ("FALSE", plain), ("0", plain)):
+        cfg.write_text(f"no_standardize = {word}\n")
+        assert result(word, "--config", str(cfg)) == expected
+
+
 def test_placebo_outputs_and_parallel_determinism(tmp_path):
     outcomes, predictors = _study_files(tmp_path, n_donors=4, seed=5)
     payloads = []
@@ -255,6 +278,20 @@ def test_sweep_writes_sorted_rows(tmp_path):
     lines = (out / "sweep.csv").read_text().splitlines()
     assert lines[0] == "t_fit,pre_deviation,p_value"
     assert [int(l.split(",")[0]) for l in lines[1:]] == [10, 20]
+
+
+def test_sweep_warns_why_a_row_failed(tmp_path, capsys):
+    outcomes, predictors = _study_files(tmp_path, T=60, seed=6)
+    out = tmp_path / "out"
+    code = main(["sweep", "--outcomes", outcomes, "--predictors", predictors,
+                 "--treated", "10001", "--t0", _dates(60)[40],
+                 "--t-fit", "10,40,500", "--out", str(out)])
+    assert code == 0
+    err = capsys.readouterr().err
+    assert "warning: t_fit=40: need 1 <= t_fit < T0, got t_fit=40 T0=40" in err
+    assert "warning: t_fit=500: need 1 <= t_fit < T0, got t_fit=500 T0=40" in err
+    assert "t_fit=10" not in err
+    assert (out / "sweep.csv").read_text().splitlines()[2:] == ["40,,", "500,,"]
 
 
 def test_sweep_jobs_do_not_change_output(tmp_path):
@@ -389,6 +426,28 @@ def test_bad_unit_code_names_file_line_and_column_exits_3(tmp_path, capsys, tabl
     err = capsys.readouterr().err
     assert ("numeric unit code '1001' must be a 5-digit FIPS code "
             f"in column 'unit' on line 3 of {path}") in err
+
+
+@pytest.mark.parametrize("table, complaint", [
+    ("clusters", "numeric unit code '1001' must be a 5-digit FIPS code in column 'fips'"),
+    ("adjacency", "blank state or neighbor"),
+    ("blocks", "blank block or predictor"),
+])
+def test_donor_and_block_tables_name_the_bad_line_exits_3(tmp_path, capsys, table, complaint):
+    outcomes, predictors = _study_files(tmp_path, seed=4)
+    fit = ["fit", "--outcomes", outcomes, "--treated", "10001", "--t0", _dates(40)[25]]
+    header, rows, argv = {
+        "clusters": (["fips", "cluster"], [["10001", "a"], ["1001", "a"]],
+                     [*fit, "--filter", "cluster", "--clusters"]),
+        "adjacency": (["state", "neighbor"], [["10", "20"], ["20", ""]],
+                      [*fit, "--filter", "neighbors", "--adjacency"]),
+        "blocks": (["block", "predictor"], [["demo", "a"], ["", "b"]],
+                   ["select-predictors", "--predictors", predictors, "--blocks"]),
+    }[table]
+    path = _wide_csv(tmp_path / f"{table}.csv", header, rows)
+    code = main([*argv, path, "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert f"{complaint} on line 3 of {path}" in capsys.readouterr().err
 
 
 def test_fit_warns_when_final_weights_do_not_converge(tmp_path, capsys):

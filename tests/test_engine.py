@@ -162,32 +162,62 @@ def test_design_requires_finite_outcomes(rng):
 # the importance search
 # ---------------------------------------------------------------------------
 
-def test_solve_v_fixed_passes_through_normalized(rng):
-    panel, predictors, spec = _small_study(rng)
-    spec = StudySpec(treated=spec.treated, donors=spec.donors, T0=spec.T0,
-                     t_fit=spec.t_fit, v_mode="fixed",
-                     v_fixed=np.array([2.0, 1.0, 1.0, 4.0]), reg=spec.reg)
-    v = solve_v(spec, build_design(panel, predictors, spec))
-    assert np.allclose(v, [0.25, 0.125, 0.125, 0.5])
-
-
-def test_solve_v_never_loses_to_uniform_or_invvar(rng):
+def test_fit_synth_never_loses_to_uniform_or_invvar(rng):
     panel, predictors, spec = _small_study(rng, k=4, J=6, T=60, T0=40)
     opts = SolverOptions(max_iters=800, restarts=2)
     design = build_design(panel, predictors, spec)
-    v_star = solve_v(spec, design, seed=7, opts=opts)
+    v_star = fit_synth(spec, panel, predictors, seed=7, opts=opts).v_star
     k = v_star.size
-    _, val = split_pre_period(spec.T0, spec.t_fit, spec.train_placement)
 
     def validation_error(v):
         w = solve_w(design.X1, design.X0, v, spec.reg, opts, seed=7).w
-        return mspe(design.Y1, design.Y0.T @ w, val)
+        return mspe(design.Y1, design.Y0.T @ w, design.val)
 
     best = validation_error(v_star)
     uniform = validation_error(np.ones(k) / k)
     invvar = validation_error(inverse_variance_v(design.raw))
     assert best <= uniform
     assert best <= invvar
+
+
+@pytest.mark.parametrize("v_mode, constant_row, full_solves", [
+    ("optimized", False, 3),  # uniform, inverse-variance, the search winner
+    ("optimized", True, 2),  # a constant row leaves inverse-variance undefined
+    ("inverse_variance", False, 1),
+    ("uniform", False, 1),
+    ("uniform", True, 1),
+])
+def test_fit_synth_solves_each_candidate_once_at_full_budget(
+        rng, monkeypatch, v_mode, constant_row, full_solves):
+    panel, predictors, spec = _small_study(rng)
+    if constant_row:
+        values = predictors.values.copy()
+        values[1] = 2.5
+        predictors = make_predictors(values, predictors.units)
+    spec = dataclasses.replace(spec, v_mode=v_mode)
+    design = build_design(panel, predictors, spec)
+    opts = SolverOptions(max_iters=300, restarts=2)
+    budgets = []
+
+    def counted(*args, **kwargs):
+        budgets.append(args[4] if len(args) > 4 else kwargs.get("opts"))
+        return solve_w(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "solve_w", counted)
+    result = fit_synth(spec, panel, predictors, seed=3, opts=opts)
+    assert sum(b is opts for b in budgets) == full_solves
+    # the kept solve is one of those: solving its v again gives the same weights
+    again = solve_w(design.X1, design.X0, result.v_star, spec.reg, opts, seed=3)
+    assert np.array_equal(result.w_star, again.w)
+
+
+def test_inverse_variance_mode_rejects_a_constant_lone_row():
+    # no predictor table and equal training means: the one row is constant
+    panel = make_panel(np.full((4, 40), 7.0))
+    spec = StudySpec(treated=panel.units[0], donors=panel.units[1:], T0=25,
+                     v_mode="inverse_variance")
+    with pytest.raises(ZeroVariancePredictor):
+        fit_synth(spec, panel, None)
 
 
 def test_solve_v_downweights_noise_predictor():
@@ -217,8 +247,7 @@ def test_solve_v_downweights_noise_predictor():
 def test_fit_synth_with_fixed_v_matches_direct_solve(rng):
     panel, predictors, spec = _small_study(rng)
     spec = StudySpec(treated=spec.treated, donors=spec.donors, T0=spec.T0,
-                     t_fit=spec.t_fit, v_mode="fixed",
-                     v_fixed=np.ones(4), reg=Regularization(0.0))
+                     t_fit=spec.t_fit, v_mode="uniform", reg=Regularization(0.0))
     result = fit_synth(spec, panel, predictors, seed=13)
     design = build_design(panel, predictors, spec)
     direct = solve_w(design.X1, design.X0, np.ones(4) / 4, spec.reg, seed=13)
@@ -288,8 +317,6 @@ def test_study_spec_validation():
         StudySpec(treated="01001", donors=("02002",), T0=5, t_fit=10)
     with pytest.raises(ValueError):
         StudySpec(treated="01001", donors=("02002",), T0=20, v_mode="nope")
-    with pytest.raises(ValueError):
-        StudySpec(treated="01001", donors=("02002",), T0=20, v_mode="fixed")
 
 
 def test_fit_synth_reports_unconverged_final_solve(rng):

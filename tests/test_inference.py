@@ -178,7 +178,7 @@ def test_placebo_perfect_pre_fit_floors_ratio():
     values[2, T0:] = values[1, T0:] + 5.0
     panel = base.with_values(values)
     spec = StudySpec(treated=panel.units[0], donors=panel.units[1:3], T0=T0,
-                     t_fit=10, v_mode="fixed", v_fixed=np.ones(1),
+                     t_fit=10, v_mode="uniform",
                      reg=Regularization(0.0))
     ens = placebo_run(spec, panel, None, seed=9, opts=LIGHT)
     floored = [e for e in ens.entries if e.pre_floored]
