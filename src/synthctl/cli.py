@@ -196,22 +196,18 @@ def _donor_pool(settings: Settings, panel: Panel, treated: str) -> tuple[str, ..
         pool = tuple(u for u in panel.units if u != treated)
 
     mode = settings.choice("filter", FILTER_CHOICES, "none")
-    if mode == "cluster":
-        clusters = donor_ops.load_clusters(settings.path("clusters", required=True))
-        filtered = donor_ops.filter_by_cluster(treated, pool, clusters)
-        if not filtered:
-            print(f"warning: cluster filter left no donors for {treated}; "
+    if mode != "none":
+        if mode == "cluster":
+            clusters = donor_ops.load_clusters(settings.path("clusters", required=True))
+            filtered = donor_ops.filter_by_cluster(treated, pool, clusters)
+        else:
+            adjacency = donor_ops.load_adjacency(settings.path("adjacency", required=True))
+            filtered = donor_ops.filter_by_neighbor_states(treated, pool, adjacency)
+        if filtered:
+            pool = filtered
+        else:  # the warning names the filter in the singular: cluster, neighbor
+            print(f"warning: {mode.removesuffix('s')} filter left no donors for {treated}; "
                   "using the full pool", file=sys.stderr)
-            filtered = pool
-        pool = filtered
-    elif mode == "neighbors":
-        adjacency = donor_ops.load_adjacency(settings.path("adjacency", required=True))
-        filtered = donor_ops.filter_by_neighbor_states(treated, pool, adjacency)
-        if not filtered:
-            print(f"warning: neighbor filter left no donors for {treated}; "
-                  "using the full pool", file=sys.stderr)
-            filtered = pool
-        pool = filtered
     if not pool:
         raise ConfigError(f"no donors remain for treated unit {treated}")
     return pool

@@ -9,14 +9,13 @@ from the pool.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import DuplicateCell, EmptyBlock, EmptyFile, UnknownState, UnlabeledUnit, ZeroVariance
-from .panel import Panel, _unit_code, state_of
+from .errors import EmptyBlock, UnknownState, UnlabeledUnit, ZeroVariance
+from .panel import Panel, read_table, state_of
 
 
 def abs_correlation(X: np.ndarray) -> np.ndarray:
@@ -151,56 +150,31 @@ def split_control_target(panel: Panel) -> tuple[tuple[str, ...], tuple[str, ...]
 # file formats
 # ---------------------------------------------------------------------------
 
+def _load_groups(path: str, group: str, member: str) -> dict[str, list[str]]:
+    """CSV group,member with no blank cell: members by group, both in file order."""
+    groups: dict[str, list[str]] = {}
+    for line, row in read_table(path, (group, member)):
+        if not row[group] or not row[member]:
+            raise ValueError(f"blank {group} or {member} on line {line} of {path}")
+        groups.setdefault(row[group], []).append(row[member])
+    return groups
+
+
 def load_blocks(path: str) -> dict[str, list[str]]:
     """CSV block,predictor; one row per block membership, block order preserved."""
-    blocks: dict[str, list[str]] = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if not reader.fieldnames or {"block", "predictor"} - set(reader.fieldnames):
-            raise ValueError(f"{path} must carry 'block' and 'predictor' columns")
-        for row in reader:
-            block = (row["block"] or "").strip()
-            predictor = (row["predictor"] or "").strip()
-            if not block or not predictor:
-                raise ValueError(
-                    f"blank block or predictor on line {reader.line_num} of {path}")
-            blocks.setdefault(block, []).append(predictor)
-    if not blocks:
-        raise EmptyFile(f"{path} contains no data rows")
-    return blocks
-
-
-def load_clusters(path: str) -> dict[str, str]:
-    """CSV fips,cluster mapping units to cluster labels."""
-    clusters: dict[str, str] = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if not reader.fieldnames or {"fips", "cluster"} - set(reader.fieldnames):
-            raise ValueError(f"{path} must carry 'fips' and 'cluster' columns")
-        for row in reader:
-            unit = _unit_code(row["fips"] or "", "fips", reader.line_num, path)
-            if unit in clusters:
-                raise DuplicateCell(f"unit {unit} listed twice in {path}")
-            clusters[unit] = (row["cluster"] or "").strip()
-    if not clusters:
-        raise EmptyFile(f"{path} contains no data rows")
-    return clusters
+    return _load_groups(path, "block", "predictor")
 
 
 def load_adjacency(path: str) -> dict[str, list[str]]:
     """CSV state,neighbor; one row per border."""
-    adjacency: dict[str, list[str]] = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if not reader.fieldnames or {"state", "neighbor"} - set(reader.fieldnames):
-            raise ValueError(f"{path} must carry 'state' and 'neighbor' columns")
-        for row in reader:
-            state = (row["state"] or "").strip()
-            neighbor = (row["neighbor"] or "").strip()
-            if not state or not neighbor:
-                raise ValueError(
-                    f"blank state or neighbor on line {reader.line_num} of {path}")
-            adjacency.setdefault(state, []).append(neighbor)
-    if not adjacency:
-        raise EmptyFile(f"{path} contains no data rows")
-    return adjacency
+    return _load_groups(path, "state", "neighbor")
+
+
+def load_clusters(path: str) -> dict[str, str]:
+    """CSV fips,cluster mapping units to cluster labels; a label may not be blank."""
+    clusters: dict[str, str] = {}
+    for line, row in read_table(path, ("fips", "cluster"), key="fips"):
+        if not row["cluster"]:
+            raise ValueError(f"blank cluster for unit {row['fips']} on line {line} of {path}")
+        clusters[row["fips"]] = row["cluster"]
+    return clusters

@@ -308,7 +308,6 @@ def solve_v(
     design: Design,
     *,
     seed: int = 42,
-    opts: SolverOptions | None = None,
 ) -> np.ndarray:
     """Choose the predictor importance vector for the study's design by spec.v_mode.
 
@@ -318,9 +317,8 @@ def solve_v(
     scoring each candidate by the validation-window error of its implied
     donor weights, and returns the best vector it scored (uniform if it
     scored no finite error, or if there is a single row). The search uses
-    warm-started single-restart solves on its own reduced budget, so opts is
-    not read here; fit_synth compares the winner with the baselines at the
-    full budget.
+    warm-started single-restart solves on its own reduced budget;
+    fit_synth compares the winner with the baselines at the full budget.
     """
     k = design.raw.shape[0]
     if spec.v_mode == "inverse_variance":
@@ -383,17 +381,22 @@ def fit_synth(
     synthetic), and summed squared errors over the training, validation, and
     full pre-intervention windows. In optimized mode with more than one
     predictor row, the uniform vector, the inverse-variance vector (when
-    every row varies) and solve_v's winner are each solved once at the full
-    budget with the run seed, and the solve with the lowest validation error
-    is kept (the first on ties), so the fit never validates worse than
-    either baseline. Otherwise solve_v's vector is solved once.
+    every row varies) and solve_v's winner, unless it equals one of them,
+    are each solved once at the full budget with the run seed, and the solve
+    with the lowest validation error is kept (the first on ties), so the fit
+    never validates worse than either baseline. Otherwise solve_v's vector is
+    solved once.
     """
     opts = opts or SolverOptions()
     design = build_design(panel, predictors, spec)
 
-    candidates = [solve_v(spec, design, seed=seed, opts=opts)]
+    winner = solve_v(spec, design, seed=seed)
+    candidates = [winner]
     if spec.v_mode == "optimized" and design.raw.shape[0] > 1:
-        candidates = _baselines(design) + candidates
+        candidates = _baselines(design)
+        # a winner equal to a baseline would be solved twice and lose the tie
+        if not any(np.array_equal(winner, v) for v in candidates):
+            candidates.append(winner)
     solves = [solve_w(design.X1, design.X0, v, spec.reg, opts, seed=seed) for v in candidates]
     best = int(np.argmin([design.validation_error(res.w) for res in solves]))
     v, result = candidates[best], solves[best]

@@ -15,7 +15,7 @@ import functools
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -285,9 +285,8 @@ def ingest_panel(path: str) -> Panel:
     return Panel(tuple(units), dates, values.reshape(len(units), n_days))
 
 
-def _parse_cell(text: str | None, path: str, unit: str, column: str, line: int) -> float:
-    """A finite number from a CSV cell, or an error naming where the cell is."""
-    raw = (text or "").strip()
+def _parse_cell(raw: str, path: str, unit: str, column: str, line: int) -> float:
+    """A finite number from a stripped CSV cell, or an error naming where the cell is."""
     try:
         value = float(raw)
     except ValueError:
@@ -298,31 +297,62 @@ def _parse_cell(text: str | None, path: str, unit: str, column: str, line: int) 
     return value
 
 
+def read_table(path: str, columns: Sequence[str],
+               key: str | None = None) -> Iterator[tuple[int, dict[str, str]]]:
+    """Yield (line, row) for each data row of a CSV side table, cells stripped.
+
+    The header must name every one of `columns` and repeat no name. Each row
+    maps every header name, in header order, to its cell ("" past the end of
+    a short row); blank lines are skipped. With `key`, that column's cells
+    must be valid unit codes (see validate_unit_code), each listed once. A
+    file with no data row raises EmptyFile.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        missing = [col for col in columns if col not in header]
+        if missing:
+            raise ValueError(f"{path} must carry column(s) {', '.join(map(repr, missing))} "
+                             f"(header: {header})")
+        repeated = [name for i, name in enumerate(header) if name in header[:i]]
+        if repeated:
+            raise ValueError(f"column {repeated[0]!r} appears twice in the header of {path}")
+        seen: set[str] = set()
+        line = 0  # the last data row's line, 0 until one is read
+        for cells in reader:
+            if not cells:
+                continue
+            line = reader.line_num
+            row = {name: cell.strip() for name, cell in zip(header, cells + [""] * len(header))}
+            if key is not None:
+                unit = row[key] = _unit_code(row[key], key, line, path)
+                if unit in seen:
+                    raise DuplicateCell(f"unit {unit} listed twice in column {key!r}, "
+                                        f"again on line {line} of {path}")
+                seen.add(unit)
+            yield line, row
+    if not line:
+        raise EmptyFile(f"{path} contains no data rows")
+
+
 def load_predictors(path: str) -> PredictorTable:
     """Read a wide CSV (unit, predictor columns...) into a PredictorTable.
 
     Every predictor cell must hold a finite number: a missing or non-finite
     value would silently distort standardization and the weight solve.
     """
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        if not header or header[0] != "unit":
-            raise ValueError(f"{path} must start with a 'unit' column (header: {header})")
-        names = tuple(header[1:])
-        units: list[str] = []
-        seen: set[str] = set()
-        rows: list[list[float]] = []
-        for row in reader:
-            unit = _unit_code(row["unit"] or "", "unit", reader.line_num, path)
-            if unit in seen:
-                raise DuplicateCell(f"unit {unit} listed twice in {path}")
-            seen.add(unit)
-            units.append(unit)
-            rows.append([_parse_cell(row[name], path, unit, name, reader.line_num)
-                         for name in names])
-    if not units:
-        raise EmptyFile(f"{path} contains no data rows")
+    names: tuple[str, ...] = ()
+    units: list[str] = []
+    rows: list[list[float]] = []
+    for line, row in read_table(path, ("unit",), key="unit"):
+        if not units:
+            header = tuple(row)
+            if header[0] != "unit":
+                raise ValueError(f"{path} must start with a 'unit' column (header: {header})")
+            names = header[1:]
+        unit = row["unit"]
+        units.append(unit)
+        rows.append([_parse_cell(row[name], path, unit, name, line) for name in names])
     values = np.array(rows, dtype=float).T if names else np.zeros((0, len(units)))
     return PredictorTable(names, tuple(units), values)
 
@@ -344,41 +374,31 @@ def parse_bool(text: str) -> bool | None:
 def load_metadata(path: str) -> dict[str, UnitMeta]:
     """Read per-unit metadata: unit, treated, t0, cluster, incentive_category."""
     meta: dict[str, UnitMeta] = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        if "unit" not in header or "treated" not in header:
-            raise ValueError(f"{path} must carry 'unit' and 'treated' columns")
-        for row in reader:
-            unit = _unit_code(row["unit"] or "", "unit", reader.line_num, path)
-            if unit in meta:
-                raise DuplicateCell(f"unit {unit} listed twice in {path}")
-            treated = parse_bool(row["treated"] or "")
-            if treated is None:
-                raise ValueError(f"unreadable treated flag {row['treated']!r} "
-                                 f"{_where('treated', unit, reader.line_num, path)}")
-            t0_raw = (row.get("t0") or "").strip()
-            t0 = _parse_date(t0_raw, f"for unit {unit} in {path}") if t0_raw else None
-            cluster = (row.get("cluster") or "").strip() or None
-            cat_raw = (row.get("incentive_category") or "").strip()
-            category: int | None = None
-            if cat_raw:
-                try:
-                    category = int(cat_raw)
-                except ValueError:
-                    raise ValueError(
-                        f"cannot parse {cat_raw!r} as an integer "
-                        f"{_where('incentive_category', unit, reader.line_num, path)}"
-                    ) from None
-                if category not in (0, 1, 2, 3):
-                    raise ValueError(
-                        f"incentive_category must be 0..3, got {category} "
-                        f"{_where('incentive_category', unit, reader.line_num, path)}"
-                    )
-            meta[unit] = UnitMeta(treated=treated, t0=t0, cluster=cluster,
-                                  incentive_category=category)
-    if not meta:
-        raise EmptyFile(f"{path} contains no data rows")
+    for line, row in read_table(path, ("unit", "treated"), key="unit"):
+        unit = row["unit"]
+        treated = parse_bool(row["treated"])
+        if treated is None:
+            raise ValueError(f"unreadable treated flag {row['treated']!r} "
+                             f"{_where('treated', unit, line, path)}")
+        t0_raw = row.get("t0", "")
+        t0 = _parse_date(t0_raw, f"for unit {unit} in {path}") if t0_raw else None
+        cat_raw = row.get("incentive_category", "")
+        category: int | None = None
+        if cat_raw:
+            try:
+                category = int(cat_raw)
+            except ValueError:
+                raise ValueError(
+                    f"cannot parse {cat_raw!r} as an integer "
+                    f"{_where('incentive_category', unit, line, path)}"
+                ) from None
+            if category not in (0, 1, 2, 3):
+                raise ValueError(
+                    f"incentive_category must be 0..3, got {category} "
+                    f"{_where('incentive_category', unit, line, path)}"
+                )
+        meta[unit] = UnitMeta(treated=treated, t0=t0, cluster=row.get("cluster") or None,
+                              incentive_category=category)
     return meta
 
 
@@ -479,16 +499,21 @@ def _bad_mask(series: np.ndarray) -> tuple[np.ndarray, float]:
     return bad, fraction
 
 
-def repair_series(series: np.ndarray) -> np.ndarray:
-    """Fill bad cells by linear interpolation between good ones, without smoothing."""
-    x = np.asarray(series, dtype=float).copy()
-    bad, _ = _bad_mask(x)
+def _interpolate(x: np.ndarray, bad: np.ndarray) -> np.ndarray:
+    """A copy of x with its bad cells filled linearly between the good ones."""
     good = ~bad
     if not good.any():
         raise AllMissing("series has no usable cell to interpolate from")
     idx = np.arange(x.size)
+    x = x.copy()
     x[bad] = np.interp(idx[bad], idx[good], x[good])
     return x
+
+
+def repair_series(series: np.ndarray) -> np.ndarray:
+    """Fill bad cells by linear interpolation between good ones, without smoothing."""
+    x = np.asarray(series, dtype=float)
+    return _interpolate(x, _bad_mask(x)[0])
 
 
 def rolling_mean(series: np.ndarray, window: int) -> np.ndarray:
@@ -522,7 +547,7 @@ def clean_series(series: np.ndarray, policy: CleaningPolicy) -> CleanResult:
     if fraction > policy.max_bad_fraction:
         return CleanResult(None, True, f"bad fraction {fraction:.4f} exceeds "
                            f"{policy.max_bad_fraction:.4f}", fraction, 0)
-    repaired = repair_series(x)
+    repaired = _interpolate(x, bad)
     smoothed = rolling_mean(repaired, policy.window)
     return CleanResult(smoothed, False, None, fraction, int(bad.sum()))
 

@@ -430,6 +430,7 @@ def test_bad_unit_code_names_file_line_and_column_exits_3(tmp_path, capsys, tabl
 
 @pytest.mark.parametrize("table, complaint", [
     ("clusters", "numeric unit code '1001' must be a 5-digit FIPS code in column 'fips'"),
+    ("cluster label", "blank cluster for unit 20000"),
     ("adjacency", "blank state or neighbor"),
     ("blocks", "blank block or predictor"),
 ])
@@ -439,6 +440,8 @@ def test_donor_and_block_tables_name_the_bad_line_exits_3(tmp_path, capsys, tabl
     header, rows, argv = {
         "clusters": (["fips", "cluster"], [["10001", "a"], ["1001", "a"]],
                      [*fit, "--filter", "cluster", "--clusters"]),
+        "cluster label": (["fips", "cluster"], [["10001", "a"], ["20000", ""]],
+                          [*fit, "--filter", "cluster", "--clusters"]),
         "adjacency": (["state", "neighbor"], [["10", "20"], ["20", ""]],
                       [*fit, "--filter", "neighbors", "--adjacency"]),
         "blocks": (["block", "predictor"], [["demo", "a"], ["", "b"]],
@@ -448,6 +451,50 @@ def test_donor_and_block_tables_name_the_bad_line_exits_3(tmp_path, capsys, tabl
     code = main([*argv, path, "--out", str(tmp_path / "out")])
     assert code == 3
     assert f"{complaint} on line 3 of {path}" in capsys.readouterr().err
+
+
+SIDE_TABLE_DEFECTS = {
+    "missing column": "must carry column(s)",
+    "repeated column": "appears twice in the header",
+    "header only": "contains no data rows",
+    "repeated unit": "listed twice in column",
+}
+
+
+@pytest.mark.parametrize("table, defect", [
+    (table, defect)
+    for table, keyed in [("predictors", True), ("metadata", True), ("clusters", True),
+                         ("adjacency", False), ("blocks", False)]
+    for defect in SIDE_TABLE_DEFECTS if keyed or defect != "repeated unit"
+])
+def test_side_table_defects_name_the_file_exits_3(tmp_path, capsys, table, defect):
+    outcomes, predictors = _study_files(tmp_path, seed=4)
+    fit = ["fit", "--outcomes", outcomes, "--treated", "10001", "--t0", _dates(40)[25]]
+    units = ["10001", "20000", "20002", "20004", "20006"]
+    header, rows, argv = {
+        "predictors": (["unit", "a"], [[u, "1.5"] for u in units], [*fit, "--predictors"]),
+        # repeating the last column gives the metadata two 'treated' columns
+        "metadata": (["unit", "treated"], [[u, "0"] for u in units], [*fit, "--metadata"]),
+        "clusters": (["fips", "cluster"], [[u, "a"] for u in units],
+                     [*fit, "--filter", "cluster", "--clusters"]),
+        "adjacency": (["state", "neighbor"], [["10", "20"]],
+                      [*fit, "--filter", "neighbors", "--adjacency"]),
+        "blocks": (["block", "predictor"], [["demo", "a"], ["demo", "b"]],
+                   ["select-predictors", "--predictors", predictors, "--blocks"]),
+    }[table]
+    if defect == "missing column":
+        header, rows = header[1:], [row[1:] for row in rows]
+    elif defect == "repeated column":
+        header, rows = header + header[-1:], [row + row[-1:] for row in rows]
+    elif defect == "header only":
+        rows = []
+    else:
+        rows = rows + rows[1:2]
+    path = _wide_csv(tmp_path / f"{table}.csv", header, rows)
+    code = main([*argv, path, "--out", str(tmp_path / "out")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert SIDE_TABLE_DEFECTS[defect] in err and path in err
 
 
 def test_fit_warns_when_final_weights_do_not_converge(tmp_path, capsys):

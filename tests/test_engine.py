@@ -211,6 +211,25 @@ def test_fit_synth_solves_each_candidate_once_at_full_budget(
     assert np.array_equal(result.w_star, again.w)
 
 
+def test_fit_synth_solves_a_uniform_search_winner_once(rng, monkeypatch):
+    # one donor: every v gives the same weights, so the search's winner is its
+    # uniform first point, and it shares the uniform baseline's full-budget solve
+    panel, predictors, spec = _small_study(rng, J=1)
+    opts = SolverOptions(max_iters=300, restarts=2)
+    budgets = []
+
+    def counted(*args, **kwargs):
+        budgets.append(args[4])
+        return solve_w(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "solve_w", counted)
+    result = fit_synth(spec, panel, predictors, seed=3, opts=opts)
+    assert np.array_equal(engine.solve_v(spec, build_design(panel, predictors, spec), seed=3),
+                          np.full(4, 0.25))
+    assert sum(b is opts for b in budgets) == 2  # uniform and inverse-variance
+    assert np.array_equal(result.v_star, np.full(4, 0.25))
+
+
 def test_inverse_variance_mode_rejects_a_constant_lone_row():
     # no predictor table and equal training means: the one row is constant
     panel = make_panel(np.full((4, 40), 7.0))

@@ -32,7 +32,7 @@ from synthctl.errors import (
     NonPositivePopulation,
     UnparseableDate,
 )
-from synthctl.panel import validate_unit_code
+from synthctl.panel import read_table, validate_unit_code
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +216,18 @@ def test_load_predictors_shape(tmp_path):
     assert table.units == ("01001", "02002")
     # one row per predictor, one column per unit
     assert np.array_equal(table.values, np.array([[1.0, 3.0], [2.0, 4.0]]))
+
+
+def test_read_table_strips_pads_and_skips_blank_lines(tmp_path):
+    path = _write(tmp_path / "t.csv", (
+        "fips,cluster,note\n"
+        " 01001 , Exurbs ,x\n"
+        "\n"
+        "02002,Metro\n"
+    ))
+    rows = list(read_table(path, ("cluster",), key="fips"))
+    assert rows == [(2, {"fips": "01001", "cluster": "Exurbs", "note": "x"}),
+                    (4, {"fips": "02002", "cluster": "Metro", "note": ""})]
 
 
 def test_load_metadata_parses_flags_and_dates(tmp_path):
