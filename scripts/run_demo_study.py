@@ -20,6 +20,7 @@ from synthctl import (
     PredictorTable,
     Regularization,
     StudySpec,
+    build_design,
     classify_quadrant,
     decile_summary,
     fit_logistic,
@@ -62,7 +63,7 @@ def synth_section() -> None:
     rng = np.random.default_rng(SEED)
     panel, predictors, spec, w_true = make_study(rng)
 
-    result = fit_synth(spec, panel, predictors, seed=SEED)
+    result = fit_synth(spec, build_design(panel, predictors, spec), seed=SEED)
     print("== synthetic control fit ==")
     print(f"treated unit      {result.treated}")
     top = sorted(zip(result.donors, result.w_star), key=lambda p: -p[1])[:4]

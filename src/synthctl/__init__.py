@@ -22,7 +22,6 @@ from .engine import (
     build_design,
     fit_synth,
     inverse_variance_v,
-    mspe,
     solve_v,
     split_pre_period,
 )
@@ -33,7 +32,6 @@ from .inference import (
     SweepRow,
     p_value,
     placebo_run,
-    rmse_window,
     training_sweep,
 )
 from .logistic import (
@@ -116,13 +114,11 @@ __all__ = [
     "load_metadata",
     "load_predictors",
     "logistic_predict",
-    "mspe",
     "objective",
     "p_value",
     "placebo_run",
     "project_simplex",
     "repair_series",
-    "rmse_window",
     "rolling_mean",
     "select_predictors_naive",
     "solve_v",

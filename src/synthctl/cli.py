@@ -16,8 +16,8 @@ import sys
 import numpy as np
 
 from . import donors as donor_ops
-from .engine import StudySpec, fit_synth
-from .errors import ConfigError, SynthctlError
+from .engine import StudySpec, build_design, fit_synth, split_pre_period
+from .errors import ConfigError, InvalidSplit, SynthctlError
 from .inference import p_value, placebo_run, training_sweep
 from .logistic import classify_quadrant, decile_summary, fit_logistic, theme_regression
 from .panel import (
@@ -237,6 +237,11 @@ def _study_spec(settings: Settings, panel: Panel, t_fit: int | None = None) -> S
         raise ConfigError(str(exc))
 
 
+def _unconverged(unit: str) -> str:
+    return (f"warning: donor weights for {unit} stopped at "
+            f"max_iters={SolverOptions().max_iters} without converging")
+
+
 def _dates_map(panel: Panel, values: np.ndarray) -> dict[str, float]:
     return {d.isoformat(): float(v) for d, v in zip(panel.dates, values)}
 
@@ -252,12 +257,10 @@ def cmd_fit(settings: Settings) -> int:
     seed = settings.integer("seed", 42, minimum=0)
     out = settings.out_dir()
 
-    opts = SolverOptions()
-    result = fit_synth(spec, panel, predictors, seed=seed, opts=opts)
+    result = fit_synth(spec, build_design(panel, predictors, spec), seed=seed)
     if not result.converged:
-        print(f"warning: donor weights for {spec.treated} stopped at "
-              f"max_iters={opts.max_iters} without converging "
-              f"(objective {result.objective:.6g})", file=sys.stderr)
+        print(f"{_unconverged(spec.treated)} (objective {result.objective:.6g})",
+              file=sys.stderr)
     actual = panel.series(spec.treated)
     payload = {
         "treated": result.treated,
@@ -295,12 +298,22 @@ def cmd_placebo(settings: Settings) -> int:
         except KeyError:
             raise ConfigError(
                 f"placebo date {placebo_t0_date} is outside the panel's date range")
+        try:
+            split_pre_period(placebo_T0, spec.t_fit, spec.train_placement)
+        except InvalidSplit as exc:
+            raise ConfigError(f"--placebo-t0 {placebo_t0_date} leaves too short a "
+                              f"pre-period: {exc}")
     else:
         placebo_T0 = None
     out = settings.out_dir()
 
     ensemble = placebo_run(spec, panel, predictors, seed=seed, jobs=jobs,
                            placebo_T0=placebo_T0)
+    for e in ensemble.entries:
+        if e.skipped:
+            print(f"warning: placebo {e.unit} skipped: {e.reason}", file=sys.stderr)
+        elif not e.converged:
+            print(_unconverged(e.unit), file=sys.stderr)
     p = p_value(ensemble)
     payload = {
         "treated": ensemble.treated,

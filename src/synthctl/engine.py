@@ -19,11 +19,10 @@ unless the study's spec sets standardize=False to keep raw rows.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptyWindow, InvalidSplit, ZeroVariancePredictor
+from .errors import InvalidSplit, ZeroVariancePredictor
 from .panel import Panel, PredictorTable
 from .seeding import derive_seed
 from .weights import Regularization, SolverOptions, solve_w
@@ -116,21 +115,6 @@ def split_pre_period(T0: int, t_fit: int, placement: str = "tail") -> tuple[rang
     raise ValueError(f"unknown placement {placement!r}")
 
 
-def mspe(actual: np.ndarray, synthetic: np.ndarray, window: Sequence[int]) -> float:
-    """Sum of squared prediction errors over the window (a sum, not a mean)."""
-    idx = np.asarray(list(window), dtype=int)
-    if idx.size == 0:
-        raise EmptyWindow("window selects no observations")
-    actual = np.asarray(actual, dtype=float)
-    synthetic = np.asarray(synthetic, dtype=float)
-    if actual.shape != synthetic.shape:
-        raise ValueError(f"series lengths differ: {actual.shape} vs {synthetic.shape}")
-    if idx.min() < 0 or idx.max() >= actual.size:
-        raise ValueError("window extends outside the series")
-    diff = actual[idx] - synthetic[idx]
-    return float(np.dot(diff, diff))
-
-
 def inverse_variance_v(X: np.ndarray) -> np.ndarray:
     """Importance proportional to 1/variance of each predictor across units."""
     X = np.asarray(X, dtype=float)
@@ -170,11 +154,11 @@ def build_design(
 ) -> Design:
     """Check the study against the panel and assemble its arrays.
 
-    Every unit must be in the panel and the pre-period must fit inside it.
-    Predictor rows are the predictor table rows plus the appended
-    training-window outcome mean. If spec.standardize is set, each row is
-    z-scored across the treated unit and donors together; constant rows
-    become zeros.
+    Every unit must be in the panel with no missing outcome, and the
+    pre-period must fit inside the panel. Predictor rows are the predictor
+    table rows plus the appended training-window outcome mean. If
+    spec.standardize is set, each row is z-scored across the treated unit and
+    donors together; constant rows become zeros.
     """
     order = (spec.treated,) + spec.donors
     rows = [panel.unit_index(u) for u in order]
@@ -182,8 +166,6 @@ def build_design(
         raise InvalidSplit(
             f"pre-period T0={spec.T0} does not fit a panel of {panel.n_dates} days"
         )
-    train, val = split_pre_period(spec.T0, spec.t_fit, spec.train_placement)
-    train, val = np.asarray(train, dtype=int), np.asarray(val, dtype=int)
 
     if predictors is not None and predictors.n_predictors > 0:
         if OUTCOME_MEAN_NAME in predictors.names:
@@ -196,11 +178,35 @@ def build_design(
         names = ()
 
     outcome_rows = panel.values[rows]
-    if not np.isfinite(outcome_rows).all():
-        raise ValueError("outcome series contain missing values; clean the panel first")
-    mean_row = outcome_rows[:, train].mean(axis=1)
+    missing = np.argwhere(~np.isfinite(outcome_rows))
+    if missing.size:
+        unit, day = missing[0]
+        raise ValueError(f"outcome series contain missing values, first unit {order[unit]} "
+                         f"on {panel.dates[day]}; clean the panel first")
+    return _assemble(base, outcome_rows, names, spec)
+
+
+def placebo_design(design: Design, donor: int, spec: StudySpec) -> Design:
+    """The design of the study's donor number `donor` as the placebo spec sees it.
+
+    The treated column is dropped, the donor's column and outcome row move to
+    the front, and the training-mean row and the standardization are redone
+    over those columns: the arrays equal build_design's for spec.
+    """
+    cols = [donor] + [j for j in range(len(design.Y0)) if j != donor]
+    # C order: np.vstack keeps an F-ordered block's layout, and the row means
+    # of the standardization would then sum in another order
+    base = np.ascontiguousarray(design.raw[:-1, 1:][:, cols])
+    return _assemble(base, design.Y0[cols], design.names[:-1], spec)
+
+
+def _assemble(base: np.ndarray, outcomes: np.ndarray, names: tuple[str, ...],
+              spec: StudySpec) -> Design:
+    """A design from a predictor block and outcome rows, treated unit first."""
+    train, val = split_pre_period(spec.T0, spec.t_fit, spec.train_placement)
+    train, val = np.asarray(train, dtype=int), np.asarray(val, dtype=int)
+    mean_row = outcomes[:, train].mean(axis=1)
     raw = np.vstack([base, mean_row[None, :]])
-    names = names + (OUTCOME_MEAN_NAME,)
 
     if spec.standardize:
         mu = raw.mean(axis=1, keepdims=True)
@@ -208,8 +214,9 @@ def build_design(
         scaled = np.where(sd > 0, (raw - mu) / np.where(sd > 0, sd, 1.0), 0.0)
     else:
         scaled = raw
-    return Design(X1=scaled[:, 0].copy(), X0=scaled[:, 1:].copy(), raw=raw, names=names,
-                  Y1=outcome_rows[0], Y0=outcome_rows[1:], train=train, val=val)
+    return Design(X1=scaled[:, 0].copy(), X0=scaled[:, 1:].copy(), raw=raw,
+                  names=names + (OUTCOME_MEAN_NAME,),
+                  Y1=outcomes[0], Y0=outcomes[1:], train=train, val=val)
 
 
 def _baselines(design: Design) -> list[np.ndarray]:
@@ -366,15 +373,8 @@ def solve_v(
     return best_v
 
 
-def fit_synth(
-    spec: StudySpec,
-    panel: Panel,
-    predictors: PredictorTable | None = None,
-    *,
-    seed: int = 42,
-    opts: SolverOptions | None = None,
-) -> SynthResult:
-    """Fit a synthetic control for the study and score it.
+def fit_synth(spec: StudySpec, design: Design, *, seed: int = 42) -> SynthResult:
+    """Fit a synthetic control for the study's design and score it.
 
     Returns the donor weights, the importance vector that chose them, the
     synthetic series over the whole panel, the per-day gap (actual minus
@@ -382,14 +382,11 @@ def fit_synth(
     full pre-intervention windows. In optimized mode with more than one
     predictor row, the uniform vector, the inverse-variance vector (when
     every row varies) and solve_v's winner, unless it equals one of them,
-    are each solved once at the full budget with the run seed, and the solve
-    with the lowest validation error is kept (the first on ties), so the fit
-    never validates worse than either baseline. Otherwise solve_v's vector is
-    solved once.
+    are each solved once at solve_w's default budget with the run seed, and
+    the solve with the lowest validation error is kept (the first on ties),
+    so the fit never validates worse than either baseline. Otherwise
+    solve_v's vector is solved once.
     """
-    opts = opts or SolverOptions()
-    design = build_design(panel, predictors, spec)
-
     winner = solve_v(spec, design, seed=seed)
     candidates = [winner]
     if spec.v_mode == "optimized" and design.raw.shape[0] > 1:
@@ -397,13 +394,13 @@ def fit_synth(
         # a winner equal to a baseline would be solved twice and lose the tie
         if not any(np.array_equal(winner, v) for v in candidates):
             candidates.append(winner)
-    solves = [solve_w(design.X1, design.X0, v, spec.reg, opts, seed=seed) for v in candidates]
+    solves = [solve_w(design.X1, design.X0, v, spec.reg, seed=seed) for v in candidates]
     best = int(np.argmin([design.validation_error(res.w) for res in solves]))
     v, result = candidates[best], solves[best]
 
-    Y1 = design.Y1
     synthetic = design.Y0.T @ result.w
-    gap = Y1 - synthetic
+    gap = design.Y1 - synthetic
+    train, val, pre = gap[design.train], gap[design.val], gap[:spec.T0]
     return SynthResult(
         treated=spec.treated,
         donors=spec.donors,
@@ -412,9 +409,9 @@ def fit_synth(
         v_star=v,
         synthetic=synthetic,
         gap=gap,
-        train_mspe=mspe(Y1, synthetic, design.train),
-        validation_mspe=mspe(Y1, synthetic, design.val),
-        pre_mspe=mspe(Y1, synthetic, range(spec.T0)),
+        train_mspe=float(np.dot(train, train)),
+        validation_mspe=float(np.dot(val, val)),
+        pre_mspe=float(np.dot(pre, pre)),
         objective=result.objective,
         converged=result.converged,
     )

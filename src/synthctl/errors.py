@@ -57,10 +57,6 @@ class InvalidSplit(SynthctlError):
     """A training window does not fit inside the pre-intervention period."""
 
 
-class EmptyWindow(SynthctlError):
-    """A time window selects no observations."""
-
-
 class ZeroVariancePredictor(SynthctlError):
     """A predictor is constant across units, so 1/variance is undefined."""
 

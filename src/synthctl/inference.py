@@ -14,29 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import StudySpec, fit_synth
-from .errors import EmptyWindow, SynthctlError
+from .engine import StudySpec, build_design, fit_synth, placebo_design, split_pre_period
+from .errors import SynthctlError
 from .panel import Panel, PredictorTable
 from .seeding import derive_seed
-from .weights import SolverOptions
 
 # pre-period error below this is treated as an exact fit; the ratio is taken
 # against the floor instead of erroring so placebo loops keep running
 PRE_RMSE_FLOOR = 1e-12
-
-
-def rmse_window(actual: np.ndarray, synthetic: np.ndarray, t1: int, t2: int) -> float:
-    """Root mean squared gap over the inclusive index window [t1, t2]."""
-    actual = np.asarray(actual, dtype=float)
-    synthetic = np.asarray(synthetic, dtype=float)
-    if actual.shape != synthetic.shape:
-        raise ValueError(f"series lengths differ: {actual.shape} vs {synthetic.shape}")
-    if t1 > t2:
-        raise EmptyWindow(f"window [{t1}, {t2}] is empty")
-    if t1 < 0 or t2 >= actual.size:
-        raise ValueError(f"window [{t1}, {t2}] extends outside the series")
-    diff = actual[t1:t2 + 1] - synthetic[t1:t2 + 1]
-    return float(np.sqrt(np.mean(diff * diff)))
 
 
 @dataclass(frozen=True)
@@ -71,27 +56,32 @@ def _share_study(*study) -> None:
     _study = study
 
 
+def _rms(gap: np.ndarray) -> float:
+    return float(np.sqrt(np.mean(gap * gap)))
+
+
 def _fit_ratio_task(unit: str) -> PlaceboEntry:
     """Fit `unit` of the shared study as if treated, and return its ratio entry.
 
-    The treated unit keeps the study's spec; a donor is fit against the other
-    donors at placebo_T0 (the study's T0 if None), with a seed hashed from
-    the base seed and its code. A spec or fit that fails gives a skipped entry.
+    The treated unit keeps the study's spec and design; a donor is fit
+    against the other donors at placebo_T0, on the design placebo_design
+    cuts from the study's, with a seed hashed from the base seed and its
+    code. A spec or fit that fails gives a skipped entry.
     """
-    spec, panel, predictors, seed, opts, placebo_T0 = _study
+    spec, design, seed, placebo_T0 = _study
     try:
         if unit != spec.treated:
+            i = spec.donors.index(unit)
             spec = dataclasses.replace(
-                spec, treated=unit, donors=tuple(d for d in spec.donors if d != unit),
-                T0=spec.T0 if placebo_T0 is None else placebo_T0)
-        result = fit_synth(spec, panel, predictors,
-                           seed=derive_seed(seed, "placebo", unit), opts=opts)
+                spec, treated=unit, donors=spec.donors[:i] + spec.donors[i + 1:],
+                T0=placebo_T0)
+            design = placebo_design(design, i, spec)
+        result = fit_synth(spec, design, seed=derive_seed(seed, "placebo", unit))
     except (SynthctlError, ValueError) as exc:
         return PlaceboEntry(unit, float("nan"), float("nan"), float("nan"),
                             skipped=True, reason=str(exc))
-    actual = panel.series(unit)
-    R_pre = rmse_window(actual, result.synthetic, 0, spec.T0 - 1)
-    R_post = rmse_window(actual, result.synthetic, spec.T0, actual.size - 1)
+    R_pre = _rms(result.gap[:spec.T0])
+    R_post = _rms(result.gap[spec.T0:])
     floored = R_pre < PRE_RMSE_FLOOR
     r = R_post / max(R_pre, PRE_RMSE_FLOOR)
     return PlaceboEntry(unit, r, R_pre, R_post, skipped=False,
@@ -106,24 +96,28 @@ def placebo_run(
     seed: int = 42,
     jobs: int = 1,
     placebo_T0: int | None = None,
-    opts: SolverOptions | None = None,
 ) -> PlaceboEnsemble:
     """Fit the treated unit and every donor-as-placebo, collecting ratios.
 
     Each placebo inherits the treated unit's intervention index unless
     placebo_T0 overrides it, and is fit against the other donors only; the
-    truly treated unit never enters any placebo's pool. The study goes to
-    each worker process once, and each task is one unit code. Per-unit seeds
+    truly treated unit never enters any placebo's pool. The study's design
+    is built once, before any fit, and goes to each worker process once with
+    the spec; each task is one unit code. A placebo_T0 that leaves no
+    training window raises InvalidSplit, before any fit. Per-unit seeds
     are hashed from the base seed and the unit code, and entries are ordered
     by unit code, so output is identical for any job count.
     """
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
-    if spec.T0 >= panel.n_dates:
-        raise ValueError(f"T0={spec.T0} leaves no post-period in a {panel.n_dates}-day panel")
+    placebo_T0 = spec.T0 if placebo_T0 is None else placebo_T0
+    for T0 in (spec.T0, placebo_T0):
+        if T0 >= panel.n_dates:
+            raise ValueError(f"T0={T0} leaves no post-period in a {panel.n_dates}-day panel")
+    split_pre_period(placebo_T0, spec.t_fit, spec.train_placement)
 
     units = (spec.treated,) + spec.donors
-    study = (spec, panel, predictors, seed, opts, placebo_T0)
+    study = (spec, build_design(panel, predictors, spec), seed, placebo_T0)
     if jobs == 1:
         _share_study(*study)
         try:
@@ -151,7 +145,8 @@ def p_value(ensemble: PlaceboEnsemble) -> float:
     """
     treated_entry = ensemble.entries[ensemble.treated_index]
     if treated_entry.skipped:
-        raise ValueError(f"treated unit {ensemble.treated} has no fit; no p-value exists")
+        raise ValueError(f"treated unit {ensemble.treated} has no fit "
+                         f"({treated_entry.reason}); no p-value exists")
     valid = [e for e in ensemble.entries if not e.skipped]
     exceed = sum(1 for e in valid if e.r > treated_entry.r)
     return exceed / len(valid)
@@ -174,7 +169,6 @@ def training_sweep(
     *,
     seed: int = 42,
     jobs: int = 1,
-    opts: SolverOptions | None = None,
 ) -> tuple[SweepRow, ...]:
     """Refit the study for each training-window length and tabulate quality.
 
@@ -190,7 +184,7 @@ def training_sweep(
     for t_fit in sorted(set(t_fit_values)):
         try:
             ensemble = placebo_run(dataclasses.replace(spec, t_fit=t_fit), panel,
-                                   predictors, seed=seed, jobs=jobs, opts=opts)
+                                   predictors, seed=seed, jobs=jobs)
         except (SynthctlError, ValueError) as exc:
             rows.append(SweepRow(t_fit, float("nan"), float("nan"),
                                  failed=True, reason=str(exc)))

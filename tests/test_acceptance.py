@@ -22,6 +22,7 @@ from synthctl import (
     SolverOptions,
     StudySpec,
     abs_correlation,
+    build_design,
     clean_series,
     enforce_monotone,
     fit_logistic,
@@ -52,7 +53,7 @@ def test_criterion_01_weight_recovery(capsys):
     spec = StudySpec(treated=units[0], donors=units[1:], T0=T0, t_fit=10,
                      v_mode="optimized", reg=Regularization(0.0))
     start = time.perf_counter()
-    result = fit_synth(spec, panel, predictors, seed=42)
+    result = fit_synth(spec, build_design(panel, predictors, spec), seed=42)
     elapsed = time.perf_counter() - start
     linf = float(np.max(np.abs(result.w_star - w_true)))
     pre_rmse = float(np.sqrt(np.mean(result.gap[:T0] ** 2)))
@@ -190,7 +191,7 @@ def test_criterion_06_effect_detection(capsys):
     predictors = make_predictors(snapshots, units)
     spec = StudySpec(treated=units[0], donors=units[1:], T0=T0, t_fit=10,
                      v_mode="inverse_variance", reg=Regularization(0.0))
-    result = fit_synth(spec, panel, predictors, seed=42)
+    result = fit_synth(spec, build_design(panel, predictors, spec), seed=42)
     mean_gap = float(result.gap[T0:].mean())
     ensemble = placebo_run(spec, panel, predictors, seed=42)
     p = p_value(ensemble)
@@ -358,7 +359,7 @@ def test_criterion_11_performance_floor(capsys):
                      t_fit=10, v_mode="optimized", reg=Regularization())
 
     start = time.perf_counter()
-    fit_synth(spec, panel, predictors, seed=42)
+    fit_synth(spec, build_design(panel, predictors, spec), seed=42)
     fit_seconds = time.perf_counter() - start
 
     start = time.perf_counter()

@@ -268,6 +268,51 @@ def test_placebo_entries_say_why_a_placebo_was_skipped(tmp_path):
     assert treated["converged"] is True
 
 
+def test_placebo_warns_about_skipped_and_unconverged_placebos(tmp_path, capsys):
+    outcomes, predictors = _study_files(tmp_path, n_donors=1, seed=5)
+    assert main(["placebo", "--outcomes", outcomes, "--predictors", predictors,
+                 "--treated", "10001", "--t0", _dates(40)[25],
+                 "--out", str(tmp_path / "one")]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: placebo 20000 skipped: donor pool must be non-empty"]
+
+    out = tmp_path / "capped"
+    assert main(["placebo", *_capped_study(tmp_path), "--l1", "0", "--out", str(out)]) == 0
+    entries = json.loads((out / "placebo.json").read_text())["entries"]
+    capped = [e["unit"] for e in entries if e["converged"] is False]
+    assert "10001" in capped
+    assert capsys.readouterr().err.splitlines() == [
+        f"warning: donor weights for {unit} stopped at max_iters=2000 without converging"
+        for unit in capped]
+
+
+@pytest.mark.parametrize("day", [4, 10])
+def test_placebo_t0_inside_the_training_window_exits_2(tmp_path, capsys, day):
+    outcomes, predictors = _study_files(tmp_path, seed=5)
+    out = tmp_path / "out"
+    assert main(["placebo", "--outcomes", outcomes, "--predictors", predictors,
+                 "--treated", "10001", "--t0", _dates(40)[25],
+                 "--placebo-t0", _dates(40)[day], "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"--placebo-t0 {_dates(40)[day]} leaves too short a pre-period" in err
+    assert f"got t_fit=10 T0={day}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["fit", "placebo"])
+def test_missing_outcome_names_unit_and_date_exits_3(tmp_path, capsys, command):
+    outcomes, predictors = _study_files(tmp_path, seed=5)
+    path = pathlib.Path(outcomes)
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(l for l in lines if not l.startswith(f"20002,{_dates(40)[10]},")))
+    assert main([command, "--outcomes", outcomes, "--predictors", predictors,
+                 "--treated", "10001", "--t0", _dates(40)[25],
+                 "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == (
+        f"error: outcome series contain missing values, first unit 20002 on "
+        f"{_dates(40)[10]}; clean the panel first\n")
+
+
 def test_sweep_writes_sorted_rows(tmp_path):
     outcomes, predictors = _study_files(tmp_path, T=60, seed=6)
     out = tmp_path / "out"
@@ -497,9 +542,12 @@ def test_side_table_defects_name_the_file_exits_3(tmp_path, capsys, table, defec
     assert SIDE_TABLE_DEFECTS[defect] in err and path in err
 
 
-def test_fit_warns_when_final_weights_do_not_converge(tmp_path, capsys):
-    # nearly collinear predictors and a treated unit inside the donor hull:
-    # without penalties the descent is still creeping at max_iters
+def _capped_study(tmp_path):
+    """Study options whose final weight solve stops at max_iters under --l1 0.
+
+    Nearly collinear predictors and a treated unit inside the donor hull:
+    without penalties the descent is still creeping at max_iters.
+    """
     rng = np.random.default_rng(1)
     J, T = 4, 40
     level = rng.normal(size=J)
@@ -511,8 +559,12 @@ def test_fit_warns_when_final_weights_do_not_converge(tmp_path, capsys):
     X = np.hstack([(P0 @ w)[:, None], P0])
     predictors = _wide_csv(tmp_path / "p.csv", ["unit", "a", "b"],
                            [[u, *map(str, X[:, i])] for i, u in enumerate(units)])
-    argv = ["fit", "--outcomes", outcomes, "--predictors", predictors, "--treated", "10001",
+    return ["--outcomes", outcomes, "--predictors", predictors, "--treated", "10001",
             "--t0", _dates(T)[30], "--v-mode", "uniform"]
+
+
+def test_fit_warns_when_final_weights_do_not_converge(tmp_path, capsys):
+    argv = ["fit", *_capped_study(tmp_path)]
     assert main([*argv, "--l1", "0", "--out", str(tmp_path / "out")]) == 0
     err = capsys.readouterr().err
     assert "warning: donor weights for 10001 stopped at max_iters=2000 without converging" in err

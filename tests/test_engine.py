@@ -15,18 +15,13 @@ from synthctl import (
     build_design,
     fit_synth,
     inverse_variance_v,
-    mspe,
     solve_v,
     solve_w,
     split_pre_period,
 )
 from synthctl import engine
 from synthctl.engine import OUTCOME_MEAN_NAME, _nelder_mead
-from synthctl.errors import (
-    EmptyWindow,
-    InvalidSplit,
-    ZeroVariancePredictor,
-)
+from synthctl.errors import InvalidSplit, ZeroVariancePredictor
 
 
 # ---------------------------------------------------------------------------
@@ -61,18 +56,6 @@ def test_split_rejects_degenerate_windows():
         split_pre_period(10, 10, "tail")
     with pytest.raises(InvalidSplit):
         split_pre_period(10, 0, "tail")
-
-
-def test_mspe_is_a_sum_not_a_mean():
-    actual = np.array([1.0, 2.0, 3.0])
-    synth = np.zeros(3)
-    assert mspe(actual, synth, range(3)) == pytest.approx(14.0)
-    assert mspe(actual, synth, range(2)) == pytest.approx(5.0)
-
-
-def test_mspe_empty_window_raises():
-    with pytest.raises(EmptyWindow):
-        mspe(np.ones(3), np.ones(3), range(0))
 
 
 # ---------------------------------------------------------------------------
@@ -152,9 +135,9 @@ def test_design_checks_the_study_against_the_panel(rng):
 def test_design_requires_finite_outcomes(rng):
     panel, predictors, spec = _small_study(rng)
     values = panel.values.copy()
-    values[0, 3] = np.nan
+    values[2, 3] = values[3, 5] = np.nan  # the first missing cell in study order
     dirty = panel.with_values(values)
-    with pytest.raises(ValueError, match="clean"):
+    with pytest.raises(ValueError, match=f"first unit {spec.donors[1]} on 2021-01-04; clean"):
         build_design(dirty, predictors, spec)
 
 
@@ -164,14 +147,12 @@ def test_design_requires_finite_outcomes(rng):
 
 def test_fit_synth_never_loses_to_uniform_or_invvar(rng):
     panel, predictors, spec = _small_study(rng, k=4, J=6, T=60, T0=40)
-    opts = SolverOptions(max_iters=800, restarts=2)
     design = build_design(panel, predictors, spec)
-    v_star = fit_synth(spec, panel, predictors, seed=7, opts=opts).v_star
+    v_star = fit_synth(spec, design, seed=7).v_star
     k = v_star.size
 
     def validation_error(v):
-        w = solve_w(design.X1, design.X0, v, spec.reg, opts, seed=7).w
-        return mspe(design.Y1, design.Y0.T @ w, design.val)
+        return design.validation_error(solve_w(design.X1, design.X0, v, spec.reg, seed=7).w)
 
     best = validation_error(v_star)
     uniform = validation_error(np.ones(k) / k)
@@ -196,7 +177,6 @@ def test_fit_synth_solves_each_candidate_once_at_full_budget(
         predictors = make_predictors(values, predictors.units)
     spec = dataclasses.replace(spec, v_mode=v_mode)
     design = build_design(panel, predictors, spec)
-    opts = SolverOptions(max_iters=300, restarts=2)
     budgets = []
 
     def counted(*args, **kwargs):
@@ -204,10 +184,10 @@ def test_fit_synth_solves_each_candidate_once_at_full_budget(
         return solve_w(*args, **kwargs)
 
     monkeypatch.setattr(engine, "solve_w", counted)
-    result = fit_synth(spec, panel, predictors, seed=3, opts=opts)
-    assert sum(b is opts for b in budgets) == full_solves
+    result = fit_synth(spec, design, seed=3)
+    assert sum((b or SolverOptions()) == SolverOptions() for b in budgets) == full_solves
     # the kept solve is one of those: solving its v again gives the same weights
-    again = solve_w(design.X1, design.X0, result.v_star, spec.reg, opts, seed=3)
+    again = solve_w(design.X1, design.X0, result.v_star, spec.reg, seed=3)
     assert np.array_equal(result.w_star, again.w)
 
 
@@ -215,18 +195,18 @@ def test_fit_synth_solves_a_uniform_search_winner_once(rng, monkeypatch):
     # one donor: every v gives the same weights, so the search's winner is its
     # uniform first point, and it shares the uniform baseline's full-budget solve
     panel, predictors, spec = _small_study(rng, J=1)
-    opts = SolverOptions(max_iters=300, restarts=2)
+    design = build_design(panel, predictors, spec)
     budgets = []
 
     def counted(*args, **kwargs):
-        budgets.append(args[4])
+        budgets.append(args[4] if len(args) > 4 else kwargs.get("opts"))
         return solve_w(*args, **kwargs)
 
     monkeypatch.setattr(engine, "solve_w", counted)
-    result = fit_synth(spec, panel, predictors, seed=3, opts=opts)
-    assert np.array_equal(engine.solve_v(spec, build_design(panel, predictors, spec), seed=3),
-                          np.full(4, 0.25))
-    assert sum(b is opts for b in budgets) == 2  # uniform and inverse-variance
+    result = fit_synth(spec, design, seed=3)
+    assert np.array_equal(engine.solve_v(spec, design, seed=3), np.full(4, 0.25))
+    # uniform and inverse-variance
+    assert sum((b or SolverOptions()) == SolverOptions() for b in budgets) == 2
     assert np.array_equal(result.v_star, np.full(4, 0.25))
 
 
@@ -236,7 +216,7 @@ def test_inverse_variance_mode_rejects_a_constant_lone_row():
     spec = StudySpec(treated=panel.units[0], donors=panel.units[1:], T0=25,
                      v_mode="inverse_variance")
     with pytest.raises(ZeroVariancePredictor):
-        fit_synth(spec, panel, None)
+        fit_synth(spec, build_design(panel, None, spec))
 
 
 def test_solve_v_downweights_noise_predictor():
@@ -267,7 +247,7 @@ def test_fit_synth_with_fixed_v_matches_direct_solve(rng):
     panel, predictors, spec = _small_study(rng)
     spec = StudySpec(treated=spec.treated, donors=spec.donors, T0=spec.T0,
                      t_fit=spec.t_fit, v_mode="uniform", reg=Regularization(0.0))
-    result = fit_synth(spec, panel, predictors, seed=13)
+    result = fit_synth(spec, build_design(panel, predictors, spec), seed=13)
     design = build_design(panel, predictors, spec)
     direct = solve_w(design.X1, design.X0, np.ones(4) / 4, spec.reg, seed=13)
     assert np.array_equal(result.w_star, direct.w)
@@ -278,14 +258,14 @@ def test_fit_synth_perfect_combination_zero_gap(rng):
     panel, predictors, units, w_true, T0 = combo_study(rng, n_distractors=4, k=8)
     spec = StudySpec(treated=units[0], donors=units[1:], T0=T0, t_fit=10,
                      v_mode="optimized", reg=Regularization(0.0))
-    result = fit_synth(spec, panel, predictors, seed=42)
+    result = fit_synth(spec, build_design(panel, predictors, spec), seed=42)
     assert np.max(np.abs(result.w_star - w_true)) < 1e-3
     assert np.sqrt(np.mean(result.gap[:T0] ** 2)) < 1e-6
 
 
 def test_fit_synth_mspe_windows_are_consistent(rng):
     panel, predictors, spec = _small_study(rng, J=5, T=50, T0=30)
-    result = fit_synth(spec, panel, predictors, seed=3)
+    result = fit_synth(spec, build_design(panel, predictors, spec), seed=3)
     train, val = split_pre_period(spec.T0, spec.t_fit, spec.train_placement)
     actual = panel.series(spec.treated)
     assert result.train_mspe == pytest.approx(
@@ -298,7 +278,7 @@ def test_fit_synth_mspe_windows_are_consistent(rng):
 
 def test_fit_synth_weights_feasible(rng):
     panel, predictors, spec = _small_study(rng, J=6)
-    result = fit_synth(spec, panel, predictors, seed=1)
+    result = fit_synth(spec, build_design(panel, predictors, spec), seed=1)
     assert result.w_star.sum() == pytest.approx(1.0, abs=1e-8)
     assert (result.w_star >= 0).all()
     assert result.v_star.sum() == pytest.approx(1.0, abs=1e-9)
@@ -307,24 +287,11 @@ def test_fit_synth_weights_feasible(rng):
 
 def test_fit_synth_deterministic(rng):
     panel, predictors, spec = _small_study(rng, J=5)
-    a = fit_synth(spec, panel, predictors, seed=11)
-    b = fit_synth(spec, panel, predictors, seed=11)
+    a = fit_synth(spec, build_design(panel, predictors, spec), seed=11)
+    b = fit_synth(spec, build_design(panel, predictors, spec), seed=11)
     assert np.array_equal(a.w_star, b.w_star)
     assert np.array_equal(a.v_star, b.v_star)
     assert a.validation_mspe == b.validation_mspe
-
-
-def test_fit_synth_builds_the_design_once(rng, monkeypatch):
-    panel, predictors, spec = _small_study(rng)
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return build_design(*args, **kwargs)
-
-    monkeypatch.setattr(engine, "build_design", counted)
-    fit_synth(spec, panel, predictors, seed=3)
-    assert len(calls) == 1
 
 
 def test_study_spec_validation():
@@ -338,13 +305,22 @@ def test_study_spec_validation():
         StudySpec(treated="01001", donors=("02002",), T0=20, v_mode="nope")
 
 
-def test_fit_synth_reports_unconverged_final_solve(rng):
-    panel, predictors, spec = _small_study(rng, k=4, J=6, T=60, T0=40)
-    capped = fit_synth(spec, panel, predictors, seed=3,
-                       opts=SolverOptions(max_iters=2, restarts=1))
-    assert not capped.converged
-    settled = fit_synth(spec, panel, predictors, seed=3)
-    assert settled.converged
+def test_fit_synth_reports_unconverged_final_solve():
+    # nearly collinear predictors and a treated unit inside the donor hull:
+    # without penalties the final descent is still creeping at max_iters
+    rng = np.random.default_rng(1)
+    J, T = 4, 40
+    level = rng.normal(size=J)
+    w = rng.dirichlet(np.ones(J))
+    donors = 30 + 5 * level[:, None] + rng.normal(0, 0.1, size=(J, T))
+    P0 = level[None, :] + 1e-3 * rng.normal(size=(2, J))
+    panel = make_panel(np.vstack([w @ donors, donors]))
+    predictors = make_predictors(np.hstack([(P0 @ w)[:, None], P0]), panel.units)
+    spec = StudySpec(treated=panel.units[0], donors=panel.units[1:], T0=30,
+                     v_mode="uniform", reg=Regularization(0.0))
+    assert not fit_synth(spec, build_design(panel, predictors, spec), seed=42).converged
+    spec = dataclasses.replace(spec, reg=Regularization())
+    assert fit_synth(spec, build_design(panel, predictors, spec), seed=42).converged
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Placebo-permutation inference tests."""
 
+import dataclasses
 import itertools
 import pickle
 
@@ -8,42 +9,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_panel, random_walk_panel, unit_codes
+from helpers import make_panel, make_predictors, random_walk_panel, unit_codes
 from synthctl import (
     PlaceboEnsemble,
     PlaceboEntry,
     Regularization,
-    SolverOptions,
     StudySpec,
+    build_design,
+    fit_synth,
     p_value,
     placebo_run,
-    rmse_window,
     training_sweep,
 )
 from synthctl import inference
-from synthctl.engine import mspe
-from synthctl.errors import EmptyWindow
+from synthctl.errors import InvalidSplit
 from synthctl.seeding import derive_seed
-
-LIGHT = SolverOptions(max_iters=400, restarts=2)
-
-
-# ---------------------------------------------------------------------------
-# error summaries
-# ---------------------------------------------------------------------------
-
-def test_rmse_window_hand_values():
-    actual = np.array([1.0, 2.0, 3.0, 4.0])
-    synth = np.array([0.0, 2.0, 1.0, 4.0])
-    assert rmse_window(actual, synth, 0, 1) == pytest.approx(np.sqrt(0.5))
-    assert rmse_window(actual, synth, 2, 2) == pytest.approx(2.0)
-    # inclusive on both ends
-    assert rmse_window(actual, synth, 0, 3) == pytest.approx(np.sqrt(5.0 / 4.0))
-
-
-def test_rmse_window_empty_raises():
-    with pytest.raises(EmptyWindow):
-        rmse_window(np.ones(3), np.ones(3), 2, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +67,7 @@ def test_p_value_skipped_units_drop_from_both_sides():
 
 def test_p_value_skipped_treated_raises():
     ens = _ensemble([2.0, 1.0], skipped={0})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"treated unit 10001 has no fit \(failed\)"):
         p_value(ens)
 
 
@@ -126,7 +106,7 @@ def _null_study(seed=0, n=6, T=40, T0=25):
 
 def test_placebo_run_covers_every_unit_sorted():
     panel, spec = _null_study()
-    ens = placebo_run(spec, panel, None, seed=1, opts=LIGHT)
+    ens = placebo_run(spec, panel, None, seed=1)
     assert tuple(e.unit for e in ens.entries) == tuple(sorted(panel.units))
     assert ens.entries[ens.treated_index].unit == spec.treated
     assert all(not e.skipped for e in ens.entries)
@@ -145,7 +125,7 @@ def test_placebo_pools_exclude_treated_unit():
     spec = StudySpec(treated=twin_panel.units[0], donors=twin_panel.units[1:],
                      T0=25, t_fit=10, v_mode="optimized",
                      reg=Regularization(0.0))
-    ens = placebo_run(spec, twin_panel, None, seed=2, opts=LIGHT)
+    ens = placebo_run(spec, twin_panel, None, seed=2)
     twin_entry = next(e for e in ens.entries if e.unit == twin_panel.units[1])
     # donors for the twin exclude the treated unit, so its pre-fit is imperfect
     assert twin_entry.R_pre > 1e-6
@@ -153,15 +133,15 @@ def test_placebo_pools_exclude_treated_unit():
 
 def test_placebo_jobs_parallel_matches_serial():
     panel, spec = _null_study(seed=3)
-    serial = placebo_run(spec, panel, None, seed=5, jobs=1, opts=LIGHT)
-    parallel = placebo_run(spec, panel, None, seed=5, jobs=4, opts=LIGHT)
+    serial = placebo_run(spec, panel, None, seed=5, jobs=1)
+    parallel = placebo_run(spec, panel, None, seed=5, jobs=4)
     # repr spells out every field of every entry, floats exactly
     assert repr(serial) == repr(parallel)
 
 
 def test_placebo_custom_t0_applies_to_placebos_only():
     panel, spec = _null_study(seed=6, T=50, T0=30)
-    ens = placebo_run(spec, panel, None, seed=7, placebo_T0=20, opts=LIGHT)
+    ens = placebo_run(spec, panel, None, seed=7, placebo_T0=20)
     assert ens.T0 == spec.T0
     assert all(not e.skipped for e in ens.entries)
 
@@ -180,7 +160,7 @@ def test_placebo_perfect_pre_fit_floors_ratio():
     spec = StudySpec(treated=panel.units[0], donors=panel.units[1:3], T0=T0,
                      t_fit=10, v_mode="uniform",
                      reg=Regularization(0.0))
-    ens = placebo_run(spec, panel, None, seed=9, opts=LIGHT)
+    ens = placebo_run(spec, panel, None, seed=9)
     floored = [e for e in ens.entries if e.pre_floored]
     assert len(floored) == 2
     for e in floored:
@@ -189,9 +169,64 @@ def test_placebo_perfect_pre_fit_floors_ratio():
         assert e.r >= 1e6  # enormous but finite
 
 
+def test_placebo_run_builds_the_design_once(monkeypatch):
+    panel, spec = _null_study(seed=21)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build_design(*args, **kwargs)
+
+    monkeypatch.setattr(inference, "build_design", counted)
+    ens = placebo_run(spec, panel, None, seed=3)
+    assert len(calls) == 1
+    assert not any(e.skipped for e in ens.entries)
+
+
+@pytest.mark.parametrize("standardize", [True, False])
+@pytest.mark.parametrize("placement", ["head", "tail"])
+@pytest.mark.parametrize("placebo_T0", [None, 30])
+def test_placebo_designs_equal_build_design(monkeypatch, standardize, placement, placebo_T0):
+    # 13 donors, outcome-level and covariate predictors of mixed scale: a
+    # placebo design whose predictor block is not in C order standardizes
+    # its rows with sums in another order, which shows here
+    rng = np.random.default_rng(22)
+    panel = random_walk_panel(rng, 14, 60)
+    X = np.vstack([panel.values[:, 5:45:8].T, rng.normal(55, 8, size=(1, 14)),
+                   rng.lognormal(4, 1, size=(1, 14))])
+    predictors = make_predictors(X, panel.units)
+    spec = StudySpec(treated=panel.units[0], donors=panel.units[1:], T0=45, t_fit=10,
+                     train_placement=placement, standardize=standardize)
+    seen = []
+
+    def recorded(spec, design, *, seed):
+        seen.append((spec, design))
+        raise ValueError("recorded")
+
+    monkeypatch.setattr(inference, "fit_synth", recorded)
+    placebo_run(spec, panel, predictors, placebo_T0=placebo_T0)
+    assert sorted(s.treated for s, _ in seen) == sorted(panel.units)
+    for placebo_spec, design in seen:
+        if placebo_spec.treated != spec.treated:
+            assert placebo_spec.T0 == (placebo_T0 or spec.T0)
+        expected = build_design(panel, predictors, placebo_spec)
+        for field in dataclasses.fields(design):
+            assert np.array_equal(getattr(design, field.name), getattr(expected, field.name))
+
+
+def test_placebo_t0_inside_the_training_window_raises_before_any_fit(monkeypatch):
+    panel, spec = _null_study(seed=23, T=50, T0=30)
+    monkeypatch.setattr(inference, "fit_synth", None)  # any fit would fail loudly
+    for T0 in (spec.t_fit, 4):
+        with pytest.raises(InvalidSplit, match=f"got t_fit=10 T0={T0}"):
+            placebo_run(spec, panel, None, placebo_T0=T0)
+    with pytest.raises(ValueError, match="T0=50 leaves no post-period"):
+        placebo_run(spec, panel, None, placebo_T0=50)
+
+
 def test_p_value_on_null_panel_is_rational():
     panel, spec = _null_study(seed=10, n=7)
-    ens = placebo_run(spec, panel, None, seed=11, opts=LIGHT)
+    ens = placebo_run(spec, panel, None, seed=11)
     p = p_value(ens)
     assert p in {i / 7 for i in range(8)}
 
@@ -202,7 +237,7 @@ def test_p_value_on_null_panel_is_rational():
 
 def test_training_sweep_rows_sorted_and_complete():
     panel, spec = _null_study(seed=12, T=70, T0=55)
-    rows = training_sweep(spec, [20, 10, 40], panel, None, seed=13, opts=LIGHT)
+    rows = training_sweep(spec, [20, 10, 40], panel, None, seed=13)
     assert tuple(r.t_fit for r in rows) == (10, 20, 40)
     for row in rows:
         assert not row.failed
@@ -212,7 +247,7 @@ def test_training_sweep_rows_sorted_and_complete():
 
 def test_training_sweep_marks_impossible_windows():
     panel, spec = _null_study(seed=14, T=40, T0=25)
-    rows = training_sweep(spec, [10, 25], panel, None, seed=15, opts=LIGHT)
+    rows = training_sweep(spec, [10, 25], panel, None, seed=15)
     by_t = {r.t_fit: r for r in rows}
     assert not by_t[10].failed
     assert by_t[25].failed
@@ -231,7 +266,7 @@ def test_placebo_tasks_send_no_panel_data(monkeypatch):
     monkeypatch.setattr(inference, "_fit_ratio_task", measured)
     for T in (40, 400):
         panel, spec = _null_study(seed=16, n=4, T=T, T0=25)
-        placebo_run(spec, panel, None, seed=17, opts=LIGHT)
+        placebo_run(spec, panel, None, seed=17)
     short, long = sizes[:4], sizes[4:]
     assert max(long) <= max(short)
 
@@ -254,29 +289,28 @@ def test_training_sweep_fits_each_unit_once(monkeypatch):
         return fit(*args, **kwargs)
 
     monkeypatch.setattr(inference, "fit_synth", counted)
-    training_sweep(spec, [10], panel, None, seed=19, opts=LIGHT)
+    training_sweep(spec, [10], panel, None, seed=19)
     assert sorted(calls) == sorted(panel.units)
 
 
 def test_training_sweep_row_comes_from_the_placebo_run():
     panel, spec = _null_study(seed=20, n=5)
-    (row,) = training_sweep(spec, [10], panel, None, seed=19, opts=LIGHT)
-    ensemble = placebo_run(spec, panel, None, seed=19, opts=LIGHT)
+    (row,) = training_sweep(spec, [10], panel, None, seed=19)
+    ensemble = placebo_run(spec, panel, None, seed=19)
     assert row.p_value == p_value(ensemble)
-    treated_fit = inference.fit_synth(spec, panel, None, opts=LIGHT,
-                                      seed=derive_seed(19, "placebo", spec.treated))
-    gap = mspe(panel.series(spec.treated), treated_fit.synthetic, range(spec.T0))
-    assert row.pre_deviation == pytest.approx(gap, rel=1e-12, abs=0)
+    treated_fit = fit_synth(spec, build_design(panel, None, spec),
+                            seed=derive_seed(19, "placebo", spec.treated))
+    assert row.pre_deviation == pytest.approx(treated_fit.pre_mspe, rel=1e-12, abs=0)
 
 
 def test_training_sweep_marks_a_skipped_treated_fit():
     panel, spec = _sweep_study()
     values = panel.values.copy()
     values[0, 3] = np.nan  # the treated series cannot be fit; placebos can
-    (row,) = training_sweep(spec, [10], panel.with_values(values), None, seed=19,
-                            opts=LIGHT)
+    (row,) = training_sweep(spec, [10], panel.with_values(values), None, seed=19)
     assert row.failed
-    assert row.reason == "outcome series contain missing values; clean the panel first"
+    assert row.reason == ("outcome series contain missing values, first unit 10001 "
+                          "on 2021-01-04; clean the panel first")
 
 
 def test_training_sweep_rejects_jobs_below_one():
