@@ -45,18 +45,15 @@ from .logistic import (
     theme_regression,
 )
 from .panel import (
-    AgeBandData,
     CleaningPolicy,
     CleanResult,
     Panel,
     PredictorTable,
     UnitMeta,
-    age_band_rate,
     clean_panel,
     clean_series,
     enforce_monotone,
     ingest_panel,
-    join_on_key,
     load_metadata,
     load_predictors,
     repair_series,
@@ -75,7 +72,6 @@ from .weights import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AgeBandData",
     "BinStat",
     "CleanResult",
     "CleaningPolicy",
@@ -96,7 +92,6 @@ __all__ = [
     "SynthctlError",
     "UnitMeta",
     "abs_correlation",
-    "age_band_rate",
     "build_design",
     "classify_quadrant",
     "clean_panel",
@@ -110,7 +105,6 @@ __all__ = [
     "fit_synth",
     "ingest_panel",
     "inverse_variance_v",
-    "join_on_key",
     "load_metadata",
     "load_predictors",
     "logistic_predict",

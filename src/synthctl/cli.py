@@ -17,7 +17,7 @@ import numpy as np
 
 from . import donors as donor_ops
 from .engine import StudySpec, build_design, fit_synth, split_pre_period
-from .errors import ConfigError, InvalidSplit, SynthctlError
+from .errors import ConfigError, EmptyIntersection, InvalidSplit, SynthctlError
 from .inference import p_value, placebo_run, training_sweep
 from .logistic import classify_quadrant, decile_summary, fit_logistic, theme_regression
 from .panel import (
@@ -26,7 +26,6 @@ from .panel import (
     PredictorTable,
     clean_panel,
     ingest_panel,
-    join_on_key,
     load_metadata,
     load_predictors,
     parse_bool,
@@ -40,7 +39,7 @@ FILTER_CHOICES = ("none", "cluster", "neighbors")
 
 _KNOWN_KEYS = {
     "outcomes", "predictors", "metadata", "clusters", "adjacency", "blocks",
-    "treated", "t0", "t_fit", "l1", "l2", "v_mode", "train_placement",
+    "treated", "t0", "t_fit", "l1", "v_mode", "train_placement",
     "placebo_t0", "bins", "jobs", "seed", "out", "no_standardize", "filter",
 }
 
@@ -222,10 +221,6 @@ def _study_spec(settings: Settings, panel: Panel, t_fit: int | None = None) -> S
     if t_fit is None:
         t_fit = settings.integer("t_fit", 10)
     reg = Regularization(l1=settings.floating("l1", 0.6))
-    if settings.raw("l2") is not None:
-        settings.floating("l2", 0.0)  # a non-number is still a configuration error
-        print("warning: --l2 has no effect: the sum of the donor weights is always 1; "
-              "ignoring it", file=sys.stderr)
     placement = settings.choice("train_placement", ("head", "tail"), "tail")
     mode = settings.choice("v_mode", V_MODE_CHOICES, "optimized").replace("-", "_")
     try:
@@ -369,8 +364,14 @@ def cmd_sweep(settings: Settings) -> int:
 def cmd_logistic(settings: Settings) -> int:
     panel = ingest_panel(settings.path("outcomes", required=True))
     themes = load_predictors(settings.path("predictors", required=True))
-    join = join_on_key([panel, themes])
-    units = list(join.units)
+    indexed = set(themes.units)
+    units = [u for u in panel.units if u in indexed]
+    if not units:
+        raise EmptyIntersection("no unit appears in every table")
+    left_out = sorted(set(panel.units) - indexed)
+    if left_out:
+        print(f"warning: predictor table lacks {len(left_out)} outcome unit(s), left out: "
+              f"{', '.join(left_out[:5])}", file=sys.stderr)
     seed = settings.integer("seed", 42, minimum=0)
     bins = settings.integer("bins", 10, minimum=1)
     out = settings.out_dir()
@@ -481,8 +482,8 @@ def _add_common(sub: argparse.ArgumentParser, *, study: bool) -> None:
         sub.add_argument("--treated", help="treated unit code")
         sub.add_argument("--t0", help="intervention date (ISO)")
         sub.add_argument("--t-fit", dest="t_fit", help="training window length")
-        sub.add_argument("--l1", help="Euclidean norm penalty (default 0.6)")
-        sub.add_argument("--l2", help="no effect; accepted so that old configs still run")
+        sub.add_argument("--l1", help="scales ||w||_2, the 2-norm of the donor weights; "
+                                      "not a lasso term (default 0.6)")
         sub.add_argument("--v-mode", dest="v_mode",
                          help="optimized | inverse-variance | uniform")
         sub.add_argument("--train-placement", dest="train_placement",

@@ -39,14 +39,6 @@ class AllMissing(SynthctlError):
     """A series has no valid observation at all."""
 
 
-class NonPositivePopulation(SynthctlError):
-    """A census denominator is zero or negative."""
-
-
-class NegativeDerivedCount(SynthctlError):
-    """Band subtraction produced a negative count even after repair."""
-
-
 # ---- weight and importance optimization ----
 
 class DimensionMismatch(SynthctlError):

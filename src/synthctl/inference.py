@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import StudySpec, build_design, fit_synth, placebo_design, split_pre_period
-from .errors import SynthctlError
+from .errors import InvalidSplit, SynthctlError
 from .panel import Panel, PredictorTable
 from .seeding import derive_seed
 
@@ -141,13 +141,18 @@ def p_value(ensemble: PlaceboEnsemble) -> float:
     Skipped units are excluded from numerator and denominator; the treated
     unit itself counts in the denominator, so with J clean placebos the
     p-value is a multiple of 1/(J+1) and a perfectly extreme treated unit
-    gets exactly zero.
+    gets exactly zero. A skipped treated unit, or an ensemble with no fitted
+    placebo, raises ValueError: no p-value exists.
     """
     treated_entry = ensemble.entries[ensemble.treated_index]
     if treated_entry.skipped:
         raise ValueError(f"treated unit {ensemble.treated} has no fit "
                          f"({treated_entry.reason}); no p-value exists")
     valid = [e for e in ensemble.entries if not e.skipped]
+    if len(valid) < 2:
+        raise ValueError(f"no placebo of treated unit {ensemble.treated} has a fit "
+                         f"({len(ensemble.entries) - len(valid)} skipped); "
+                         "no p-value exists")
     exceed = sum(1 for e in valid if e.r > treated_entry.r)
     return exceed / len(valid)
 
@@ -175,25 +180,21 @@ def training_sweep(
     Each row comes from one placebo run. Its p_value ranks the treated unit
     in that ensemble, and its pre_deviation is the treated fit's summed
     squared gap over the whole pre-period (R_pre^2 * T0), so rows are
-    comparable across window lengths. A failing configuration, or a treated
-    fit that was skipped, yields a marked row rather than aborting the sweep.
+    comparable across window lengths. A window length that does not fit the
+    pre-period yields a marked row; any other failure, a skipped treated
+    fit included, is a defect of the study and propagates.
     """
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
     rows = []
     for t_fit in sorted(set(t_fit_values)):
         try:
-            ensemble = placebo_run(dataclasses.replace(spec, t_fit=t_fit), panel,
-                                   predictors, seed=seed, jobs=jobs)
-        except (SynthctlError, ValueError) as exc:
+            study = dataclasses.replace(spec, t_fit=t_fit)
+        except InvalidSplit as exc:
             rows.append(SweepRow(t_fit, float("nan"), float("nan"),
                                  failed=True, reason=str(exc)))
             continue
+        ensemble = placebo_run(study, panel, predictors, seed=seed, jobs=jobs)
         treated = ensemble.entries[ensemble.treated_index]
-        if treated.skipped:
-            rows.append(SweepRow(t_fit, float("nan"), float("nan"),
-                                 failed=True, reason=treated.reason))
-        else:
-            rows.append(SweepRow(t_fit, treated.R_pre ** 2 * ensemble.T0,
-                                 p_value(ensemble)))
+        rows.append(SweepRow(t_fit, treated.R_pre ** 2 * ensemble.T0, p_value(ensemble)))
     return tuple(rows)

@@ -3,8 +3,7 @@
 A panel is a dense unit-by-date grid of daily observations. Input files are
 long-format CSVs that may skip days or contain carryover artifacts (dips in
 cumulative counts, literal zeros on days a source failed to report), so this
-module handles gridding, inner joins across tables keyed by unit, per-series
-repair, and derivation of age-band rates from cumulative count bands.
+module handles gridding, side tables keyed by unit, and per-series repair.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import functools
-import logging
 import math
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Sequence
@@ -24,12 +22,8 @@ from .errors import (
     DuplicateCell,
     EmptyFile,
     EmptyIntersection,
-    NegativeDerivedCount,
-    NonPositivePopulation,
     UnparseableDate,
 )
-
-log = logging.getLogger(__name__)
 
 DAY = dt.timedelta(days=1)
 
@@ -403,44 +397,6 @@ def load_metadata(path: str) -> dict[str, UnitMeta]:
 
 
 # ---------------------------------------------------------------------------
-# joins
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class JoinResult:
-    """Units shared by every table plus the ids that fell out of the join."""
-
-    units: tuple[str, ...]
-    dropped: tuple[str, ...]
-
-
-def _units_of(table: object) -> list[str]:
-    units = getattr(table, "units", table)
-    return list(units)  # type: ignore[arg-type]
-
-
-def join_on_key(tables: Sequence[object]) -> JoinResult:
-    """Inner-join unit id sets across tables.
-
-    Accepts anything exposing a `units` attribute (Panel, PredictorTable) or
-    a plain iterable of unit codes. Kept units preserve the first table's
-    order; dropped ids are reported sorted so reconciliation against source
-    row counts is reproducible.
-    """
-    if not tables:
-        raise ValueError("join_on_key needs at least one table")
-    unit_lists = [_units_of(t) for t in tables]
-    common = set(unit_lists[0])
-    for units in unit_lists[1:]:
-        common &= set(units)
-    if not common:
-        raise EmptyIntersection("no unit appears in every table")
-    kept = tuple(u for u in unit_lists[0] if u in common)
-    dropped = tuple(sorted({u for units in unit_lists for u in units} - common))
-    return JoinResult(kept, dropped)
-
-
-# ---------------------------------------------------------------------------
 # cleaning
 # ---------------------------------------------------------------------------
 
@@ -471,7 +427,6 @@ class CleanResult:
     dropped: bool
     reason: str | None
     bad_fraction: float
-    n_repaired: int
 
 
 def _bad_mask(series: np.ndarray) -> tuple[np.ndarray, float]:
@@ -546,10 +501,10 @@ def clean_series(series: np.ndarray, policy: CleaningPolicy) -> CleanResult:
     bad, fraction = _bad_mask(x)
     if fraction > policy.max_bad_fraction:
         return CleanResult(None, True, f"bad fraction {fraction:.4f} exceeds "
-                           f"{policy.max_bad_fraction:.4f}", fraction, 0)
+                           f"{policy.max_bad_fraction:.4f}", fraction)
     repaired = _interpolate(x, bad)
     smoothed = rolling_mean(repaired, policy.window)
-    return CleanResult(smoothed, False, None, fraction, int(bad.sum()))
+    return CleanResult(smoothed, False, None, fraction)
 
 
 def clean_panel(panel: Panel, policy: CleaningPolicy) -> tuple[Panel, list[tuple[str, str]]]:
@@ -570,8 +525,6 @@ def clean_panel(panel: Panel, policy: CleaningPolicy) -> tuple[Panel, list[tuple
         kept_rows.append(result.series)
     if not kept_units:
         raise EmptyIntersection("cleaning dropped every unit")
-    for unit, reason in report:
-        log.info("dropped unit %s: %s", unit, reason)
     meta = {u: panel.meta[u] for u in kept_units if u in panel.meta}
     return Panel(tuple(kept_units), panel.dates, np.array(kept_rows), meta), report
 
@@ -584,75 +537,3 @@ def enforce_monotone(series: np.ndarray) -> np.ndarray:
     """
     return np.fmax.accumulate(np.asarray(series, dtype=float))
 
-
-# ---------------------------------------------------------------------------
-# age-band rates
-# ---------------------------------------------------------------------------
-
-BANDS = (12, 18, 65)
-
-
-@dataclass(frozen=True)
-class AgeBandData:
-    """Cumulative vaccination counts per age band and census denominators.
-
-    counts maps scheme name ('first_dose' or 'complete') to a mapping from
-    band lower bound (12, 18, 65 meaning that-age-and-up) to the count
-    series. pops maps the same band bounds to census population sizes.
-    """
-
-    counts: Mapping[str, Mapping[int, np.ndarray]]
-    pops: Mapping[int, float]
-
-
-def age_band_rate(
-    data: AgeBandData,
-    lb: int,
-    ub: int | None,
-    scheme: str,
-) -> np.ndarray:
-    """Percent of the lb-to-ub population vaccinated, derived by band subtraction.
-
-    Only 12+, 18+, and 65+ cumulative counts exist upstream, so a bounded band
-    like 18 to 64 is count(18+) minus count(65+) over pop(18+) minus pop(65+).
-    Each band is repaired with a running maximum before subtracting so a
-    carryover glitch in one band cannot leak into the derived band.
-    """
-    if lb not in BANDS:
-        raise ValueError(f"lower bound must be one of {BANDS}, got {lb}")
-    if ub is not None and (ub not in (18, 65) or ub <= lb):
-        raise ValueError(f"upper bound must exceed the lower bound, got lb={lb} ub={ub}")
-    if scheme not in data.counts:
-        raise ValueError(f"unknown scheme {scheme!r}; have {sorted(data.counts)}")
-
-    def band(bound: int) -> np.ndarray:
-        series = np.asarray(data.counts[scheme][bound], dtype=float)
-        repaired = enforce_monotone(series)
-        finite = np.isfinite(repaired)
-        if not finite.any():
-            raise AllMissing(f"band {bound}+ has no valid cell")
-        # cumulative counts start from zero before the first report
-        repaired[~finite] = 0.0
-        return repaired
-
-    def pop(bound: int) -> float:
-        value = float(data.pops[bound])
-        if value <= 0:
-            raise NonPositivePopulation(f"population for band {bound}+ is {value}")
-        return value
-
-    count = band(lb)
-    denom = pop(lb)
-    if ub is not None:
-        count = count - band(ub)
-        denom = denom - pop(ub)
-        if denom <= 0:
-            raise NonPositivePopulation(
-                f"derived population for band {lb}-{ub - 1} is {denom}"
-            )
-        if (count < 0).any():
-            t = int(np.argmax(count < 0))
-            raise NegativeDerivedCount(
-                f"band {lb}-{ub - 1} count is negative at position {t} even after repair"
-            )
-    return 100.0 * count / denom

@@ -68,7 +68,6 @@ class SolveResult:
 
     w: np.ndarray
     objective: float
-    n_iters: int
     converged: bool
     trace: tuple[float, ...]
     restart_objectives: tuple[float, ...]
@@ -204,7 +203,7 @@ def solve_w(
     if J == 1:
         w = np.array([1.0])
         f = objective(w, X1, X0, v, reg)
-        return SolveResult(w, f, 0, True, (f,), (f,))
+        return SolveResult(w, f, True, (f,), (f,))
 
     vX0T = (v[:, None] * X0).T
     l1 = reg.l1
@@ -252,19 +251,18 @@ def solve_w(
     if not starts:
         raise ValueError("need init or at least one restart")
 
-    best: tuple[float, np.ndarray, int, bool, list[float]] | None = None
+    best: tuple[float, np.ndarray, bool, list[float]] | None = None
     finals: list[float] = []
     for w0 in starts:
-        w, f, iters, converged, trace = _descend(w0, loss, grad, project_simplex, opts)
+        w, f, _, converged, trace = _descend(w0, loss, grad, project_simplex, opts)
         finals.append(report(f))
         if best is None or f < best[0]:
-            best = (f, w, iters, converged, trace)
+            best = (f, w, converged, trace)
     assert best is not None
-    f_int, w, iters, converged, trace = best
+    f_int, w, converged, trace = best
     return SolveResult(
         w=np.maximum(w, 0.0),
         objective=report(f_int),
-        n_iters=iters,
         converged=converged,
         trace=tuple(report(f) for f in trace),
         restart_objectives=tuple(finals),

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import synthctl
-from synthctl import logistic_predict
+from synthctl import StudySpec, ingest_panel, load_predictors, logistic_predict, placebo_run
 from synthctl.cli import main
 
 START = dt.date(2021, 3, 1)
@@ -138,31 +138,24 @@ def test_config_file_supplies_options_and_flags_win(tmp_path):
     assert (flag_out / "result.json").exists()
 
 
-def test_l2_warns_and_changes_no_output(tmp_path, capsys):
-    # a 1-norm penalty is constant on the simplex, so the option is accepted
-    # for old configs and ignored
-    outcomes, predictors = _study_files(tmp_path, seed=4)
+def test_l2_flag_exits_2(tmp_path, capsys):
+    # the sum of the donor weights is always 1, so a 1-norm penalty is no option
+    outcomes, _ = _study_files(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["fit", "--outcomes", outcomes, "--treated", "10001",
+              "--t0", _dates(40)[25], "--l2", "5", "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --l2 5" in capsys.readouterr().err
+
+
+def test_l2_config_key_exits_2(tmp_path, capsys):
+    outcomes, _ = _study_files(tmp_path)
     cfg = tmp_path / "run.cfg"
     cfg.write_text("l2 = 5\n")
-    argv = ["fit", "--outcomes", outcomes, "--predictors", predictors,
-            "--treated", "10001", "--t0", _dates(40)[25], "--seed", "7"]
-    outputs = []
-    for name, extra in (("plain", []), ("flag", ["--l2", "5"]),
-                        ("config", ["--config", str(cfg)])):
-        assert main([*argv, *extra, "--out", str(tmp_path / name)]) == 0
-        err = capsys.readouterr().err
-        assert ("warning: --l2 has no effect" in err) == bool(extra)
-        outputs.append([(tmp_path / name / f).read_bytes()
-                        for f in ("result.json", "curve.csv")])
-    assert outputs[0] == outputs[1] == outputs[2]
-
-
-def test_l2_that_is_not_a_number_exits_2(tmp_path, capsys):
-    outcomes, _ = _study_files(tmp_path)
     code = main(["fit", "--outcomes", outcomes, "--treated", "10001",
-                 "--t0", _dates(40)[25], "--l2", "abc", "--out", str(tmp_path / "out")])
+                 "--t0", _dates(40)[25], "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert code == 2
-    assert "--l2 must be a number, got 'abc'" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {cfg}:1: unknown option 'l2'\n"
 
 
 def test_config_file_unknown_key_exits_2(tmp_path, capsys):
@@ -251,30 +244,39 @@ def test_placebo_no_standardize_reaches_every_worker(tmp_path):
     assert written["raw1"] != written["scaled"]
 
 
-def test_placebo_entries_say_why_a_placebo_was_skipped(tmp_path):
-    # with one donor, the donor's placebo has no donors of its own
+def test_placebo_entries_say_why_a_placebo_was_skipped(tmp_path, capsys):
+    # with one donor, the donor's placebo has no donors of its own, so no
+    # placebo is left to rank the treated unit against
     outcomes, predictors = _study_files(tmp_path, n_donors=1, seed=5)
     out = tmp_path / "out"
     assert main(["placebo", "--outcomes", outcomes, "--predictors", predictors,
-                 "--treated", "10001", "--t0", _dates(40)[25], "--out", str(out)]) == 0
-    treated, donor = json.loads((out / "placebo.json").read_text())["entries"]
-    assert donor == {"unit": "20000", "r": None, "R_pre": None, "R_post": None,
-                     "skipped": True, "reason": "donor pool must be non-empty",
-                     "pre_floored": False, "converged": None}
+                 "--treated", "10001", "--t0", _dates(40)[25], "--out", str(out)]) == 3
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "error: no placebo of treated unit 10001 has a fit (1 skipped); no p-value exists")
+    assert not any(out.iterdir())
+
+    spec = StudySpec(treated="10001", donors=("20000",), T0=25)
+    treated, donor = placebo_run(spec, ingest_panel(outcomes), load_predictors(predictors),
+                                 seed=42).entries
+    assert donor.unit == "20000" and donor.skipped
+    assert donor.reason == "donor pool must be non-empty"
+    assert np.isnan([donor.r, donor.R_pre, donor.R_post]).all()
+    assert donor.pre_floored is False and donor.converged is None
     # the treated unit copies its one donor exactly
-    assert treated["unit"] == "10001" and not treated["skipped"]
-    assert treated["reason"] is None
-    assert treated["pre_floored"] is True
-    assert treated["converged"] is True
+    assert treated.unit == "10001" and not treated.skipped
+    assert treated.reason is None
+    assert treated.pre_floored is True
+    assert treated.converged is True
 
 
 def test_placebo_warns_about_skipped_and_unconverged_placebos(tmp_path, capsys):
     outcomes, predictors = _study_files(tmp_path, n_donors=1, seed=5)
     assert main(["placebo", "--outcomes", outcomes, "--predictors", predictors,
                  "--treated", "10001", "--t0", _dates(40)[25],
-                 "--out", str(tmp_path / "one")]) == 0
+                 "--out", str(tmp_path / "one")]) == 3
     assert capsys.readouterr().err.splitlines() == [
-        "warning: placebo 20000 skipped: donor pool must be non-empty"]
+        "warning: placebo 20000 skipped: donor pool must be non-empty",
+        "error: no placebo of treated unit 10001 has a fit (1 skipped); no p-value exists"]
 
     out = tmp_path / "capped"
     assert main(["placebo", *_capped_study(tmp_path), "--l1", "0", "--out", str(out)]) == 0
@@ -299,14 +301,15 @@ def test_placebo_t0_inside_the_training_window_exits_2(tmp_path, capsys, day):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["fit", "placebo"])
+@pytest.mark.parametrize("command", ["fit", "placebo", "sweep"])
 def test_missing_outcome_names_unit_and_date_exits_3(tmp_path, capsys, command):
     outcomes, predictors = _study_files(tmp_path, seed=5)
     path = pathlib.Path(outcomes)
     lines = path.read_text().splitlines(keepends=True)
     path.write_text("".join(l for l in lines if not l.startswith(f"20002,{_dates(40)[10]},")))
+    t_fits = ["--t-fit", "10,20"] if command == "sweep" else []
     assert main([command, "--outcomes", outcomes, "--predictors", predictors,
-                 "--treated", "10001", "--t0", _dates(40)[25],
+                 "--treated", "10001", "--t0", _dates(40)[25], *t_fits,
                  "--out", str(tmp_path / "out")]) == 3
     assert capsys.readouterr().err == (
         f"error: outcome series contain missing values, first unit 20002 on "
@@ -381,6 +384,36 @@ def test_logistic_fits_and_failures(tmp_path):
     assert len(regression) == 5  # 2 themes x {K, nu}
     deciles = (out / "deciles.csv").read_text().splitlines()
     assert deciles[0] == "theme,param,bin,mean,std"
+
+
+def _logistic_files(tmp_path, indexed):
+    """Five fittable uptake series, and an index table with rows for `indexed` units."""
+    t = np.arange(60, dtype=float)
+    series = {f"{40000 + 2 * i:05d}": logistic_predict(50.0 + 10 * i, 0.12 + 0.03 * i, 1.0, t)
+              for i in range(5)}
+    themes = _wide_csv(tmp_path / "themes.csv", ["unit", "theme1"],
+                       [[u, str(0.1 * i)] for i, u in enumerate(indexed)])
+    return _long_csv(tmp_path / "o.csv", series), themes
+
+
+def test_logistic_names_the_outcome_units_it_leaves_out(tmp_path, capsys):
+    outcomes, themes = _logistic_files(tmp_path, ["40008", "40002", "40004", "09999"])
+    out = tmp_path / "out"
+    assert main(["logistic", "--outcomes", outcomes, "--predictors", themes,
+                 "--bins", "3", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == (
+        "warning: predictor table lacks 2 outcome unit(s), left out: 40000, 40006\n")
+    fitted = [line.split(",")[0] for line in (out / "fits.csv").read_text().splitlines()]
+    assert fitted == ["unit", "40002", "40004", "40008"]
+
+
+def test_logistic_with_no_shared_unit_exits_3(tmp_path, capsys):
+    outcomes, themes = _logistic_files(tmp_path, ["09999"])
+    out = tmp_path / "out"
+    assert main(["logistic", "--outcomes", outcomes, "--predictors", themes,
+                 "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "error: no unit appears in every table\n"
+    assert not out.exists()
 
 
 def test_logistic_majority_failure_exits_3(tmp_path, capsys):

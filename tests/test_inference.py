@@ -65,6 +65,14 @@ def test_p_value_skipped_units_drop_from_both_sides():
     assert p_value(ens) == pytest.approx(1.0 / 3.0)
 
 
+@pytest.mark.parametrize("rs, skipped", [([2.0], set()), ([2.0, 1.0], {1})])
+def test_p_value_without_a_fitted_placebo_raises(rs, skipped):
+    ens = _ensemble(rs, skipped=skipped)
+    with pytest.raises(ValueError, match=rf"no placebo of treated unit 10001 has a fit "
+                                         rf"\({len(skipped)} skipped\)"):
+        p_value(ens)
+
+
 def test_p_value_skipped_treated_raises():
     ens = _ensemble([2.0, 1.0], skipped={0})
     with pytest.raises(ValueError, match=r"treated unit 10001 has no fit \(failed\)"):
@@ -304,13 +312,12 @@ def test_training_sweep_row_comes_from_the_placebo_run():
 
 
 def test_training_sweep_marks_a_skipped_treated_fit():
+    # a defect of the study, unlike a window that does not fit, fails the sweep
     panel, spec = _sweep_study()
     values = panel.values.copy()
-    values[0, 3] = np.nan  # the treated series cannot be fit; placebos can
-    (row,) = training_sweep(spec, [10], panel.with_values(values), None, seed=19)
-    assert row.failed
-    assert row.reason == ("outcome series contain missing values, first unit 10001 "
-                          "on 2021-01-04; clean the panel first")
+    values[0, 3] = np.nan
+    with pytest.raises(ValueError, match="missing values, first unit 10001 on 2021-01-04"):
+        training_sweep(spec, [10], panel.with_values(values), None, seed=19)
 
 
 def test_training_sweep_rejects_jobs_below_one():

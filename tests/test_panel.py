@@ -1,4 +1,4 @@
-"""Panel ingestion, joining, cleaning, and age-band rate tests."""
+"""Panel ingestion, side table and cleaning tests."""
 
 import csv
 import datetime as dt
@@ -10,15 +10,12 @@ from hypothesis import strategies as st
 
 from helpers import make_dates, make_panel
 from synthctl import (
-    AgeBandData,
     CleaningPolicy,
     Panel,
-    age_band_rate,
     clean_panel,
     clean_series,
     enforce_monotone,
     ingest_panel,
-    join_on_key,
     load_metadata,
     load_predictors,
     repair_series,
@@ -27,9 +24,6 @@ from synthctl import (
 from synthctl.errors import (
     AllMissing,
     DuplicateCell,
-    EmptyIntersection,
-    NegativeDerivedCount,
-    NonPositivePopulation,
     UnparseableDate,
 )
 from synthctl.panel import read_table, validate_unit_code
@@ -246,48 +240,6 @@ def test_load_metadata_parses_flags_and_dates(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# joins
-# ---------------------------------------------------------------------------
-
-def test_join_keeps_first_table_order_and_sorts_dropped():
-    result = join_on_key([
-        ["03003", "01001", "02002"],
-        ["01001", "03003", "09009"],
-        ["03003", "01001", "04004"],
-    ])
-    assert result.units == ("03003", "01001")
-    assert result.dropped == ("02002", "04004", "09009")
-
-
-def test_join_disjoint_raises():
-    with pytest.raises(EmptyIntersection):
-        join_on_key([["01001"], ["02002"]])
-
-
-@given(st.lists(st.text(alphabet="abcdef", min_size=1, max_size=3),
-                min_size=1, max_size=8, unique=True))
-def test_join_single_table_is_identity(units):
-    result = join_on_key([units])
-    assert result.units == tuple(units)
-    assert result.dropped == ()
-
-
-@given(
-    st.lists(st.sampled_from(["a", "b", "c", "d", "e"]), min_size=1, max_size=5,
-             unique=True),
-    st.lists(st.sampled_from(["a", "b", "c", "d", "e"]), min_size=1, max_size=5,
-             unique=True),
-)
-def test_join_idempotent(u1, u2):
-    if not set(u1) & set(u2):
-        return
-    once = join_on_key([u1, u2])
-    twice = join_on_key([once.units, once.units])
-    assert twice.units == once.units
-    assert twice.dropped == ()
-
-
-# ---------------------------------------------------------------------------
 # cleaning
 # ---------------------------------------------------------------------------
 
@@ -405,63 +357,3 @@ def test_enforce_monotone_missing_inherits_running_max():
     assert np.isnan(out[0])
     assert np.allclose(out[1:], [2.0, 2.0, 2.0])
 
-
-# ---------------------------------------------------------------------------
-# age-band rates
-# ---------------------------------------------------------------------------
-
-def _band_data():
-    counts = {
-        "complete": {
-            12: np.array([100.0, 150.0, 200.0]),
-            18: np.array([80.0, 120.0, 160.0]),
-            65: np.array([20.0, 40.0, 100.0]),
-        }
-    }
-    pops = {12: 1000.0, 18: 900.0, 65: 100.0}
-    return AgeBandData(counts=counts, pops=pops)
-
-
-def test_age_band_rate_hand_value():
-    # 18-64 at day 1: (120-40) / (900-100) = 0.10 -> 10%... and day 0: 60/800
-    rate = age_band_rate(_band_data(), 18, 65, "complete")
-    assert rate[0] == pytest.approx(100.0 * 60.0 / 800.0)
-    assert rate[1] == pytest.approx(10.0)
-
-
-def test_age_band_rate_open_band():
-    rate = age_band_rate(_band_data(), 12, None, "complete")
-    assert np.allclose(rate, [10.0, 15.0, 20.0])
-
-
-def test_age_band_rate_repairs_each_band_before_subtracting():
-    counts = {
-        "complete": {
-            18: np.array([100.0, 90.0, 200.0]),   # dip repaired to 100
-            65: np.array([50.0, 60.0, 70.0]),
-        }
-    }
-    data = AgeBandData(counts=counts, pops={18: 500.0, 65: 100.0})
-    rate = age_band_rate(data, 18, 65, "complete")
-    assert rate[1] == pytest.approx(100.0 * (100.0 - 60.0) / 400.0)
-
-
-def test_age_band_rate_negative_derived_count_raises():
-    counts = {"complete": {18: np.array([10.0, 20.0]), 65: np.array([15.0, 25.0])}}
-    data = AgeBandData(counts=counts, pops={18: 500.0, 65: 100.0})
-    with pytest.raises(NegativeDerivedCount):
-        age_band_rate(data, 18, 65, "complete")
-
-
-def test_age_band_rate_population_checks():
-    data = AgeBandData(counts={"complete": {12: np.array([1.0])}}, pops={12: 0.0})
-    with pytest.raises(NonPositivePopulation):
-        age_band_rate(data, 12, None, "complete")
-
-
-@given(st.lists(st.floats(min_value=0, max_value=1e6, allow_nan=False),
-                min_size=3, max_size=30))
-def test_age_band_rate_monotone_for_open_band(values):
-    data = AgeBandData(counts={"complete": {12: np.array(values)}}, pops={12: 1e6})
-    rate = age_band_rate(data, 12, None, "complete")
-    assert (np.diff(rate) >= -1e-12).all()
