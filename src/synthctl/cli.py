@@ -388,6 +388,9 @@ def cmd_logistic(settings: Settings) -> int:
         if fit.flagged:
             failures.append((unit, fit.note or "flagged"))
             continue
+        if not fit.converged:
+            print(f"warning: growth curve for {unit} stopped at its iteration cap "
+                  "without converging", file=sys.stderr)
         fits[unit] = fit
 
     quadrants = classify_quadrant(fits) if len(fits) >= 2 else {}

@@ -2,11 +2,12 @@
 
 Each unit's cumulative uptake series is summarized by three parameters: the
 ceiling K (saturation percentage), the growth rate nu, and the starting level
-p0. Each fit is a bounded least-squares problem in (K, nu, p0), solved by a
-trust-region reflective method with the analytic Jacobian from a few seeded
-starts. Cross-unit summaries then classify units into quadrants around the mean
-ceiling and rate, regress parameters on vulnerability indices, and bin units
-into equal-count compartments of an index.
+p0. Each fit is a bounded least-squares problem in (K, nu, p0), solved in
+numpy alone by a bounded Levenberg-Marquardt that runs a few seeded starts at
+once with the analytic Jacobian. Cross-unit summaries then classify units
+into quadrants around the mean ceiling and rate, regress parameters on
+vulnerability indices, and bin units into equal-count compartments of an
+index.
 """
 
 from __future__ import annotations
@@ -21,7 +22,9 @@ from .errors import DegenerateSeries, TooFewUnits, ZeroVariance
 K_CEILING = 120.0
 NU_FLOOR = 1e-6  # below this the curve is flat and K is unidentifiable
 P0_FLOOR = 1e-12  # lower bound on p0, keeping K/p0 and the Jacobian finite
-LSQ_MAX_NFEV = 1000  # residual evaluations per start
+LM_MAX_ITERS = 1000  # damped Gauss-Newton steps, one residual evaluation each, per start
+LM_FTOL = 1e-15  # a start stops once an accepted step lowers its SSE by no more than this share
+LM_LAMBDA_MAX = 1e16  # damping past which a step cannot move x in double precision
 
 
 def logistic_predict(K: float, nu: float, p0: float, t: np.ndarray) -> np.ndarray:
@@ -47,25 +50,105 @@ class LogisticFit:
     sse: float
     flagged: bool
     note: str | None = None
+    converged: bool = True  # False when the winning start stopped at LM_MAX_ITERS
 
 
-def _residuals(x: np.ndarray, t: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return logistic_predict(x[0], x[1], x[2], t) - y
+def _curves(x: np.ndarray, t: np.ndarray):
+    """Curves of the rows (K, nu, p0) of x at times t, as `logistic_predict` computes them.
 
-
-def _jacobian(x: np.ndarray, t: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Columns d/dK, d/dnu, d/dp0 of the residuals at times t.
-
-    With E = e^(-nu t), c = K/p0 - 1 and D = 1 + c E the curve is K / D.
+    Also returns E = e^(-nu t), c = K/p0 - 1 and D = 1 + c E, from which
+    the curve is K / D.
     """
-    K, nu, p0 = x
+    K, nu, p0 = x[:, 0:1], x[:, 1:2], x[:, 2:3]
     E = np.exp(-nu * t)
     c = (K - p0) / p0
     D = 1.0 + c * E
-    D2 = D * D
-    return np.column_stack([1.0 / D - K * E / (p0 * D2),
-                            K * c * t * E / D2,
-                            K * K * E / (p0 * p0 * D2)])
+    return K / D, E, c, D
+
+
+def _sse(x: np.ndarray, t: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = _curves(x, t)[0] - y
+    return (r * r).sum(axis=1)
+
+
+def _levenberg_marquardt(x: np.ndarray, t: np.ndarray, y: np.ndarray,
+                         lower: np.ndarray, upper: np.ndarray):
+    """Bounded Levenberg-Marquardt (Moré 1978) from every row of x at once.
+
+    Each start keeps its own damping lambda: a step that lowers the SSE is
+    taken and lambda shrinks threefold; any other step is dropped and lambda
+    grows by a factor that doubles with each drop in a row (Nielsen 1999).
+    The damping is Marquardt's lambda * diag(J'J), so the step does not
+    depend on how K, nu and p0 are scaled. A coordinate on a bound whose
+    gradient points out of the box is held there for the step (an active
+    set); the free coordinates solve the reduced normal equations and the
+    point is then clipped into the box. A start stops when an accepted step
+    lowers its SSE by no more than LM_FTOL of it, or when lambda passes
+    LM_LAMBDA_MAX, so that no step can move it.
+
+    Returns the final points, their SSEs and, per start, whether it stopped
+    by those rules rather than at LM_MAX_ITERS.
+    """
+    x = x.copy()
+    sse = _sse(x, t, y)
+    lam = np.full(len(x), 1e-3)
+    grow = np.full(len(x), 2.0)
+    live = np.ones(len(x), dtype=bool)
+    diag = np.arange(3)
+    for _ in range(LM_MAX_ITERS):
+        rows = np.flatnonzero(live)
+        if rows.size == 0:
+            break
+        xs = x[rows]
+        pred, E, c, D = _curves(xs, t)
+        r = pred - y
+        # the analytic Jacobian, columns d/dK, d/dnu, d/dp0
+        K, p0 = xs[:, 0:1], xs[:, 2:3]
+        ED2 = E / (D * D)
+        J = np.stack([1.0 / D - K * ED2 / p0, K * c * t * ED2, K * K * ED2 / (p0 * p0)],
+                     axis=1)
+        A = J @ J.transpose(0, 2, 1)
+        g = (J @ r[:, :, None])[:, :, 0]
+        held = ((xs <= lower) & (g > 0)) | ((xs >= upper) & (g < 0))
+        free = ~held
+        scale = A[:, diag, diag]
+        M = A * (free[:, :, None] & free[:, None, :])
+        M[:, diag, diag] += lam[rows, None] * np.where(scale > 0, scale, 1.0) + held
+        step = np.linalg.solve(M, -(g * free)[:, :, None])[:, :, 0]
+        trial = np.clip(xs + step, lower, upper)
+        trial_sse = _sse(trial, t, y)
+        better = trial_sse < sse[rows]
+        done = better & (sse[rows] - trial_sse <= LM_FTOL * sse[rows])
+        x[rows[better]] = trial[better]
+        sse[rows[better]] = trial_sse[better]
+        lam[rows] *= np.where(better, 1.0 / 3.0, grow[rows])
+        grow[rows] = np.where(better, 2.0, 2.0 * grow[rows])
+        live[rows[done | (lam[rows] > LM_LAMBDA_MAX)]] = False
+    return x, sse, ~live
+
+
+def _starts(y: np.ndarray, t: np.ndarray, seed: int, n_starts: int) -> np.ndarray:
+    """The n_starts seeded starting points (K, nu, p0), one per row, inside the box."""
+    k_min = float(y.max())
+    # data-driven anchors: start level near the first positive value, rate
+    # from the average log-growth between the first and last positive points
+    positive = y > 0
+    first_pos = float(y[positive][0])
+    t_first, t_last = float(t[positive][0]), float(t[positive][-1])
+    y_last = float(y[positive][-1])
+    if y_last > first_pos and t_last > t_first:
+        nu_hat = float(np.clip(np.log(y_last / first_pos) / (t_last - t_first), 1e-4, 1.0))
+    else:
+        nu_hat = 0.05
+    anchor = np.array([0.0, np.log(nu_hat), np.log(first_pos)])
+
+    # starts are drawn on a logit/log scale and mapped into the box; the
+    # logistic 0.5 (1 + tanh(theta/2)) saturates instead of overflowing
+    rng = np.random.default_rng(seed)
+    theta = np.array([anchor, *(anchor + rng.normal(0.0, np.array([2.0, 1.0, 1.0]))
+                                for _ in range(n_starts - 1))])
+    return np.column_stack([k_min + (K_CEILING - k_min) * 0.5 * (1.0 + np.tanh(theta[:, 0] / 2)),
+                            np.exp(theta[:, 1]), np.maximum(np.exp(theta[:, 2]), P0_FLOOR)])
 
 
 def fit_logistic(
@@ -77,28 +160,27 @@ def fit_logistic(
 ) -> LogisticFit:
     """Least-squares logistic fit by seeded multistart bounded least squares.
 
-    Each start runs a trust-region reflective solve
-    (`scipy.optimize.least_squares(method="trf")`, Branch, Coleman & Li 1999)
-    directly on (K, nu, p0) with the analytic Jacobian, inside the box
-    K in [max(series), 120], nu >= 0 and p0 > 0. The first start is a
-    data-driven anchor; the other n_starts - 1 are drawn from
-    `default_rng(seed)` around it and mapped into the box. The lowest SSE
-    wins. A rate that collapses below 1e-6 means the series is flat and the
-    ceiling cannot be identified; the fit is returned flagged rather than
-    guessed at.
+    All starts run one vectorized bounded Levenberg-Marquardt
+    (`_levenberg_marquardt`) directly on (K, nu, p0) with the analytic
+    Jacobian, inside the box K in [max(series), 120], nu >= 0 and
+    p0 >= P0_FLOOR. The first start is a data-driven anchor; the other
+    n_starts - 1 are drawn from `default_rng(seed)` around it and mapped
+    into the box. The lowest SSE wins; `converged` is False when the winner
+    stopped at LM_MAX_ITERS. A rate that collapses below 1e-6 means the
+    series is flat and the ceiling cannot be identified; the fit is returned
+    flagged rather than guessed at.
 
     Raises DegenerateSeries for series with fewer than 10 usable points or no
     strictly positive value.
     """
-    import scipy.optimize
-    import scipy.special
-
     y = np.asarray(series, dtype=float)
     tt = np.arange(y.size, dtype=float) if t is None else np.asarray(t, dtype=float)
     if tt.shape != y.shape:
         raise ValueError(f"time axis shape {tt.shape} does not match series {y.shape}")
     keep = np.isfinite(y)
     y, tt = y[keep], tt[keep]
+    if not np.isfinite(tt).all():
+        raise ValueError("time axis has a non-finite value where the series has one")
     if y.size < 10:
         raise DegenerateSeries(f"need at least 10 usable points, have {y.size}")
     if not (y > 0).any():
@@ -108,39 +190,14 @@ def fit_logistic(
     if k_min >= K_CEILING:
         raise ValueError(f"series maximum {k_min} exceeds the ceiling {K_CEILING}")
 
-    # data-driven anchors: start level near the first positive value, rate
-    # from the average log-growth between the first and last positive points
-    positive = y > 0
-    first_pos = float(y[positive][0])
-    t_first, t_last = float(tt[positive][0]), float(tt[positive][-1])
-    y_last = float(y[positive][-1])
-    if y_last > first_pos and t_last > t_first:
-        nu_hat = float(np.clip(np.log(y_last / first_pos) / (t_last - t_first), 1e-4, 1.0))
-    else:
-        nu_hat = 0.05
-    anchor = np.array([0.0, np.log(nu_hat), np.log(first_pos)])
-
-    # starts are drawn on a logit/log scale and mapped into the box; expit
-    # saturates instead of overflowing
-    rng = np.random.default_rng(seed)
-    starts = [anchor]
-    starts.extend(anchor + rng.normal(0.0, np.array([2.0, 1.0, 1.0]))
-                  for _ in range(n_starts - 1))
+    x0 = _starts(y, tt, seed, n_starts)
     lower = np.array([k_min, 0.0, P0_FLOOR])
     upper = np.array([K_CEILING, np.inf, np.inf])
-    best_x, best_sse = None, np.inf
-    for theta in starts:
-        x0 = np.array([k_min + (K_CEILING - k_min) * scipy.special.expit(theta[0]),
-                       np.exp(theta[1]), max(np.exp(theta[2]), P0_FLOOR)])
-        res = scipy.optimize.least_squares(
-            _residuals, x0, jac=_jacobian, bounds=(lower, upper), method="trf",
-            x_scale="jac", ftol=1e-15, xtol=1e-15, gtol=1e-15, max_nfev=LSQ_MAX_NFEV,
-            args=(tt, y))
-        fit_sse = float(np.dot(res.fun, res.fun))
-        if fit_sse < best_sse:
-            best_x, best_sse = res.x, fit_sse
+    x, sse, settled = _levenberg_marquardt(x0, tt, y, lower, upper)
+    best = int(np.argmin(sse))
+    best_sse = float(sse[best])
 
-    K, nu, p0 = (float(v) for v in best_x)
+    K, nu, p0 = (float(v) for v in x[best])
     pred = logistic_predict(K, nu, p0, tt)
     movement = float(pred.max() - pred.min())
     if movement < 1e-6 * max(1.0, K):
@@ -155,7 +212,8 @@ def fit_logistic(
     else:
         flagged = nu < NU_FLOOR
         note = "rate is effectively zero, ceiling unidentifiable" if flagged else None
-    return LogisticFit(K=K, nu=nu, p0=p0, sse=best_sse, flagged=flagged, note=note)
+    return LogisticFit(K=K, nu=nu, p0=p0, sse=best_sse, flagged=flagged, note=note,
+                       converged=bool(settled[best]))
 
 
 QUADRANTS = ("HiK_HiV", "HiK_LoV", "LoK_HiV", "LoK_LoV")

@@ -407,6 +407,22 @@ def test_logistic_names_the_outcome_units_it_leaves_out(tmp_path, capsys):
     assert fitted == ["unit", "40002", "40004", "40008"]
 
 
+def test_logistic_warns_about_each_unconverged_fit_and_keeps_it(tmp_path, capsys,
+                                                                 monkeypatch):
+    units = ["40000", "40002", "40004", "40006", "40008"]
+    outcomes, themes = _logistic_files(tmp_path, units)
+    monkeypatch.setattr(synthctl.logistic, "LM_MAX_ITERS", 3)
+    out = tmp_path / "out"
+    assert main(["logistic", "--outcomes", outcomes, "--predictors", themes,
+                 "--bins", "2", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == "".join(
+        f"warning: growth curve for {u} stopped at its iteration cap without converging\n"
+        for u in units)
+    fits = (out / "fits.csv").read_text().splitlines()
+    assert fits[0] == "unit,K,nu,p0,sse,quadrant"
+    assert [line.split(",")[0] for line in fits[1:]] == units
+
+
 def test_logistic_with_no_shared_unit_exits_3(tmp_path, capsys):
     outcomes, themes = _logistic_files(tmp_path, ["09999"])
     out = tmp_path / "out"
@@ -696,8 +712,7 @@ def _scipy_free_run(script, *argv):
 
 
 def test_ingest_and_inverse_variance_fit_never_import_scipy(tmp_path):
-    # scipy costs about half a second per launch; only the solvers that need
-    # it may load it
+    # scipy costs about half a second per launch, and no command needs it
     files = _demo_files(tmp_path / "demo")
     _scipy_free_run("""
         import sys
@@ -711,7 +726,7 @@ def test_ingest_and_inverse_variance_fit_never_import_scipy(tmp_path):
 
 
 def test_study_commands_never_import_scipy(tmp_path):
-    # the importance search runs its own Nelder-Mead; only logistic loads scipy
+    # the importance search runs its own Nelder-Mead
     demo = _demo_files(tmp_path / "demo")
     small, _ = _study_files(tmp_path)
     _scipy_free_run("""
@@ -727,3 +742,16 @@ def test_study_commands_never_import_scipy(tmp_path):
     """, str(tmp_path / "out"), small, *demo)
     for name in ("fit/result.json", "placebo/placebo.json", "sweep/sweep.csv"):
         assert (tmp_path / "out" / name).exists()
+
+
+def test_logistic_never_imports_scipy(tmp_path):
+    # growth curves are fit by the package's own Levenberg-Marquardt
+    outcomes, themes = _logistic_files(tmp_path, ["40000", "40002", "40004", "40006", "40008"])
+    _scipy_free_run("""
+        import sys
+        from synthctl.cli import main
+        out, outcomes, themes = sys.argv[1:]
+        assert main(["logistic", "--outcomes", outcomes, "--predictors", themes,
+                     "--bins", "2", "--out", out]) == 0
+    """, str(tmp_path / "out"), outcomes, themes)
+    assert len((tmp_path / "out" / "fits.csv").read_text().splitlines()) == 6

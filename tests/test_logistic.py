@@ -15,6 +15,7 @@ from synthctl import (
     logistic_predict,
     theme_regression,
 )
+from synthctl import logistic
 from synthctl.errors import DegenerateSeries, TooFewUnits, ZeroVariance
 
 T365 = np.arange(365, dtype=float)
@@ -101,6 +102,16 @@ def test_fit_too_few_points_raises():
         fit_logistic(np.array([1.0, 2.0, 3.0]), seed=4)
 
 
+def test_fit_rejects_a_non_finite_time_under_a_value():
+    t = np.arange(60, dtype=float)
+    y = logistic_predict(50.0, 0.1, 1.0, t)
+    t[7] = np.nan
+    with pytest.raises(ValueError, match="time axis"):
+        fit_logistic(y, t, seed=5)
+    y[7] = np.nan  # a time under a missing value is never used
+    assert fit_logistic(y, t, seed=5).K == pytest.approx(50.0, rel=1e-6)
+
+
 def test_fit_rejects_series_above_ceiling():
     y = np.linspace(1.0, 130.0, 60)
     with pytest.raises(ValueError):
@@ -143,6 +154,62 @@ def test_fit_raises_no_floating_point_warnings():
         for s in range(8):
             _, _, y = _noisy_uptake(rng)
             fit_logistic(y, seed=s)
+
+
+def _trf_sse(y, t, seed):
+    """Best SSE of scipy's trust-region reflective least squares from
+    fit_logistic's starts and box: an independent oracle for its solver."""
+    import scipy.optimize
+    keep = np.isfinite(y)
+    y, t = y[keep], t[keep]
+
+    def residuals(x):
+        return logistic_predict(*x, t) - y
+
+    def jacobian(x):
+        K, nu, p0 = x
+        E = np.exp(-nu * t)
+        c = (K - p0) / p0
+        D = 1.0 + c * E
+        D2 = D * D
+        return np.column_stack([1.0 / D - K * E / (p0 * D2), K * c * t * E / D2,
+                                K * K * E / (p0 * p0 * D2)])
+
+    bounds = ([y.max(), 0.0, logistic.P0_FLOOR], [logistic.K_CEILING, np.inf, np.inf])
+    best = np.inf
+    for x0 in logistic._starts(y, t, seed, 10):
+        res = scipy.optimize.least_squares(
+            residuals, x0, jac=jacobian, bounds=bounds, method="trf", x_scale="jac",
+            ftol=1e-15, xtol=1e-15, gtol=1e-15, max_nfev=1000)
+        best = min(best, float(res.fun @ res.fun))
+    return best
+
+
+def test_fit_no_worse_than_scipy_trust_region():
+    rng = np.random.default_rng(12)
+    cases = [_noisy_uptake(rng)[1:] for _ in range(40)]
+    t, y = _noisy_uptake(rng)[1:]
+    holed = y.copy()
+    holed[3::5] = np.nan
+    uneven = np.cumsum(rng.integers(1, 4, size=100)).astype(float)
+    noisy = logistic_predict(70.0, 0.04, 1.5, uneven) + rng.normal(0.0, 0.3, size=100)
+    # a late jump above the plateau: the best ceiling is the series maximum
+    pinned = logistic_predict(60.0, 0.1, 1.0, T365[:120])
+    pinned[-3:] = 62.0
+    cases += [(t, holed), (uneven, np.maximum.accumulate(np.maximum(noisy, 0.01))),
+              (T365[:120], pinned)]
+    for s, (t, y) in enumerate(cases):
+        fit = fit_logistic(y, t, seed=s)
+        assert fit.converged
+        assert fit.sse <= _trf_sse(y, t, s) * (1 + 1e-12)
+    assert fit.K == 62.0
+
+
+def test_fit_stopped_at_the_iteration_cap_is_not_converged(monkeypatch):
+    _, _, y = _noisy_uptake(np.random.default_rng(3))
+    assert fit_logistic(y, seed=3).converged
+    monkeypatch.setattr(logistic, "LM_MAX_ITERS", 3)
+    assert not fit_logistic(y, seed=3).converged
 
 
 def test_fit_with_explicit_times():
