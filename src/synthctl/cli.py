@@ -2,6 +2,8 @@
 
 Subcommands: fit, placebo, sweep, logistic, select-predictors, ingest.
 Options come from flags or an optional key=value config file; flags win.
+build_parser declares each option once, with the check that converts its
+text and its default, and config-file values pass the same checks as flags.
 Exit codes: 0 on success, 2 for configuration problems (missing files, bad
 values), 3 for computation failures.
 """
@@ -10,13 +12,14 @@ from __future__ import annotations
 
 import argparse
 import datetime as dt
+import functools
 import os
 import sys
 
 import numpy as np
 
 from . import donors as donor_ops
-from .engine import StudySpec, build_design, fit_synth, split_pre_period
+from .engine import PLACEMENTS, V_MODES, StudySpec, build_design, fit_synth, split_pre_period
 from .errors import ConfigError, EmptyIntersection, InvalidSplit, SynthctlError
 from .inference import p_value, placebo_run, training_sweep
 from .logistic import classify_quadrant, decile_summary, fit_logistic, theme_regression
@@ -34,20 +37,76 @@ from .seeding import derive_seed
 from .serialize import write_csv, write_json
 from .weights import Regularization, SolverOptions
 
-V_MODE_CHOICES = ("optimized", "inverse-variance", "uniform")
+V_MODE_CHOICES = tuple(mode.replace("_", "-") for mode in V_MODES)
 FILTER_CHOICES = ("none", "cluster", "neighbors")
 
-_KNOWN_KEYS = {
-    "outcomes", "predictors", "metadata", "clusters", "adjacency", "blocks",
-    "treated", "t0", "t_fit", "l1", "v_mode", "train_placement",
-    "placebo_t0", "bins", "jobs", "seed", "out", "no_standardize", "filter",
-}
+
+# ---------------------------------------------------------------------------
+# option checks: each turns an option's text, from a flag or the config file,
+# into its value, or raises ConfigError naming the flag
+# ---------------------------------------------------------------------------
+
+def _parsed(convert, what: str):
+    def check(flag: str, text: str):
+        try:
+            return convert(text)
+        except ValueError:
+            raise ConfigError(f"{flag} must be {what}, got {text!r}")
+    return check
 
 
-def _load_config_file(path: str) -> dict[str, str]:
+_number = _parsed(float, "a number")
+_date = _parsed(dt.date.fromisoformat, "an ISO date")
+
+
+def _integer(minimum: int | None = None):
+    parse = _parsed(int, "an integer")
+
+    def check(flag: str, text: str) -> int:
+        number = parse(flag, text)
+        if minimum is not None and number < minimum:
+            raise ConfigError(f"{flag} must be at least {minimum}, got {number}")
+        return number
+    return check
+
+
+def _one_of(choices: tuple[str, ...]):
+    def check(flag: str, text: str) -> str:
+        if text not in choices:
+            raise ConfigError(f"{flag} must be one of {', '.join(choices)}, got {text!r}")
+        return text
+    return check
+
+
+def _existing_file(flag: str, text: str) -> str:
+    if not os.path.exists(text):
+        raise ConfigError(f"file not found: {text}")
+    return text
+
+
+def _window_lengths(flag: str, text: str) -> list[int]:
+    try:
+        lengths = [int(part) for part in text.split(",") if part.strip()]
+    except ValueError:
+        raise ConfigError(f"{flag} must be a comma-separated list of integers, got {text!r}")
+    if not lengths:
+        raise ConfigError(f"{flag} selected no window lengths")
+    return lengths
+
+
+def _read_config(path: str, parser: argparse.ArgumentParser) -> dict[str, object]:
+    """Read a key=value option file into defaults for build_parser.
+
+    The keys are the dests of the parser's subcommand options. A switch's
+    value must read true or false; every other value stays text, for the
+    option's check to convert as it converts a flag's.
+    """
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
-    entries: dict[str, str] = {}
+    commands = next(a for a in parser._actions if a.dest == "command")
+    options = {a.dest: a for sub in commands.choices.values() for a in sub._actions
+               if a.dest not in ("help", "config")}
+    entries: dict[str, object] = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.strip()
@@ -57,127 +116,43 @@ def _load_config_file(path: str) -> dict[str, str]:
                 raise ConfigError(f"{path}:{lineno}: expected key=value, got {text!r}")
             key, value = text.split("=", 1)
             key = key.strip().replace("-", "_")
-            if key not in _KNOWN_KEYS:
+            if key not in options:
                 raise ConfigError(f"{path}:{lineno}: unknown option {key!r}")
-            entries[key] = value.strip()
+            value = value.strip()
+            if isinstance(options[key].default, bool):  # a store_true switch
+                switch = parse_bool(value)
+                if switch is None:
+                    raise ConfigError(f"{key} must be true or false, got {value!r} in {path}")
+                value = switch
+            entries[key] = value
     return entries
-
-
-class Settings:
-    """Merged view of CLI flags and the optional config file; flags win."""
-
-    def __init__(self, args: argparse.Namespace) -> None:
-        self._args = args
-        self._file = _load_config_file(args.config) if getattr(args, "config", None) else {}
-
-    def raw(self, key: str, default: str | None = None) -> str | None:
-        value = getattr(self._args, key, None)
-        if value is not None:
-            return str(value)
-        if key in self._file:
-            return self._file[key]
-        return default
-
-    def flag(self, key: str) -> bool:
-        value = getattr(self._args, key, None)
-        if value is not None:
-            return bool(value)
-        text = self._file.get(key)
-        if text is None:
-            return False
-        value = parse_bool(text)
-        if value is None:
-            raise ConfigError(f"{key} must be true or false, got {text!r} in {self._args.config}")
-        return value
-
-    def require(self, key: str) -> str:
-        value = self.raw(key)
-        if value is None or value == "":
-            raise ConfigError(f"--{key.replace('_', '-')} is required")
-        return value
-
-    def path(self, key: str, required: bool = False) -> str | None:
-        value = self.require(key) if required else self.raw(key)
-        if value is None:
-            return None
-        if not os.path.exists(value):
-            raise ConfigError(f"file not found: {value}")
-        return value
-
-    def integer(self, key: str, default: int, minimum: int | None = None) -> int:
-        value = self.raw(key)
-        if value is None:
-            return default
-        flag = f"--{key.replace('_', '-')}"
-        try:
-            number = int(value)
-        except ValueError:
-            raise ConfigError(f"{flag} must be an integer, got {value!r}")
-        if minimum is not None and number < minimum:
-            raise ConfigError(f"{flag} must be at least {minimum}, got {number}")
-        return number
-
-    def floating(self, key: str, default: float) -> float:
-        value = self.raw(key)
-        if value is None:
-            return default
-        try:
-            return float(value)
-        except ValueError:
-            raise ConfigError(f"--{key.replace('_', '-')} must be a number, got {value!r}")
-
-    def date(self, key: str) -> dt.date | None:
-        value = self.raw(key)
-        if value is None:
-            return None
-        try:
-            return dt.date.fromisoformat(value)
-        except ValueError:
-            raise ConfigError(f"--{key.replace('_', '-')} must be an ISO date, got {value!r}")
-
-    def choice(self, key: str, choices: tuple[str, ...], default: str) -> str:
-        value = self.raw(key, default)
-        if value not in choices:
-            raise ConfigError(
-                f"--{key.replace('_', '-')} must be one of {', '.join(choices)}, got {value!r}"
-            )
-        return value
-
-    def out_dir(self) -> str:
-        out = self.raw("out", ".")
-        os.makedirs(out, exist_ok=True)
-        return out
 
 
 # ---------------------------------------------------------------------------
 # shared study assembly
 # ---------------------------------------------------------------------------
 
-def _load_panel(settings: Settings) -> Panel:
-    panel = ingest_panel(settings.path("outcomes", required=True))
-    meta_path = settings.path("metadata")
-    if meta_path:
-        panel = panel.with_metadata(load_metadata(meta_path))
+def _required(args: argparse.Namespace, key: str):
+    value = getattr(args, key)
+    if value is None or value == "":
+        raise ConfigError(f"--{key.replace('_', '-')} is required")
+    return value
+
+
+def _out_dir(args: argparse.Namespace) -> str:
+    os.makedirs(args.out, exist_ok=True)
+    return args.out
+
+
+def _load_panel(args: argparse.Namespace) -> Panel:
+    panel = ingest_panel(_required(args, "outcomes"))
+    if args.metadata is not None:
+        panel = panel.with_metadata(load_metadata(args.metadata))
     return panel
 
 
-def _load_predictor_table(settings: Settings, panel: Panel) -> PredictorTable | None:
-    path = settings.path("predictors")
-    if path is None:
-        return None
-    table = load_predictors(path)
-    missing = set(panel.units) - set(table.units)
-    if missing:
-        raise ConfigError(
-            f"predictor table lacks units: {', '.join(sorted(missing)[:5])}"
-        )
-    return table.restrict(list(panel.units))
-
-
-def _intervention_index(settings: Settings, panel: Panel, treated: str) -> int:
-    t0 = settings.date("t0")
-    if t0 is None:
-        t0 = panel.meta_for(treated).t0
+def _intervention_index(args: argparse.Namespace, panel: Panel, treated: str) -> int:
+    t0 = args.t0 if args.t0 is not None else panel.meta_for(treated).t0
     if t0 is None:
         raise ConfigError("--t0 is required (or provide it in the metadata file)")
     try:
@@ -186,7 +161,7 @@ def _intervention_index(settings: Settings, panel: Panel, treated: str) -> int:
         raise ConfigError(f"intervention date {t0} is outside the panel's date range")
 
 
-def _donor_pool(settings: Settings, panel: Panel, treated: str) -> tuple[str, ...]:
+def _donor_pool(args: argparse.Namespace, panel: Panel, treated: str) -> tuple[str, ...]:
     has_treated_meta = any(panel.meta_for(u).treated for u in panel.units)
     if has_treated_meta:
         control, _ = donor_ops.split_control_target(panel)
@@ -194,13 +169,13 @@ def _donor_pool(settings: Settings, panel: Panel, treated: str) -> tuple[str, ..
     else:
         pool = tuple(u for u in panel.units if u != treated)
 
-    mode = settings.choice("filter", FILTER_CHOICES, "none")
+    mode = args.filter
     if mode != "none":
         if mode == "cluster":
-            clusters = donor_ops.load_clusters(settings.path("clusters", required=True))
+            clusters = donor_ops.load_clusters(_required(args, "clusters"))
             filtered = donor_ops.filter_by_cluster(treated, pool, clusters)
         else:
-            adjacency = donor_ops.load_adjacency(settings.path("adjacency", required=True))
+            adjacency = donor_ops.load_adjacency(_required(args, "adjacency"))
             filtered = donor_ops.filter_by_neighbor_states(treated, pool, adjacency)
         if filtered:
             pool = filtered
@@ -212,24 +187,31 @@ def _donor_pool(settings: Settings, panel: Panel, treated: str) -> tuple[str, ..
     return pool
 
 
-def _study_spec(settings: Settings, panel: Panel, t_fit: int | None = None) -> StudySpec:
-    treated = settings.require("treated")
+def _load_study(args: argparse.Namespace,
+                t_fit: int) -> tuple[Panel, PredictorTable | None, StudySpec]:
+    """The panel, predictor table and spec of the study that fit, placebo and sweep run."""
+    panel = _load_panel(args)
+    predictors = None
+    if args.predictors is not None:
+        predictors = load_predictors(args.predictors)
+        missing = set(panel.units) - set(predictors.units)
+        if missing:
+            raise ConfigError(f"predictor table lacks units: {', '.join(sorted(missing)[:5])}")
+        predictors = predictors.restrict(list(panel.units))
+    treated = _required(args, "treated")
     if treated not in panel.units:
         raise ConfigError(f"treated unit {treated!r} is not in the outcome panel")
-    T0 = _intervention_index(settings, panel, treated)
-    pool = _donor_pool(settings, panel, treated)
-    if t_fit is None:
-        t_fit = settings.integer("t_fit", 10)
-    reg = Regularization(l1=settings.floating("l1", 0.6))
-    placement = settings.choice("train_placement", ("head", "tail"), "tail")
-    mode = settings.choice("v_mode", V_MODE_CHOICES, "optimized").replace("-", "_")
+    T0 = _intervention_index(args, panel, treated)
+    pool = _donor_pool(args, panel, treated)
+    reg = Regularization(l1=args.l1)
     try:
-        return StudySpec(treated=treated, donors=pool, T0=T0, t_fit=t_fit,
-                         v_mode=mode, reg=reg,
-                         train_placement=placement,
-                         standardize=not settings.flag("no_standardize"))
+        spec = StudySpec(treated=treated, donors=pool, T0=T0, t_fit=t_fit,
+                         v_mode=args.v_mode.replace("-", "_"), reg=reg,
+                         train_placement=args.train_placement,
+                         standardize=not args.no_standardize)
     except (SynthctlError, ValueError) as exc:
         raise ConfigError(str(exc))
+    return panel, predictors, spec
 
 
 def _unconverged(unit: str) -> str:
@@ -245,14 +227,11 @@ def _dates_map(panel: Panel, values: np.ndarray) -> dict[str, float]:
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_fit(settings: Settings) -> int:
-    panel = _load_panel(settings)
-    predictors = _load_predictor_table(settings, panel)
-    spec = _study_spec(settings, panel)
-    seed = settings.integer("seed", 42, minimum=0)
-    out = settings.out_dir()
+def cmd_fit(args: argparse.Namespace) -> int:
+    panel, predictors, spec = _load_study(args, args.t_fit)
+    out = _out_dir(args)
 
-    result = fit_synth(spec, build_design(panel, predictors, spec), seed=seed)
+    result = fit_synth(spec, build_design(panel, predictors, spec), seed=args.seed)
     if not result.converged:
         print(f"{_unconverged(spec.treated)} (objective {result.objective:.6g})",
               file=sys.stderr)
@@ -280,29 +259,23 @@ def cmd_fit(settings: Settings) -> int:
     return 0
 
 
-def cmd_placebo(settings: Settings) -> int:
-    panel = _load_panel(settings)
-    predictors = _load_predictor_table(settings, panel)
-    spec = _study_spec(settings, panel)
-    seed = settings.integer("seed", 42, minimum=0)
-    jobs = settings.integer("jobs", 1, minimum=1)
-    placebo_t0_date = settings.date("placebo_t0")
-    if placebo_t0_date is not None:
+def cmd_placebo(args: argparse.Namespace) -> int:
+    panel, predictors, spec = _load_study(args, args.t_fit)
+    placebo_T0 = None
+    if args.placebo_t0 is not None:
         try:
-            placebo_T0 = panel.date_index(placebo_t0_date)
+            placebo_T0 = panel.date_index(args.placebo_t0)
         except KeyError:
             raise ConfigError(
-                f"placebo date {placebo_t0_date} is outside the panel's date range")
+                f"placebo date {args.placebo_t0} is outside the panel's date range")
         try:
             split_pre_period(placebo_T0, spec.t_fit, spec.train_placement)
         except InvalidSplit as exc:
-            raise ConfigError(f"--placebo-t0 {placebo_t0_date} leaves too short a "
+            raise ConfigError(f"--placebo-t0 {args.placebo_t0} leaves too short a "
                               f"pre-period: {exc}")
-    else:
-        placebo_T0 = None
-    out = settings.out_dir()
+    out = _out_dir(args)
 
-    ensemble = placebo_run(spec, panel, predictors, seed=seed, jobs=jobs,
+    ensemble = placebo_run(spec, panel, predictors, seed=args.seed, jobs=args.jobs,
                            placebo_T0=placebo_T0)
     for e in ensemble.entries:
         if e.skipped:
@@ -332,22 +305,12 @@ def cmd_placebo(settings: Settings) -> int:
     return 0
 
 
-def cmd_sweep(settings: Settings) -> int:
-    panel = _load_panel(settings)
-    predictors = _load_predictor_table(settings, panel)
-    raw = settings.require("t_fit")
-    try:
-        t_fits = [int(part) for part in raw.split(",") if part.strip()]
-    except ValueError:
-        raise ConfigError(f"--t-fit must be a comma-separated list of integers, got {raw!r}")
-    if not t_fits:
-        raise ConfigError("--t-fit selected no window lengths")
-    spec = _study_spec(settings, panel, t_fit=min(t_fits))
-    seed = settings.integer("seed", 42, minimum=0)
-    jobs = settings.integer("jobs", 1, minimum=1)
-    out = settings.out_dir()
+def cmd_sweep(args: argparse.Namespace) -> int:
+    t_fits = _required(args, "t_fit")
+    panel, predictors, spec = _load_study(args, min(t_fits))
+    out = _out_dir(args)
 
-    rows = training_sweep(spec, t_fits, panel, predictors, seed=seed, jobs=jobs)
+    rows = training_sweep(spec, t_fits, panel, predictors, seed=args.seed, jobs=args.jobs)
     sweep_path = os.path.join(out, "sweep.csv")
     write_csv(sweep_path, ["t_fit", "pre_deviation", "p_value"],
               [(row.t_fit,
@@ -361,9 +324,9 @@ def cmd_sweep(settings: Settings) -> int:
     return 0
 
 
-def cmd_logistic(settings: Settings) -> int:
-    panel = ingest_panel(settings.path("outcomes", required=True))
-    themes = load_predictors(settings.path("predictors", required=True))
+def cmd_logistic(args: argparse.Namespace) -> int:
+    panel = ingest_panel(_required(args, "outcomes"))
+    themes = load_predictors(_required(args, "predictors"))
     indexed = set(themes.units)
     units = [u for u in panel.units if u in indexed]
     if not units:
@@ -372,16 +335,14 @@ def cmd_logistic(settings: Settings) -> int:
     if left_out:
         print(f"warning: predictor table lacks {len(left_out)} outcome unit(s), left out: "
               f"{', '.join(left_out[:5])}", file=sys.stderr)
-    seed = settings.integer("seed", 42, minimum=0)
-    bins = settings.integer("bins", 10, minimum=1)
-    out = settings.out_dir()
+    out = _out_dir(args)
 
     fits = {}
     failures: list[tuple[str, str]] = []
     for unit in units:
         series = panel.series(unit)
         try:
-            fit = fit_logistic(series, seed=derive_seed(seed, "logistic", unit))
+            fit = fit_logistic(series, seed=derive_seed(args.seed, "logistic", unit))
         except (SynthctlError, ValueError) as exc:
             failures.append((unit, str(exc)))
             continue
@@ -416,7 +377,7 @@ def cmd_logistic(settings: Settings) -> int:
                 print(f"warning: skipping regression {theme}/{param}: {exc}",
                       file=sys.stderr)
             try:
-                for stat in decile_summary(param_vals, theme_vals, bins=bins):
+                for stat in decile_summary(param_vals, theme_vals, bins=args.bins):
                     decile_rows.append((theme, param, stat.bin, stat.mean, stat.std))
             except (SynthctlError, ValueError) as exc:
                 print(f"warning: skipping deciles {theme}/{param}: {exc}",
@@ -434,10 +395,10 @@ def cmd_logistic(settings: Settings) -> int:
     return 0
 
 
-def cmd_select_predictors(settings: Settings) -> int:
-    table = load_predictors(settings.path("predictors", required=True))
-    blocks = donor_ops.load_blocks(settings.path("blocks", required=True))
-    out = settings.out_dir()
+def cmd_select_predictors(args: argparse.Namespace) -> int:
+    table = load_predictors(_required(args, "predictors"))
+    blocks = donor_ops.load_blocks(_required(args, "blocks"))
+    out = _out_dir(args)
     corr = donor_ops.abs_correlation(table.values)
     result = donor_ops.select_predictors_naive(corr, list(table.names), blocks)
     selected_path = os.path.join(out, "selected.csv")
@@ -452,9 +413,9 @@ def cmd_select_predictors(settings: Settings) -> int:
     return 0
 
 
-def cmd_ingest(settings: Settings) -> int:
-    panel = _load_panel(settings)
-    out = settings.out_dir()
+def cmd_ingest(args: argparse.Namespace) -> int:
+    panel = _load_panel(args)
+    out = _out_dir(args)
     cleaned, report = clean_panel(panel, CleaningPolicy())
     clean_path = os.path.join(out, "panel_clean.csv")
     days = [d.isoformat() for d in cleaned.dates]
@@ -472,64 +433,87 @@ def cmd_ingest(settings: Settings) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_common(sub: argparse.ArgumentParser, *, study: bool) -> None:
-    sub.add_argument("--outcomes", help="long-format outcome CSV (unit,date,value)")
-    sub.add_argument("--predictors", help="wide predictor CSV (unit,<name>,...)")
+def _option(sub: argparse.ArgumentParser, flag: str, check=None, **kwargs) -> None:
+    """Declare one option; check(flag, text) converts a flag's or a config value's text."""
+    if check is not None:
+        kwargs["type"] = functools.partial(check, flag)
+    sub.add_argument(flag, **kwargs)
+
+
+def _add_common(sub: argparse.ArgumentParser) -> None:
+    _option(sub, "--outcomes", _existing_file, help="long-format outcome CSV (unit,date,value)")
+    _option(sub, "--predictors", _existing_file, help="wide predictor CSV (unit,<name>,...)")
     sub.add_argument("--config", help="key=value option file; flags win")
-    sub.add_argument("--seed", help="random seed (default 42)")
-    sub.add_argument("--out", help="output directory (default .)")
-    if study:
-        sub.add_argument("--metadata", help="per-unit metadata CSV")
-        sub.add_argument("--clusters", help="fips,cluster CSV for --filter cluster")
-        sub.add_argument("--adjacency", help="state,neighbor CSV for --filter neighbors")
-        sub.add_argument("--treated", help="treated unit code")
-        sub.add_argument("--t0", help="intervention date (ISO)")
-        sub.add_argument("--t-fit", dest="t_fit", help="training window length")
-        sub.add_argument("--l1", help="scales ||w||_2, the 2-norm of the donor weights; "
-                                      "not a lasso term (default 0.6)")
-        sub.add_argument("--v-mode", dest="v_mode",
-                         help="optimized | inverse-variance | uniform")
-        sub.add_argument("--train-placement", dest="train_placement",
-                         help="head | tail (default tail)")
-        sub.add_argument("--no-standardize", dest="no_standardize",
-                         action="store_const", const=True, default=None,
-                         help="skip z-scoring of predictor rows")
-        sub.add_argument("--filter", help="none | cluster | neighbors")
+    _option(sub, "--seed", _integer(minimum=0), default=42,
+            help="random seed (default %(default)s)")
+    sub.add_argument("--out", default=".", help="output directory (default %(default)s)")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _add_study(sub: argparse.ArgumentParser, *, sweep: bool = False) -> None:
+    _option(sub, "--clusters", _existing_file, help="fips,cluster CSV for --filter cluster")
+    _option(sub, "--adjacency", _existing_file,
+            help="state,neighbor CSV for --filter neighbors")
+    sub.add_argument("--treated", help="treated unit code")
+    _option(sub, "--t0", _date, help="intervention date (ISO)")
+    if sweep:
+        _option(sub, "--t-fit", _window_lengths, help="comma-separated training window lengths")
+    else:
+        _option(sub, "--t-fit", _integer(), default=StudySpec.t_fit,
+                help="training window length (default %(default)s)")
+    _option(sub, "--l1", _number, default=Regularization().l1,
+            help="scales ||w||_2, the 2-norm of the donor weights; "
+                 "not a lasso term (default %(default)s)")
+    _option(sub, "--v-mode", _one_of(V_MODE_CHOICES),
+            default=StudySpec.v_mode.replace("_", "-"),
+            help=f"{' | '.join(V_MODE_CHOICES)} (default %(default)s)")
+    _option(sub, "--train-placement", _one_of(PLACEMENTS), default=StudySpec.train_placement,
+            help=f"{' | '.join(PLACEMENTS)} (default %(default)s)")
+    sub.add_argument("--no-standardize", action="store_true",
+                     help="skip z-scoring of predictor rows")
+    _option(sub, "--filter", _one_of(FILTER_CHOICES), default="none",
+            help=f"{' | '.join(FILTER_CHOICES)} (default %(default)s)")
+
+
+def build_parser(defaults: dict[str, object] | None = None) -> argparse.ArgumentParser:
+    """The command-line parser, the one place each option is declared.
+
+    defaults, a config file's values by key, replace the declared defaults of
+    every subcommand that has the option; flags still win, and each text
+    value goes through the option's check as a flag's would.
+    """
     parser = argparse.ArgumentParser(
         prog="synthctl",
         description="synthetic control fitting, placebo inference, and "
                     "growth-curve analysis for daily panels",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-
     fit = commands.add_parser("fit", help="fit one synthetic control")
-    _add_common(fit, study=True)
-
     placebo = commands.add_parser("placebo", help="placebo ensemble and p-value")
-    _add_common(placebo, study=True)
-    placebo.add_argument("--placebo-t0", dest="placebo_t0",
-                         help="intervention date used for placebo fits")
-    placebo.add_argument("--jobs", help="parallel fits (default 1)")
-
     sweep = commands.add_parser("sweep", help="refit across training window lengths")
-    _add_common(sweep, study=True)
-    sweep.add_argument("--jobs", help="parallel fits (default 1)")
-
     logistic = commands.add_parser("logistic", help="fit growth curves per unit")
-    _add_common(logistic, study=False)
-    logistic.add_argument("--bins", help="bins for index summaries (default 10)")
-
     select = commands.add_parser("select-predictors",
                                  help="pick block representatives by correlation")
-    _add_common(select, study=False)
-    select.add_argument("--blocks", help="block,predictor CSV")
-
     ingest = commands.add_parser("ingest", help="validate and clean an outcome panel")
-    _add_common(ingest, study=False)
-    ingest.add_argument("--metadata", help="per-unit metadata CSV")
+
+    for sub in commands.choices.values():
+        _add_common(sub)
+    for sub in (fit, placebo, sweep, ingest):
+        _option(sub, "--metadata", _existing_file, help="per-unit metadata CSV")
+    for sub in (fit, placebo):
+        _add_study(sub)
+    _add_study(sweep, sweep=True)
+    _option(placebo, "--placebo-t0", _date, help="intervention date used for placebo fits")
+    for sub in (placebo, sweep):
+        _option(sub, "--jobs", _integer(minimum=1), default=1,
+                help="parallel fits (default %(default)s)")
+    _option(logistic, "--bins", _integer(minimum=1), default=10,
+            help="bins for index summaries (default %(default)s)")
+    _option(select, "--blocks", _existing_file, help="block,predictor CSV")
+
+    if defaults:
+        for sub in commands.choices.values():
+            sub.set_defaults(**{a.dest: defaults[a.dest] for a in sub._actions
+                                if a.dest in defaults})
     return parser
 
 
@@ -544,16 +528,12 @@ COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        settings = Settings(args)
-        command = COMMANDS[args.command]
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return command(settings)
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        if args.config:
+            args = build_parser(_read_config(args.config, parser)).parse_args(argv)
+        return COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -125,8 +125,10 @@ def placebo_run(
         finally:
             _share_study()
     else:
+        # a forked pool starts all its workers at the first task: start no idle one
         with concurrent.futures.ProcessPoolExecutor(
-                max_workers=jobs, initializer=_share_study, initargs=study) as pool:
+                max_workers=min(jobs, len(units)), initializer=_share_study,
+                initargs=study) as pool:
             entries = list(pool.map(_fit_ratio_task, units))
 
     entries.sort(key=lambda e: e.unit)

@@ -4,6 +4,7 @@ import datetime as dt
 import json
 import os
 import pathlib
+import re
 import shlex
 import subprocess
 import sys
@@ -13,7 +14,9 @@ import numpy as np
 import pytest
 
 import synthctl
-from synthctl import StudySpec, ingest_panel, load_predictors, logistic_predict, placebo_run
+from synthctl import (Regularization, StudySpec, ingest_panel, load_predictors, logistic_predict,
+                      placebo_run)
+from synthctl import cli
 from synthctl.cli import main
 
 START = dt.date(2021, 3, 1)
@@ -188,6 +191,60 @@ def test_config_boolean_must_read_true_or_false(tmp_path, capsys):
     for word, expected in (("Yes", raw), ("t", raw), ("FALSE", plain), ("0", plain)):
         cfg.write_text(f"no_standardize = {word}\n")
         assert result(word, "--config", str(cfg)) == expected
+
+
+def test_config_file_takes_the_options_of_every_subcommand(tmp_path):
+    keys = ["outcomes", "predictors", "metadata", "clusters", "adjacency", "blocks",
+            "treated", "t0", "t_fit", "l1", "v_mode", "train_placement", "placebo_t0",
+            "bins", "jobs", "seed", "out", "no_standardize", "filter"]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{key.replace('_', '-')} = 1\n" for key in keys))
+    entries = cli._read_config(str(cfg), cli.build_parser())
+    assert sorted(entries) == sorted(keys)
+    assert entries["no_standardize"] is True and entries["jobs"] == "1"
+    for key in ("help", "config"):
+        cfg.write_text(f"{key} = 1\n")
+        with pytest.raises(cli.ConfigError, match=f"unknown option '{key}'"):
+            cli._read_config(str(cfg), cli.build_parser())
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("placebo", "jobs", "0"),
+    ("fit", "seed", "-1"),
+    ("fit", "l1", "abc"),
+    ("fit", "v_mode", "bogus"),
+    ("fit", "t0", "2021-13-01"),
+])
+def test_config_values_get_the_flags_checks(tmp_path, capsys, command, key, value):
+    # no outcome panel can be read from this file: each value is checked first
+    outcomes = tmp_path / "o.csv"
+    outcomes.write_text("not a panel\n")
+    out = tmp_path / "out"
+    argv = [command, "--outcomes", str(outcomes), "--treated", "10001", "--out", str(out)]
+    flag = "--" + key.replace("_", "-")
+    assert main([*argv, flag, value]) == 2
+    from_flag = capsys.readouterr().err
+    assert from_flag.startswith(f"error: {flag} must be ")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    assert main([*argv, "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == from_flag
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["fit", "placebo"])
+def test_help_states_the_library_defaults(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())  # undo the help's line wrapping
+    spec = StudySpec(treated="10001", donors=("20000",), T0=30)
+    stated = {flag: re.search(rf"{flag} [A-Z0-9_]+ (?:(?!--)[^()])*\(default (\S+)\)", text)
+              for flag in ("--l1", "--t-fit", "--train-placement", "--v-mode", "--seed")}
+    assert {flag: match and match[1] for flag, match in stated.items()} == {
+        "--l1": str(Regularization().l1), "--t-fit": str(spec.t_fit),
+        "--train-placement": spec.train_placement, "--v-mode": spec.v_mode, "--seed": "42"}
+    assert spec.train_placement == "tail" and spec.v_mode == "optimized"
 
 
 def test_placebo_outputs_and_parallel_determinism(tmp_path):

@@ -1,5 +1,6 @@
 """Placebo-permutation inference tests."""
 
+import concurrent.futures
 import dataclasses
 import itertools
 import pickle
@@ -145,6 +146,22 @@ def test_placebo_jobs_parallel_matches_serial():
     parallel = placebo_run(spec, panel, None, seed=5, jobs=4)
     # repr spells out every field of every entry, floats exactly
     assert repr(serial) == repr(parallel)
+
+
+def test_placebo_pool_starts_no_more_workers_than_units(monkeypatch):
+    # a forked pool starts all of its max_workers at the first task
+    spawned = []
+    spawn = concurrent.futures.ProcessPoolExecutor._spawn_process
+
+    def counted(pool):
+        spawned.append(pool)
+        spawn(pool)
+
+    monkeypatch.setattr(concurrent.futures.ProcessPoolExecutor, "_spawn_process", counted)
+    panel, spec = _null_study(seed=3, n=3)
+    parallel = placebo_run(spec, panel, None, seed=5, jobs=6)
+    assert 1 <= len(spawned) <= 3
+    assert repr(parallel) == repr(placebo_run(spec, panel, None, seed=5, jobs=1))
 
 
 def test_placebo_custom_t0_applies_to_placebos_only():
