@@ -45,13 +45,10 @@ from .logistic import (
     theme_regression,
 )
 from .panel import (
-    CleaningPolicy,
-    CleanResult,
     Panel,
     PredictorTable,
     UnitMeta,
     clean_panel,
-    clean_series,
     enforce_monotone,
     ingest_panel,
     load_metadata,
@@ -73,8 +70,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BinStat",
-    "CleanResult",
-    "CleaningPolicy",
     "Design",
     "LogisticFit",
     "Panel",
@@ -95,7 +90,6 @@ __all__ = [
     "build_design",
     "classify_quadrant",
     "clean_panel",
-    "clean_series",
     "decile_summary",
     "derive_seed",
     "enforce_monotone",

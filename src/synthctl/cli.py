@@ -24,7 +24,6 @@ from .errors import ConfigError, EmptyIntersection, InvalidSplit, SynthctlError
 from .inference import p_value, placebo_run, training_sweep
 from .logistic import classify_quadrant, decile_summary, fit_logistic, theme_regression
 from .panel import (
-    CleaningPolicy,
     Panel,
     PredictorTable,
     clean_panel,
@@ -55,7 +54,7 @@ def _parsed(convert, what: str):
     return check
 
 
-_number = _parsed(float, "a number")
+_penalty = _parsed(lambda text: Regularization(float(text)).l1, "a finite nonnegative number")
 _date = _parsed(dt.date.fromisoformat, "an ISO date")
 
 
@@ -91,6 +90,8 @@ def _window_lengths(flag: str, text: str) -> list[int]:
         raise ConfigError(f"{flag} must be a comma-separated list of integers, got {text!r}")
     if not lengths:
         raise ConfigError(f"{flag} selected no window lengths")
+    if min(lengths) < 1:
+        raise ConfigError(f"{flag} must be at least 1, got {min(lengths)}")
     return lengths
 
 
@@ -416,7 +417,7 @@ def cmd_select_predictors(args: argparse.Namespace) -> int:
 def cmd_ingest(args: argparse.Namespace) -> int:
     panel = _load_panel(args)
     out = _out_dir(args)
-    cleaned, report = clean_panel(panel, CleaningPolicy())
+    cleaned, report = clean_panel(panel)
     clean_path = os.path.join(out, "panel_clean.csv")
     days = [d.isoformat() for d in cleaned.dates]
     write_csv(clean_path, ["unit", "date", "value"],
@@ -441,11 +442,7 @@ def _option(sub: argparse.ArgumentParser, flag: str, check=None, **kwargs) -> No
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
-    _option(sub, "--outcomes", _existing_file, help="long-format outcome CSV (unit,date,value)")
-    _option(sub, "--predictors", _existing_file, help="wide predictor CSV (unit,<name>,...)")
     sub.add_argument("--config", help="key=value option file; flags win")
-    _option(sub, "--seed", _integer(minimum=0), default=42,
-            help="random seed (default %(default)s)")
     sub.add_argument("--out", default=".", help="output directory (default %(default)s)")
 
 
@@ -458,9 +455,9 @@ def _add_study(sub: argparse.ArgumentParser, *, sweep: bool = False) -> None:
     if sweep:
         _option(sub, "--t-fit", _window_lengths, help="comma-separated training window lengths")
     else:
-        _option(sub, "--t-fit", _integer(), default=StudySpec.t_fit,
+        _option(sub, "--t-fit", _integer(minimum=1), default=StudySpec.t_fit,
                 help="training window length (default %(default)s)")
-    _option(sub, "--l1", _number, default=Regularization().l1,
+    _option(sub, "--l1", _penalty, default=Regularization().l1,
             help="scales ||w||_2, the 2-norm of the donor weights; "
                  "not a lasso term (default %(default)s)")
     _option(sub, "--v-mode", _one_of(V_MODE_CHOICES),
@@ -495,6 +492,14 @@ def build_parser(defaults: dict[str, object] | None = None) -> argparse.Argument
                                  help="pick block representatives by correlation")
     ingest = commands.add_parser("ingest", help="validate and clean an outcome panel")
 
+    for sub in (fit, placebo, sweep, logistic, ingest):
+        _option(sub, "--outcomes", _existing_file,
+                help="long-format outcome CSV (unit,date,value)")
+    for sub in (fit, placebo, sweep, logistic, select):
+        _option(sub, "--predictors", _existing_file, help="wide predictor CSV (unit,<name>,...)")
+    for sub in (fit, placebo, sweep, logistic):
+        _option(sub, "--seed", _integer(minimum=0), default=42,
+                help="random seed (default %(default)s)")
     for sub in commands.choices.values():
         _add_common(sub)
     for sub in (fit, placebo, sweep, ingest):

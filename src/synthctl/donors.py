@@ -17,6 +17,9 @@ import numpy as np
 from .errors import EmptyBlock, UnknownState, UnlabeledUnit, ZeroVariance
 from .panel import Panel, read_table, state_of
 
+MAX_CORRELATION = 0.4  # highest absolute correlation between two picks of a block
+PER_BLOCK = 2  # picks per block
+
 
 def abs_correlation(X: np.ndarray) -> np.ndarray:
     """Absolute Pearson correlation between rows of X."""
@@ -35,7 +38,7 @@ class SelectionResult:
     """Chosen predictors plus per-block detail.
 
     short_blocks lists blocks whose correlation cap left fewer choices than
-    the per-block quota even though the block had enough members.
+    PER_BLOCK even though the block had enough members.
     """
 
     selected: tuple[str, ...]
@@ -47,14 +50,12 @@ def select_predictors_naive(
     corr: np.ndarray,
     names: Sequence[str],
     blocks: Mapping[str, Sequence[str]],
-    threshold: float = 0.4,
-    per_block: int = 2,
 ) -> SelectionResult:
-    """Pick up to per_block predictors per block, capping mutual correlation.
+    """Pick up to PER_BLOCK predictors per block, capping mutual correlation.
 
     Within a block, the first pick is the predictor with the highest mean
     absolute correlation to the block's other members; every member too
-    correlated with it (strictly above the threshold) is struck, and the next
+    correlated with it (strictly above MAX_CORRELATION) is struck, and the next
     pick repeats the rule among the survivors. Ties go to the earlier-listed
     predictor so output is deterministic.
     """
@@ -84,7 +85,7 @@ def select_predictors_naive(
                 raise ValueError(f"block {block_name!r} lists unknown predictor {m!r}")
         remaining = members[:]
         chosen: list[str] = []
-        while remaining and len(chosen) < per_block:
+        while remaining and len(chosen) < PER_BLOCK:
             def mean_corr(m: str) -> float:
                 others = [o for o in remaining if o != m]
                 if not others:
@@ -94,8 +95,8 @@ def select_predictors_naive(
             pick = remaining[int(np.argmax(scores))]
             chosen.append(pick)
             remaining = [m for m in remaining
-                         if m != pick and corr[index[m], index[pick]] <= threshold]
-        if len(chosen) < min(per_block, len(members)):
+                         if m != pick and corr[index[m], index[pick]] <= MAX_CORRELATION]
+        if len(chosen) < min(PER_BLOCK, len(members)):
             short.append(block_name)
         by_block[block_name] = tuple(chosen)
         selected.extend(chosen)

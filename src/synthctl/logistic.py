@@ -22,6 +22,7 @@ from .errors import DegenerateSeries, TooFewUnits, ZeroVariance
 K_CEILING = 120.0
 NU_FLOOR = 1e-6  # below this the curve is flat and K is unidentifiable
 P0_FLOOR = 1e-12  # lower bound on p0, keeping K/p0 and the Jacobian finite
+N_STARTS = 10  # seeded starting points per fit
 LM_MAX_ITERS = 1000  # damped Gauss-Newton steps, one residual evaluation each, per start
 LM_FTOL = 1e-15  # a start stops once an accepted step lowers its SSE by no more than this share
 LM_LAMBDA_MAX = 1e16  # damping past which a step cannot move x in double precision
@@ -127,8 +128,8 @@ def _levenberg_marquardt(x: np.ndarray, t: np.ndarray, y: np.ndarray,
     return x, sse, ~live
 
 
-def _starts(y: np.ndarray, t: np.ndarray, seed: int, n_starts: int) -> np.ndarray:
-    """The n_starts seeded starting points (K, nu, p0), one per row, inside the box."""
+def _starts(y: np.ndarray, t: np.ndarray, seed: int) -> np.ndarray:
+    """The N_STARTS seeded starting points (K, nu, p0), one per row, inside the box."""
     k_min = float(y.max())
     # data-driven anchors: start level near the first positive value, rate
     # from the average log-growth between the first and last positive points
@@ -146,7 +147,7 @@ def _starts(y: np.ndarray, t: np.ndarray, seed: int, n_starts: int) -> np.ndarra
     # logistic 0.5 (1 + tanh(theta/2)) saturates instead of overflowing
     rng = np.random.default_rng(seed)
     theta = np.array([anchor, *(anchor + rng.normal(0.0, np.array([2.0, 1.0, 1.0]))
-                                for _ in range(n_starts - 1))])
+                                for _ in range(N_STARTS - 1))])
     return np.column_stack([k_min + (K_CEILING - k_min) * 0.5 * (1.0 + np.tanh(theta[:, 0] / 2)),
                             np.exp(theta[:, 1]), np.maximum(np.exp(theta[:, 2]), P0_FLOOR)])
 
@@ -156,7 +157,6 @@ def fit_logistic(
     t: np.ndarray | None = None,
     *,
     seed: int = 42,
-    n_starts: int = 10,
 ) -> LogisticFit:
     """Least-squares logistic fit by seeded multistart bounded least squares.
 
@@ -164,7 +164,7 @@ def fit_logistic(
     (`_levenberg_marquardt`) directly on (K, nu, p0) with the analytic
     Jacobian, inside the box K in [max(series), 120], nu >= 0 and
     p0 >= P0_FLOOR. The first start is a data-driven anchor; the other
-    n_starts - 1 are drawn from `default_rng(seed)` around it and mapped
+    N_STARTS - 1 are drawn from `default_rng(seed)` around it and mapped
     into the box. The lowest SSE wins; `converged` is False when the winner
     stopped at LM_MAX_ITERS. A rate that collapses below 1e-6 means the
     series is flat and the ceiling cannot be identified; the fit is returned
@@ -190,7 +190,7 @@ def fit_logistic(
     if k_min >= K_CEILING:
         raise ValueError(f"series maximum {k_min} exceeds the ceiling {K_CEILING}")
 
-    x0 = _starts(y, tt, seed, n_starts)
+    x0 = _starts(y, tt, seed)
     lower = np.array([k_min, 0.0, P0_FLOOR])
     upper = np.array([K_CEILING, np.inf, np.inf])
     x, sse, settled = _levenberg_marquardt(x0, tt, y, lower, upper)

@@ -400,33 +400,8 @@ def load_metadata(path: str) -> dict[str, UnitMeta]:
 # cleaning
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CleaningPolicy:
-    """Knobs for per-series repair.
-
-    max_bad_fraction: tolerated share of missing-or-zero cells after the
-        series' first positive value; above it the series is dropped.
-    window: trailing rolling-mean width in days.
-    """
-
-    max_bad_fraction: float = 0.10
-    window: int = 7
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.max_bad_fraction <= 1.0):
-            raise ValueError("max_bad_fraction must lie in [0, 1]")
-        if self.window < 1:
-            raise ValueError("window must be at least 1 day")
-
-
-@dataclass(frozen=True)
-class CleanResult:
-    """Outcome of cleaning one series: either a repaired series or a drop verdict."""
-
-    series: np.ndarray | None
-    dropped: bool
-    reason: str | None
-    bad_fraction: float
+MAX_BAD_FRACTION = 0.10  # a series with a larger bad fraction (see _bad_mask) is dropped
+SMOOTHING_WINDOW = 7  # trailing rolling-mean width in days
 
 
 def _bad_mask(series: np.ndarray) -> tuple[np.ndarray, float]:
@@ -487,42 +462,28 @@ def rolling_mean(series: np.ndarray, window: int) -> np.ndarray:
     return (csum[t + 1] - csum[start]) / (t + 1 - start)
 
 
-def clean_series(series: np.ndarray, policy: CleaningPolicy) -> CleanResult:
-    """Repair one series or rule it unusable.
+def clean_panel(panel: Panel) -> tuple[Panel, list[tuple[str, str]]]:
+    """Clean every unit's series; drop failing units and report why.
 
-    Raises AllMissing when the series has no valid cell at all. Otherwise the
-    drop rule runs first: if the bad fraction after the first positive value
-    strictly exceeds policy.max_bad_fraction the series is dropped unrepaired.
-    Surviving series are repaired and smoothed with the trailing window.
+    A series with no valid cell is dropped as "all cells missing". Otherwise
+    the drop rule runs first: if the bad fraction after the first positive
+    value (see _bad_mask) strictly exceeds MAX_BAD_FRACTION, the series is
+    dropped unrepaired. Surviving series are repaired and smoothed with a
+    SMOOTHING_WINDOW-day trailing mean.
     """
-    x = np.asarray(series, dtype=float)
-    if x.size == 0 or not np.isfinite(x).any():
-        raise AllMissing("series has no valid cell")
-    bad, fraction = _bad_mask(x)
-    if fraction > policy.max_bad_fraction:
-        return CleanResult(None, True, f"bad fraction {fraction:.4f} exceeds "
-                           f"{policy.max_bad_fraction:.4f}", fraction)
-    repaired = _interpolate(x, bad)
-    smoothed = rolling_mean(repaired, policy.window)
-    return CleanResult(smoothed, False, None, fraction)
-
-
-def clean_panel(panel: Panel, policy: CleaningPolicy) -> tuple[Panel, list[tuple[str, str]]]:
-    """Clean every unit's series; drop failing units and report why."""
     kept_units: list[str] = []
     kept_rows: list[np.ndarray] = []
     report: list[tuple[str, str]] = []
-    for unit, row in zip(panel.units, panel.values):
-        try:
-            result = clean_series(row, policy)
-        except AllMissing:
+    for unit, row in zip(panel.units, np.asarray(panel.values, dtype=float)):
+        if not np.isfinite(row).any():
             report.append((unit, "all cells missing"))
             continue
-        if result.dropped:
-            report.append((unit, result.reason or "dropped"))
+        bad, fraction = _bad_mask(row)
+        if fraction > MAX_BAD_FRACTION:
+            report.append((unit, f"bad fraction {fraction:.4f} exceeds {MAX_BAD_FRACTION:.4f}"))
             continue
         kept_units.append(unit)
-        kept_rows.append(result.series)
+        kept_rows.append(rolling_mean(_interpolate(row, bad), SMOOTHING_WINDOW))
     if not kept_units:
         raise EmptyIntersection("cleaning dropped every unit")
     meta = {u: panel.meta[u] for u in kept_units if u in panel.meta}

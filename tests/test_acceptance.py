@@ -15,7 +15,6 @@ import pytest
 
 from helpers import combo_study, grid_simplex_3, make_panel, make_predictors, unit_codes
 from synthctl import (
-    CleaningPolicy,
     PlaceboEnsemble,
     PlaceboEntry,
     Regularization,
@@ -23,7 +22,7 @@ from synthctl import (
     StudySpec,
     abs_correlation,
     build_design,
-    clean_series,
+    clean_panel,
     enforce_monotone,
     fit_logistic,
     fit_synth,
@@ -257,9 +256,10 @@ def test_criterion_08_cleaning_invariants(capsys):
     at_limit[[4, 9]] = np.nan          # 2/20 = 0.10 exactly
     over_limit = base.copy()
     over_limit[[4, 9, 14]] = np.nan    # 3/20 = 0.15
-    kept = clean_series(at_limit, CleaningPolicy())
-    dropped = clean_series(over_limit, CleaningPolicy())
-    boundary_ok = (not kept.dropped) and dropped.dropped
+    boundary = make_panel(np.vstack([at_limit, over_limit]))
+    cleaned, report = clean_panel(boundary)
+    boundary_ok = (cleaned.units == boundary.units[:1]
+                   and report == [(boundary.units[1], "bad fraction 0.1500 exceeds 0.1000")])
 
     ok = linear_ok and monotone_ok and boundary_ok
     _report(capsys, "criterion 8 cleaning invariants", ok,

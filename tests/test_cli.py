@@ -151,6 +151,49 @@ def test_l2_flag_exits_2(tmp_path, capsys):
     assert "unrecognized arguments: --l2 5" in capsys.readouterr().err
 
 
+def _selection_files(tmp_path):
+    rng = np.random.default_rng(2)
+    units = [f"{60000 + 2 * i:05d}" for i in range(30)]
+    X = rng.normal(size=(30, 4))
+    predictors = _wide_csv(tmp_path / "p.csv", ["unit", "a", "b", "c", "d"],
+                           [[u, *map(str, X[i])] for i, u in enumerate(units)])
+    blocks = _wide_csv(tmp_path / "b.csv", ["block", "predictor"],
+                       [["demo", "a"], ["demo", "b"], ["econ", "c"], ["econ", "d"]])
+    return predictors, blocks
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("ingest", "--seed"),
+    ("ingest", "--predictors"),
+    ("select-predictors", "--outcomes"),
+    ("select-predictors", "--seed"),
+])
+def test_flags_a_command_never_reads_exit_2(tmp_path, capsys, command, flag):
+    outcomes, _ = _study_files(tmp_path)
+    predictors, blocks = _selection_files(tmp_path)
+    value = {"--seed": "1", "--predictors": predictors, "--outcomes": outcomes}[flag]
+    inputs = (["--outcomes", outcomes] if command == "ingest"
+              else ["--predictors", predictors, "--blocks", blocks])
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([command, *inputs, flag, value, "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_key_the_command_lacks_is_ignored(tmp_path):
+    # ingest takes no --seed, but a config file shared with fit may set one
+    outcomes, _ = _study_files(tmp_path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = 1\n")
+    assert main(["ingest", "--outcomes", outcomes, "--out", str(tmp_path / "plain")]) == 0
+    assert main(["ingest", "--outcomes", outcomes, "--config", str(cfg),
+                 "--out", str(tmp_path / "cfg")]) == 0
+    for name in ("panel_clean.csv", "dropped.csv"):
+        assert (tmp_path / "cfg" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+
+
 def test_l2_config_key_exits_2(tmp_path, capsys):
     outcomes, _ = _study_files(tmp_path)
     cfg = tmp_path / "run.cfg"
@@ -212,8 +255,13 @@ def test_config_file_takes_the_options_of_every_subcommand(tmp_path):
     ("placebo", "jobs", "0"),
     ("fit", "seed", "-1"),
     ("fit", "l1", "abc"),
+    ("fit", "l1", "-1"),
+    ("fit", "l1", "nan"),
+    ("fit", "l1", "inf"),
     ("fit", "v_mode", "bogus"),
     ("fit", "t0", "2021-13-01"),
+    ("fit", "t_fit", "0"),
+    ("sweep", "t_fit", "0,10"),
 ])
 def test_config_values_get_the_flags_checks(tmp_path, capsys, command, key, value):
     # no outcome panel can be read from this file: each value is checked first
@@ -504,13 +552,7 @@ def test_logistic_majority_failure_exits_3(tmp_path, capsys):
 
 
 def test_select_predictors_cli(tmp_path):
-    rng = np.random.default_rng(2)
-    units = [f"{60000 + 2 * i:05d}" for i in range(30)]
-    X = rng.normal(size=(30, 4))
-    predictors = _wide_csv(tmp_path / "p.csv", ["unit", "a", "b", "c", "d"],
-                           [[u, *map(str, X[i])] for i, u in enumerate(units)])
-    blocks = _wide_csv(tmp_path / "b.csv", ["block", "predictor"],
-                       [["demo", "a"], ["demo", "b"], ["econ", "c"], ["econ", "d"]])
+    predictors, blocks = _selection_files(tmp_path)
     out = tmp_path / "out"
     code = main(["select-predictors", "--predictors", predictors,
                  "--blocks", blocks, "--out", str(out)])

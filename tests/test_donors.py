@@ -13,6 +13,7 @@ from synthctl import (
     select_predictors_naive,
     split_control_target,
 )
+from synthctl.donors import MAX_CORRELATION, PER_BLOCK
 from synthctl.errors import EmptyBlock, UnlabeledUnit, UnknownState, ZeroVariance
 from synthctl.panel import UnitMeta
 
@@ -81,13 +82,13 @@ def test_selection_pairwise_compliance():
     X = rng.normal(size=(10, 40))
     corr = abs_correlation(X)
     names = [f"p{i}" for i in range(10)]
-    result = select_predictors_naive(corr, names, {"all": names},
-                                     threshold=0.25, per_block=6)
+    result = select_predictors_naive(corr, names, {"all": names})
     idx = [names.index(n) for n in result.selected]
+    assert len(idx) == PER_BLOCK
     for i in idx:
         for j in idx:
             if i != j:
-                assert corr[i, j] <= 0.25
+                assert corr[i, j] <= MAX_CORRELATION
 
 
 def test_selection_empty_block_raises():
@@ -113,8 +114,8 @@ def test_selection_never_exceeds_quota(k, seed):
     X = rng.normal(size=(k, 12))
     corr = abs_correlation(X)
     names = [f"p{i}" for i in range(k)]
-    result = select_predictors_naive(corr, names, {"one": names}, per_block=2)
-    assert 1 <= len(result.selected) <= 2
+    result = select_predictors_naive(corr, names, {"one": names})
+    assert 1 <= len(result.selected) <= PER_BLOCK
     assert set(result.selected) <= set(names)
 
 

@@ -177,7 +177,7 @@ def _trf_sse(y, t, seed):
 
     bounds = ([y.max(), 0.0, logistic.P0_FLOOR], [logistic.K_CEILING, np.inf, np.inf])
     best = np.inf
-    for x0 in logistic._starts(y, t, seed, 10):
+    for x0 in logistic._starts(y, t, seed):
         res = scipy.optimize.least_squares(
             residuals, x0, jac=jacobian, bounds=bounds, method="trf", x_scale="jac",
             ftol=1e-15, xtol=1e-15, gtol=1e-15, max_nfev=1000)

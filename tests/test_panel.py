@@ -10,10 +10,8 @@ from hypothesis import strategies as st
 
 from helpers import make_dates, make_panel
 from synthctl import (
-    CleaningPolicy,
     Panel,
     clean_panel,
-    clean_series,
     enforce_monotone,
     ingest_panel,
     load_metadata,
@@ -265,17 +263,15 @@ def test_drop_rule_boundary_exact():
     two_bad[[3, 7]] = np.nan      # 2/20 = 0.10, not above the threshold
     three_bad = base.copy()
     three_bad[[3, 7, 11]] = np.nan  # 3/20 = 0.15, above
-    keep = clean_series(two_bad, CleaningPolicy())
-    drop = clean_series(three_bad, CleaningPolicy())
-    assert not keep.dropped
-    assert keep.bad_fraction == pytest.approx(0.10)
-    assert drop.dropped and drop.series is None
-    assert drop.bad_fraction == pytest.approx(0.15)
+    panel = make_panel(np.vstack([two_bad, three_bad]))
+    cleaned, report = clean_panel(panel)
+    assert cleaned.units == (panel.units[0],)
+    assert report == [(panel.units[1], "bad fraction 0.1500 exceeds 0.1000")]
 
 
-def test_clean_series_all_missing_raises():
+def test_repair_series_all_missing_raises():
     with pytest.raises(AllMissing):
-        clean_series(np.full(10, np.nan), CleaningPolicy())
+        repair_series(np.full(10, np.nan))
 
 
 def test_clean_panel_reports_drops():
@@ -286,7 +282,7 @@ def test_clean_panel_reports_drops():
     values = np.vstack([values, np.linspace(1, 20, 21)])
     values[2, 5:9] = np.nan  # 4/20 = 0.20 bad
     panel = make_panel(values)
-    cleaned, report = clean_panel(panel, CleaningPolicy(window=1))
+    cleaned, report = clean_panel(panel)
     assert cleaned.units == (panel.units[0],)
     assert [u for u, _ in report] == [panel.units[1], panel.units[2]]
 
@@ -322,18 +318,6 @@ def test_repair_interpolate_is_idempotent(values):
     once = repair_series(x)
     twice = repair_series(once)
     assert np.array_equal(once, twice, equal_nan=True)
-
-
-@given(st.lists(st.floats(min_value=0.001, max_value=1e6, allow_nan=False),
-                min_size=1, max_size=40))
-def test_clean_series_idempotent_without_smoothing(values):
-    # positive cells only: cleaning is then repair-only, and window=1 makes
-    # the smoother the identity, so a second pass changes nothing
-    policy = CleaningPolicy(window=1)
-    x = np.array(values)
-    once = clean_series(x, policy)
-    twice = clean_series(once.series, policy)
-    assert np.array_equal(once.series, twice.series)
 
 
 @given(st.lists(st.one_of(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
