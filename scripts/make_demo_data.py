@@ -47,8 +47,7 @@ def build(n_donors: int, days: int, t0_index: int, seed: int):
     rows["outcome_trend"] = pre[:, -1] - pre[:, 0]
     rows["income"] = rng.normal(55, 8, size=n_donors + 1)
     rows["density"] = rng.lognormal(4, 1, size=n_donors + 1)
-    clusters = rng.integers(0, 3, size=n_donors + 1)
-    return units, dates, values, rows, clusters
+    return units, dates, values, rows
 
 
 def main() -> None:
@@ -60,7 +59,7 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=42)
     args = parser.parse_args()
 
-    units, dates, values, rows, clusters = build(
+    units, dates, values, rows = build(
         args.donors, args.days, args.t0_index, args.seed)
     out = pathlib.Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -79,11 +78,11 @@ def main() -> None:
 
     t0 = dates[args.t0_index].isoformat()
     with open(out / "metadata.csv", "w", newline="\n") as fh:
-        fh.write("unit,treated,t0,cluster\n")
+        fh.write("unit,treated,t0\n")
         for i, unit in enumerate(units):
             flag = "1" if i == 0 else "0"
             t0_cell = t0 if i == 0 else ""
-            fh.write(f"{unit},{flag},{t0_cell},{clusters[i]}\n")
+            fh.write(f"{unit},{flag},{t0_cell}\n")
 
     print(f"wrote {out}/outcomes.csv, predictors.csv, metadata.csv")
     print(f"treated unit {units[0]}, intervention {t0}, lift +{LIFT}")

@@ -153,22 +153,26 @@ def _load_panel(args: argparse.Namespace) -> Panel:
 
 
 def _intervention_index(args: argparse.Namespace, panel: Panel, treated: str) -> int:
-    t0 = args.t0 if args.t0 is not None else panel.meta_for(treated).t0
+    """The treated unit's intervention day: --t0, else its t0 in the metadata file.
+
+    This is the only t0 check, so a t0 that --t0 overrides, or that belongs
+    to another unit, is never read.
+    """
+    t0, source = args.t0, "--t0"
+    if t0 is None:
+        t0, source = panel.meta_for(treated).t0, args.metadata
     if t0 is None:
         raise ConfigError("--t0 is required (or provide it in the metadata file)")
     try:
         return panel.date_index(t0)
     except KeyError:
-        raise ConfigError(f"intervention date {t0} is outside the panel's date range")
+        raise ConfigError(f"intervention date {t0} of treated unit {treated} (from {source}) "
+                          "is outside the panel's date range")
 
 
 def _donor_pool(args: argparse.Namespace, panel: Panel, treated: str) -> tuple[str, ...]:
-    has_treated_meta = any(panel.meta_for(u).treated for u in panel.units)
-    if has_treated_meta:
-        control, _ = donor_ops.split_control_target(panel)
-        pool = tuple(u for u in control if u != treated)
-    else:
-        pool = tuple(u for u in panel.units if u != treated)
+    control, _ = donor_ops.split_control_target(panel)
+    pool = tuple(u for u in control if u != treated)
 
     mode = args.filter
     if mode != "none":
@@ -198,7 +202,6 @@ def _load_study(args: argparse.Namespace,
         missing = set(panel.units) - set(predictors.units)
         if missing:
             raise ConfigError(f"predictor table lacks units: {', '.join(sorted(missing)[:5])}")
-        predictors = predictors.restrict(list(panel.units))
     treated = _required(args, "treated")
     if treated not in panel.units:
         raise ConfigError(f"treated unit {treated!r} is not in the outcome panel")
@@ -363,14 +366,12 @@ def cmd_logistic(args: argparse.Namespace) -> int:
     failures_path = os.path.join(out, "fit_failures.csv")
     write_csv(failures_path, ["unit", "reason"], failures)
 
-    fitted_units = [u for u in units if u in fits]
-    themes_by_unit = themes.restrict(fitted_units) if fitted_units else None
+    themes = themes.restrict(list(fits))
     regression_rows = []
     decile_rows = []
-    for i, theme in enumerate(themes.names if themes_by_unit is not None else ()):
-        theme_vals = themes_by_unit.values[i]
+    for theme, theme_vals in zip(themes.names, themes.values):
         for param in ("K", "nu"):
-            param_vals = np.array([getattr(fits[u], param) for u in themes_by_unit.units])
+            param_vals = np.array([getattr(f, param) for f in fits.values()])
             try:
                 line = theme_regression(theme_vals, param_vals)
                 regression_rows.append((theme, param, line.slope, line.corr))

@@ -138,10 +138,9 @@ def split_control_target(panel: Panel) -> tuple[tuple[str, ...], tuple[str, ...]
 
     The two sides are disjoint and cover the panel exactly, so their sizes
     always sum to the unit count; reconcile against source counts outside.
+    With no unit marked treated, every unit is a control.
     """
     treated_states = {state_of(u) for u in panel.units if panel.meta_for(u).treated}
-    if not treated_states:
-        raise ValueError("no unit is marked treated; cannot split")
     target = tuple(u for u in panel.units if state_of(u) in treated_states)
     control = tuple(u for u in panel.units if state_of(u) not in treated_states)
     return control, target

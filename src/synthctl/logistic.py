@@ -216,9 +216,6 @@ def fit_logistic(
                        converged=bool(settled[best]))
 
 
-QUADRANTS = ("HiK_HiV", "HiK_LoV", "LoK_HiV", "LoK_LoV")
-
-
 def classify_quadrant(fits: Mapping[str, LogisticFit]) -> dict[str, str]:
     """Label each unit by its position against the cross-unit mean K and nu.
 

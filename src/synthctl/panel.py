@@ -58,8 +58,6 @@ class UnitMeta:
 
     treated: bool = False
     t0: dt.date | None = None
-    cluster: str | None = None
-    incentive_category: int | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,14 +89,6 @@ class Panel:
                 f"values shape {self.values.shape} does not match "
                 f"{len(self.units)} units x {len(self.dates)} dates"
             )
-        for code, m in self.meta.items():
-            if m.treated:
-                if m.t0 is None:
-                    raise ValueError(f"treated unit {code} has no intervention date")
-                if not (self.dates[0] <= m.t0 <= self.dates[-1]):
-                    raise ValueError(
-                        f"intervention date {m.t0} of unit {code} is outside the panel range"
-                    )
 
     @property
     def n_units(self) -> int:
@@ -366,7 +356,7 @@ def parse_bool(text: str) -> bool | None:
 
 
 def load_metadata(path: str) -> dict[str, UnitMeta]:
-    """Read per-unit metadata: unit, treated, t0, cluster, incentive_category."""
+    """Read per-unit metadata: unit, treated and an optional t0; other columns are ignored."""
     meta: dict[str, UnitMeta] = {}
     for line, row in read_table(path, ("unit", "treated"), key="unit"):
         unit = row["unit"]
@@ -376,23 +366,7 @@ def load_metadata(path: str) -> dict[str, UnitMeta]:
                              f"{_where('treated', unit, line, path)}")
         t0_raw = row.get("t0", "")
         t0 = _parse_date(t0_raw, f"for unit {unit} in {path}") if t0_raw else None
-        cat_raw = row.get("incentive_category", "")
-        category: int | None = None
-        if cat_raw:
-            try:
-                category = int(cat_raw)
-            except ValueError:
-                raise ValueError(
-                    f"cannot parse {cat_raw!r} as an integer "
-                    f"{_where('incentive_category', unit, line, path)}"
-                ) from None
-            if category not in (0, 1, 2, 3):
-                raise ValueError(
-                    f"incentive_category must be 0..3, got {category} "
-                    f"{_where('incentive_category', unit, line, path)}"
-                )
-        meta[unit] = UnitMeta(treated=treated, t0=t0, cluster=row.get("cluster") or None,
-                              incentive_category=category)
+        meta[unit] = UnitMeta(treated=treated, t0=t0)
     return meta
 
 

@@ -591,16 +591,100 @@ def test_ingest_bad_value_cell_exits_3(tmp_path, capsys):
     assert f"on line 5 of {path}" in err
 
 
-def test_fit_bad_metadata_category_exits_3(tmp_path, capsys):
+def _fit_outputs(out, *argv):
+    """The bytes of result.json and curve.csv from a fit that must succeed."""
+    assert main(["fit", *argv, "--treated", "10001", "--out", str(out)]) == 0
+    return [(out / name).read_bytes() for name in ("result.json", "curve.csv")]
+
+
+def test_fit_ignores_metadata_columns_no_command_reads(tmp_path):
+    outcomes, predictors = _study_files(tmp_path, seed=4)
+    t0 = _dates(40)[25]
+    plain = _wide_csv(tmp_path / "plain.csv", ["unit", "treated", "t0"],
+                      [["10001", "1", t0], ["20002", "0", ""]])
+    extra = _wide_csv(tmp_path / "extra.csv",
+                      ["unit", "treated", "t0", "cluster", "incentive_category"],
+                      [["10001", "1", t0, "a", "2"], ["20002", "0", "", "", "x"]])
+    study = ["--outcomes", outcomes, "--predictors", predictors, "--metadata"]
+    assert (_fit_outputs(tmp_path / "extra", *study, extra)
+            == _fit_outputs(tmp_path / "plain", *study, plain))
+
+
+@pytest.mark.parametrize("column, cell, message", [
+    ("treated", "maybe", "unreadable treated flag 'maybe' in column 'treated' for unit 20002"),
+    ("t0", "2021-13-01", "cannot parse date '2021-13-01' for unit 20002"),
+])
+def test_fit_bad_metadata_cell_exits_3(tmp_path, capsys, column, cell, message):
+    # every row's cells are checked, a donor's as well as the treated unit's
     outcomes, _ = _study_files(tmp_path, seed=4)
-    metadata = _wide_csv(tmp_path / "m.csv", ["unit", "treated", "t0", "incentive_category"],
-                         [["10001", "1", _dates(40)[25], "2"], ["20002", "0", "", "x"]])
+    row = {"unit": "20002", "treated": "0", "t0": "", column: cell}
+    metadata = _wide_csv(tmp_path / "m.csv", ["unit", "treated", "t0"],
+                         [["10001", "1", _dates(40)[25]], list(row.values())])
     code = main(["fit", "--outcomes", outcomes, "--metadata", metadata,
                  "--treated", "10001", "--out", str(tmp_path / "out")])
     assert code == 3
     err = capsys.readouterr().err
-    assert "cannot parse 'x' as an integer in column 'incentive_category'" in err
-    assert f"for unit 20002 on line 3 of {metadata}" in err
+    assert message in err and str(metadata) in err
+
+
+def _state_study(tmp_path):
+    """Outcomes for treated unit 10001 and donors in states 20, 30 and 40 (two units)."""
+    rng = np.random.default_rng(5)
+    units = ("10001", "20001", "30001", "40001", "40003")
+    return _long_csv(tmp_path / "outcomes.csv",
+                     {u: 30 + rng.normal(0, 1, 40).cumsum() for u in units})
+
+
+@pytest.mark.parametrize("source", ["--t0", "metadata"])
+def test_fit_t0_outside_the_panel_exits_2_naming_its_source(tmp_path, capsys, source):
+    outcomes = _state_study(tmp_path)
+    late = "2021-06-01"  # the panel ends on 2021-04-09
+    metadata = _wide_csv(tmp_path / "m.csv", ["unit", "treated", "t0"],
+                         [["10001", "1", late if source == "metadata" else ""]])
+    flags = ["--t0", late] if source == "--t0" else []
+    code = main(["fit", "--outcomes", outcomes, "--metadata", metadata, "--treated", "10001",
+                 *flags, "--out", str(tmp_path / "out")])
+    assert code == 2
+    named = "--t0" if source == "--t0" else metadata
+    assert (f"error: intervention date {late} of treated unit 10001 (from {named}) "
+            "is outside the panel's date range") in capsys.readouterr().err
+
+
+def test_fit_t0_flag_wins_over_an_unusable_metadata_t0(tmp_path):
+    outcomes = _state_study(tmp_path)
+    runs = []
+    for name, cell in (("late", "2021-06-01"), ("blank", "")):
+        metadata = _wide_csv(tmp_path / f"{name}.csv", ["unit", "treated", "t0"],
+                             [["10001", "1", cell]])
+        runs.append(_fit_outputs(tmp_path / name, "--outcomes", outcomes, "--metadata",
+                                 metadata, "--t0", _dates(40)[25]))
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("other_t0", ["", "2021-06-01"])
+def test_fit_another_treated_units_t0_is_not_read(tmp_path, other_t0):
+    # 40001 is treated too, with no t0 or one after the panel ends (a later
+    # adopter): the fit still runs, and its state is still left out of the pool
+    outcomes = _state_study(tmp_path)
+    metadata = _wide_csv(tmp_path / "m.csv", ["unit", "treated", "t0"],
+                         [["10001", "1", _dates(40)[25]], ["40001", "1", other_t0]])
+    out = tmp_path / "out"
+    assert main(["fit", "--outcomes", outcomes, "--metadata", metadata,
+                 "--treated", "10001", "--out", str(out)]) == 0
+    assert set(json.loads((out / "result.json").read_text())["w"]) == {"20001", "30001"}
+
+
+@pytest.mark.parametrize("with_metadata", [False, True])
+def test_fit_without_any_t0_exits_2(tmp_path, capsys, with_metadata):
+    outcomes = _state_study(tmp_path)
+    flags = []
+    if with_metadata:
+        flags = ["--metadata", _wide_csv(tmp_path / "m.csv", ["unit", "treated", "t0"],
+                                         [["10001", "1", ""]])]
+    code = main(["fit", "--outcomes", outcomes, *flags, "--treated", "10001",
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "error: --t0 is required" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("table", ["outcomes", "predictors", "metadata"])

@@ -173,7 +173,6 @@ def test_split_control_target_partitions_by_state():
     assert set(control) | set(target) == set(panel.units)
 
 
-def test_split_control_target_requires_a_treated_unit():
+def test_split_control_target_without_a_treated_unit_keeps_every_control():
     panel = make_panel(np.zeros((2, 3)))
-    with pytest.raises(ValueError):
-        split_control_target(panel)
+    assert split_control_target(panel) == (panel.units, ())

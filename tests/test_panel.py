@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from helpers import make_dates, make_panel
 from synthctl import (
     Panel,
+    UnitMeta,
     clean_panel,
     enforce_monotone,
     ingest_panel,
@@ -226,15 +227,11 @@ def test_load_metadata_parses_flags_and_dates(tmp_path):
     path = _write(tmp_path / "m.csv", (
         "unit,treated,t0,cluster,incentive_category\n"
         "01001,true,2021-05-12,Exurbs,2\n"
-        "02002,0,,,\n"
+        "02002,0,,,x\n"
     ))
-    meta = load_metadata(path)
-    assert meta["01001"].treated is True
-    assert meta["01001"].t0 == dt.date(2021, 5, 12)
-    assert meta["01001"].cluster == "Exurbs"
-    assert meta["01001"].incentive_category == 2
-    assert meta["02002"].treated is False
-    assert meta["02002"].t0 is None
+    # columns other than unit, treated and t0 are read by no command and ignored
+    assert load_metadata(path) == {"01001": UnitMeta(treated=True, t0=dt.date(2021, 5, 12)),
+                                   "02002": UnitMeta(treated=False, t0=None)}
 
 
 # ---------------------------------------------------------------------------
