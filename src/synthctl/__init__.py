@@ -60,7 +60,6 @@ from .seeding import derive_seed
 from .weights import (
     Regularization,
     SolveResult,
-    SolverOptions,
     objective,
     project_simplex,
     solve_w,
@@ -80,7 +79,6 @@ __all__ = [
     "Regularization",
     "SelectionResult",
     "SolveResult",
-    "SolverOptions",
     "StudySpec",
     "SweepRow",
     "SynthResult",

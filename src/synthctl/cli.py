@@ -34,7 +34,7 @@ from .panel import (
 )
 from .seeding import derive_seed
 from .serialize import write_csv, write_json
-from .weights import Regularization, SolverOptions
+from .weights import Regularization
 
 V_MODE_CHOICES = tuple(mode.replace("_", "-") for mode in V_MODES)
 FILTER_CHOICES = ("none", "cluster", "neighbors")
@@ -218,9 +218,9 @@ def _load_study(args: argparse.Namespace,
     return panel, predictors, spec
 
 
-def _unconverged(unit: str) -> str:
-    return (f"warning: donor weights for {unit} stopped at "
-            f"max_iters={SolverOptions().max_iters} without converging")
+def _unconverged(unit: str, fw_gap: float) -> str:
+    return (f"warning: donor weights for {unit} are not certified optimal "
+            f"(Frank-Wolfe gap {fw_gap:.3g})")
 
 
 def _dates_map(panel: Panel, values: np.ndarray) -> dict[str, float]:
@@ -237,7 +237,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
     result = fit_synth(spec, build_design(panel, predictors, spec), seed=args.seed)
     if not result.converged:
-        print(f"{_unconverged(spec.treated)} (objective {result.objective:.6g})",
+        print(f"{_unconverged(spec.treated, result.fw_gap)} (objective {result.objective:.6g})",
               file=sys.stderr)
     actual = panel.series(spec.treated)
     payload = {
@@ -285,7 +285,7 @@ def cmd_placebo(args: argparse.Namespace) -> int:
         if e.skipped:
             print(f"warning: placebo {e.unit} skipped: {e.reason}", file=sys.stderr)
         elif not e.converged:
-            print(_unconverged(e.unit), file=sys.stderr)
+            print(_unconverged(e.unit, e.fw_gap), file=sys.stderr)
     p = p_value(ensemble)
     payload = {
         "treated": ensemble.treated,

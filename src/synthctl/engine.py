@@ -25,7 +25,7 @@ import numpy as np
 from .errors import InvalidSplit, ZeroVariancePredictor
 from .panel import Panel, PredictorTable
 from .seeding import derive_seed
-from .weights import Regularization, SolverOptions, solve_w
+from .weights import Regularization, solve_w
 
 OUTCOME_MEAN_NAME = "outcome_training_mean"
 
@@ -89,7 +89,8 @@ class SynthResult:
     validation_mspe: float
     pre_mspe: float
     objective: float
-    converged: bool  # whether the final weight solve settled before max_iters
+    converged: bool  # whether the final weight solve's Frank-Wolfe gap certifies it
+    fw_gap: float  # that solve's Frank-Wolfe gap, a bound on its distance to the optimum
 
     @property
     def weights_by_donor(self) -> dict[str, float]:
@@ -323,9 +324,8 @@ def solve_v(
     derivative-free search over softmax-parameterized importance vectors,
     scoring each candidate by the validation-window error of its implied
     donor weights, and returns the best vector it scored (uniform if it
-    scored no finite error, or if there is a single row). The search uses
-    warm-started single-restart solves on its own reduced budget;
-    fit_synth compares the winner with the baselines at the full budget.
+    scored no finite error, or if there is a single row). fit_synth
+    compares the winner with the baselines.
     """
     k = design.raw.shape[0]
     if spec.v_mode == "inverse_variance":
@@ -334,9 +334,6 @@ def solve_v(
         return np.full(k, 1.0 / k)
 
     baselines = _baselines(design)
-    cheap_opts = SolverOptions(max_iters=400, tol=1e-7, restarts=1)
-    cheap_seed = derive_seed(seed, "v-search")
-    warm: list[np.ndarray | None] = [None]
 
     best_f = np.inf
     best_v = baselines[0]
@@ -345,10 +342,7 @@ def solve_v(
     def scored(theta: np.ndarray) -> float:
         nonlocal best_f, best_v, since_improve
         v = _softmax(np.asarray(theta, dtype=float))
-        res = solve_w(design.X1, design.X0, v, spec.reg, cheap_opts,
-                      seed=cheap_seed, init=warm[0])
-        warm[0] = res.w
-        f = design.validation_error(res.w)
+        f = design.validation_error(solve_w(design.X1, design.X0, v, spec.reg).w)
         if f < best_f - _V_STALL_TOL:
             best_f, best_v, since_improve = f, v, 0
         else:
@@ -382,8 +376,8 @@ def fit_synth(spec: StudySpec, design: Design, *, seed: int = 42) -> SynthResult
     full pre-intervention windows. In optimized mode with more than one
     predictor row, the uniform vector, the inverse-variance vector (when
     every row varies) and solve_v's winner, unless it equals one of them,
-    are each solved once at solve_w's default budget with the run seed, and
-    the solve with the lowest validation error is kept (the first on ties),
+    are each solved once, and the solve with the lowest validation error is
+    kept (the first on ties),
     so the fit never validates worse than either baseline. Otherwise
     solve_v's vector is solved once.
     """
@@ -394,7 +388,7 @@ def fit_synth(spec: StudySpec, design: Design, *, seed: int = 42) -> SynthResult
         # a winner equal to a baseline would be solved twice and lose the tie
         if not any(np.array_equal(winner, v) for v in candidates):
             candidates.append(winner)
-    solves = [solve_w(design.X1, design.X0, v, spec.reg, seed=seed) for v in candidates]
+    solves = [solve_w(design.X1, design.X0, v, spec.reg) for v in candidates]
     best = int(np.argmin([design.validation_error(res.w) for res in solves]))
     v, result = candidates[best], solves[best]
 
@@ -414,4 +408,5 @@ def fit_synth(spec: StudySpec, design: Design, *, seed: int = 42) -> SynthResult
         pre_mspe=float(np.dot(pre, pre)),
         objective=result.objective,
         converged=result.converged,
+        fw_gap=result.fw_gap,
     )

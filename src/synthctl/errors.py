@@ -53,6 +53,10 @@ class ZeroVariancePredictor(SynthctlError):
     """A predictor is constant across units, so 1/variance is undefined."""
 
 
+class SingularSystem(SynthctlError):
+    """A weight solve's KKT system is singular and its fallback is not certified."""
+
+
 # ---- growth-curve analysis ----
 
 class DegenerateSeries(SynthctlError):

@@ -34,6 +34,7 @@ class PlaceboEntry:
     reason: str | None = None
     pre_floored: bool = False
     converged: bool | None = None  # the final weight solve's flag; None if skipped
+    fw_gap: float | None = None  # that solve's Frank-Wolfe gap; None if skipped
 
 
 @dataclass(frozen=True)
@@ -85,7 +86,8 @@ def _fit_ratio_task(unit: str) -> PlaceboEntry:
     floored = R_pre < PRE_RMSE_FLOOR
     r = R_post / max(R_pre, PRE_RMSE_FLOOR)
     return PlaceboEntry(unit, r, R_pre, R_post, skipped=False,
-                        pre_floored=floored, converged=result.converged)
+                        pre_floored=floored, converged=result.converged,
+                        fw_gap=result.fw_gap)
 
 
 def placebo_run(

@@ -3,16 +3,36 @@
 The treated unit is approximated by a convex combination of donors: weights
 are nonnegative and sum to one. The discrepancy being minimized is
 
-    sqrt( sum_h v_h * (X1_h - sum_j w_j * X0_hj)^2 ) + l1*||w||_2
+    f(w) = sqrt( sum_h v_h * (X1_h - sum_j w_j * X0_hj)^2 ) + l1*||w||_2
 
 where v holds per-predictor importance weights and l1, named after the CLI
 flag it binds to, scales the Euclidean norm of w. A penalty on the absolute
 sum of w would be the constant 1 on the simplex, so there is none.
 
-The solver is projected gradient descent with Armijo backtracking, restarted
-from several random points on the simplex. A flat (uniform) start sits on a
-symmetry point of the objective and can stall the descent, so initial points
-are always drawn from a flat Dirichlet instead of using the uniform vector.
+solve_w computes the exact minimizer. With A = sqrt(v)*X0, b = sqrt(v)*X1
+and the residual r = A w - b, each step solves the quadratic program
+
+    minimize 1/2 ||r||^2 + mu/2 ||w||^2 over the simplex
+
+by a primal active-set method (Lawson & Hanson 1974, adapted to the simplex):
+start from the best vertex, solve the KKT system with the sum-to-one row on
+the free set, add the donor with the most negative reduced gradient (the
+lowest index on ties), and step back when a free weight reaches zero. For
+l1 = 0 the program at mu = 0 is the whole solve. For l1 > 0, f and the
+program share their stationarity conditions at mu = l1*||r||/||w||, and
+bracketed secant (Illinois) steps find that mu, each program starting from
+the last free set. When the treated unit is a convex combination of donors,
+f may have its minimum at the kink r = 0; that minimum is the least-norm
+exact fit, the mu -> 0 limit of the programs, which the active-set method
+also solves.
+
+A solve stops on the Frank-Wolfe gap of f, g.w - min_j g_j for a
+(sub)gradient g at w, which bounds f(w) - min f. `converged` means that this
+gap certifies w: it is within REL_GAP of f, or f itself is at the rounding
+floor of the inputs. The solve is deterministic and takes no seed.
+
+project_simplex and _descend are projected gradient descent, which tests run
+as a reference solver for l1 > 0.
 """
 
 from __future__ import annotations
@@ -22,8 +42,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, SingularSystem
 
+# a solve is certified when its Frank-Wolfe gap is at most REL_GAP * f plus
+# ABS_GAP times the scale s of the inputs (LSQ_FLOOR * s^2 / f when l1 = 0),
+# or f itself is at most ABS_GAP * s
+REL_GAP = 1e-10
+ABS_GAP = 1e-13
+LSQ_FLOOR = 1e-15
+# a free set's reduced gradients below -_ENTER_TOL times the gradient's
+# largest entry let a donor enter
+_ENTER_TOL = 1e-13
+_MAX_MU_STEPS = 60
 _TINY = 1e-300
 
 
@@ -39,38 +69,17 @@ class Regularization:
 
 
 @dataclass(frozen=True)
-class SolverOptions:
-    """Descent budget. tol is a relative decrease threshold: a restart stops
-    once an accepted step improves the loss by less than tol * (loss + tol),
-    so perfect-fit instances keep descending to the floating-point floor."""
-
-    max_iters: int = 2000
-    tol: float = 1e-9
-    restarts: int = 8
-
-    def __post_init__(self) -> None:
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be positive")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
-        if self.restarts < 0:
-            raise ValueError("restarts must be nonnegative")
-
-
-@dataclass(frozen=True)
 class SolveResult:
-    """Converged weights plus diagnostics.
+    """Donor weights, their objective, and the Frank-Wolfe certificate.
 
-    trace holds the reported objective at every accepted step of the winning
-    restart (non-increasing by construction); restart_objectives holds each
-    restart's final objective, of which `objective` is the minimum.
+    fw_gap bounds objective - (the minimum objective); converged is True
+    when that bound certifies the weights (see REL_GAP).
     """
 
     w: np.ndarray
     objective: float
     converged: bool
-    trace: tuple[float, ...]
-    restart_objectives: tuple[float, ...]
+    fw_gap: float
 
 
 def _check_inputs(X1: np.ndarray, X0: np.ndarray, v: np.ndarray) -> tuple[int, int]:
@@ -109,7 +118,10 @@ def objective(
 
 
 def project_simplex(y: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex, by the sorting method."""
+    """Euclidean projection onto the probability simplex, by the sorting method.
+
+    Part of the reference projected gradient descent (see _descend).
+    """
     y = np.asarray(y, dtype=float)
     u = y.copy()
     u.sort()
@@ -125,9 +137,14 @@ def _descend(
     loss,
     grad,
     project,
-    opts: SolverOptions,
+    max_iters: int,
+    tol: float,
 ) -> tuple[np.ndarray, float, int, bool, list[float]]:
-    """Armijo-backtracked gradient descent from one starting point.
+    """Armijo-backtracked projected gradient descent from one starting point.
+
+    The reference solver that tests run against solve_w for l1 > 0; solve_w
+    itself does not call it. A descent stops after max_iters accepted steps,
+    or once a step lowers the loss by less than tol * (|loss| + tol).
 
     loss(w) returns the loss and the state it computed on the way; grad(w,
     state) reuses that state at the accepted point instead of recomputing it.
@@ -140,7 +157,7 @@ def _descend(
     alpha = 1.0
     converged = False
     it = 0
-    for it in range(1, opts.max_iters + 1):
+    for it in range(1, max_iters + 1):
         g = grad(w, state)
         alpha = min(alpha * 2.0, 1e8)
         accepted = False
@@ -160,10 +177,264 @@ def _descend(
         drop = f - f_new
         w, f, state = w_new, f_new, state_new
         trace.append(f)
-        if drop < opts.tol * (abs(f) + opts.tol):
+        if drop < tol * (abs(f) + tol):
             converged = True
             break
     return w, f, it, converged, trace
+
+
+class _Solver:
+    """The active-set programs and the certificate of one solve_w call."""
+
+    def __init__(self, A: np.ndarray, b: np.ndarray, l1: float) -> None:
+        # rotate the rows onto A's numerical row space: the k rows of A
+        # become its rank, and the part of b outside that space is a
+        # constant c in ||r||^2 that no weights change
+        self.scale = float(np.sqrt((A * A).sum(axis=0)).max() + np.linalg.norm(b))
+        U, sv, _ = np.linalg.svd(A, full_matrices=False)
+        U = U[:, sv > max(A.shape) * np.finfo(float).eps * sv.max(initial=0.0)]
+        self.A, self.b = U.T @ A, U.T @ b
+        self.c = float(np.sum((b - U @ self.b) ** 2))
+        self.l1 = l1
+        self.k, self.J = self.A.shape
+        self.singular = False  # a KKT system needed the lstsq fallback
+        self.exact = False  # every free set by lstsq, not by normal equations
+
+    def rnorm(self, r: np.ndarray) -> float:
+        """||A w - b|| from the rotated residual r."""
+        return math.sqrt(float(r @ r) + self.c)
+
+    def _linsolve(self, K: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
+        try:
+            z = np.linalg.solve(K, rhs)
+        except np.linalg.LinAlgError:
+            return None
+        return z if np.isfinite(z).all() else None
+
+    def face(self, F: np.ndarray, mu: float, dual: bool,
+             limit: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
+        """Minimizer x of 1/2 ||A_F x - b||^2 + mu/2 ||x||^2 with sum(x) = 1.
+
+        The primal form solves the bordered normal equations, of size
+        |F| + 1. The dual form eliminates x = -(A_F' y + nu): it solves
+        (B B' + mu D) [y; nu] = -[b; 1] with B = [A_F; 1'] and D = diag(1, .., 1, 0),
+        of size k + 1, and also returns y = r / mu. With limit (mu = 0) x is
+        the least-norm solution of B x = [b; 1] and y its least-norm
+        multiplier, both by SVD. In exact mode, or when a system is
+        singular, x comes from lstsq on the least-squares problem itself,
+        with the last weight eliminated, which does not square its
+        condition number.
+        """
+        A, b, k = self.A, self.b, self.k
+        AF = A[:, F]
+        n = F.size
+        if limit:
+            B = np.vstack([AF, np.ones(n)])
+            x = np.linalg.lstsq(B, np.append(b, 1.0), rcond=None)[0]
+            return x, np.linalg.lstsq(B.T, -x, rcond=None)[0][:k]
+        if not self.exact:
+            if dual:
+                B = np.vstack([AF, np.ones(n)])
+                M = B @ B.T
+                M[np.arange(k), np.arange(k)] += mu
+                z = self._linsolve(M, -np.append(b, 1.0))
+                if z is not None:
+                    x = -(B.T @ z)
+                    if abs(x.sum() - 1.0) <= 1e-9:
+                        return x, z[:k]
+            K = np.zeros((n + 1, n + 1))
+            K[:n, :n] = AF.T @ AF
+            K[np.arange(n), np.arange(n)] += mu
+            K[:n, n] = K[n, :n] = 1.0
+            z = self._linsolve(K, np.append(AF.T @ b, 1.0))
+            if z is not None:
+                return z[:n], None
+            self.singular = True
+        if n == 1:
+            return np.ones(1), None
+        # x = (x', 1 - sum(x')): min ||(A_F' - a 1') x' - (b - a)||^2
+        # + mu ||x'||^2 + mu (1 - sum(x'))^2 over x', a the last column
+        last = AF[:, -1]
+        M = AF[:, :-1] - last[:, None]
+        rhs = b - last
+        if mu:
+            root = math.sqrt(mu)
+            M = np.vstack([M, root * np.eye(n - 1), np.full((1, n - 1), -root)])
+            rhs = np.concatenate([rhs, np.zeros(n - 1), [-root]])
+        head = np.linalg.lstsq(M, rhs, rcond=None)[0]
+        return np.append(head, 1.0 - head.sum()), None
+
+    def program(self, mu: float, w: np.ndarray, F: np.ndarray, limit: bool = False):
+        """Minimize 1/2 ||A w - b||^2 + mu/2 ||w||^2 on the simplex from w.
+
+        w is feasible with support F (sorted indices). With limit, mu must be
+        0 and w an exact fit: the program is then the least-norm exact fit.
+        A least-squares program (mu = 0) also stops at an exact fit. Returns
+        the minimizer, its support, its residual A w - b and, from the dual
+        form, y = r / mu (else None).
+        """
+        A, b = self.A, self.b
+        last = None  # the last free set's minimizer, as returned
+        for _ in range(10 * self.J + 100):
+            x, y = self.face(F, mu, limit or F.size > self.k + 1, limit)
+            if x.min() <= 0.0:
+                # step back from w toward x until a free weight reaches zero
+                wF = w[F]
+                out = x <= 0.0
+                ratios = wF[out] / np.maximum(wF[out] - x[out], _TINY)
+                alpha = ratios.min()
+                if alpha <= 0.0 and last is not None:
+                    # the donor that just entered leaves at once: no step lowers the program
+                    return last
+                step = wF + alpha * (x - wF)
+                step[np.flatnonzero(out)[ratios == alpha]] = 0.0
+                w = np.zeros(self.J)
+                w[F] = np.maximum(step, 0.0)
+                F = F[w[F] > 0.0]
+                continue
+            w = np.zeros(self.J)
+            w[F] = x
+            r = A[:, F] @ x - b
+            last = (w, F, r, y)
+            if not (limit or mu) and np.linalg.norm(r) <= ABS_GAP * self.scale:
+                return last
+            # a positive multiple of the program's gradient
+            d = A.T @ y + w if y is not None else A.T @ r + mu * w
+            reduced = d - d @ w
+            reduced[F] = np.inf
+            j = int(np.argmin(reduced))
+            if not reduced[j] < -_ENTER_TOL * np.abs(d).max():
+                return last
+            F = np.insert(F, np.searchsorted(F, j), j)
+        return last
+
+    def certificate(self, w: np.ndarray, r: np.ndarray, y: np.ndarray | None):
+        """f(w) and its Frank-Wolfe gap, an upper bound on f(w) - min f.
+
+        With l1 > 0, any u with ||u|| <= 1 gives the bound g.w - min_j g_j +
+        ||r|| - u.r for g = A'u + l1 w/||w||: u = r/||r|| is the gradient's,
+        and u = l1 y / max(l1 ||y||, ||w||) stays exact at the kink r = 0.
+        The smaller of the two bounds is returned.
+        """
+        A, l1 = self.A, self.l1
+        nr = self.rnorm(r)
+        if l1 == 0.0:
+            if nr == 0.0:
+                return 0.0, 0.0
+            g = A.T @ r / nr
+            return nr, float(g @ w - g.min())
+        nw = float(np.linalg.norm(w))
+        bounds = []  # (u, ||r|| - u.r): the gradient's u has the term 0
+        if nr > 0.0:
+            bounds.append((r / nr, 0.0))
+        if y is not None:
+            u = l1 * y / max(l1 * float(np.linalg.norm(y)), nw)
+            bounds.append((u, max(0.0, nr - float(u @ r))))
+        gap = math.inf
+        for u, slack in bounds:
+            g = A.T @ u + l1 * w / nw
+            gap = min(gap, float(g @ w - g.min()) + slack)
+        return nr + l1 * nw, gap
+
+    def certified(self, f: float, gap: float) -> bool:
+        if f <= ABS_GAP * self.scale:
+            return True
+        # without the penalty the gap is that of ||r||^2 / 2 divided by f,
+        # so its rounding floor grows as f shrinks
+        floor = ABS_GAP * self.scale if self.l1 else LSQ_FLOOR * self.scale ** 2 / f
+        return gap <= REL_GAP * f + floor
+
+    def solve(self) -> tuple[np.ndarray, float, bool]:
+        """Weights, a bound on their distance to the optimum, and whether it certifies them.
+
+        The bound is the Frank-Wolfe gap, or f itself where that is smaller.
+        Free sets are solved by normal equations first; weights they leave
+        uncertified are solved again by lstsq alone. Raises SingularSystem
+        when a system was singular and neither pass certifies its weights.
+        """
+        f, gap, w = self.search()
+        if not self.certified(f, gap):
+            self.exact = True
+            f, gap, w = min((f, gap, w), self.search(), key=lambda t: t[0])
+        certified = self.certified(f, gap)
+        if not certified and self.singular:
+            raise SingularSystem(
+                f"donor weight KKT system is singular and its least-squares solution is "
+                f"not certified (Frank-Wolfe gap {gap:.3g}, objective {f:.6g})")
+        return w, min(gap, f), certified
+
+    def search(self) -> tuple[float, float, np.ndarray]:
+        """The objective, Frank-Wolfe gap and weights of one pass of the solve."""
+        A, b, l1 = self.A, self.b, self.l1
+        j0 = int(np.argmin(((A - b[:, None]) ** 2).sum(axis=0)))
+        w = np.zeros(self.J)
+        w[j0] = 1.0
+        w, F, r, y = self.program(0.0, w, np.array([j0]))
+        f, gap = self.certificate(w, r, y)
+        best = (f, gap, w)
+        if l1 == 0.0 or self.certified(f, gap):
+            return best
+
+        nr, nw = self.rnorm(r), float(np.linalg.norm(w))
+        kink = nr <= ABS_GAP * self.scale
+        lo = None  # the highest mu known to lie below the root, and its value
+        if kink:
+            # an exact fit: the least-norm one is optimal when its multiplier
+            # has l1 ||y|| <= ||w||; else mu > 0 is the root of 1 - l1 ||y||/||w||
+            w, F, r, y = self.program(0.0, w, F, limit=True)
+            f, gap = self.certificate(w, r, y)
+            best = min(best, (f, gap, w), key=lambda t: t[0])
+            if self.certified(f, gap):
+                return best
+            value = 1.0 - l1 * float(np.linalg.norm(y)) / float(np.linalg.norm(w))
+            AF = A[:, F]
+            mu = float((AF * AF).sum()) / F.size
+            if value < 0.0:
+                lo, mu = (0.0, value), mu * min(1.0, -value)
+            else:  # an uncertified multiplier: probe just above 0
+                mu *= 1e-6
+        else:
+            # the root of mu - l1 ||r||/||w||, which is -l1 ||r||/||w|| at 0
+            lo = (0.0, -l1 * nr / nw)
+            mu = -lo[1]
+        hi = None
+        side = 0  # Illinois: the end that moved last, -1 low or 1 high
+        for _ in range(_MAX_MU_STEPS):
+            w, F, r, y = self.program(mu, w, F)
+            if y is None:
+                y = r / mu
+            f, gap = self.certificate(w, r, y)
+            best = min(best, (f, gap, w), key=lambda t: t[0])
+            if self.certified(f, gap):
+                best = (f, gap, w)
+                break
+            nr = mu * float(np.linalg.norm(y)) if kink else self.rnorm(r)
+            h = l1 * nr / float(np.linalg.norm(w))
+            value = 1.0 - h / mu if kink else mu - h
+            if lo is None and value >= 0.0:
+                break  # the root is at the kink, whose point is in best
+            if hi is None and value < 0.0:
+                # below the root: the fixed-point step h stays below it, and
+                # a secant step through the last two points may pass it
+                step = h
+                if lo is not None and value > lo[1]:
+                    step = max(step, mu - value * (mu - lo[0]) / (value - lo[1]))
+                lo = (mu, value)
+                mu = min(step, 10.0 * mu)
+                continue
+            if value < 0.0:
+                lo = (mu, value)
+                if side == -1:
+                    hi = (hi[0], hi[1] / 2.0)
+                side = -1
+            else:
+                if side == 1:
+                    lo = (lo[0], lo[1] / 2.0)
+                hi, side = (mu, value), 1
+            if hi[0] - lo[0] <= 4e-16 * hi[0]:
+                break
+            mu = (lo[0] * hi[1] - hi[0] * lo[1]) / (hi[1] - lo[1])
+        return best
 
 
 def solve_w(
@@ -171,9 +442,6 @@ def solve_w(
     X0: np.ndarray,
     v: np.ndarray,
     reg: Regularization,
-    opts: SolverOptions | None = None,
-    seed: int = 42,
-    init: np.ndarray | None = None,
 ) -> SolveResult:
     """Minimize the penalized discrepancy over donor weights.
 
@@ -181,16 +449,14 @@ def solve_w(
         X1: treated unit's predictor vector, shape (k,).
         X0: donor predictor matrix, shape (k, J).
         v: nonnegative predictor importance weights, shape (k,).
-        reg: penalty coefficients.
-        opts: solver budget.
-        seed: drives the random restart draws; same seed, same result.
-        init: optional extra starting point, used alongside the restarts.
-            With restarts=0 the descent runs from this point alone.
+        reg: penalty coefficient.
 
-    Returns the best restart's weights. They satisfy sum(w) = 1 within 1e-8
-    and w >= 0 exactly (negative zeros clipped).
+    Returns the minimizer found by the active-set solve described in the
+    module docstring, with its Frank-Wolfe gap. The weights satisfy
+    sum(w) = 1 within 1e-8 and w >= 0 exactly. Raises SingularSystem when a
+    KKT system is singular and the lstsq fallback's weights fail the
+    certificate.
     """
-    opts = opts or SolverOptions()
     X1 = np.asarray(X1, dtype=float)
     X0 = np.asarray(X0, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -202,69 +468,9 @@ def solve_w(
 
     if J == 1:
         w = np.array([1.0])
-        f = objective(w, X1, X0, v, reg)
-        return SolveResult(w, f, True, (f,), (f,))
+        return SolveResult(w, objective(w, X1, X0, v, reg), True, 0.0)
 
-    vX0T = (v[:, None] * X0).T
-    l1 = reg.l1
-
-    if l1 == 0.0:
-        # with no Euclidean penalty the square root is a monotone wrapper, so
-        # descend on the smooth quadratic itself and report the root
-        def loss(w: np.ndarray) -> tuple[float, np.ndarray]:
-            r = X1 - X0 @ w
-            return float(v.dot(r * r)), r
-
-        def grad(w: np.ndarray, r: np.ndarray) -> np.ndarray:
-            return -2.0 * (vX0T @ r)
-
-        def report(f_internal: float) -> float:
-            return math.sqrt(max(f_internal, 0.0))
-    else:
-        def loss(w: np.ndarray) -> tuple[float, tuple]:
-            r = X1 - X0 @ w
-            q = float(v.dot(r * r))
-            wn = math.sqrt(float(w.dot(w)))
-            return math.sqrt(max(q, 0.0)) + l1 * wn, (r, q, wn)
-
-        def grad(w: np.ndarray, state: tuple) -> np.ndarray:
-            r, q, wn = state
-            if q > _TINY:
-                g = 0.0 - (vX0T @ r) / math.sqrt(q)  # not -(...): zeros stay +0.0
-            else:
-                g = np.zeros_like(w)
-            if wn > 0.0:
-                g += l1 * w / wn
-            return g
-
-        def report(f_internal: float) -> float:
-            return f_internal
-
-    rng = np.random.default_rng(seed)
-    starts: list[np.ndarray] = []
-    if init is not None:
-        init = np.asarray(init, dtype=float)
-        if init.shape != (J,):
-            raise DimensionMismatch(f"init has shape {init.shape}, expected ({J},)")
-        starts.append(init)
-    starts.extend(rng.dirichlet(np.ones(J)) for _ in range(opts.restarts))
-    if not starts:
-        raise ValueError("need init or at least one restart")
-
-    best: tuple[float, np.ndarray, bool, list[float]] | None = None
-    finals: list[float] = []
-    for w0 in starts:
-        w, f, _, converged, trace = _descend(w0, loss, grad, project_simplex, opts)
-        finals.append(report(f))
-        if best is None or f < best[0]:
-            best = (f, w, converged, trace)
-    assert best is not None
-    f_int, w, converged, trace = best
-    return SolveResult(
-        w=np.maximum(w, 0.0),
-        objective=report(f_int),
-        converged=converged,
-        trace=tuple(report(f) for f in trace),
-        restart_objectives=tuple(finals),
-    )
-
+    root_v = np.sqrt(v)
+    w, gap, certified = _Solver(root_v[:, None] * X0, root_v * X1, reg.l1).solve()
+    w = np.maximum(w, 0.0)
+    return SolveResult(w, objective(w, X1, X0, v, reg), certified, gap)

@@ -18,7 +18,6 @@ from synthctl import (
     PlaceboEnsemble,
     PlaceboEntry,
     Regularization,
-    SolverOptions,
     StudySpec,
     abs_correlation,
     build_design,
@@ -68,7 +67,6 @@ def test_criterion_01_weight_recovery(capsys):
 def test_criterion_02_oracle_equivalence(capsys):
     grid = grid_simplex_3(1e-3)
     norms2 = np.linalg.norm(grid, axis=1)
-    opts = SolverOptions(max_iters=5000, tol=1e-14, restarts=8)
     start = time.perf_counter()
     worst = -np.inf
     for case in range(50):
@@ -84,7 +82,7 @@ def test_criterion_02_oracle_equivalence(capsys):
         resid = X1[:, None] - X0 @ grid.T
         disc = np.sqrt(v @ (resid ** 2))
         oracle = float((disc + reg.l1 * norms2).min())
-        got = solve_w(X1, X0, v, reg, opts, seed=case).objective
+        got = solve_w(X1, X0, v, reg).objective
         worst = max(worst, got - oracle)
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-6 and elapsed < 30.0
@@ -97,7 +95,6 @@ def test_criterion_02_oracle_equivalence(capsys):
 # ---------------------------------------------------------------------------
 
 def test_criterion_03_feasibility_fuzz(capsys):
-    opts = SolverOptions(max_iters=200, restarts=1)
     worst_sum = 0.0
     worst_neg = 0.0
     rng = np.random.default_rng(31337)
@@ -109,7 +106,8 @@ def test_criterion_03_feasibility_fuzz(capsys):
         v = rng.uniform(0.01, 5.0, size=k)
         reg = Regularization(float(rng.uniform(0, 3)))
         rng.uniform(0, 3)  # drawn for the former 1-norm penalty; keeps the cases as they were
-        w = solve_w(X1, X0, v, reg, opts, seed=int(rng.integers(2 ** 31))).w
+        rng.integers(2 ** 31)  # drawn for the former restart seed; keeps the cases as they were
+        w = solve_w(X1, X0, v, reg).w
         worst_sum = max(worst_sum, abs(float(w.sum()) - 1.0))
         worst_neg = min(worst_neg, float(w.min()))
     ok = worst_sum <= 1e-8 and worst_neg >= 0.0

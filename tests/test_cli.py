@@ -1,6 +1,7 @@
 """End-to-end command-line tests: files in, files out, exit codes."""
 
 import datetime as dt
+import dataclasses
 import json
 import os
 import pathlib
@@ -374,7 +375,7 @@ def test_placebo_entries_say_why_a_placebo_was_skipped(tmp_path, capsys):
     assert treated.converged is True
 
 
-def test_placebo_warns_about_skipped_and_unconverged_placebos(tmp_path, capsys):
+def test_placebo_warns_about_skipped_and_unconverged_placebos(tmp_path, capsys, monkeypatch):
     outcomes, predictors = _study_files(tmp_path, n_donors=1, seed=5)
     assert main(["placebo", "--outcomes", outcomes, "--predictors", predictors,
                  "--treated", "10001", "--t0", _dates(40)[25],
@@ -386,11 +387,15 @@ def test_placebo_warns_about_skipped_and_unconverged_placebos(tmp_path, capsys):
     out = tmp_path / "capped"
     assert main(["placebo", *_capped_study(tmp_path), "--l1", "0", "--out", str(out)]) == 0
     entries = json.loads((out / "placebo.json").read_text())["entries"]
-    capped = [e["unit"] for e in entries if e["converged"] is False]
-    assert "10001" in capped
+    assert all(e["converged"] for e in entries)
+    assert capsys.readouterr().err == ""
+
+    _uncertified_solves(monkeypatch)
+    assert main(["placebo", *_capped_study(tmp_path), "--jobs", "1",
+                 "--out", str(tmp_path / "uncertified")]) == 0
     assert capsys.readouterr().err.splitlines() == [
-        f"warning: donor weights for {unit} stopped at max_iters=2000 without converging"
-        for unit in capped]
+        f"warning: donor weights for {unit} are not certified optimal (Frank-Wolfe gap 0.25)"
+        for unit in ["10001", "20000", "20002", "20004", "20006"]]
 
 
 @pytest.mark.parametrize("day", [4, 10])
@@ -775,10 +780,10 @@ def test_side_table_defects_name_the_file_exits_3(tmp_path, capsys, table, defec
 
 
 def _capped_study(tmp_path):
-    """Study options whose final weight solve stops at max_iters under --l1 0.
+    """Study options whose final weight solve the earlier descent solver left
+    at its iteration cap under --l1 0.
 
-    Nearly collinear predictors and a treated unit inside the donor hull:
-    without penalties the descent is still creeping at max_iters.
+    Nearly collinear predictors and a treated unit inside the donor hull.
     """
     rng = np.random.default_rng(1)
     J, T = 4, 40
@@ -795,15 +800,30 @@ def _capped_study(tmp_path):
             "--t0", _dates(T)[30], "--v-mode", "uniform"]
 
 
-def test_fit_warns_when_final_weights_do_not_converge(tmp_path, capsys):
+def _uncertified_solves(monkeypatch):
+    """Make every weight solve report the weights it finds as uncertified."""
+    from synthctl import engine
+
+    solve_w = engine.solve_w
+
+    def uncertified(*args, **kwargs):
+        return dataclasses.replace(solve_w(*args, **kwargs), converged=False, fw_gap=0.25)
+
+    monkeypatch.setattr(engine, "solve_w", uncertified)
+
+
+def test_fit_warns_when_final_weights_do_not_converge(tmp_path, capsys, monkeypatch):
     argv = ["fit", *_capped_study(tmp_path)]
+    # the exact solve certifies this study with and without the penalty
     assert main([*argv, "--l1", "0", "--out", str(tmp_path / "out")]) == 0
-    err = capsys.readouterr().err
-    assert "warning: donor weights for 10001 stopped at max_iters=2000 without converging" in err
-    assert "(objective " in err
-    # the default penalty settles, and says nothing
     assert main([*argv, "--out", str(tmp_path / "out2")]) == 0
     assert "warning" not in capsys.readouterr().err
+
+    _uncertified_solves(monkeypatch)
+    assert main([*argv, "--out", str(tmp_path / "out3")]) == 0
+    err = capsys.readouterr().err
+    assert ("warning: donor weights for 10001 are not certified optimal "
+            "(Frank-Wolfe gap 0.25) (objective ") in err
 
 
 def test_fit_cluster_filter_falls_back_when_empty(tmp_path, capsys):

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from helpers import combo_study, make_panel, make_predictors, random_walk_panel, unit_codes
 from synthctl import (
     Regularization,
-    SolverOptions,
     StudySpec,
     build_design,
     fit_synth,
@@ -152,13 +151,33 @@ def test_fit_synth_never_loses_to_uniform_or_invvar(rng):
     k = v_star.size
 
     def validation_error(v):
-        return design.validation_error(solve_w(design.X1, design.X0, v, spec.reg, seed=7).w)
+        return design.validation_error(solve_w(design.X1, design.X0, v, spec.reg).w)
 
     best = validation_error(v_star)
     uniform = validation_error(np.ones(k) / k)
     invvar = validation_error(inverse_variance_v(design.raw))
     assert best <= uniform
     assert best <= invvar
+
+
+def _count_final_solves(monkeypatch) -> list[bool]:
+    """Record, for each solve_w call of engine, whether the importance search made it."""
+    calls, searching = [], [False]
+
+    def counted(*args, **kwargs):
+        calls.append(searching[0])
+        return solve_w(*args, **kwargs)
+
+    def search(*args, **kwargs):
+        searching[0] = True
+        try:
+            return solve_v(*args, **kwargs)
+        finally:
+            searching[0] = False
+
+    monkeypatch.setattr(engine, "solve_w", counted)
+    monkeypatch.setattr(engine, "solve_v", search)
+    return calls
 
 
 @pytest.mark.parametrize("v_mode, constant_row, full_solves", [
@@ -177,36 +196,24 @@ def test_fit_synth_solves_each_candidate_once_at_full_budget(
         predictors = make_predictors(values, predictors.units)
     spec = dataclasses.replace(spec, v_mode=v_mode)
     design = build_design(panel, predictors, spec)
-    budgets = []
-
-    def counted(*args, **kwargs):
-        budgets.append(args[4] if len(args) > 4 else kwargs.get("opts"))
-        return solve_w(*args, **kwargs)
-
-    monkeypatch.setattr(engine, "solve_w", counted)
+    calls = _count_final_solves(monkeypatch)
     result = fit_synth(spec, design, seed=3)
-    assert sum((b or SolverOptions()) == SolverOptions() for b in budgets) == full_solves
+    assert calls.count(False) == full_solves
     # the kept solve is one of those: solving its v again gives the same weights
-    again = solve_w(design.X1, design.X0, result.v_star, spec.reg, seed=3)
+    again = solve_w(design.X1, design.X0, result.v_star, spec.reg)
     assert np.array_equal(result.w_star, again.w)
 
 
 def test_fit_synth_solves_a_uniform_search_winner_once(rng, monkeypatch):
     # one donor: every v gives the same weights, so the search's winner is its
-    # uniform first point, and it shares the uniform baseline's full-budget solve
+    # uniform first point, and it shares the uniform baseline's solve
     panel, predictors, spec = _small_study(rng, J=1)
     design = build_design(panel, predictors, spec)
-    budgets = []
-
-    def counted(*args, **kwargs):
-        budgets.append(args[4] if len(args) > 4 else kwargs.get("opts"))
-        return solve_w(*args, **kwargs)
-
-    monkeypatch.setattr(engine, "solve_w", counted)
+    calls = _count_final_solves(monkeypatch)
     result = fit_synth(spec, design, seed=3)
-    assert np.array_equal(engine.solve_v(spec, design, seed=3), np.full(4, 0.25))
     # uniform and inverse-variance
-    assert sum((b or SolverOptions()) == SolverOptions() for b in budgets) == 2
+    assert calls.count(False) == 2
+    assert np.array_equal(solve_v(spec, design, seed=3), np.full(4, 0.25))
     assert np.array_equal(result.v_star, np.full(4, 0.25))
 
 
@@ -249,7 +256,7 @@ def test_fit_synth_with_fixed_v_matches_direct_solve(rng):
                      t_fit=spec.t_fit, v_mode="uniform", reg=Regularization(0.0))
     result = fit_synth(spec, build_design(panel, predictors, spec), seed=13)
     design = build_design(panel, predictors, spec)
-    direct = solve_w(design.X1, design.X0, np.ones(4) / 4, spec.reg, seed=13)
+    direct = solve_w(design.X1, design.X0, np.ones(4) / 4, spec.reg)
     assert np.array_equal(result.w_star, direct.w)
     assert result.objective == direct.objective
 
@@ -305,9 +312,10 @@ def test_study_spec_validation():
         StudySpec(treated="01001", donors=("02002",), T0=20, v_mode="nope")
 
 
-def test_fit_synth_reports_unconverged_final_solve():
-    # nearly collinear predictors and a treated unit inside the donor hull:
-    # without penalties the final descent is still creeping at max_iters
+def test_fit_synth_reports_unconverged_final_solve(monkeypatch):
+    # nearly collinear predictors and a treated unit inside the donor hull,
+    # where the earlier descent solver stopped at its iteration cap without
+    # penalties: the exact solve certifies both fits
     rng = np.random.default_rng(1)
     J, T = 4, 40
     level = rng.normal(size=J)
@@ -318,9 +326,18 @@ def test_fit_synth_reports_unconverged_final_solve():
     predictors = make_predictors(np.hstack([(P0 @ w)[:, None], P0]), panel.units)
     spec = StudySpec(treated=panel.units[0], donors=panel.units[1:], T0=30,
                      v_mode="uniform", reg=Regularization(0.0))
-    assert not fit_synth(spec, build_design(panel, predictors, spec), seed=42).converged
+    design = build_design(panel, predictors, spec)
+    assert fit_synth(spec, design, seed=42).converged
     spec = dataclasses.replace(spec, reg=Regularization())
     assert fit_synth(spec, build_design(panel, predictors, spec), seed=42).converged
+
+    # an uncertified final solve is reported with its gap
+    def uncertified(*args, **kwargs):
+        return dataclasses.replace(solve_w(*args, **kwargs), converged=False, fw_gap=0.5)
+
+    monkeypatch.setattr(engine, "solve_w", uncertified)
+    result = fit_synth(spec, design, seed=42)
+    assert not result.converged and result.fw_gap == 0.5
 
 
 # ---------------------------------------------------------------------------

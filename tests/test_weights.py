@@ -1,4 +1,6 @@
-"""Weight solver tests: hand oracles, a grid-search oracle, and invariants."""
+"""Weight solver tests: hand oracles, grid-search, NNLS and descent oracles, and invariants."""
+
+import math
 
 import numpy as np
 import pytest
@@ -8,14 +10,13 @@ from hypothesis import strategies as st
 from helpers import grid_simplex_3
 from synthctl import (
     Regularization,
-    SolverOptions,
+    SolveResult,
     objective,
     project_simplex,
     solve_w,
+    weights,
 )
-from synthctl.errors import DimensionMismatch
-
-TIGHT = SolverOptions(max_iters=5000, tol=1e-14, restarts=8)
+from synthctl.errors import DimensionMismatch, SingularSystem
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +99,7 @@ def test_solver_beats_grid_oracle(case):
     v = rng.uniform(0.5, 2.0, size=2)
     grid = grid_simplex_3(1e-2)
     _, oracle_val = _grid_oracle(X1, X0, v, reg, grid)
-    result = solve_w(X1, X0, v, reg, TIGHT, seed=case)
+    result = solve_w(X1, X0, v, reg)
     assert result.objective <= oracle_val + 1e-6
 
 
@@ -106,43 +107,25 @@ def test_solver_exact_interpolation():
     # treated is donor 2 exactly: the solver must find the vertex
     X0 = np.array([[1.0, 5.0, 9.0], [2.0, 7.0, 3.0]])
     X1 = X0[:, 1].copy()
-    result = solve_w(X1, X0, np.ones(2), Regularization(0.0), TIGHT)
+    result = solve_w(X1, X0, np.ones(2), Regularization(0.0))
     assert np.allclose(result.w, [0.0, 1.0, 0.0], atol=1e-6)
     assert result.objective <= 1e-7
 
 
 def test_single_donor_shortcut():
-    result = solve_w(np.array([3.0]), np.array([[8.0]]), np.ones(1),
-                     Regularization(), SolverOptions(restarts=0))
+    result = solve_w(np.array([3.0]), np.array([[8.0]]), np.ones(1), Regularization())
     assert result.w.shape == (1,)
     assert result.w[0] == 1.0
-
-
-def test_solver_trace_non_increasing():
-    rng = np.random.default_rng(5)
-    X1 = rng.normal(size=4)
-    X0 = rng.normal(size=(4, 6))
-    result = solve_w(X1, X0, np.ones(4), Regularization(), seed=1)
-    trace = np.array(result.trace)
-    assert (np.diff(trace) <= 1e-12).all()
 
 
 def test_solver_deterministic_for_seed():
     rng = np.random.default_rng(8)
     X1 = rng.normal(size=3)
     X0 = rng.normal(size=(3, 5))
-    a = solve_w(X1, X0, np.ones(3), Regularization(), seed=77)
-    b = solve_w(X1, X0, np.ones(3), Regularization(), seed=77)
+    a = solve_w(X1, X0, np.ones(3), Regularization())
+    b = solve_w(X1, X0, np.ones(3), Regularization())
     assert np.array_equal(a.w, b.w)
     assert a.objective == b.objective
-
-
-def test_restart_objectives_contains_winner():
-    rng = np.random.default_rng(2)
-    X1 = rng.normal(size=3)
-    X0 = rng.normal(size=(3, 5))
-    result = solve_w(X1, X0, np.ones(3), Regularization(), seed=3)
-    assert min(result.restart_objectives) == pytest.approx(result.objective, rel=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -156,8 +139,7 @@ def test_solver_feasibility_fuzz(seed):
     v = rng.uniform(0.1, 3.0, size=k)
     reg = Regularization(l1=float(rng.uniform(0, 2)))
     rng.uniform(0, 2)  # drawn for the former 1-norm penalty; keeps the cases as they were
-    result = solve_w(X1, X0, v, reg, SolverOptions(max_iters=300, restarts=2),
-                     seed=seed)
+    result = solve_w(X1, X0, v, reg)
     assert result.w.sum() == pytest.approx(1.0, abs=1e-8)
     assert (result.w >= 0).all()
 
@@ -189,17 +171,122 @@ def test_permutation_equivariance():
     X0 = rng.normal(size=(k, J))
     v = rng.uniform(0.5, 2.0, size=k)
     perm = np.array([2, 0, 3, 1])
-    a = solve_w(X1, X0, v, Regularization(0.0), TIGHT, seed=11)
-    b = solve_w(X1, X0[:, perm], v, Regularization(0.0), TIGHT, seed=12)
+    a = solve_w(X1, X0, v, Regularization(0.0))
+    b = solve_w(X1, X0[:, perm], v, Regularization(0.0))
     assert np.allclose(a.w[perm], b.w, atol=1e-5)
 
 
-def test_init_point_is_honored():
-    # a perfect init with no restarts must be kept, not perturbed away
-    X0 = np.array([[2.0, 4.0], [1.0, 5.0]])
-    w_true = np.array([0.25, 0.75])
-    X1 = X0 @ w_true
-    result = solve_w(X1, X0, np.ones(2), Regularization(0.0),
-                     SolverOptions(restarts=0), init=w_true)
-    assert np.allclose(result.w, w_true, atol=1e-9)
+# ---------------------------------------------------------------------------
+# certified solves against independent oracles at realistic donor counts
+# ---------------------------------------------------------------------------
 
+def _study_arrays(J, k=30, seed=0, inside=False):
+    """z-scored predictors of a factor-model study: the treated unit first.
+
+    inside puts the treated unit at a convex combination of the donors, so
+    the fit is exact and, with l1 > 0, the objective has its kink there.
+    """
+    rng = np.random.default_rng([J, k, seed])
+    raw = rng.normal(size=(k, 3)) @ rng.normal(size=(3, J + 1)) + rng.normal(size=(k, J + 1))
+    z = (raw - raw.mean(axis=1, keepdims=True)) / raw.std(axis=1, keepdims=True)
+    X1, X0 = z[:, 0], z[:, 1:]
+    if inside:
+        X1 = X0 @ rng.dirichlet(np.ones(J))
+    v = rng.dirichlet(np.ones(k))
+    return X1, X0, v
+
+
+def _nnls_oracle(X1, X0, v):
+    """Least squares on the simplex by scipy's NNLS with a heavily weighted sum-to-one row."""
+    from scipy.optimize import nnls
+    A, b = np.sqrt(v)[:, None] * X0, np.sqrt(v) * X1
+    heavy = 1e4 * np.abs(A).max()
+    w, _ = nnls(np.vstack([A, np.full(A.shape[1], heavy)]), np.append(b, heavy))
+    return w / w.sum()
+
+
+def _descent_oracle(X1, X0, v, l1):
+    """A long projected gradient descent from the uniform weights."""
+    vX0T = (v[:, None] * X0).T
+
+    def loss(w):
+        r = X1 - X0 @ w
+        q = float(v @ (r * r))
+        return math.sqrt(q) + l1 * math.sqrt(float(w @ w)), (r, q)
+
+    def grad(w, state):
+        r, q = state
+        return -(vX0T @ r) / math.sqrt(q) + l1 * w / math.sqrt(float(w @ w))
+
+    J = X0.shape[1]
+    w, *_ = weights._descend(np.full(J, 1.0 / J), loss, grad, project_simplex, 20000, 1e-16)
+    return w
+
+
+def _fw_gap(X1, X0, v, l1, w):
+    """Frank-Wolfe gap of the objective at w, from its gradient."""
+    r = X1 - X0 @ w
+    g = -(X0.T @ (v * r)) / math.sqrt(float(v @ (r * r)))
+    if l1:
+        g = g + l1 * w / np.linalg.norm(w)
+    return float(g @ w - g.min())
+
+
+@pytest.mark.parametrize("J", [40, 200, 800])
+@pytest.mark.parametrize("l1", [0.0, 0.6])
+def test_solver_matches_oracles_at_realistic_donor_counts(J, l1):
+    X1, X0, v = _study_arrays(J)
+    reg = Regularization(l1)
+    result = solve_w(X1, X0, v, reg)
+    oracle = _nnls_oracle(X1, X0, v) if l1 == 0 else _descent_oracle(X1, X0, v, l1)
+    f = result.objective
+    assert f <= objective(oracle, X1, X0, v, reg) * (1 + 1e-9)
+    assert result.converged and result.fw_gap <= 1e-9 * f
+    assert _fw_gap(X1, X0, v, l1, result.w) <= 1e-9 * f
+    assert result.w.sum() == pytest.approx(1.0, abs=1e-12) and (result.w >= 0).all()
+
+
+@pytest.mark.parametrize("l1", [0.05, 0.6, 2.0])
+def test_solver_certifies_an_exact_fit_with_a_penalty(l1):
+    # k < J and the treated unit inside the donor hull: r = 0 is reachable,
+    # and the penalty either keeps the least-norm exact fit or leaves it
+    X1, X0, v = _study_arrays(200, seed=1, inside=True)
+    reg = Regularization(l1)
+    result = solve_w(X1, X0, v, reg)
+    f = result.objective
+    assert f <= objective(_descent_oracle(X1, X0, v, l1), X1, X0, v, reg) * (1 + 1e-9)
+    assert result.converged and result.fw_gap <= 1e-9 * f
+
+
+def test_solver_certifies_an_exact_fit_without_a_penalty():
+    X1, X0, v = _study_arrays(200, seed=1, inside=True)
+    result = solve_w(X1, X0, v, Regularization(0.0))
+    assert result.converged and result.objective <= 1e-12
+    assert np.count_nonzero(result.w) <= 31  # a vertex solution: at most k + 1 donors
+
+
+def test_solver_takes_the_lowest_index_on_ties():
+    # two identical donors: the first one enters, and its twin never does
+    X0 = np.array([[1.0, 1.0, 4.0], [2.0, 2.0, -1.0]])
+    X1 = np.array([2.0, 1.0])
+    result = solve_w(X1, X0, np.ones(2), Regularization(0.0))
+    assert result.converged
+    assert result.w[1] == 0.0 and result.w[0] > 0.0
+
+
+def test_uncertified_fallback_from_a_singular_system_raises(monkeypatch):
+    # every KKT solve "fails", so each takes the lstsq fallback, and no
+    # weights pass the certificate
+    monkeypatch.setattr(weights._Solver, "_linsolve", lambda self, K, rhs: None)
+    monkeypatch.setattr(weights._Solver, "certified", lambda self, f, gap: False)
+    X1, X0, v = _study_arrays(40)
+    with pytest.raises(SingularSystem, match="KKT system is singular"):
+        solve_w(X1, X0, v, Regularization())
+
+
+def test_solve_result_reports_the_certificate():
+    X1, X0, v = _study_arrays(40)
+    result = solve_w(X1, X0, v, Regularization())
+    assert isinstance(result, SolveResult)
+    assert result.objective == objective(result.w, X1, X0, v, Regularization())
+    assert 0.0 <= result.fw_gap <= weights.REL_GAP * result.objective
