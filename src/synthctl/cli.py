@@ -31,6 +31,7 @@ from .panel import (
     load_metadata,
     load_predictors,
     parse_bool,
+    state_of,
 )
 from .seeding import derive_seed
 from .serialize import write_csv, write_json
@@ -171,8 +172,9 @@ def _intervention_index(args: argparse.Namespace, panel: Panel, treated: str) ->
 
 
 def _donor_pool(args: argparse.Namespace, panel: Panel, treated: str) -> tuple[str, ...]:
+    """The units of no treated state: neither a state the metadata marks, nor `treated`'s own."""
     control, _ = donor_ops.split_control_target(panel)
-    pool = tuple(u for u in control if u != treated)
+    pool = tuple(u for u in control if state_of(u) != state_of(treated))
 
     mode = args.filter
     if mode != "none":

@@ -108,7 +108,8 @@ def placebo_run(
     the spec; each task is one unit code. A placebo_T0 that leaves no
     training window raises InvalidSplit, before any fit. Per-unit seeds
     are hashed from the base seed and the unit code, and entries are ordered
-    by unit code, so output is identical for any job count.
+    by unit code, so output is identical for any job count. A worker process
+    that dies raises SynthctlError naming the first unit whose fit it lost.
     """
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
@@ -131,7 +132,14 @@ def placebo_run(
         with concurrent.futures.ProcessPoolExecutor(
                 max_workers=min(jobs, len(units)), initializer=_share_study,
                 initargs=study) as pool:
-            entries = list(pool.map(_fit_ratio_task, units))
+            futures = [pool.submit(_fit_ratio_task, unit) for unit in units]
+            entries = []
+            for unit, future in zip(units, futures):
+                try:
+                    entries.append(future.result())
+                except concurrent.futures.BrokenExecutor as exc:
+                    raise SynthctlError(f"the placebo fit of unit {unit} was lost: a worker "
+                                        f"process died ({exc})") from exc
 
     entries.sort(key=lambda e: e.unit)
     ordered = tuple(entries)

@@ -19,17 +19,18 @@ start from the best vertex, solve the KKT system with the sum-to-one row on
 the free set, add the donor with the most negative reduced gradient (the
 lowest index on ties), and step back when a free weight reaches zero. For
 l1 = 0 the program at mu = 0 is the whole solve. For l1 > 0, f and the
-program share their stationarity conditions at mu = l1*||r||/||w||, and
-bracketed secant (Illinois) steps find that mu, each program starting from
-the last free set. When the treated unit is a convex combination of donors,
-f may have its minimum at the kink r = 0; that minimum is the least-norm
-exact fit, the mu -> 0 limit of the programs, which the active-set method
-also solves.
+program share their stationarity conditions at mu = l1*||r||/||w||. Newton
+steps on that equation, with dw/dmu from the free set's KKT system, find
+mu; Illinois (secant) steps take over inside the bracket when a Newton step
+leaves it, and each program starts from the last free set. When the treated
+unit is a convex combination of donors, f has a kink at r = 0, and its
+minimum may lie there: at the least-norm exact fit, the mu -> 0 limit of the
+programs, which the active-set method also solves.
 
 A solve stops on the Frank-Wolfe gap of f, g.w - min_j g_j for a
 (sub)gradient g at w, which bounds f(w) - min f. `converged` means that this
-gap certifies w: it is within REL_GAP of f, or f itself is at the rounding
-floor of the inputs. The solve is deterministic and takes no seed.
+gap certifies w: it is within REL_GAP of f, or at the rounding floor of the
+inputs. The solve is deterministic and takes no seed.
 
 project_simplex and _descend are projected gradient descent, which tests run
 as a reference solver for l1 > 0.
@@ -184,12 +185,17 @@ def _descend(
 
 
 class _Solver:
-    """The active-set programs and the certificate of one solve_w call."""
+    """The active-set programs and the certificate of one solve_w call.
+
+    The rows of A are first rotated onto its numerical row space, so that a
+    zero importance or a repeated predictor row leaves no singular KKT
+    system. Free sets are solved by normal equations; a pass that leaves
+    its weights uncertified is repeated with lstsq on each free set.
+    """
 
     def __init__(self, A: np.ndarray, b: np.ndarray, l1: float) -> None:
-        # rotate the rows onto A's numerical row space: the k rows of A
-        # become its rank, and the part of b outside that space is a
-        # constant c in ||r||^2 that no weights change
+        # the k rows of A become its rank, and the part of b outside its
+        # row space is a constant c in ||r||^2 that no weights change
         self.scale = float(np.sqrt((A * A).sum(axis=0)).max() + np.linalg.norm(b))
         U, sv, _ = np.linalg.svd(A, full_matrices=False)
         U = U[:, sv > max(A.shape) * np.finfo(float).eps * sv.max(initial=0.0)]
@@ -211,6 +217,23 @@ class _Solver:
             return None
         return z if np.isfinite(z).all() else None
 
+    def _primal(self, AF: np.ndarray, mu: float) -> np.ndarray:
+        """The bordered normal equations [A_F'A_F + mu I, 1; 1', 0]."""
+        n = AF.shape[1]
+        K = np.ones((n + 1, n + 1))
+        K[:n, :n] = AF.T @ AF
+        K[n, n] = 0.0
+        K.flat[:n * (n + 2):n + 2] += mu
+        return K
+
+    def _dual(self, AF: np.ndarray, mu: float) -> tuple[np.ndarray, np.ndarray]:
+        """B = [A_F; 1'] and B B' + mu D, D = diag(1, .., 1, 0)."""
+        k = self.k
+        B = np.vstack((AF, np.ones(AF.shape[1])))
+        M = B @ B.T
+        M.flat[:k * (k + 2):k + 2] += mu
+        return B, M
+
     def face(self, F: np.ndarray, mu: float, dual: bool,
              limit: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
         """Minimizer x of 1/2 ||A_F x - b||^2 + mu/2 ||x||^2 with sum(x) = 1.
@@ -229,24 +252,18 @@ class _Solver:
         AF = A[:, F]
         n = F.size
         if limit:
-            B = np.vstack([AF, np.ones(n)])
-            x = np.linalg.lstsq(B, np.append(b, 1.0), rcond=None)[0]
+            B = np.vstack((AF, np.ones(n)))
+            x = np.linalg.lstsq(B, np.concatenate((b, [1.0])), rcond=None)[0]
             return x, np.linalg.lstsq(B.T, -x, rcond=None)[0][:k]
         if not self.exact:
             if dual:
-                B = np.vstack([AF, np.ones(n)])
-                M = B @ B.T
-                M[np.arange(k), np.arange(k)] += mu
-                z = self._linsolve(M, -np.append(b, 1.0))
+                B, M = self._dual(AF, mu)
+                z = self._linsolve(M, -np.concatenate((b, [1.0])))
                 if z is not None:
                     x = -(B.T @ z)
                     if abs(x.sum() - 1.0) <= 1e-9:
                         return x, z[:k]
-            K = np.zeros((n + 1, n + 1))
-            K[:n, :n] = AF.T @ AF
-            K[np.arange(n), np.arange(n)] += mu
-            K[:n, n] = K[n, :n] = 1.0
-            z = self._linsolve(K, np.append(AF.T @ b, 1.0))
+            z = self._linsolve(self._primal(AF, mu), np.concatenate((AF.T @ b, [1.0])))
             if z is not None:
                 return z[:n], None
             self.singular = True
@@ -262,7 +279,30 @@ class _Solver:
             M = np.vstack([M, root * np.eye(n - 1), np.full((1, n - 1), -root)])
             rhs = np.concatenate([rhs, np.zeros(n - 1), [-root]])
         head = np.linalg.lstsq(M, rhs, rcond=None)[0]
-        return np.append(head, 1.0 - head.sum()), None
+        return np.concatenate((head, [1.0 - head.sum()])), None
+
+    def slope(self, F: np.ndarray, mu: float, w: np.ndarray,
+              y: np.ndarray | None) -> np.ndarray:
+        """dw/dmu of the program's minimizer on the free set F.
+
+        Differentiating the face system gives the same matrix with the
+        right-hand side -[w_F; 0], or -[y; 0] in the dual form.
+        """
+        AF = self.A[:, F]
+        n = F.size
+        if n > self.k + 1:
+            B, M = self._dual(AF, mu)
+            dz = self._linsolve(M, -np.concatenate((y, [0.0])))
+            return np.zeros(n) if dz is None else -(B.T @ dz)
+        dz = self._linsolve(self._primal(AF, mu), -np.concatenate((w[F], [0.0])))
+        return np.zeros(n) if dz is None else dz[:n]
+
+    def dh(self, mu: float, F: np.ndarray, w: np.ndarray, r: np.ndarray,
+           y: np.ndarray | None, nr: float, nw: float) -> float:
+        """d/dmu of h = l1 ||r||/||w|| on the free set F, for Newton's step."""
+        dw = self.slope(F, mu, w, y)
+        dnr = float(r @ (self.A[:, F] @ dw)) / nr if nr > 0.0 else 0.0
+        return self.l1 * (dnr - nr * float(w[F] @ dw) / nw ** 2) / nw
 
     def program(self, mu: float, w: np.ndarray, F: np.ndarray, limit: bool = False):
         """Minimize 1/2 ||A w - b||^2 + mu/2 ||w||^2 on the simplex from w.
@@ -305,8 +345,22 @@ class _Solver:
             j = int(np.argmin(reduced))
             if not reduced[j] < -_ENTER_TOL * np.abs(d).max():
                 return last
-            F = np.insert(F, np.searchsorted(F, j), j)
+            F = np.concatenate((F, [j]))
+            F.sort()
         return last
+
+    def least_norm_fit(self, F: np.ndarray, w: np.ndarray, G: np.ndarray):
+        """The least-norm exact fit, the limit of the programs as mu -> 0.
+
+        The active-set method starts from the least-norm exact fit on F when
+        all its weights are positive, else from the exact fit w with support G.
+        """
+        x, _ = self.face(F, 0.0, True, limit=True)
+        if x.min() > 0.0:
+            w = np.zeros(self.J)
+            w[F] = x
+            G = F
+        return self.program(0.0, w, G, limit=True)
 
     def certificate(self, w: np.ndarray, r: np.ndarray, y: np.ndarray | None):
         """f(w) and its Frank-Wolfe gap, an upper bound on f(w) - min f.
@@ -355,7 +409,9 @@ class _Solver:
         f, gap, w = self.search()
         if not self.certified(f, gap):
             self.exact = True
-            f, gap, w = min((f, gap, w), self.search(), key=lambda t: t[0])
+            again = self.search()
+            if self.certified(*again[:2]) or again[0] < f:
+                f, gap, w = again
         certified = self.certified(f, gap)
         if not certified and self.singular:
             raise SingularSystem(
@@ -377,50 +433,53 @@ class _Solver:
 
         nr, nw = self.rnorm(r), float(np.linalg.norm(w))
         kink = nr <= ABS_GAP * self.scale
-        lo = None  # the highest mu known to lie below the root, and its value
+        lo = hi = None  # mu below and above the root, with their values
         if kink:
-            # an exact fit: the least-norm one is optimal when its multiplier
-            # has l1 ||y|| <= ||w||; else mu > 0 is the root of 1 - l1 ||y||/||w||
-            w, F, r, y = self.program(0.0, w, F, limit=True)
-            f, gap = self.certificate(w, r, y)
-            best = min(best, (f, gap, w), key=lambda t: t[0])
-            if self.certified(f, gap):
-                return best
-            value = 1.0 - l1 * float(np.linalg.norm(y)) / float(np.linalg.norm(w))
-            AF = A[:, F]
-            mu = float((AF * AF).sum()) / F.size
-            if value < 0.0:
-                lo, mu = (0.0, value), mu * min(1.0, -value)
-            else:  # an uncertified multiplier: probe just above 0
-                mu *= 1e-6
+            # an exact fit, where f has a kink at r = 0: the root of
+            # 1 - l1 ||y||/||w|| is found on the ridge path from just above 0
+            fit0 = (w, F)
+            mu = 1e-6 * float((A * A).sum()) / self.J or 1.0  # 1.0 when A = 0
         else:
-            # the root of mu - l1 ||r||/||w||, which is -l1 ||r||/||w|| at 0
-            lo = (0.0, -l1 * nr / nw)
-            mu = -lo[1]
-        hi = None
+            # the root of mu - h(mu), h = l1 ||r||/||w||: from mu = 0, where
+            # h is the fixed-point step and Newton's step may go further
+            h = l1 * nr / nw
+            lo = (0.0, -h)
+            dvalue = 1.0 - self.dh(0.0, F, w, r, y, nr, nw) if F.size <= self.k + 1 else 0.0
+            mu = min(max(h, h / dvalue), 10.0 * h) if dvalue > 0.0 else h
         side = 0  # Illinois: the end that moved last, -1 low or 1 high
         for _ in range(_MAX_MU_STEPS):
             w, F, r, y = self.program(mu, w, F)
             if y is None:
                 y = r / mu
             f, gap = self.certificate(w, r, y)
-            best = min(best, (f, gap, w), key=lambda t: t[0])
             if self.certified(f, gap):
-                best = (f, gap, w)
-                break
+                return f, gap, w
+            best = min(best, (f, gap, w), key=lambda t: t[0])
             nr = mu * float(np.linalg.norm(y)) if kink else self.rnorm(r)
-            h = l1 * nr / float(np.linalg.norm(w))
+            nw = float(np.linalg.norm(w))
+            h = l1 * nr / nw
             value = 1.0 - h / mu if kink else mu - h
+            dh = self.dh(mu, F, w, r, y, nr, nw)
+            dvalue = (h - mu * dh) / mu ** 2 if kink else 1.0 - dh
+            newton = mu - value / dvalue if dvalue > 0.0 else math.nan
             if lo is None and value >= 0.0:
-                break  # the root is at the kink, whose point is in best
+                # the root lies below the first mu: at the least-norm exact
+                # fit (mu -> 0) or between, and this free set holds the fit
+                point = self.least_norm_fit(F, *fit0)
+                f0, gap0 = self.certificate(point[0], point[2], point[3])
+                if self.certified(f0, gap0):
+                    return f0, gap0, point[0]
+                best = min(best, (f0, gap0, point[0]), key=lambda t: t[0])
+                value0 = 1.0 - l1 * float(np.linalg.norm(point[3])) / float(
+                    np.linalg.norm(point[0]))
+                if value0 >= 0.0:
+                    break  # no multiplier certifies the exact fit; keep the best point
+                lo = (0.0, value0)
             if hi is None and value < 0.0:
-                # below the root: the fixed-point step h stays below it, and
-                # a secant step through the last two points may pass it
-                step = h
-                if lo is not None and value > lo[1]:
-                    step = max(step, mu - value * (mu - lo[0]) / (value - lo[1]))
+                # below the root: the fixed-point step h stays below it,
+                # and Newton's step may pass it
                 lo = (mu, value)
-                mu = min(step, 10.0 * mu)
+                mu = min(max(h, newton) if newton > mu else h, 10.0 * mu)
                 continue
             if value < 0.0:
                 lo = (mu, value)
@@ -433,7 +492,10 @@ class _Solver:
                 hi, side = (mu, value), 1
             if hi[0] - lo[0] <= 4e-16 * hi[0]:
                 break
-            mu = (lo[0] * hi[1] - hi[0] * lo[1]) / (hi[1] - lo[1])
+            if lo[0] < newton < hi[0]:
+                mu = newton
+            else:  # Illinois: a secant step through the bracket
+                mu = (lo[0] * hi[1] - hi[0] * lo[1]) / (hi[1] - lo[1])
         return best
 
 

@@ -958,3 +958,35 @@ def test_logistic_never_imports_scipy(tmp_path):
                      "--bins", "2", "--out", out]) == 0
     """, str(tmp_path / "out"), outcomes, themes)
     assert len((tmp_path / "out" / "fits.csv").read_text().splitlines()) == 6
+
+
+def test_fit_pool_leaves_out_the_treated_units_state(tmp_path):
+    # the metadata marks another unit treated; --treated picks 40001, whose
+    # state 40 must still be left out of its donor pool
+    rng = np.random.default_rng(2)
+    units = ["10001", "20001", "30001", "40001", "40003"]
+    outcomes = _long_csv(tmp_path / "o.csv",
+                         {u: 30 + rng.normal(size=40).cumsum() for u in units})
+    metadata = _wide_csv(tmp_path / "m.csv", ["unit", "treated", "t0"],
+                         [["10001", "1", _dates(40)[25]]])
+    out = tmp_path / "out"
+    assert main(["fit", "--outcomes", outcomes, "--metadata", metadata, "--treated", "40001",
+                 "--t0", "2021-03-26", "--out", str(out)]) == 0
+    assert list(json.loads((out / "result.json").read_text())["w"]) == ["20001", "30001"]
+
+
+def _die(unit):
+    os._exit(1)
+
+
+def test_placebo_exits_3_when_a_worker_process_dies(tmp_path, capsys, monkeypatch):
+    from synthctl import inference
+
+    monkeypatch.setattr(inference, "_fit_ratio_task", _die)
+    outcomes, predictors = _study_files(tmp_path, seed=5)
+    assert main(["placebo", "--outcomes", outcomes, "--predictors", predictors,
+                 "--treated", "10001", "--t0", _dates(40)[25], "--jobs", "2",
+                 "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: the placebo fit of unit 10001 was lost: a worker process died")
+    assert "Traceback" not in err
