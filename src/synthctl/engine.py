@@ -377,9 +377,8 @@ def fit_synth(spec: StudySpec, design: Design, *, seed: int = 42) -> SynthResult
     predictor row, the uniform vector, the inverse-variance vector (when
     every row varies) and solve_v's winner, unless it equals one of them,
     are each solved once, and the solve with the lowest validation error is
-    kept (the first on ties),
-    so the fit never validates worse than either baseline. Otherwise
-    solve_v's vector is solved once.
+    kept (the first on ties), so the fit never validates worse than either
+    baseline. Otherwise solve_v's vector is solved once.
     """
     winner = solve_v(spec, design, seed=seed)
     candidates = [winner]

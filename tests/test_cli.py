@@ -990,3 +990,25 @@ def test_placebo_exits_3_when_a_worker_process_dies(tmp_path, capsys, monkeypatc
     err = capsys.readouterr().err
     assert err.startswith("error: the placebo fit of unit 10001 was lost: a worker process died")
     assert "Traceback" not in err
+
+
+def test_uncertified_singular_solve_fails_the_fit_and_skips_the_placebo(tmp_path, capsys,
+                                                                         monkeypatch):
+    from synthctl import weights
+
+    # every KKT solve "fails", so each takes the lstsq fallback, and no
+    # weights pass the certificate
+    monkeypatch.setattr(weights._Solver, "_linsolve", lambda self, K, rhs: None)
+    monkeypatch.setattr(weights._Solver, "certified", lambda self, f, gap: False)
+    outcomes, predictors = _study_files(tmp_path, seed=5)
+    assert main(["fit", "--outcomes", outcomes, "--predictors", predictors,
+                 "--treated", "10001", "--t0", _dates(40)[25], "--v-mode", "uniform",
+                 "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: donor weight KKT system is singular") and "Traceback" not in err
+
+    spec = StudySpec(treated="10001", donors=("20000", "20002", "20004", "20006"), T0=25,
+                     v_mode="uniform")
+    entries = placebo_run(spec, ingest_panel(outcomes), load_predictors(predictors)).entries
+    assert all(e.skipped and e.reason.startswith("donor weight KKT system is singular")
+               for e in entries)
