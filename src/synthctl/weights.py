@@ -25,7 +25,9 @@ mu; Illinois (secant) steps take over inside the bracket when a Newton step
 leaves it, and each program starts from the last free set. When the treated
 unit is a convex combination of donors, f has a kink at r = 0, and its
 minimum may lie there: at the least-norm exact fit, the mu -> 0 limit of the
-programs, which the active-set method also solves.
+programs, which the active-set method also solves. Its certificate is the
+least-norm subgradient that makes its Frank-Wolfe gap zero, a least-distance
+program solved by Lawson & Hanson's NNLS.
 
 A solve stops on the Frank-Wolfe gap of f, g.w - min_j g_j for a
 (sub)gradient g at w, which bounds f(w) - min f. `converged` means that this
@@ -362,13 +364,53 @@ class _Solver:
             G = F
         return self.program(0.0, w, G, limit=True)
 
-    def certificate(self, w: np.ndarray, r: np.ndarray, y: np.ndarray | None):
+    def kink_multiplier(self, w: np.ndarray) -> np.ndarray | None:
+        """The least-norm u with which the exact fit w has a zero Frank-Wolfe gap.
+
+        With C = A - b 1' and h = l1 (||w|| - w/||w||), that gap is zero for
+        any u with C'u >= h, and w is optimal when the least-norm such u has
+        ||u|| <= 1. That u is a least-distance program, solved as Lawson &
+        Hanson (1974, ch. 23) do: with E = [C; h'] and lam >= 0 minimizing
+        ||E lam - e|| (e the last unit vector) by their NNLS, u = -s/t for
+        the residual E lam - e = [s; t]. None when no u satisfies C'u >= h.
+        """
+        nw = float(np.linalg.norm(w))
+        E = np.vstack((self.A - self.b[:, None], self.l1 * (nw - w / nw)))
+        e = np.zeros(self.k + 1)
+        e[-1] = 1.0
+        lam = np.zeros(self.J)
+        P = np.zeros(self.J, dtype=bool)
+        for _ in range(10 * self.J + 100):
+            descent = E.T @ (e - E @ lam)
+            descent[P] = -np.inf
+            j = int(np.argmax(descent))
+            if not descent[j] > _ENTER_TOL * np.abs(E).max():
+                break
+            P[j] = True
+            while True:
+                z = np.zeros(self.J)
+                z[P] = np.linalg.lstsq(E[:, P], e, rcond=None)[0]
+                if (z[P] > 0.0).all():
+                    lam = z
+                    break
+                out = P & (z <= 0.0)
+                ratios = lam[out] / np.maximum(lam[out] - z[out], _TINY)
+                alpha = ratios.min()
+                lam = np.where(P, lam + alpha * (z - lam), 0.0)
+                lam[np.flatnonzero(out)[ratios == alpha]] = 0.0
+                P &= lam > 0.0
+        resid = E @ lam - e
+        return -resid[:-1] / resid[-1] if resid[-1] < 0.0 else None
+
+    def certificate(self, w: np.ndarray, r: np.ndarray, y: np.ndarray | None,
+                    u0: np.ndarray | None = None):
         """f(w) and its Frank-Wolfe gap, an upper bound on f(w) - min f.
 
         With l1 > 0, any u with ||u|| <= 1 gives the bound g.w - min_j g_j +
         ||r|| - u.r for g = A'u + l1 w/||w||: u = r/||r|| is the gradient's,
-        and u = l1 y / max(l1 ||y||, ||w||) stays exact at the kink r = 0.
-        The smaller of the two bounds is returned.
+        and u = l1 y / max(l1 ||y||, ||w||) stays exact at the kink r = 0,
+        as does a given u0, scaled into the ball. The smallest bound is
+        returned.
         """
         A, l1 = self.A, self.l1
         nr = self.rnorm(r)
@@ -383,6 +425,9 @@ class _Solver:
             bounds.append((r / nr, 0.0))
         if y is not None:
             u = l1 * y / max(l1 * float(np.linalg.norm(y)), nw)
+            bounds.append((u, max(0.0, nr - float(u @ r))))
+        if u0 is not None:
+            u = u0 / max(1.0, float(np.linalg.norm(u0)))
             bounds.append((u, max(0.0, nr - float(u @ r))))
         gap = math.inf
         for u, slack in bounds:
@@ -465,15 +510,15 @@ class _Solver:
             if lo is None and value >= 0.0:
                 # the root lies below the first mu: at the least-norm exact
                 # fit (mu -> 0) or between, and this free set holds the fit
-                point = self.least_norm_fit(F, *fit0)
-                f0, gap0 = self.certificate(point[0], point[2], point[3])
+                w0, _, r0, y0 = self.least_norm_fit(F, *fit0)
+                u0 = self.kink_multiplier(w0)
+                f0, gap0 = self.certificate(w0, r0, y0, u0)
                 if self.certified(f0, gap0):
-                    return f0, gap0, point[0]
-                best = min(best, (f0, gap0, point[0]), key=lambda t: t[0])
-                value0 = 1.0 - l1 * float(np.linalg.norm(point[3])) / float(
-                    np.linalg.norm(point[0]))
+                    return f0, gap0, w0
+                best = min(best, (f0, gap0, w0), key=lambda t: t[0])
+                value0 = 0.0 if u0 is None else 1.0 - float(np.linalg.norm(u0))
                 if value0 >= 0.0:
-                    break  # no multiplier certifies the exact fit; keep the best point
+                    break  # the exact fit's certificate failed; keep the best point
                 lo = (0.0, value0)
             if hi is None and value < 0.0:
                 # below the root: the fixed-point step h stays below it,

@@ -216,7 +216,8 @@ def _descent_oracle(X1, X0, v, l1):
 
     def grad(w, state):
         r, q = state
-        return -(vX0T @ r) / math.sqrt(q) + l1 * w / math.sqrt(float(w @ w))
+        g = l1 * w / math.sqrt(float(w @ w))
+        return g - (vX0T @ r) / math.sqrt(q) if q > 0.0 else g
 
     J = X0.shape[1]
     w, *_ = weights._descend(np.full(J, 1.0 / J), loss, grad, project_simplex, 20000, 1e-16)
@@ -251,6 +252,21 @@ def test_solver_certifies_an_exact_fit_with_a_penalty(l1):
     # k < J and the treated unit inside the donor hull: r = 0 is reachable,
     # and the penalty either keeps the least-norm exact fit or leaves it
     X1, X0, v = _study_arrays(200, seed=1, inside=True)
+    reg = Regularization(l1)
+    result = solve_w(X1, X0, v, reg)
+    f = result.objective
+    assert f <= objective(_descent_oracle(X1, X0, v, l1), X1, X0, v, reg) * (1 + 1e-9)
+    assert result.converged and result.fw_gap <= 1e-9 * f
+
+
+@pytest.mark.parametrize("l1", [0.3, 1.0, 2.5])
+def test_solver_certifies_a_treated_unit_equal_to_a_donor(l1):
+    # an exact fit by one donor, fewer than k + 1: the exact fit's multiplier
+    # is not unique, and only the least-norm one that certifies it will do
+    rng = np.random.default_rng(int(10 * l1))
+    X0 = rng.normal(size=(3, 7)) * 20.0
+    X1 = X0[:, -1].copy()
+    v = rng.uniform(0.5, 2.0, size=3)
     reg = Regularization(l1)
     result = solve_w(X1, X0, v, reg)
     f = result.objective
