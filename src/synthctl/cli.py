@@ -237,7 +237,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     panel, predictors, spec = _load_study(args, args.t_fit)
     out = _out_dir(args)
 
-    result = fit_synth(spec, build_design(panel, predictors, spec), seed=args.seed)
+    result = fit_synth(spec, build_design(panel, predictors, spec))
     if not result.converged:
         print(f"{_unconverged(spec.treated, result.fw_gap)} (objective {result.objective:.6g})",
               file=sys.stderr)
@@ -281,8 +281,7 @@ def cmd_placebo(args: argparse.Namespace) -> int:
                               f"pre-period: {exc}")
     out = _out_dir(args)
 
-    ensemble = placebo_run(spec, panel, predictors, seed=args.seed, jobs=args.jobs,
-                           placebo_T0=placebo_T0)
+    ensemble = placebo_run(spec, panel, predictors, jobs=args.jobs, placebo_T0=placebo_T0)
     for e in ensemble.entries:
         if e.skipped:
             print(f"warning: placebo {e.unit} skipped: {e.reason}", file=sys.stderr)
@@ -316,7 +315,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     panel, predictors, spec = _load_study(args, min(t_fits))
     out = _out_dir(args)
 
-    rows = training_sweep(spec, t_fits, panel, predictors, seed=args.seed, jobs=args.jobs)
+    rows = training_sweep(spec, t_fits, panel, predictors, jobs=args.jobs)
     sweep_path = os.path.join(out, "sweep.csv")
     write_csv(sweep_path, ["t_fit", "pre_deviation", "p_value"],
               [(row.t_fit,
@@ -500,9 +499,8 @@ def build_parser(defaults: dict[str, object] | None = None) -> argparse.Argument
                 help="long-format outcome CSV (unit,date,value)")
     for sub in (fit, placebo, sweep, logistic, select):
         _option(sub, "--predictors", _existing_file, help="wide predictor CSV (unit,<name>,...)")
-    for sub in (fit, placebo, sweep, logistic):
-        _option(sub, "--seed", _integer(minimum=0), default=42,
-                help="random seed (default %(default)s)")
+    _option(logistic, "--seed", _integer(minimum=0), default=42,
+            help="random seed (default %(default)s)")
     for sub in commands.choices.values():
         _add_common(sub)
     for sub in (fit, placebo, sweep, ingest):

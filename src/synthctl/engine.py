@@ -24,7 +24,6 @@ import numpy as np
 
 from .errors import InvalidSplit, ZeroVariancePredictor
 from .panel import Panel, PredictorTable
-from .seeding import derive_seed
 from .weights import Regularization, solve_w
 
 OUTCOME_MEAN_NAME = "outcome_training_mean"
@@ -311,12 +310,21 @@ def _nelder_mead(f, x0: np.ndarray, maxfev: int, xatol: float, fatol: float) -> 
         return
 
 
-def solve_v(
-    spec: StudySpec,
-    design: Design,
-    *,
-    seed: int = 42,
-) -> np.ndarray:
+def _design_start(raw: np.ndarray) -> np.ndarray:
+    """The importance search's second start, from the design's raw rows alone.
+
+    It is the log of the inverse-variance vector, each constant row taking
+    the least entry of the rows that vary: exactly log(inverse_variance_v(raw))
+    when every row varies. With no row that varies, every vector gives the
+    same weights and the start is uniform.
+    """
+    var = raw.var(axis=1)
+    # 1 / var.max() is the least entry of the rows that vary
+    inv = 1.0 / np.where(var > 0, var, var.max() or 1.0)
+    return np.log(inv / inv.sum())
+
+
+def solve_v(spec: StudySpec, design: Design) -> np.ndarray:
     """Choose the predictor importance vector for the study's design by spec.v_mode.
 
     uniform weights every predictor row 1/k; inverse_variance weights each
@@ -324,8 +332,9 @@ def solve_v(
     derivative-free search over softmax-parameterized importance vectors,
     scoring each candidate by the validation-window error of its implied
     donor weights, and returns the best vector it scored (uniform if it
-    scored no finite error, or if there is a single row). fit_synth
-    compares the winner with the baselines.
+    scored no finite error, or if there is a single row). It starts from the
+    uniform vector, then from _design_start's, and draws nothing at random.
+    fit_synth compares the winner with the baselines.
     """
     k = design.raw.shape[0]
     if spec.v_mode == "inverse_variance":
@@ -333,10 +342,8 @@ def solve_v(
     if spec.v_mode == "uniform" or k == 1:
         return np.full(k, 1.0 / k)
 
-    baselines = _baselines(design)
-
     best_f = np.inf
-    best_v = baselines[0]
+    best_v = np.full(k, 1.0 / k)
     since_improve = 0
 
     def scored(theta: np.ndarray) -> float:
@@ -351,14 +358,8 @@ def solve_v(
                 raise _SearchStalled
         return f
 
-    starts = [np.zeros(k)]
-    if len(baselines) == 2:
-        starts.append(np.log(baselines[1]))
-    else:
-        starts.append(np.random.default_rng(derive_seed(seed, "v-start")).normal(size=k))
-
     maxfev = max(60, 4 * k)
-    for theta0 in starts:
+    for theta0 in (np.zeros(k), _design_start(design.raw)):
         since_improve = 0
         try:
             _nelder_mead(scored, theta0, maxfev, xatol=1e-3, fatol=_V_STALL_TOL)
@@ -367,7 +368,7 @@ def solve_v(
     return best_v
 
 
-def fit_synth(spec: StudySpec, design: Design, *, seed: int = 42) -> SynthResult:
+def fit_synth(spec: StudySpec, design: Design) -> SynthResult:
     """Fit a synthetic control for the study's design and score it.
 
     Returns the donor weights, the importance vector that chose them, the
@@ -380,7 +381,7 @@ def fit_synth(spec: StudySpec, design: Design, *, seed: int = 42) -> SynthResult
     kept (the first on ties), so the fit never validates worse than either
     baseline. Otherwise solve_v's vector is solved once.
     """
-    winner = solve_v(spec, design, seed=seed)
+    winner = solve_v(spec, design)
     candidates = [winner]
     if spec.v_mode == "optimized" and design.raw.shape[0] > 1:
         candidates = _baselines(design)

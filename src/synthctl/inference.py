@@ -17,7 +17,6 @@ import numpy as np
 from .engine import StudySpec, build_design, fit_synth, placebo_design, split_pre_period
 from .errors import InvalidSplit, SynthctlError
 from .panel import Panel, PredictorTable
-from .seeding import derive_seed
 
 # pre-period error below this is treated as an exact fit; the ratio is taken
 # against the floor instead of erroring so placebo loops keep running
@@ -66,10 +65,9 @@ def _fit_ratio_task(unit: str) -> PlaceboEntry:
 
     The treated unit keeps the study's spec and design; a donor is fit
     against the other donors at placebo_T0, on the design placebo_design
-    cuts from the study's, with a seed hashed from the base seed and its
-    code. A spec or fit that fails gives a skipped entry.
+    cuts from the study's. A spec or fit that fails gives a skipped entry.
     """
-    spec, design, seed, placebo_T0 = _study
+    spec, design, placebo_T0 = _study
     try:
         if unit != spec.treated:
             i = spec.donors.index(unit)
@@ -77,7 +75,7 @@ def _fit_ratio_task(unit: str) -> PlaceboEntry:
                 spec, treated=unit, donors=spec.donors[:i] + spec.donors[i + 1:],
                 T0=placebo_T0)
             design = placebo_design(design, i, spec)
-        result = fit_synth(spec, design, seed=derive_seed(seed, "placebo", unit))
+        result = fit_synth(spec, design)
     except (SynthctlError, ValueError) as exc:
         return PlaceboEntry(unit, float("nan"), float("nan"), float("nan"),
                             skipped=True, reason=str(exc))
@@ -95,7 +93,6 @@ def placebo_run(
     panel: Panel,
     predictors: PredictorTable | None = None,
     *,
-    seed: int = 42,
     jobs: int = 1,
     placebo_T0: int | None = None,
 ) -> PlaceboEnsemble:
@@ -106,9 +103,9 @@ def placebo_run(
     truly treated unit never enters any placebo's pool. The study's design
     is built once, before any fit, and goes to each worker process once with
     the spec; each task is one unit code. A placebo_T0 that leaves no
-    training window raises InvalidSplit, before any fit. Per-unit seeds
-    are hashed from the base seed and the unit code, and entries are ordered
-    by unit code, so output is identical for any job count. A worker process
+    training window raises InvalidSplit, before any fit. Each fit is a
+    function of its unit's design alone, and entries are ordered by unit
+    code, so output is identical for any job count. A worker process
     that dies raises SynthctlError naming the first unit whose fit it lost.
     """
     if jobs < 1:
@@ -120,7 +117,7 @@ def placebo_run(
     split_pre_period(placebo_T0, spec.t_fit, spec.train_placement)
 
     units = (spec.treated,) + spec.donors
-    study = (spec, build_design(panel, predictors, spec), seed, placebo_T0)
+    study = (spec, build_design(panel, predictors, spec), placebo_T0)
     if jobs == 1:
         _share_study(*study)
         try:
@@ -184,7 +181,6 @@ def training_sweep(
     panel: Panel,
     predictors: PredictorTable | None = None,
     *,
-    seed: int = 42,
     jobs: int = 1,
 ) -> tuple[SweepRow, ...]:
     """Refit the study for each training-window length and tabulate quality.
@@ -206,7 +202,7 @@ def training_sweep(
             rows.append(SweepRow(t_fit, float("nan"), float("nan"),
                                  failed=True, reason=str(exc)))
             continue
-        ensemble = placebo_run(study, panel, predictors, seed=seed, jobs=jobs)
+        ensemble = placebo_run(study, panel, predictors, jobs=jobs)
         treated = ensemble.entries[ensemble.treated_index]
         rows.append(SweepRow(t_fit, treated.R_pre ** 2 * ensemble.T0, p_value(ensemble)))
     return tuple(rows)

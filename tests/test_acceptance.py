@@ -51,7 +51,7 @@ def test_criterion_01_weight_recovery(capsys):
     spec = StudySpec(treated=units[0], donors=units[1:], T0=T0, t_fit=10,
                      v_mode="optimized", reg=Regularization(0.0))
     start = time.perf_counter()
-    result = fit_synth(spec, build_design(panel, predictors, spec), seed=42)
+    result = fit_synth(spec, build_design(panel, predictors, spec))
     elapsed = time.perf_counter() - start
     linf = float(np.max(np.abs(result.w_star - w_true)))
     pre_rmse = float(np.sqrt(np.mean(result.gap[:T0] ** 2)))
@@ -154,7 +154,7 @@ def _null_sim(sim: int) -> float:
     panel = make_panel(values)
     spec = StudySpec(treated=panel.units[0], donors=panel.units[1:], T0=T0,
                      t_fit=10, v_mode="optimized", reg=Regularization())
-    ensemble = placebo_run(spec, panel, None, seed=base + sim, jobs=1)
+    ensemble = placebo_run(spec, panel, None, jobs=1)
     return p_value(ensemble)
 
 
@@ -188,9 +188,9 @@ def test_criterion_06_effect_detection(capsys):
     predictors = make_predictors(snapshots, units)
     spec = StudySpec(treated=units[0], donors=units[1:], T0=T0, t_fit=10,
                      v_mode="inverse_variance", reg=Regularization(0.0))
-    result = fit_synth(spec, build_design(panel, predictors, spec), seed=42)
+    result = fit_synth(spec, build_design(panel, predictors, spec))
     mean_gap = float(result.gap[T0:].mean())
-    ensemble = placebo_run(spec, panel, predictors, seed=42)
+    ensemble = placebo_run(spec, panel, predictors)
     p = p_value(ensemble)
     ok = 4.5 <= mean_gap <= 5.5 and p == 0.0
     _report(capsys, "criterion 6 effect detection", ok,
@@ -321,8 +321,7 @@ def test_criterion_10_cli_determinism(tmp_path, capsys):
     for run in ("f1", "f2"):
         out = tmp_path / run
         code = main(["fit", "--outcomes", outcomes, "--predictors", predictors,
-                     "--treated", "10001", "--t0", t0, "--seed", "7",
-                     "--out", str(out)])
+                     "--treated", "10001", "--t0", t0, "--out", str(out)])
         assert code == 0
         fit_payloads.append((out / "result.json").read_bytes()
                             + (out / "curve.csv").read_bytes())
@@ -330,7 +329,7 @@ def test_criterion_10_cli_determinism(tmp_path, capsys):
     for run, jobs in (("p1", "1"), ("p2", "1"), ("p8", "8")):
         out = tmp_path / run
         code = main(["placebo", "--outcomes", outcomes, "--predictors", predictors,
-                     "--treated", "10001", "--t0", t0, "--seed", "7",
+                     "--treated", "10001", "--t0", t0,
                      "--jobs", jobs, "--out", str(out)])
         assert code == 0
         placebo_payloads.append((out / "placebo.json").read_bytes()
@@ -357,11 +356,11 @@ def test_criterion_11_performance_floor(capsys):
                      t_fit=10, v_mode="optimized", reg=Regularization())
 
     start = time.perf_counter()
-    fit_synth(spec, build_design(panel, predictors, spec), seed=42)
+    fit_synth(spec, build_design(panel, predictors, spec))
     fit_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    ensemble = placebo_run(spec, panel, predictors, seed=42, jobs=8)
+    ensemble = placebo_run(spec, panel, predictors, jobs=8)
     ensemble_seconds = time.perf_counter() - start
     n_fits = len(ensemble.entries)
 

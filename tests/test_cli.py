@@ -59,12 +59,19 @@ def _study_files(tmp_path, n_donors=4, T=40, seed=0):
     return outcomes, predictors
 
 
+def _constant_row_predictors(tmp_path, n_donors=4, seed=5):
+    """A predictor table for _study_files' units whose column c is constant."""
+    units = ["10001"] + [f"{20000 + 2 * j:05d}" for j in range(n_donors)]
+    X = np.random.default_rng(seed).normal(size=(len(units), 2))
+    return _wide_csv(tmp_path / "constant.csv", ["unit", "a", "b", "c"],
+                     [[u, *map(str, X[i]), "2.5"] for i, u in enumerate(units)])
+
+
 def test_fit_writes_result_and_curve(tmp_path):
     outcomes, predictors = _study_files(tmp_path)
     out = tmp_path / "out"
     code = main(["fit", "--outcomes", outcomes, "--predictors", predictors,
-                 "--treated", "10001", "--t0", _dates(40)[25],
-                 "--out", str(out), "--seed", "7"])
+                 "--treated", "10001", "--t0", _dates(40)[25], "--out", str(out)])
     assert code == 0
     result = json.loads((out / "result.json").read_text())
     assert result["treated"] == "10001"
@@ -113,14 +120,13 @@ def test_fit_bad_flag_value_exits_2(tmp_path, capsys):
     assert "--l1" in capsys.readouterr().err
 
 
-def test_fit_seed_repeat_is_byte_identical(tmp_path):
+def test_fit_repeat_is_byte_identical(tmp_path):
     outcomes, predictors = _study_files(tmp_path, seed=3)
     outs = []
     for run in ("r1", "r2"):
         out = tmp_path / run
         code = main(["fit", "--outcomes", outcomes, "--predictors", predictors,
-                     "--treated", "10001", "--t0", _dates(40)[25],
-                     "--out", str(out), "--seed", "7"])
+                     "--treated", "10001", "--t0", _dates(40)[25], "--out", str(out)])
         assert code == 0
         outs.append((out / "result.json").read_bytes())
     assert outs[0] == outs[1]
@@ -132,7 +138,7 @@ def test_config_file_supplies_options_and_flags_win(tmp_path):
     flag_out = tmp_path / "from_flag"
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
-        f"treated=10001\nt0={_dates(40)[25]}\nout={cfg_out}\nseed=7\n"
+        f"treated=10001\nt0={_dates(40)[25]}\nout={cfg_out}\n"
         "# comment line\n"
     )
     assert main(["fit", "--outcomes", outcomes, "--config", str(cfg)]) == 0
@@ -168,13 +174,18 @@ def _selection_files(tmp_path):
     ("ingest", "--predictors"),
     ("select-predictors", "--outcomes"),
     ("select-predictors", "--seed"),
+    ("fit", "--seed"),
+    ("placebo", "--seed"),
+    ("sweep", "--seed"),
 ])
 def test_flags_a_command_never_reads_exit_2(tmp_path, capsys, command, flag):
     outcomes, _ = _study_files(tmp_path)
     predictors, blocks = _selection_files(tmp_path)
     value = {"--seed": "1", "--predictors": predictors, "--outcomes": outcomes}[flag]
-    inputs = (["--outcomes", outcomes] if command == "ingest"
-              else ["--predictors", predictors, "--blocks", blocks])
+    inputs = {"ingest": ["--outcomes", outcomes],
+              "select-predictors": ["--predictors", predictors, "--blocks", blocks]}.get(
+        command, ["--outcomes", outcomes, "--treated", "10001", "--t0", _dates(40)[25],
+                  "--t-fit", "10"])
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
         main([command, *inputs, flag, value, "--out", str(out)])
@@ -184,15 +195,22 @@ def test_flags_a_command_never_reads_exit_2(tmp_path, capsys, command, flag):
 
 
 def test_config_key_the_command_lacks_is_ignored(tmp_path):
-    # ingest takes no --seed, but a config file shared with fit may set one
+    # only logistic takes --seed, but a config file shared with it may set one;
+    # fit reads no seed even where a constant predictor row leaves no
+    # inverse-variance start for its importance search
     outcomes, _ = _study_files(tmp_path)
+    predictors = _constant_row_predictors(tmp_path)
     cfg = tmp_path / "run.cfg"
     cfg.write_text("seed = 1\n")
-    assert main(["ingest", "--outcomes", outcomes, "--out", str(tmp_path / "plain")]) == 0
-    assert main(["ingest", "--outcomes", outcomes, "--config", str(cfg),
-                 "--out", str(tmp_path / "cfg")]) == 0
-    for name in ("panel_clean.csv", "dropped.csv"):
-        assert (tmp_path / "cfg" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+    runs = {"ingest": (["--outcomes", outcomes], ("panel_clean.csv", "dropped.csv")),
+            "fit": (["--outcomes", outcomes, "--predictors", predictors, "--treated", "10001",
+                     "--t0", _dates(40)[25]], ("result.json", "curve.csv"))}
+    for command, (argv, written) in runs.items():
+        plain, from_cfg = tmp_path / command / "plain", tmp_path / command / "cfg"
+        assert main([command, *argv, "--out", str(plain)]) == 0
+        assert main([command, *argv, "--config", str(cfg), "--out", str(from_cfg)]) == 0
+        for name in written:
+            assert (from_cfg / name).read_bytes() == (plain / name).read_bytes()
 
 
 def test_l2_config_key_exits_2(tmp_path, capsys):
@@ -254,7 +272,7 @@ def test_config_file_takes_the_options_of_every_subcommand(tmp_path):
 
 @pytest.mark.parametrize("command, key, value", [
     ("placebo", "jobs", "0"),
-    ("fit", "seed", "-1"),
+    ("logistic", "seed", "-1"),
     ("fit", "l1", "abc"),
     ("fit", "l1", "-1"),
     ("fit", "l1", "nan"),
@@ -269,7 +287,9 @@ def test_config_values_get_the_flags_checks(tmp_path, capsys, command, key, valu
     outcomes = tmp_path / "o.csv"
     outcomes.write_text("not a panel\n")
     out = tmp_path / "out"
-    argv = [command, "--outcomes", str(outcomes), "--treated", "10001", "--out", str(out)]
+    argv = [command, "--outcomes", str(outcomes), "--out", str(out)]
+    if command != "logistic":
+        argv += ["--treated", "10001"]
     flag = "--" + key.replace("_", "-")
     assert main([*argv, flag, value]) == 2
     from_flag = capsys.readouterr().err
@@ -289,38 +309,42 @@ def test_help_states_the_library_defaults(capsys, command):
     text = " ".join(capsys.readouterr().out.split())  # undo the help's line wrapping
     spec = StudySpec(treated="10001", donors=("20000",), T0=30)
     stated = {flag: re.search(rf"{flag} [A-Z0-9_]+ (?:(?!--)[^()])*\(default (\S+)\)", text)
-              for flag in ("--l1", "--t-fit", "--train-placement", "--v-mode", "--seed")}
+              for flag in ("--l1", "--t-fit", "--train-placement", "--v-mode")}
     assert {flag: match and match[1] for flag, match in stated.items()} == {
         "--l1": str(Regularization().l1), "--t-fit": str(spec.t_fit),
-        "--train-placement": spec.train_placement, "--v-mode": spec.v_mode, "--seed": "42"}
+        "--train-placement": spec.train_placement, "--v-mode": spec.v_mode}
+    assert "--seed" not in text
     assert spec.train_placement == "tail" and spec.v_mode == "optimized"
 
 
 def test_placebo_outputs_and_parallel_determinism(tmp_path):
     outcomes, predictors = _study_files(tmp_path, n_donors=4, seed=5)
-    payloads = []
-    for jobs, name in (("1", "j1"), ("2", "j2")):
-        out = tmp_path / name
-        code = main(["placebo", "--outcomes", outcomes, "--predictors", predictors,
-                     "--treated", "10001", "--t0", _dates(40)[25],
-                     "--out", str(out), "--seed", "11", "--jobs", jobs])
-        assert code == 0
-        payloads.append(((out / "placebo.json").read_bytes(),
-                         (out / "pvalues.csv").read_bytes()))
-    assert payloads[0] == payloads[1]
-    doc = json.loads(payloads[0][0])
-    assert doc["treated"] == "10001"
-    assert 0.0 <= doc["p_value"] <= 1.0
-    assert len(doc["entries"]) == 5
-    header, row = payloads[0][1].decode().splitlines()
-    assert header == "treated,p_value,n_valid,n_skipped"
-    assert row.startswith("10001,")
+    # with a constant predictor row no inverse-variance vector exists, and the
+    # importance search's second start comes from the rows that vary
+    for table in (predictors, _constant_row_predictors(tmp_path)):
+        payloads = []
+        for jobs in ("1", "2"):
+            out = tmp_path / pathlib.Path(table).stem / f"j{jobs}"
+            code = main(["placebo", "--outcomes", outcomes, "--predictors", table,
+                         "--treated", "10001", "--t0", _dates(40)[25],
+                         "--out", str(out), "--jobs", jobs])
+            assert code == 0
+            payloads.append(((out / "placebo.json").read_bytes(),
+                             (out / "pvalues.csv").read_bytes()))
+        assert payloads[0] == payloads[1]
+        doc = json.loads(payloads[0][0])
+        assert doc["treated"] == "10001"
+        assert 0.0 <= doc["p_value"] <= 1.0
+        assert len(doc["entries"]) == 5
+        header, row = payloads[0][1].decode().splitlines()
+        assert header == "treated,p_value,n_valid,n_skipped"
+        assert row.startswith("10001,")
 
 
 @pytest.mark.parametrize("command, flag, value", [
     ("sweep", "--jobs", "0"),
     ("placebo", "--jobs", "0"),
-    ("fit", "--seed", "-1"),
+    ("logistic", "--seed", "-1"),
     ("logistic", "--bins", "0"),
 ])
 def test_out_of_range_flag_exits_2(tmp_path, capsys, command, flag, value):
@@ -338,7 +362,7 @@ def test_out_of_range_flag_exits_2(tmp_path, capsys, command, flag, value):
 def test_placebo_no_standardize_reaches_every_worker(tmp_path):
     outcomes, predictors = _study_files(tmp_path, n_donors=4, seed=5)
     study = ["placebo", "--outcomes", outcomes, "--predictors", predictors,
-             "--treated", "10001", "--t0", _dates(40)[25], "--seed", "11"]
+             "--treated", "10001", "--t0", _dates(40)[25]]
     written = {}
     for name, flags in (("raw1", ["--no-standardize", "--jobs", "1"]),
                         ("raw2", ["--no-standardize", "--jobs", "2"]),
@@ -362,8 +386,8 @@ def test_placebo_entries_say_why_a_placebo_was_skipped(tmp_path, capsys):
     assert not any(out.iterdir())
 
     spec = StudySpec(treated="10001", donors=("20000",), T0=25)
-    treated, donor = placebo_run(spec, ingest_panel(outcomes), load_predictors(predictors),
-                                 seed=42).entries
+    treated, donor = placebo_run(spec, ingest_panel(outcomes),
+                                 load_predictors(predictors)).entries
     assert donor.unit == "20000" and donor.skipped
     assert donor.reason == "donor pool must be non-empty"
     assert np.isnan([donor.r, donor.R_pre, donor.R_post]).all()

@@ -147,7 +147,7 @@ def test_design_requires_finite_outcomes(rng):
 def test_fit_synth_never_loses_to_uniform_or_invvar(rng):
     panel, predictors, spec = _small_study(rng, k=4, J=6, T=60, T0=40)
     design = build_design(panel, predictors, spec)
-    v_star = fit_synth(spec, design, seed=7).v_star
+    v_star = fit_synth(spec, design).v_star
     k = v_star.size
 
     def validation_error(v):
@@ -197,7 +197,7 @@ def test_fit_synth_solves_each_candidate_once_at_full_budget(
     spec = dataclasses.replace(spec, v_mode=v_mode)
     design = build_design(panel, predictors, spec)
     calls = _count_final_solves(monkeypatch)
-    result = fit_synth(spec, design, seed=3)
+    result = fit_synth(spec, design)
     assert calls.count(False) == full_solves
     # the kept solve is one of those: solving its v again gives the same weights
     again = solve_w(design.X1, design.X0, result.v_star, spec.reg)
@@ -210,11 +210,56 @@ def test_fit_synth_solves_a_uniform_search_winner_once(rng, monkeypatch):
     panel, predictors, spec = _small_study(rng, J=1)
     design = build_design(panel, predictors, spec)
     calls = _count_final_solves(monkeypatch)
-    result = fit_synth(spec, design, seed=3)
+    result = fit_synth(spec, design)
     # uniform and inverse-variance
     assert calls.count(False) == 2
-    assert np.array_equal(solve_v(spec, design, seed=3), np.full(4, 0.25))
+    assert np.array_equal(solve_v(spec, design), np.full(4, 0.25))
     assert np.array_equal(result.v_star, np.full(4, 0.25))
+
+
+def _search_starts(monkeypatch, spec, design) -> list[np.ndarray]:
+    """The points solve_v starts its Nelder-Mead runs from, in order."""
+    starts = []
+
+    def recorded(f, x0, *args, **kwargs):
+        starts.append(x0.copy())
+        return _nelder_mead(f, x0, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "_nelder_mead", recorded)
+    solve_v(spec, design)
+    return starts
+
+
+def test_search_starts_from_the_inverse_variances_when_every_row_varies(rng, monkeypatch):
+    panel, predictors, spec = _small_study(rng)
+    design = build_design(panel, predictors, spec)
+    first, second = _search_starts(monkeypatch, spec, design)
+    assert np.array_equal(first, np.zeros(4))
+    assert np.array_equal(second, np.log(inverse_variance_v(design.raw)))
+
+
+def test_search_gives_a_constant_row_the_least_inverse_variance(rng, monkeypatch):
+    panel, predictors, spec = _small_study(rng)
+    values = predictors.values.copy()
+    values[1] = 2.5
+    predictors = make_predictors(values, predictors.units)
+    design = build_design(panel, predictors, spec)
+    first, second = _search_starts(monkeypatch, spec, design)
+    var = design.raw.var(axis=1)
+    inv = [1.0 / var[0], 1.0 / var[2], 1.0 / var[3]]
+    expected = np.array([inv[0], min(inv), inv[1], inv[2]])
+    assert np.array_equal(first, np.zeros(4))
+    assert np.allclose(second, np.log(expected / expected.sum()), rtol=0, atol=1e-14)
+    # the fit still validates no worse than the uniform vector
+    uniform = solve_w(design.X1, design.X0, np.full(4, 0.25), spec.reg).w
+    assert fit_synth(spec, design).validation_mspe <= design.validation_error(uniform)
+
+    # with no row that varies, every vector gives the same weights: start uniform
+    panel = make_panel(np.full((5, 40), 7.0))
+    predictors = make_predictors(np.full((2, 5), 2.5), panel.units)
+    spec = dataclasses.replace(spec, treated=panel.units[0], donors=panel.units[1:])
+    _, second = _search_starts(monkeypatch, spec, build_design(panel, predictors, spec))
+    assert np.array_equal(second, np.log(np.full(3, 1 / 3)))
 
 
 def test_inverse_variance_mode_rejects_a_constant_lone_row():
@@ -245,7 +290,7 @@ def test_solve_v_downweights_noise_predictor():
     predictors = make_predictors(X, units)
     spec = StudySpec(treated=units[0], donors=units[1:], T0=T0, t_fit=10,
                      v_mode="optimized", reg=Regularization(0.0))
-    v = solve_v(spec, build_design(panel, predictors, spec), seed=5)
+    v = solve_v(spec, build_design(panel, predictors, spec))
     # rows: driver, noise, outcome mean; noise must not dominate
     assert v[1] < max(v[0], v[2])
 
@@ -254,7 +299,7 @@ def test_fit_synth_with_fixed_v_matches_direct_solve(rng):
     panel, predictors, spec = _small_study(rng)
     spec = StudySpec(treated=spec.treated, donors=spec.donors, T0=spec.T0,
                      t_fit=spec.t_fit, v_mode="uniform", reg=Regularization(0.0))
-    result = fit_synth(spec, build_design(panel, predictors, spec), seed=13)
+    result = fit_synth(spec, build_design(panel, predictors, spec))
     design = build_design(panel, predictors, spec)
     direct = solve_w(design.X1, design.X0, np.ones(4) / 4, spec.reg)
     assert np.array_equal(result.w_star, direct.w)
@@ -265,14 +310,14 @@ def test_fit_synth_perfect_combination_zero_gap(rng):
     panel, predictors, units, w_true, T0 = combo_study(rng, n_distractors=4, k=8)
     spec = StudySpec(treated=units[0], donors=units[1:], T0=T0, t_fit=10,
                      v_mode="optimized", reg=Regularization(0.0))
-    result = fit_synth(spec, build_design(panel, predictors, spec), seed=42)
+    result = fit_synth(spec, build_design(panel, predictors, spec))
     assert np.max(np.abs(result.w_star - w_true)) < 1e-3
     assert np.sqrt(np.mean(result.gap[:T0] ** 2)) < 1e-6
 
 
 def test_fit_synth_mspe_windows_are_consistent(rng):
     panel, predictors, spec = _small_study(rng, J=5, T=50, T0=30)
-    result = fit_synth(spec, build_design(panel, predictors, spec), seed=3)
+    result = fit_synth(spec, build_design(panel, predictors, spec))
     train, val = split_pre_period(spec.T0, spec.t_fit, spec.train_placement)
     actual = panel.series(spec.treated)
     assert result.train_mspe == pytest.approx(
@@ -285,7 +330,7 @@ def test_fit_synth_mspe_windows_are_consistent(rng):
 
 def test_fit_synth_weights_feasible(rng):
     panel, predictors, spec = _small_study(rng, J=6)
-    result = fit_synth(spec, build_design(panel, predictors, spec), seed=1)
+    result = fit_synth(spec, build_design(panel, predictors, spec))
     assert result.w_star.sum() == pytest.approx(1.0, abs=1e-8)
     assert (result.w_star >= 0).all()
     assert result.v_star.sum() == pytest.approx(1.0, abs=1e-9)
@@ -294,8 +339,8 @@ def test_fit_synth_weights_feasible(rng):
 
 def test_fit_synth_deterministic(rng):
     panel, predictors, spec = _small_study(rng, J=5)
-    a = fit_synth(spec, build_design(panel, predictors, spec), seed=11)
-    b = fit_synth(spec, build_design(panel, predictors, spec), seed=11)
+    a = fit_synth(spec, build_design(panel, predictors, spec))
+    b = fit_synth(spec, build_design(panel, predictors, spec))
     assert np.array_equal(a.w_star, b.w_star)
     assert np.array_equal(a.v_star, b.v_star)
     assert a.validation_mspe == b.validation_mspe
@@ -327,16 +372,16 @@ def test_fit_synth_reports_unconverged_final_solve(monkeypatch):
     spec = StudySpec(treated=panel.units[0], donors=panel.units[1:], T0=30,
                      v_mode="uniform", reg=Regularization(0.0))
     design = build_design(panel, predictors, spec)
-    assert fit_synth(spec, design, seed=42).converged
+    assert fit_synth(spec, design).converged
     spec = dataclasses.replace(spec, reg=Regularization())
-    assert fit_synth(spec, build_design(panel, predictors, spec), seed=42).converged
+    assert fit_synth(spec, build_design(panel, predictors, spec)).converged
 
     # an uncertified final solve is reported with its gap
     def uncertified(*args, **kwargs):
         return dataclasses.replace(solve_w(*args, **kwargs), converged=False, fw_gap=0.5)
 
     monkeypatch.setattr(engine, "solve_w", uncertified)
-    result = fit_synth(spec, design, seed=42)
+    result = fit_synth(spec, design)
     assert not result.converged and result.fw_gap == 0.5
 
 

@@ -24,7 +24,6 @@ from synthctl import (
 )
 from synthctl import inference
 from synthctl.errors import InvalidSplit
-from synthctl.seeding import derive_seed
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +114,7 @@ def _null_study(seed=0, n=6, T=40, T0=25):
 
 def test_placebo_run_covers_every_unit_sorted():
     panel, spec = _null_study()
-    ens = placebo_run(spec, panel, None, seed=1)
+    ens = placebo_run(spec, panel, None)
     assert tuple(e.unit for e in ens.entries) == tuple(sorted(panel.units))
     assert ens.entries[ens.treated_index].unit == spec.treated
     assert all(not e.skipped for e in ens.entries)
@@ -134,7 +133,7 @@ def test_placebo_pools_exclude_treated_unit():
     spec = StudySpec(treated=twin_panel.units[0], donors=twin_panel.units[1:],
                      T0=25, t_fit=10, v_mode="optimized",
                      reg=Regularization(0.0))
-    ens = placebo_run(spec, twin_panel, None, seed=2)
+    ens = placebo_run(spec, twin_panel, None)
     twin_entry = next(e for e in ens.entries if e.unit == twin_panel.units[1])
     # donors for the twin exclude the treated unit, so its pre-fit is imperfect
     assert twin_entry.R_pre > 1e-6
@@ -142,8 +141,8 @@ def test_placebo_pools_exclude_treated_unit():
 
 def test_placebo_jobs_parallel_matches_serial():
     panel, spec = _null_study(seed=3)
-    serial = placebo_run(spec, panel, None, seed=5, jobs=1)
-    parallel = placebo_run(spec, panel, None, seed=5, jobs=4)
+    serial = placebo_run(spec, panel, None, jobs=1)
+    parallel = placebo_run(spec, panel, None, jobs=4)
     # repr spells out every field of every entry, floats exactly
     assert repr(serial) == repr(parallel)
 
@@ -159,14 +158,14 @@ def test_placebo_pool_starts_no_more_workers_than_units(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures.ProcessPoolExecutor, "_spawn_process", counted)
     panel, spec = _null_study(seed=3, n=3)
-    parallel = placebo_run(spec, panel, None, seed=5, jobs=6)
+    parallel = placebo_run(spec, panel, None, jobs=6)
     assert 1 <= len(spawned) <= 3
-    assert repr(parallel) == repr(placebo_run(spec, panel, None, seed=5, jobs=1))
+    assert repr(parallel) == repr(placebo_run(spec, panel, None, jobs=1))
 
 
 def test_placebo_custom_t0_applies_to_placebos_only():
     panel, spec = _null_study(seed=6, T=50, T0=30)
-    ens = placebo_run(spec, panel, None, seed=7, placebo_T0=20)
+    ens = placebo_run(spec, panel, None, placebo_T0=20)
     assert ens.T0 == spec.T0
     assert all(not e.skipped for e in ens.entries)
 
@@ -185,7 +184,7 @@ def test_placebo_perfect_pre_fit_floors_ratio():
     spec = StudySpec(treated=panel.units[0], donors=panel.units[1:3], T0=T0,
                      t_fit=10, v_mode="uniform",
                      reg=Regularization(0.0))
-    ens = placebo_run(spec, panel, None, seed=9)
+    ens = placebo_run(spec, panel, None)
     floored = [e for e in ens.entries if e.pre_floored]
     assert len(floored) == 2
     for e in floored:
@@ -203,7 +202,7 @@ def test_placebo_run_builds_the_design_once(monkeypatch):
         return build_design(*args, **kwargs)
 
     monkeypatch.setattr(inference, "build_design", counted)
-    ens = placebo_run(spec, panel, None, seed=3)
+    ens = placebo_run(spec, panel, None)
     assert len(calls) == 1
     assert not any(e.skipped for e in ens.entries)
 
@@ -224,7 +223,7 @@ def test_placebo_designs_equal_build_design(monkeypatch, standardize, placement,
                      train_placement=placement, standardize=standardize)
     seen = []
 
-    def recorded(spec, design, *, seed):
+    def recorded(spec, design):
         seen.append((spec, design))
         raise ValueError("recorded")
 
@@ -251,7 +250,7 @@ def test_placebo_t0_inside_the_training_window_raises_before_any_fit(monkeypatch
 
 def test_p_value_on_null_panel_is_rational():
     panel, spec = _null_study(seed=10, n=7)
-    ens = placebo_run(spec, panel, None, seed=11)
+    ens = placebo_run(spec, panel, None)
     p = p_value(ens)
     assert p in {i / 7 for i in range(8)}
 
@@ -262,7 +261,7 @@ def test_p_value_on_null_panel_is_rational():
 
 def test_training_sweep_rows_sorted_and_complete():
     panel, spec = _null_study(seed=12, T=70, T0=55)
-    rows = training_sweep(spec, [20, 10, 40], panel, None, seed=13)
+    rows = training_sweep(spec, [20, 10, 40], panel, None)
     assert tuple(r.t_fit for r in rows) == (10, 20, 40)
     for row in rows:
         assert not row.failed
@@ -272,7 +271,7 @@ def test_training_sweep_rows_sorted_and_complete():
 
 def test_training_sweep_marks_impossible_windows():
     panel, spec = _null_study(seed=14, T=40, T0=25)
-    rows = training_sweep(spec, [10, 25], panel, None, seed=15)
+    rows = training_sweep(spec, [10, 25], panel, None)
     by_t = {r.t_fit: r for r in rows}
     assert not by_t[10].failed
     assert by_t[25].failed
@@ -291,7 +290,7 @@ def test_placebo_tasks_send_no_panel_data(monkeypatch):
     monkeypatch.setattr(inference, "_fit_ratio_task", measured)
     for T in (40, 400):
         panel, spec = _null_study(seed=16, n=4, T=T, T0=25)
-        placebo_run(spec, panel, None, seed=17)
+        placebo_run(spec, panel, None)
     short, long = sizes[:4], sizes[4:]
     assert max(long) <= max(short)
 
@@ -314,17 +313,16 @@ def test_training_sweep_fits_each_unit_once(monkeypatch):
         return fit(*args, **kwargs)
 
     monkeypatch.setattr(inference, "fit_synth", counted)
-    training_sweep(spec, [10], panel, None, seed=19)
+    training_sweep(spec, [10], panel, None)
     assert sorted(calls) == sorted(panel.units)
 
 
 def test_training_sweep_row_comes_from_the_placebo_run():
     panel, spec = _null_study(seed=20, n=5)
-    (row,) = training_sweep(spec, [10], panel, None, seed=19)
-    ensemble = placebo_run(spec, panel, None, seed=19)
+    (row,) = training_sweep(spec, [10], panel, None)
+    ensemble = placebo_run(spec, panel, None)
     assert row.p_value == p_value(ensemble)
-    treated_fit = fit_synth(spec, build_design(panel, None, spec),
-                            seed=derive_seed(19, "placebo", spec.treated))
+    treated_fit = fit_synth(spec, build_design(panel, None, spec))
     assert row.pre_deviation == pytest.approx(treated_fit.pre_mspe, rel=1e-12, abs=0)
 
 
@@ -334,7 +332,7 @@ def test_training_sweep_marks_a_skipped_treated_fit():
     values = panel.values.copy()
     values[0, 3] = np.nan
     with pytest.raises(ValueError, match="missing values, first unit 10001 on 2021-01-04"):
-        training_sweep(spec, [10], panel.with_values(values), None, seed=19)
+        training_sweep(spec, [10], panel.with_values(values), None)
 
 
 def test_training_sweep_rejects_jobs_below_one():

@@ -148,8 +148,6 @@ def test_solver_feasibility_fuzz(seed):
                                        ("X0", np.inf), ("v", np.nan), ("v", np.inf)])
 @pytest.mark.parametrize("l1", [0.0, 0.6])
 def test_solver_rejects_non_finite_inputs(name, bad, l1):
-    # a NaN used to surface as an IndexError from project_simplex, or as
-    # weights stuck at a random restart point
     rng = np.random.default_rng(6)
     args = {"X1": rng.normal(size=3), "X0": rng.normal(size=(3, 4)),
             "v": np.ones(3)}
