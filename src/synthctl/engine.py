@@ -5,9 +5,9 @@ and a validation window. For a candidate importance vector v, donor weights
 w(v) are fit on training-window predictors. In optimized mode a search looks
 for the v whose weights minimize the validation-window outcome error; the
 search winner, the uniform vector and the inverse-variance vector are then
-each solved once at the full solver budget, and the solve with the lowest
-validation error gives the final weights. The synthetic series is the
-weighted donor combination over the whole panel.
+each solved once, and the solve with the lowest validation error gives the
+final weights. The synthetic series is the weighted donor combination over
+the whole panel.
 
 Predictor matrices get one extra row beyond the unit-level predictors: each
 unit's mean outcome over the training window, so the match is anchored to
@@ -234,24 +234,16 @@ def _softmax(theta: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
-class _SearchStalled(Exception):
-    pass
+def _nelder_mead(x0: np.ndarray, xatol: float, fatol: float):
+    """The Nelder-Mead simplex method, as a generator of the points it evaluates.
 
-
-class _Exhausted(Exception):
-    pass
-
-
-def _nelder_mead(f, x0: np.ndarray, maxfev: int, xatol: float, fatol: float) -> None:
-    """Minimize f by the Nelder-Mead simplex method, for its calls alone.
-
-    Evaluates exactly the points, in the same order, that scipy's
-    minimize(method="Nelder-Mead") evaluates with these options and no bounds,
-    non-adaptive: reflection 1, expansion 2, contraction 0.5, shrink 0.5, the
-    initial simplex stepping each coordinate by 5 % (0.00025 from zero), and
-    at most maxfev calls. Each call gets a copy of its point. The caller keeps
-    what it needs from the calls, so nothing is returned; an exception raised
-    by f ends the search.
+    Yields exactly the points, in the same order, that scipy's
+    minimize(method="Nelder-Mead") evaluates with these options, no bounds
+    and no budget, non-adaptive: reflection 1, expansion 2, contraction 0.5,
+    shrink 0.5, the initial simplex stepping each coordinate by 5 % (0.00025
+    from zero). Each point is a fresh copy, and the caller sends back its
+    value; the first send is None. Returns when scipy's tolerance test holds.
+    The caller owns every other stopping rule: it stops sending.
     """
     n = x0.size
     sim = np.empty((n + 1, n))
@@ -261,53 +253,39 @@ def _nelder_mead(f, x0: np.ndarray, maxfev: int, xatol: float, fatol: float) -> 
         y[i] = 1.05 * y[i] if y[i] != 0 else 0.00025
         sim[i + 1] = y
     fsim = np.full(n + 1, np.inf)
-    calls = 0
-
-    def call(x: np.ndarray) -> float:
-        nonlocal calls
-        if calls >= maxfev:
-            raise _Exhausted
-        calls += 1
-        return f(x.copy())
-
-    try:
-        for i in range(n + 1):
-            fsim[i] = call(sim[i])
-        for _ in range(2):  # scipy sorts twice here; ties can move between passes
-            order = np.argsort(fsim)
-            sim, fsim = sim[order], fsim[order]
-        while True:
-            if np.abs(sim[1:] - sim[0]).max() <= xatol and \
-                    np.abs(fsim[0] - fsim[1:]).max() <= fatol:
-                return
-            xbar = sim[:-1].sum(0) / n
-            xr = 2 * xbar - sim[-1]
-            fxr = call(xr)
-            if fxr < fsim[0]:
-                xe = 3 * xbar - 2 * sim[-1]
-                fxe = call(xe)
-                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-            elif fxr < fsim[-2]:
-                sim[-1], fsim[-1] = xr, fxr
-            else:
-                if fxr < fsim[-1]:  # contract outside, toward the reflection
-                    xc = 1.5 * xbar - 0.5 * sim[-1]
-                    fxc = call(xc)
-                    accept = fxc <= fxr
-                else:  # contract inside, toward the worst vertex
-                    xc = 0.5 * xbar + 0.5 * sim[-1]
-                    fxc = call(xc)
-                    accept = fxc < fsim[-1]
-                if accept:
-                    sim[-1], fsim[-1] = xc, fxc
-                else:  # shrink toward the best vertex
-                    for j in range(1, n + 1):
-                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
-                        fsim[j] = call(sim[j])
-            order = np.argsort(fsim)
-            sim, fsim = sim[order], fsim[order]
-    except _Exhausted:
-        return
+    for i in range(n + 1):
+        fsim[i] = yield sim[i].copy()
+    for _ in range(2):  # scipy sorts twice here; ties can move between passes
+        order = np.argsort(fsim)
+        sim, fsim = sim[order], fsim[order]
+    while not (np.abs(sim[1:] - sim[0]).max() <= xatol and
+               np.abs(fsim[0] - fsim[1:]).max() <= fatol):
+        xbar = sim[:-1].sum(0) / n
+        xr = 2 * xbar - sim[-1]
+        fxr = yield xr.copy()
+        if fxr < fsim[0]:
+            xe = 3 * xbar - 2 * sim[-1]
+            fxe = yield xe.copy()
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:  # contract outside, toward the reflection
+                xc = 1.5 * xbar - 0.5 * sim[-1]
+                fxc = yield xc.copy()
+                accept = fxc <= fxr
+            else:  # contract inside, toward the worst vertex
+                xc = 0.5 * xbar + 0.5 * sim[-1]
+                fxc = yield xc.copy()
+                accept = fxc < fsim[-1]
+            if accept:
+                sim[-1], fsim[-1] = xc, fxc
+            else:  # shrink toward the best vertex
+                for j in range(1, n + 1):
+                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                    fsim[j] = yield sim[j].copy()
+        order = np.argsort(fsim)
+        sim, fsim = sim[order], fsim[order]
 
 
 def _design_start(raw: np.ndarray) -> np.ndarray:
@@ -334,7 +312,10 @@ def solve_v(spec: StudySpec, design: Design) -> np.ndarray:
     donor weights, and returns the best vector it scored (uniform if it
     scored no finite error, or if there is a single row). It starts from the
     uniform vector, then from _design_start's, and draws nothing at random.
-    fit_synth compares the winner with the baselines.
+    Each start ends at the simplex's tolerances, after max(60, 4k)
+    evaluations, or after _V_STALL_EVALS evaluations in a row that improve
+    on the best error by no more than _V_STALL_TOL. fit_synth compares the
+    winner with the baselines.
     """
     k = design.raw.shape[0]
     if spec.v_mode == "inverse_variance":
@@ -344,27 +325,23 @@ def solve_v(spec: StudySpec, design: Design) -> np.ndarray:
 
     best_f = np.inf
     best_v = np.full(k, 1.0 / k)
-    since_improve = 0
-
-    def scored(theta: np.ndarray) -> float:
-        nonlocal best_f, best_v, since_improve
-        v = _softmax(np.asarray(theta, dtype=float))
-        f = design.validation_error(solve_w(design.X1, design.X0, v, spec.reg).w)
-        if f < best_f - _V_STALL_TOL:
-            best_f, best_v, since_improve = f, v, 0
-        else:
-            since_improve += 1
-            if since_improve >= _V_STALL_EVALS:
-                raise _SearchStalled
-        return f
-
-    maxfev = max(60, 4 * k)
     for theta0 in (np.zeros(k), _design_start(design.raw)):
+        search = _nelder_mead(theta0, xatol=1e-3, fatol=_V_STALL_TOL)
+        f = None
         since_improve = 0
-        try:
-            _nelder_mead(scored, theta0, maxfev, xatol=1e-3, fatol=_V_STALL_TOL)
-        except _SearchStalled:
-            pass
+        for _ in range(max(60, 4 * k)):
+            try:
+                theta = search.send(f)
+            except StopIteration:  # the simplex is within both tolerances
+                break
+            v = _softmax(theta)
+            f = design.validation_error(solve_w(design.X1, design.X0, v, spec.reg).w)
+            if f < best_f - _V_STALL_TOL:
+                best_f, best_v, since_improve = f, v, 0
+            else:
+                since_improve += 1
+                if since_improve >= _V_STALL_EVALS:
+                    break
     return best_v
 
 

@@ -131,9 +131,6 @@ class Panel:
         kept = {u: m for u, m in meta.items() if u in units}
         return Panel(self.units, self.dates, self.values, kept)
 
-    def with_values(self, values: np.ndarray) -> "Panel":
-        return Panel(self.units, self.dates, values, self.meta)
-
 
 @dataclass(frozen=True, eq=False)
 class PredictorTable:

@@ -236,19 +236,19 @@ class _Solver:
         M.flat[:k * (k + 2):k + 2] += mu
         return B, M
 
-    def face(self, F: np.ndarray, mu: float, dual: bool,
+    def face(self, F: np.ndarray, mu: float,
              limit: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
         """Minimizer x of 1/2 ||A_F x - b||^2 + mu/2 ||x||^2 with sum(x) = 1.
 
         The primal form solves the bordered normal equations, of size
-        |F| + 1. The dual form eliminates x = -(A_F' y + nu): it solves
-        (B B' + mu D) [y; nu] = -[b; 1] with B = [A_F; 1'] and D = diag(1, .., 1, 0),
-        of size k + 1, and also returns y = r / mu. With limit (mu = 0) x is
-        the least-norm solution of B x = [b; 1] and y its least-norm
-        multiplier, both by SVD. In exact mode, or when a system is
-        singular, x comes from lstsq on the least-squares problem itself,
-        with the last weight eliminated, which does not square its
-        condition number.
+        |F| + 1. The dual form, taken when |F| > k + 1, eliminates
+        x = -(A_F' y + nu): it solves (B B' + mu D) [y; nu] = -[b; 1] with
+        B = [A_F; 1'] and D = diag(1, .., 1, 0), of size k + 1, and also
+        returns y = r / mu. With limit (mu = 0) x is the least-norm solution
+        of B x = [b; 1] and y its least-norm multiplier, both by SVD. In
+        exact mode, or when a system is singular, x comes from lstsq on the
+        least-squares problem itself, with the last weight eliminated, which
+        does not square its condition number.
         """
         A, b, k = self.A, self.b, self.k
         AF = A[:, F]
@@ -258,7 +258,7 @@ class _Solver:
             x = np.linalg.lstsq(B, np.concatenate((b, [1.0])), rcond=None)[0]
             return x, np.linalg.lstsq(B.T, -x, rcond=None)[0][:k]
         if not self.exact:
-            if dual:
+            if n > k + 1:
                 B, M = self._dual(AF, mu)
                 z = self._linsolve(M, -np.concatenate((b, [1.0])))
                 if z is not None:
@@ -283,27 +283,23 @@ class _Solver:
         head = np.linalg.lstsq(M, rhs, rcond=None)[0]
         return np.concatenate((head, [1.0 - head.sum()])), None
 
-    def slope(self, F: np.ndarray, mu: float, w: np.ndarray,
-              y: np.ndarray | None) -> np.ndarray:
-        """dw/dmu of the program's minimizer on the free set F.
+    def dh(self, mu: float, F: np.ndarray, w: np.ndarray, r: np.ndarray,
+           y: np.ndarray | None, nr: float, nw: float) -> float:
+        """d/dmu of h = l1 ||r||/||w|| on the free set F, for Newton's step.
 
-        Differentiating the face system gives the same matrix with the
-        right-hand side -[w_F; 0], or -[y; 0] in the dual form.
+        dw/dmu solves the face system's matrix with the right-hand side
+        -[w_F; 0], or -[y; 0] in the dual form.
         """
         AF = self.A[:, F]
         n = F.size
         if n > self.k + 1:
             B, M = self._dual(AF, mu)
             dz = self._linsolve(M, -np.concatenate((y, [0.0])))
-            return np.zeros(n) if dz is None else -(B.T @ dz)
-        dz = self._linsolve(self._primal(AF, mu), -np.concatenate((w[F], [0.0])))
-        return np.zeros(n) if dz is None else dz[:n]
-
-    def dh(self, mu: float, F: np.ndarray, w: np.ndarray, r: np.ndarray,
-           y: np.ndarray | None, nr: float, nw: float) -> float:
-        """d/dmu of h = l1 ||r||/||w|| on the free set F, for Newton's step."""
-        dw = self.slope(F, mu, w, y)
-        dnr = float(r @ (self.A[:, F] @ dw)) / nr if nr > 0.0 else 0.0
+            dw = np.zeros(n) if dz is None else -(B.T @ dz)
+        else:
+            dz = self._linsolve(self._primal(AF, mu), -np.concatenate((w[F], [0.0])))
+            dw = np.zeros(n) if dz is None else dz[:n]
+        dnr = float(r @ (AF @ dw)) / nr if nr > 0.0 else 0.0
         return self.l1 * (dnr - nr * float(w[F] @ dw) / nw ** 2) / nw
 
     def program(self, mu: float, w: np.ndarray, F: np.ndarray, limit: bool = False):
@@ -318,7 +314,7 @@ class _Solver:
         A, b = self.A, self.b
         last = None  # the last free set's minimizer, as returned
         for _ in range(10 * self.J + 100):
-            x, y = self.face(F, mu, limit or F.size > self.k + 1, limit)
+            x, y = self.face(F, mu, limit)
             if x.min() <= 0.0:
                 # step back from w toward x until a free weight reaches zero
                 wF = w[F]
@@ -357,7 +353,7 @@ class _Solver:
         The active-set method starts from the least-norm exact fit on F when
         all its weights are positive, else from the exact fit w with support G.
         """
-        x, _ = self.face(F, 0.0, True, limit=True)
+        x, _ = self.face(F, 0.0, limit=True)
         if x.min() > 0.0:
             w = np.zeros(self.J)
             w[F] = x

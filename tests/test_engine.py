@@ -135,7 +135,7 @@ def test_design_requires_finite_outcomes(rng):
     panel, predictors, spec = _small_study(rng)
     values = panel.values.copy()
     values[2, 3] = values[3, 5] = np.nan  # the first missing cell in study order
-    dirty = panel.with_values(values)
+    dirty = dataclasses.replace(panel, values=values)
     with pytest.raises(ValueError, match=f"first unit {spec.donors[1]} on 2021-01-04; clean"):
         build_design(dirty, predictors, spec)
 
@@ -187,7 +187,7 @@ def _count_final_solves(monkeypatch) -> list[bool]:
     ("uniform", False, 1),
     ("uniform", True, 1),
 ])
-def test_fit_synth_solves_each_candidate_once_at_full_budget(
+def test_fit_synth_solves_each_candidate_once(
         rng, monkeypatch, v_mode, constant_row, full_solves):
     panel, predictors, spec = _small_study(rng)
     if constant_row:
@@ -221,9 +221,9 @@ def _search_starts(monkeypatch, spec, design) -> list[np.ndarray]:
     """The points solve_v starts its Nelder-Mead runs from, in order."""
     starts = []
 
-    def recorded(f, x0, *args, **kwargs):
+    def recorded(x0, *args, **kwargs):
         starts.append(x0.copy())
-        return _nelder_mead(f, x0, *args, **kwargs)
+        return _nelder_mead(x0, *args, **kwargs)
 
     monkeypatch.setattr(engine, "_nelder_mead", recorded)
     solve_v(spec, design)
@@ -260,6 +260,39 @@ def test_search_gives_a_constant_row_the_least_inverse_variance(rng, monkeypatch
     spec = dataclasses.replace(spec, treated=panel.units[0], donors=panel.units[1:])
     _, second = _search_starts(monkeypatch, spec, build_design(panel, predictors, spec))
     assert np.array_equal(second, np.log(np.full(3, 1 / 3)))
+
+
+def _evaluations_per_start(monkeypatch, spec, design) -> list[int]:
+    """How many weight solves solve_v makes from each of its starts."""
+    counts = []
+
+    def started(*args, **kwargs):
+        counts.append(0)
+        return _nelder_mead(*args, **kwargs)
+
+    def counted(*args, **kwargs):
+        counts[-1] += 1
+        return solve_w(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "_nelder_mead", started)
+    monkeypatch.setattr(engine, "solve_w", counted)
+    solve_v(spec, design)
+    return counts
+
+
+@pytest.mark.parametrize("J, per_start", [
+    # one donor: every vector scores the same error. The first start's
+    # simplex is within both tolerances once its 5 points are scored; the
+    # second start's is wider, and it stalls with no improvement at all
+    (1, [5, engine._V_STALL_EVALS]),
+    # three donors: both starts run to the budget, max(60, 4k) at k = 4
+    (3, [60, 60]),
+])
+def test_search_stops_at_its_tolerances_its_stall_and_its_budget(
+        rng, monkeypatch, J, per_start):
+    panel, predictors, spec = _small_study(rng, J=J)
+    design = build_design(panel, predictors, spec)
+    assert _evaluations_per_start(monkeypatch, spec, design) == per_start
 
 
 def test_inverse_variance_mode_rejects_a_constant_lone_row():
@@ -397,7 +430,7 @@ def _evaluated_points(minimize, f, x0, maxfev, xatol, fatol, stop, scribble):
     """Every point minimize(f, ...) hands to f, in order, as private copies.
 
     With stop set, f raises after that many calls, as the importance search
-    raises when it stalls; with scribble, f overwrites the point it was given.
+    stops when it stalls; with scribble, f overwrites the point it was given.
     """
     points = []
 
@@ -415,6 +448,18 @@ def _evaluated_points(minimize, f, x0, maxfev, xatol, fatol, stop, scribble):
     except _Stop:
         pass
     return points
+
+
+def _driven_nelder_mead(f, x0, maxfev, xatol, fatol):
+    """Drive the _nelder_mead generator as solve_v does, for at most maxfev points."""
+    search = _nelder_mead(x0, xatol, fatol)
+    value = None
+    for _ in range(maxfev):
+        try:
+            x = search.send(value)
+        except StopIteration:
+            return
+        value = f(x)
 
 
 def _scipy_nelder_mead(f, x0, maxfev, xatol, fatol):
@@ -451,7 +496,7 @@ def _ridged(x):
 ])
 def test_nelder_mead_evaluates_scipys_points(f, x0, maxfev, xatol, fatol, stop, scribble):
     args = (f, x0, maxfev, xatol, fatol, stop, scribble)
-    ours = _evaluated_points(_nelder_mead, *args)
+    ours = _evaluated_points(_driven_nelder_mead, *args)
     theirs = _evaluated_points(_scipy_nelder_mead, *args)
     assert len(ours) == len(theirs) <= maxfev
     assert all(np.array_equal(a, b) for a, b in zip(ours, theirs))
@@ -464,7 +509,7 @@ def test_nelder_mead_stops_where_scipy_does_at_every_maxfev(f, x0):
     # reflection, an expansion, a contraction or a shrink
     for maxfev in range(1, 90):
         args = (f, x0, maxfev, 1e-8, 1e-12, None, False)
-        ours = _evaluated_points(_nelder_mead, *args)
+        ours = _evaluated_points(_driven_nelder_mead, *args)
         theirs = _evaluated_points(_scipy_nelder_mead, *args)
         assert len(ours) == len(theirs) == maxfev
         assert all(np.array_equal(a, b) for a, b in zip(ours, theirs))

@@ -129,7 +129,7 @@ def test_placebo_pools_exclude_treated_unit():
     panel = random_walk_panel(rng, 5, 40)
     values = panel.values.copy()
     values[1] = values[0]  # donor 1 duplicates the treated series
-    twin_panel = panel.with_values(values)
+    twin_panel = dataclasses.replace(panel, values=values)
     spec = StudySpec(treated=twin_panel.units[0], donors=twin_panel.units[1:],
                      T0=25, t_fit=10, v_mode="optimized",
                      reg=Regularization(0.0))
@@ -180,7 +180,7 @@ def test_placebo_perfect_pre_fit_floors_ratio():
     values = base.values.copy()
     values[2, :T0] = values[1, :T0]
     values[2, T0:] = values[1, T0:] + 5.0
-    panel = base.with_values(values)
+    panel = dataclasses.replace(base, values=values)
     spec = StudySpec(treated=panel.units[0], donors=panel.units[1:3], T0=T0,
                      t_fit=10, v_mode="uniform",
                      reg=Regularization(0.0))
@@ -332,7 +332,7 @@ def test_training_sweep_marks_a_skipped_treated_fit():
     values = panel.values.copy()
     values[0, 3] = np.nan
     with pytest.raises(ValueError, match="missing values, first unit 10001 on 2021-01-04"):
-        training_sweep(spec, [10], panel.with_values(values), None)
+        training_sweep(spec, [10], dataclasses.replace(panel, values=values), None)
 
 
 def test_training_sweep_rejects_jobs_below_one():
