@@ -98,7 +98,7 @@ def growth_section() -> None:
     for i in range(n_units):
         series = logistic_predict(K_true[i], nu_true[i], 1.0, t)
         series = np.maximum(series + rng.normal(0, 0.2, size=days), 1e-6)
-        fits[f"{30001 + 2 * i:05d}"] = fit_logistic(series, seed=SEED + i)
+        fits[f"{30001 + 2 * i:05d}"] = fit_logistic(series)
 
     print("== growth-curve section ==")
     K_hat = np.array([f.K for f in fits.values()])

@@ -56,7 +56,6 @@ from .panel import (
     repair_series,
     rolling_mean,
 )
-from .seeding import derive_seed
 from .weights import (
     Regularization,
     SolveResult,
@@ -89,7 +88,6 @@ __all__ = [
     "classify_quadrant",
     "clean_panel",
     "decile_summary",
-    "derive_seed",
     "enforce_monotone",
     "filter_by_cluster",
     "filter_by_neighbor_states",

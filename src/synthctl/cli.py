@@ -33,7 +33,6 @@ from .panel import (
     parse_bool,
     state_of,
 )
-from .seeding import derive_seed
 from .serialize import write_csv, write_json
 from .weights import Regularization
 
@@ -347,7 +346,7 @@ def cmd_logistic(args: argparse.Namespace) -> int:
     for unit in units:
         series = panel.series(unit)
         try:
-            fit = fit_logistic(series, seed=derive_seed(args.seed, "logistic", unit))
+            fit = fit_logistic(series)
         except (SynthctlError, ValueError) as exc:
             failures.append((unit, str(exc)))
             continue
@@ -499,8 +498,6 @@ def build_parser(defaults: dict[str, object] | None = None) -> argparse.Argument
                 help="long-format outcome CSV (unit,date,value)")
     for sub in (fit, placebo, sweep, logistic, select):
         _option(sub, "--predictors", _existing_file, help="wide predictor CSV (unit,<name>,...)")
-    _option(logistic, "--seed", _integer(minimum=0), default=42,
-            help="random seed (default %(default)s)")
     for sub in commands.choices.values():
         _add_common(sub)
     for sub in (fit, placebo, sweep, ingest):

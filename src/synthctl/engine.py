@@ -122,8 +122,8 @@ def inverse_variance_v(X: np.ndarray) -> np.ndarray:
         raise ValueError(f"need a predictors-by-units matrix, got shape {X.shape}")
     var = X.var(axis=1)
     if (var == 0).any():
-        name = int(np.argmax(var == 0))
-        raise ZeroVariancePredictor(f"predictor row {name} is constant across units")
+        row = int(np.argmax(var == 0))
+        raise ZeroVariancePredictor(f"predictor row {row} is constant across units")
     inv = 1.0 / var
     return inv / inv.sum()
 
@@ -306,21 +306,26 @@ def solve_v(spec: StudySpec, design: Design) -> np.ndarray:
     """Choose the predictor importance vector for the study's design by spec.v_mode.
 
     uniform weights every predictor row 1/k; inverse_variance weights each
-    row by 1/variance across units of its raw values. optimized runs a
-    derivative-free search over softmax-parameterized importance vectors,
-    scoring each candidate by the validation-window error of its implied
-    donor weights, and returns the best vector it scored (uniform if it
-    scored no finite error, or if there is a single row). It starts from the
-    uniform vector, then from _design_start's, and draws nothing at random.
-    Each start ends at the simplex's tolerances, after max(60, 4k)
-    evaluations, or after _V_STALL_EVALS evaluations in a row that improve
-    on the best error by no more than _V_STALL_TOL. fit_synth compares the
-    winner with the baselines.
+    row by 1/variance across units of its raw values, and a constant row
+    fails naming its predictor. optimized runs a derivative-free search over
+    softmax-parameterized importance vectors, scoring each candidate by the
+    validation-window error of its implied donor weights, and returns the
+    best vector it scored (uniform if it scored no finite error). A single
+    row or a single donor leaves nothing to search, and gets uniform. The
+    search starts from the uniform vector, then from _design_start's, and
+    draws nothing at random. Each start ends at the simplex's tolerances,
+    after max(60, 4k) evaluations, or after _V_STALL_EVALS evaluations in a
+    row that improve on the best error by no more than _V_STALL_TOL.
+    fit_synth compares the winner with the baselines.
     """
     k = design.raw.shape[0]
     if spec.v_mode == "inverse_variance":
+        constant = np.flatnonzero(design.raw.var(axis=1) == 0)
+        if constant.size:
+            raise ZeroVariancePredictor(
+                f"predictor {design.names[constant[0]]!r} is constant across units")
         return inverse_variance_v(design.raw)
-    if spec.v_mode == "uniform" or k == 1:
+    if spec.v_mode == "uniform" or k == 1 or design.X0.shape[1] == 1:
         return np.full(k, 1.0 / k)
 
     best_f = np.inf

@@ -3,8 +3,8 @@
 Each unit's cumulative uptake series is summarized by three parameters: the
 ceiling K (saturation percentage), the growth rate nu, and the starting level
 p0. Each fit is a bounded least-squares problem in (K, nu, p0), solved in
-numpy alone by a bounded Levenberg-Marquardt that runs a few seeded starts at
-once with the analytic Jacobian. Cross-unit summaries then classify units
+numpy alone by a bounded Levenberg-Marquardt that runs a fixed set of starts
+at once with the analytic Jacobian. Cross-unit summaries then classify units
 into quadrants around the mean ceiling and rate, regress parameters on
 vulnerability indices, and bin units into equal-count compartments of an
 index.
@@ -22,7 +22,7 @@ from .errors import DegenerateSeries, TooFewUnits, ZeroVariance
 K_CEILING = 120.0
 NU_FLOOR = 1e-6  # below this the curve is flat and K is unidentifiable
 P0_FLOOR = 1e-12  # lower bound on p0, keeping K/p0 and the Jacobian finite
-N_STARTS = 10  # seeded starting points per fit
+N_STARTS = 7  # starting points per fit: an anchor, and one step either way along each axis
 LM_MAX_ITERS = 1000  # damped Gauss-Newton steps, one residual evaluation each, per start
 LM_FTOL = 1e-15  # a start stops once an accepted step lowers its SSE by no more than this share
 LM_LAMBDA_MAX = 1e16  # damping past which a step cannot move x in double precision
@@ -128,8 +128,8 @@ def _levenberg_marquardt(x: np.ndarray, t: np.ndarray, y: np.ndarray,
     return x, sse, ~live
 
 
-def _starts(y: np.ndarray, t: np.ndarray, seed: int) -> np.ndarray:
-    """The N_STARTS seeded starting points (K, nu, p0), one per row, inside the box."""
+def _starts(y: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The N_STARTS starting points (K, nu, p0), one per row, inside the box."""
     k_min = float(y.max())
     # data-driven anchors: start level near the first positive value, rate
     # from the average log-growth between the first and last positive points
@@ -143,32 +143,27 @@ def _starts(y: np.ndarray, t: np.ndarray, seed: int) -> np.ndarray:
         nu_hat = 0.05
     anchor = np.array([0.0, np.log(nu_hat), np.log(first_pos)])
 
-    # starts are drawn on a logit/log scale and mapped into the box; the
-    # logistic 0.5 (1 + tanh(theta/2)) saturates instead of overflowing
-    rng = np.random.default_rng(seed)
-    theta = np.array([anchor, *(anchor + rng.normal(0.0, np.array([2.0, 1.0, 1.0]))
-                                for _ in range(N_STARTS - 1))])
+    # the anchor, then one step either way along each axis of the logit-K,
+    # log-nu and log-p0 scale, mapped into the box; the logistic
+    # 0.5 (1 + tanh(theta/2)) saturates instead of overflowing
+    steps = np.diag([2.0, 1.0, 1.0])
+    theta = np.vstack([anchor, anchor + steps, anchor - steps])
     return np.column_stack([k_min + (K_CEILING - k_min) * 0.5 * (1.0 + np.tanh(theta[:, 0] / 2)),
                             np.exp(theta[:, 1]), np.maximum(np.exp(theta[:, 2]), P0_FLOOR)])
 
 
-def fit_logistic(
-    series: np.ndarray,
-    t: np.ndarray | None = None,
-    *,
-    seed: int = 42,
-) -> LogisticFit:
-    """Least-squares logistic fit by seeded multistart bounded least squares.
+def fit_logistic(series: np.ndarray, t: np.ndarray | None = None) -> LogisticFit:
+    """Least-squares logistic fit by multistart bounded least squares.
 
     All starts run one vectorized bounded Levenberg-Marquardt
     (`_levenberg_marquardt`) directly on (K, nu, p0) with the analytic
     Jacobian, inside the box K in [max(series), 120], nu >= 0 and
-    p0 >= P0_FLOOR. The first start is a data-driven anchor; the other
-    N_STARTS - 1 are drawn from `default_rng(seed)` around it and mapped
-    into the box. The lowest SSE wins; `converged` is False when the winner
-    stopped at LM_MAX_ITERS. A rate that collapses below 1e-6 means the
-    series is flat and the ceiling cannot be identified; the fit is returned
-    flagged rather than guessed at.
+    p0 >= P0_FLOOR. The starts come from the series alone: a data-driven
+    anchor and one step either way along each axis around it, mapped into
+    the box, so equal series get equal fits. The lowest SSE wins;
+    `converged` is False when the winner stopped at LM_MAX_ITERS. A rate
+    that collapses below 1e-6 means the series is flat and the ceiling
+    cannot be identified; the fit is returned flagged rather than guessed at.
 
     Raises DegenerateSeries for series with fewer than 10 usable points or no
     strictly positive value.
@@ -190,7 +185,7 @@ def fit_logistic(
     if k_min >= K_CEILING:
         raise ValueError(f"series maximum {k_min} exceeds the ceiling {K_CEILING}")
 
-    x0 = _starts(y, tt, seed)
+    x0 = _starts(y, tt)
     lower = np.array([k_min, 0.0, P0_FLOOR])
     upper = np.array([K_CEILING, np.inf, np.inf])
     x, sse, settled = _levenberg_marquardt(x0, tt, y, lower, upper)

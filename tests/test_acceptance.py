@@ -207,7 +207,7 @@ def test_criterion_07_logistic_round_trip(capsys):
     for K in (30.0, 60.0, 90.0):
         for nu in (0.01, 0.05, 0.1):
             for p0 in (0.5, 2.0):
-                fit = fit_logistic(logistic_predict(K, nu, p0, t), seed=42)
+                fit = fit_logistic(logistic_predict(K, nu, p0, t))
                 rel = max(abs(fit.K - K) / K, abs(fit.nu - nu) / nu,
                           abs(fit.p0 - p0) / p0)
                 worst = max(worst, rel)
@@ -216,7 +216,7 @@ def test_criterion_07_logistic_round_trip(capsys):
     for s in range(50):
         rng = np.random.default_rng(9000 + s)
         noisy = np.maximum(clean + rng.normal(0, 0.1, size=t.size), 1e-6)
-        fit = fit_logistic(noisy, seed=s)
+        fit = fit_logistic(noisy)
         hits += abs(fit.K - 70.0) / 70.0 <= 0.05
     ok = worst <= 0.01 and hits >= 45
     _report(capsys, "criterion 7 logistic round-trip", ok,

@@ -177,13 +177,15 @@ def _selection_files(tmp_path):
     ("fit", "--seed"),
     ("placebo", "--seed"),
     ("sweep", "--seed"),
+    ("logistic", "--seed"),
 ])
 def test_flags_a_command_never_reads_exit_2(tmp_path, capsys, command, flag):
     outcomes, _ = _study_files(tmp_path)
     predictors, blocks = _selection_files(tmp_path)
     value = {"--seed": "1", "--predictors": predictors, "--outcomes": outcomes}[flag]
     inputs = {"ingest": ["--outcomes", outcomes],
-              "select-predictors": ["--predictors", predictors, "--blocks", blocks]}.get(
+              "select-predictors": ["--predictors", predictors, "--blocks", blocks],
+              "logistic": ["--outcomes", outcomes, "--predictors", predictors]}.get(
         command, ["--outcomes", outcomes, "--treated", "10001", "--t0", _dates(40)[25],
                   "--t-fit", "10"])
     out = tmp_path / "out"
@@ -195,13 +197,10 @@ def test_flags_a_command_never_reads_exit_2(tmp_path, capsys, command, flag):
 
 
 def test_config_key_the_command_lacks_is_ignored(tmp_path):
-    # only logistic takes --seed, but a config file shared with it may set one;
-    # fit reads no seed even where a constant predictor row leaves no
-    # inverse-variance start for its importance search
-    outcomes, _ = _study_files(tmp_path)
-    predictors = _constant_row_predictors(tmp_path)
+    # only logistic takes --bins, but a config file shared with it may set it
+    outcomes, predictors = _study_files(tmp_path)
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("seed = 1\n")
+    cfg.write_text("bins = 3\n")
     runs = {"ingest": (["--outcomes", outcomes], ("panel_clean.csv", "dropped.csv")),
             "fit": (["--outcomes", outcomes, "--predictors", predictors, "--treated", "10001",
                      "--t0", _dates(40)[25]], ("result.json", "curve.csv"))}
@@ -258,7 +257,7 @@ def test_config_boolean_must_read_true_or_false(tmp_path, capsys):
 def test_config_file_takes_the_options_of_every_subcommand(tmp_path):
     keys = ["outcomes", "predictors", "metadata", "clusters", "adjacency", "blocks",
             "treated", "t0", "t_fit", "l1", "v_mode", "train_placement", "placebo_t0",
-            "bins", "jobs", "seed", "out", "no_standardize", "filter"]
+            "bins", "jobs", "out", "no_standardize", "filter"]
     cfg = tmp_path / "run.cfg"
     cfg.write_text("".join(f"{key.replace('_', '-')} = 1\n" for key in keys))
     entries = cli._read_config(str(cfg), cli.build_parser())
@@ -272,7 +271,6 @@ def test_config_file_takes_the_options_of_every_subcommand(tmp_path):
 
 @pytest.mark.parametrize("command, key, value", [
     ("placebo", "jobs", "0"),
-    ("logistic", "seed", "-1"),
     ("fit", "l1", "abc"),
     ("fit", "l1", "-1"),
     ("fit", "l1", "nan"),
@@ -344,7 +342,6 @@ def test_placebo_outputs_and_parallel_determinism(tmp_path):
 @pytest.mark.parametrize("command, flag, value", [
     ("sweep", "--jobs", "0"),
     ("placebo", "--jobs", "0"),
-    ("logistic", "--seed", "-1"),
     ("logistic", "--bins", "0"),
 ])
 def test_out_of_range_flag_exits_2(tmp_path, capsys, command, flag, value):
@@ -357,6 +354,19 @@ def test_out_of_range_flag_exits_2(tmp_path, capsys, command, flag, value):
     assert main(argv) == 2
     assert f"{flag} must be at least" in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_inverse_variance_names_the_constant_predictor(tmp_path, capsys):
+    outcomes, _ = _study_files(tmp_path, n_donors=4, seed=5)
+    study = ["--outcomes", outcomes, "--predictors", _constant_row_predictors(tmp_path),
+             "--treated", "10001", "--t0", _dates(40)[25], "--v-mode", "inverse-variance"]
+    complaint = "predictor 'c' is constant across units"
+    assert main(["fit", *study, "--out", str(tmp_path / "fit")]) == 3
+    assert capsys.readouterr().err == f"error: {complaint}\n"
+    assert main(["placebo", *study, "--out", str(tmp_path / "placebo")]) == 3
+    assert capsys.readouterr().err.splitlines()[:-1] == [
+        f"warning: placebo {unit} skipped: {complaint}"
+        for unit in ("10001", "20000", "20002", "20004", "20006")]
 
 
 def test_placebo_no_standardize_reaches_every_worker(tmp_path):
@@ -505,7 +515,7 @@ def test_logistic_fits_and_failures(tmp_path):
                         for i, u in enumerate(units)])
     out = tmp_path / "out"
     code = main(["logistic", "--outcomes", outcomes, "--predictors", themes,
-                 "--out", str(out), "--seed", "3"])
+                 "--out", str(out)])
     assert code == 0
     fits = (out / "fits.csv").read_text().splitlines()
     assert fits[0] == "unit,K,nu,p0,sse,quadrant"
@@ -555,6 +565,23 @@ def test_logistic_warns_about_each_unconverged_fit_and_keeps_it(tmp_path, capsys
     fits = (out / "fits.csv").read_text().splitlines()
     assert fits[0] == "unit,K,nu,p0,sse,quadrant"
     assert [line.split(",")[0] for line in fits[1:]] == units
+
+
+def test_logistic_fits_units_with_equal_series_alike(tmp_path):
+    # a fit depends on the series alone, not on the unit's code
+    t = np.arange(120, dtype=float)
+    noise = np.random.default_rng(7).normal(0.0, 0.3, size=t.size)
+    y = np.maximum.accumulate(np.maximum(logistic_predict(70.0, 0.06, 1.0, t) + noise, 0.01))
+    units = ["40000", "40002", "40004"]
+    outcomes = _long_csv(tmp_path / "o.csv", {u: y for u in units})
+    themes = _wide_csv(tmp_path / "themes.csv", ["unit", "theme1"],
+                       [[u, str(0.1 * i)] for i, u in enumerate(units)])
+    out = tmp_path / "out"
+    assert main(["logistic", "--outcomes", outcomes, "--predictors", themes,
+                 "--bins", "1", "--out", str(out)]) == 0
+    rows = (out / "fits.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == units
+    assert len({row.split(",", 1)[1] for row in rows}) == 1
 
 
 def test_logistic_with_no_shared_unit_exits_3(tmp_path, capsys):
@@ -925,9 +952,11 @@ def test_quick_start_fit_runs_clean(tmp_path, capsys):
 
 
 def _scipy_free_run(script, *argv):
-    """Run script in a fresh interpreter that then must hold no scipy module."""
+    """Run script in a fresh interpreter that then must hold no scipy module
+    and no numpy.random: no command draws a random number."""
     script = textwrap.dedent(script) + textwrap.dedent("""
-        loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+        loaded = sorted(m for m in sys.modules
+                        if m.split(".")[0] == "scipy" or m.startswith("numpy.random"))
         assert not loaded, loaded
     """)
     src = str(pathlib.Path(synthctl.__file__).resolve().parents[1])

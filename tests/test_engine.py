@@ -281,10 +281,8 @@ def _evaluations_per_start(monkeypatch, spec, design) -> list[int]:
 
 
 @pytest.mark.parametrize("J, per_start", [
-    # one donor: every vector scores the same error. The first start's
-    # simplex is within both tolerances once its 5 points are scored; the
-    # second start's is wider, and it stalls with no improvement at all
-    (1, [5, engine._V_STALL_EVALS]),
+    # one donor: every vector gives the same weights, so no search runs
+    (1, []),
     # three donors: both starts run to the budget, max(60, 4k) at k = 4
     (3, [60, 60]),
 ])
@@ -295,12 +293,25 @@ def test_search_stops_at_its_tolerances_its_stall_and_its_budget(
     assert _evaluations_per_start(monkeypatch, spec, design) == per_start
 
 
+def test_search_stalls_where_every_vector_validates_alike(rng, monkeypatch):
+    # three donors with one outcome path over the validation window: vectors
+    # differ in their weights but not in their error. The first start's
+    # simplex is within both tolerances once its 5 points are scored; the
+    # second start's is wider, and it stalls with no improvement at all
+    panel, predictors, spec = _small_study(rng, J=3)
+    design = build_design(panel, predictors, spec)
+    Y0 = design.Y0.copy()
+    Y0[:, design.val] = Y0[0, design.val]
+    design = dataclasses.replace(design, Y0=Y0)
+    assert _evaluations_per_start(monkeypatch, spec, design) == [5, engine._V_STALL_EVALS]
+
+
 def test_inverse_variance_mode_rejects_a_constant_lone_row():
     # no predictor table and equal training means: the one row is constant
     panel = make_panel(np.full((4, 40), 7.0))
     spec = StudySpec(treated=panel.units[0], donors=panel.units[1:], T0=25,
                      v_mode="inverse_variance")
-    with pytest.raises(ZeroVariancePredictor):
+    with pytest.raises(ZeroVariancePredictor, match=f"predictor '{OUTCOME_MEAN_NAME}'"):
         fit_synth(spec, build_design(panel, None, spec))
 
 
