@@ -195,25 +195,30 @@ def _donor_pool(args: argparse.Namespace, panel: Panel, treated: str) -> tuple[s
 
 def _load_study(args: argparse.Namespace,
                 t_fit: int) -> tuple[Panel, PredictorTable | None, StudySpec]:
-    """The panel, predictor table and spec of the study that fit, placebo and sweep run."""
+    """The panel, predictor table and spec of the study that fit, placebo and sweep run.
+
+    The predictor table needs rows for the treated unit and its donors only.
+    """
     panel = _load_panel(args)
-    predictors = None
-    if args.predictors is not None:
-        predictors = load_predictors(args.predictors)
-        missing = set(panel.units) - set(predictors.units)
-        if missing:
-            raise ConfigError(f"predictor table lacks units: {', '.join(sorted(missing)[:5])}")
+    predictors = None if args.predictors is None else load_predictors(args.predictors)
     treated = _required(args, "treated")
     if treated not in panel.units:
         raise ConfigError(f"treated unit {treated!r} is not in the outcome panel")
     T0 = _intervention_index(args, panel, treated)
     pool = _donor_pool(args, panel, treated)
+    if predictors is not None:
+        missing = sorted(set((treated,) + pool) - set(predictors.units))
+        if missing:
+            raise ConfigError(f"predictor table {args.predictors} lacks units: "
+                              f"{', '.join(missing[:5])}")
     reg = Regularization(l1=args.l1)
     try:
         spec = StudySpec(treated=treated, donors=pool, T0=T0, t_fit=t_fit,
                          v_mode=args.v_mode.replace("-", "_"), reg=reg,
                          train_placement=args.train_placement,
                          standardize=not args.no_standardize)
+    except InvalidSplit as exc:
+        raise ConfigError(f"--t-fit {t_fit} does not fit the pre-period: {exc}")
     except (SynthctlError, ValueError) as exc:
         raise ConfigError(str(exc))
     return panel, predictors, spec

@@ -3,11 +3,10 @@
 Fitting runs in four steps. The pre-intervention span splits into a training
 and a validation window. For a candidate importance vector v, donor weights
 w(v) are fit on training-window predictors. In optimized mode a search looks
-for the v whose weights minimize the validation-window outcome error; the
-search winner, the uniform vector and the inverse-variance vector are then
-each solved once, and the solve with the lowest validation error gives the
-final weights. The synthetic series is the weighted donor combination over
-the whole panel.
+for the v whose weights minimize the validation-window outcome error, and
+keeps it unless the uniform or the inverse-variance vector validates no
+worse. The chosen vector is solved once more for the final weights. The
+synthetic series is the weighted donor combination over the whole panel.
 
 Predictor matrices get one extra row beyond the unit-level predictors: each
 unit's mean outcome over the training window, so the match is anchored to
@@ -124,7 +123,17 @@ def inverse_variance_v(X: np.ndarray) -> np.ndarray:
     if (var == 0).any():
         row = int(np.argmax(var == 0))
         raise ZeroVariancePredictor(f"predictor row {row} is constant across units")
-    inv = 1.0 / var
+    return _inverse_variance(var)
+
+
+def _inverse_variance(var: np.ndarray) -> np.ndarray:
+    """1/variance per row, normalized to sum to 1, from the rows' variances.
+
+    Each constant row takes the least entry of the rows that vary, and with
+    no row that varies the vector is uniform.
+    """
+    # 1 / var.max() is the least entry of the rows that vary
+    inv = 1.0 / np.where(var > 0, var, var.max() or 1.0)
     return inv / inv.sum()
 
 
@@ -219,15 +228,6 @@ def _assemble(base: np.ndarray, outcomes: np.ndarray, names: tuple[str, ...],
                   Y1=outcomes[0], Y0=outcomes[1:], train=train, val=val)
 
 
-def _baselines(design: Design) -> list[np.ndarray]:
-    """The uniform vector, then the inverse-variance one when every row varies."""
-    k = design.raw.shape[0]
-    try:
-        return [np.full(k, 1.0 / k), inverse_variance_v(design.raw)]
-    except ZeroVariancePredictor:
-        return [np.full(k, 1.0 / k)]
-
-
 def _softmax(theta: np.ndarray) -> np.ndarray:
     z = theta - theta.max()
     e = np.exp(z)
@@ -288,20 +288,6 @@ def _nelder_mead(x0: np.ndarray, xatol: float, fatol: float):
         sim, fsim = sim[order], fsim[order]
 
 
-def _design_start(raw: np.ndarray) -> np.ndarray:
-    """The importance search's second start, from the design's raw rows alone.
-
-    It is the log of the inverse-variance vector, each constant row taking
-    the least entry of the rows that vary: exactly log(inverse_variance_v(raw))
-    when every row varies. With no row that varies, every vector gives the
-    same weights and the start is uniform.
-    """
-    var = raw.var(axis=1)
-    # 1 / var.max() is the least entry of the rows that vary
-    inv = 1.0 / np.where(var > 0, var, var.max() or 1.0)
-    return np.log(inv / inv.sum())
-
-
 def solve_v(spec: StudySpec, design: Design) -> np.ndarray:
     """Choose the predictor importance vector for the study's design by spec.v_mode.
 
@@ -309,28 +295,36 @@ def solve_v(spec: StudySpec, design: Design) -> np.ndarray:
     row by 1/variance across units of its raw values, and a constant row
     fails naming its predictor. optimized runs a derivative-free search over
     softmax-parameterized importance vectors, scoring each candidate by the
-    validation-window error of its implied donor weights, and returns the
-    best vector it scored (uniform if it scored no finite error). A single
-    row or a single donor leaves nothing to search, and gets uniform. The
-    search starts from the uniform vector, then from _design_start's, and
+    validation-window error of its implied donor weights. The search starts
+    from the uniform vector, then from the log of _inverse_variance's, and
     draws nothing at random. Each start ends at the simplex's tolerances,
     after max(60, 4k) evaluations, or after _V_STALL_EVALS evaluations in a
     row that improve on the best error by no more than _V_STALL_TOL.
-    fit_synth compares the winner with the baselines.
+    optimized then returns whichever validates best, the first on ties, of
+    the uniform vector (scored as the search's first point), the
+    inverse-variance vector when every row varies (scored once more), and
+    the best vector the search scored; so the fit never validates worse
+    than either baseline. A single row or a single donor leaves nothing to
+    search, and gets uniform.
     """
     k = design.raw.shape[0]
+    var = design.raw.var(axis=1)
     if spec.v_mode == "inverse_variance":
-        constant = np.flatnonzero(design.raw.var(axis=1) == 0)
+        constant = np.flatnonzero(var == 0)
         if constant.size:
             raise ZeroVariancePredictor(
                 f"predictor {design.names[constant[0]]!r} is constant across units")
-        return inverse_variance_v(design.raw)
+        return _inverse_variance(var)
+    uniform = np.full(k, 1.0 / k)
     if spec.v_mode == "uniform" or k == 1 or design.X0.shape[1] == 1:
-        return np.full(k, 1.0 / k)
+        return uniform
 
-    best_f = np.inf
-    best_v = np.full(k, 1.0 / k)
-    for theta0 in (np.zeros(k), _design_start(design.raw)):
+    def error(v: np.ndarray) -> float:
+        return design.validation_error(solve_w(design.X1, design.X0, v, spec.reg).w)
+
+    uniform_f = None
+    best_f, best_v = np.inf, uniform
+    for theta0 in (np.zeros(k), np.log(_inverse_variance(var))):
         search = _nelder_mead(theta0, xatol=1e-3, fatol=_V_STALL_TOL)
         f = None
         since_improve = 0
@@ -340,14 +334,21 @@ def solve_v(spec: StudySpec, design: Design) -> np.ndarray:
             except StopIteration:  # the simplex is within both tolerances
                 break
             v = _softmax(theta)
-            f = design.validation_error(solve_w(design.X1, design.X0, v, spec.reg).w)
+            f = error(v)
+            if uniform_f is None:  # _softmax(zeros) is the uniform vector bit for bit
+                uniform_f = f
             if f < best_f - _V_STALL_TOL:
                 best_f, best_v, since_improve = f, v, 0
             else:
                 since_improve += 1
                 if since_improve >= _V_STALL_EVALS:
                     break
-    return best_v
+
+    chosen, errors = [uniform, best_v], [uniform_f, best_f]
+    if var.all():  # every row varies
+        chosen.insert(1, _inverse_variance(var))
+        errors.insert(1, error(chosen[1]))
+    return chosen[int(np.argmin(errors))]
 
 
 def fit_synth(spec: StudySpec, design: Design) -> SynthResult:
@@ -356,23 +357,11 @@ def fit_synth(spec: StudySpec, design: Design) -> SynthResult:
     Returns the donor weights, the importance vector that chose them, the
     synthetic series over the whole panel, the per-day gap (actual minus
     synthetic), and summed squared errors over the training, validation, and
-    full pre-intervention windows. In optimized mode with more than one
-    predictor row, the uniform vector, the inverse-variance vector (when
-    every row varies) and solve_v's winner, unless it equals one of them,
-    are each solved once, and the solve with the lowest validation error is
-    kept (the first on ties), so the fit never validates worse than either
-    baseline. Otherwise solve_v's vector is solved once.
+    full pre-intervention windows. The weights are solve_v's vector's,
+    solved once, whatever the v_mode.
     """
-    winner = solve_v(spec, design)
-    candidates = [winner]
-    if spec.v_mode == "optimized" and design.raw.shape[0] > 1:
-        candidates = _baselines(design)
-        # a winner equal to a baseline would be solved twice and lose the tie
-        if not any(np.array_equal(winner, v) for v in candidates):
-            candidates.append(winner)
-    solves = [solve_w(design.X1, design.X0, v, spec.reg) for v in candidates]
-    best = int(np.argmin([design.validation_error(res.w) for res in solves]))
-    v, result = candidates[best], solves[best]
+    v = solve_v(spec, design)
+    result = solve_w(design.X1, design.X0, v, spec.reg)
 
     synthetic = design.Y0.T @ result.w
     gap = design.Y1 - synthetic

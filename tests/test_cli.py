@@ -551,6 +551,19 @@ def test_logistic_names_the_outcome_units_it_leaves_out(tmp_path, capsys):
     assert fitted == ["unit", "40002", "40004", "40008"]
 
 
+def test_logistic_lists_a_unit_with_too_few_points_in_the_failures(tmp_path):
+    units = ["40000", "40002", "40004", "40006", "40008", "49999"]
+    outcomes, themes = _logistic_files(tmp_path, units)
+    with open(outcomes, "a") as fh:  # 49999 has rows for its first 8 days only
+        fh.writelines(f"49999,{day},{1.0 + i}\n" for i, day in enumerate(_dates(8)))
+    out = tmp_path / "out"
+    assert main(["logistic", "--outcomes", outcomes, "--predictors", themes,
+                 "--bins", "2", "--out", str(out)]) == 0
+    assert (out / "fit_failures.csv").read_text().splitlines() == [
+        "unit,reason", '49999,"need at least 10 usable points, have 8"']
+    assert len((out / "fits.csv").read_text().splitlines()) == 6
+
+
 def test_logistic_warns_about_each_unconverged_fit_and_keeps_it(tmp_path, capsys,
                                                                  monkeypatch):
     units = ["40000", "40002", "40004", "40006", "40008"]
@@ -616,6 +629,24 @@ def test_select_predictors_cli(tmp_path):
     lines = (out / "selected.csv").read_text().splitlines()
     assert lines[0] == "block,predictor"
     assert len(lines) == 5  # two per block
+
+
+def test_select_predictors_warns_about_a_short_block(tmp_path, capsys):
+    predictors, _ = _selection_files(tmp_path)
+    lines = pathlib.Path(predictors).read_text().splitlines()
+    # column b copies a, so the correlation cap strikes it once a is picked
+    rows = [",".join(cells[:2] + [cells[1]] + cells[3:])
+            for cells in (line.split(",") for line in lines[1:])]
+    pathlib.Path(predictors).write_text("\n".join([lines[0], *rows]) + "\n")
+    blocks = _wide_csv(tmp_path / "blocks.csv", ["block", "predictor"],
+                       [["demo", "a"], ["demo", "b"], ["econ", "c"], ["econ", "d"]])
+    out = tmp_path / "out"
+    assert main(["select-predictors", "--predictors", predictors, "--blocks", blocks,
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().err == \
+        "warning: block demo has fewer compliant predictors than requested\n"
+    assert (out / "selected.csv").read_text().splitlines() == [
+        "block,predictor", "demo,a", "econ,c", "econ,d"]
 
 
 def test_ingest_cleans_and_reports(tmp_path):
@@ -741,6 +772,36 @@ def test_fit_without_any_t0_exits_2(tmp_path, capsys, with_metadata):
                  "--out", str(tmp_path / "out")])
     assert code == 2
     assert "error: --t0 is required" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flags, message", [
+    ("fit", ["--config", "{tmp}/missing.cfg"], "config file not found: {tmp}/missing.cfg"),
+    ("fit", ["--config", "{garbled}"], "{garbled}:1: expected key=value, got 'garbage'"),
+    ("fit", ["--treated", "99999"], "treated unit '99999' is not in the outcome panel"),
+    # every donor shares a state with 20000, which the metadata marks treated
+    ("fit", ["--metadata", "{state_20_treated}"], "no donors remain for treated unit 10001"),
+    ("placebo", ["--placebo-t0", "2021-06-01"],
+     "placebo date 2021-06-01 is outside the panel's date range"),
+    ("sweep", ["--t-fit", "5,x"],
+     "--t-fit must be a comma-separated list of integers, got '5,x'"),
+    ("sweep", ["--t-fit", ","], "--t-fit selected no window lengths"),
+    ("fit", ["--t-fit", "500"],
+     "--t-fit 500 does not fit the pre-period: need 1 <= t_fit < T0, got t_fit=500 T0=25"),
+], ids=["config-missing", "config-line", "treated-absent", "no-donors", "placebo-t0-outside",
+        "t-fit-not-integers", "t-fit-empty", "t-fit-too-long"])
+def test_study_defects_exit_2_with_their_message(tmp_path, capsys, command, flags, message):
+    outcomes, predictors = _study_files(tmp_path)
+    garbled = tmp_path / "garbled.cfg"
+    garbled.write_text("garbage\n")
+    paths = {"tmp": str(tmp_path), "garbled": str(garbled),
+             "state_20_treated": _wide_csv(tmp_path / "m.csv", ["unit", "treated"],
+                                           [["20000", "1"]])}
+    out = tmp_path / "out"
+    assert main([command, "--outcomes", outcomes, "--predictors", predictors,
+                 "--treated", "10001", "--t0", _dates(40)[25],
+                 *(flag.format(**paths) for flag in flags), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message.format(**paths)}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("table", ["outcomes", "predictors", "metadata"])
@@ -891,6 +952,18 @@ def test_fit_cluster_filter_falls_back_when_empty(tmp_path, capsys):
     assert "cluster filter left no donors" in capsys.readouterr().err
 
 
+def test_fit_neighbors_filter_keeps_donors_of_bordering_states(tmp_path, capsys):
+    outcomes = _state_study(tmp_path)
+    adjacency = _wide_csv(tmp_path / "a.csv", ["state", "neighbor"],
+                          [["10", "30"], ["10", "40"], ["20", "10"]])
+    out = tmp_path / "out"
+    assert main(["fit", "--outcomes", outcomes, "--treated", "10001", "--t0", _dates(40)[25],
+                 "--filter", "neighbors", "--adjacency", adjacency, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert list(json.loads((out / "result.json").read_text())["w"]) == \
+        ["30001", "40001", "40003"]
+
+
 def test_fit_uniform_v_mode(tmp_path):
     outcomes, predictors = _study_files(tmp_path, seed=9)
     out = tmp_path / "out"
@@ -938,6 +1011,38 @@ def test_demo_data_with_100_donors_passes_fit(tmp_path):
     assert code == 0
     result = json.loads((out / "result.json").read_text())
     assert len(result["w"]) == 100
+
+
+def test_predictor_table_needs_rows_only_for_the_units_a_fit_reads(tmp_path):
+    # 10003 shares treated unit 10001's state, so it is never a donor, and
+    # the predictor table needs no row for it
+    small = ("--donors", "4", "--days", "60", "--t0-index", "40")
+    plain = _demo_files(tmp_path / "plain", *small)
+    extra = _demo_files(tmp_path / "extra", *small)
+    outcomes = pathlib.Path(extra[1])
+    treated_rows = [line for line in outcomes.read_text().splitlines(True)
+                    if line.startswith("10001,")]
+    with open(outcomes, "a") as fh:  # 10003's outcomes copy 10001's
+        fh.writelines("10003," + line.removeprefix("10001,") for line in treated_rows)
+    runs = {"fit": [], "placebo": [], "sweep": ["--t-fit", "10,20"]}
+    for command, flags in runs.items():
+        written = []
+        for name, files in (("plain", plain), ("extra", extra)):
+            out = tmp_path / name / command
+            assert main([command, *files, "--treated", "10001", "--v-mode", "uniform", *flags,
+                         "--out", str(out)]) == 0
+            written.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+        assert written[0] == written[1]
+
+
+def test_predictor_table_lacking_a_donor_exits_2_naming_it_and_the_file(tmp_path, capsys):
+    files = _demo_files(tmp_path / "demo")
+    predictors = pathlib.Path(files[3])
+    predictors.write_text("".join(line for line in predictors.read_text().splitlines(True)
+                                  if not line.startswith("21001,")))
+    assert main(["fit", *files, "--treated", "10001", "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == \
+        f"error: predictor table {predictors} lacks units: 21001\n"
 
 
 def test_quick_start_fit_runs_clean(tmp_path, capsys):

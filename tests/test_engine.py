@@ -181,8 +181,10 @@ def _count_final_solves(monkeypatch) -> list[bool]:
 
 
 @pytest.mark.parametrize("v_mode, constant_row, full_solves", [
-    ("optimized", False, 3),  # uniform, inverse-variance, the search winner
-    ("optimized", True, 2),  # a constant row leaves inverse-variance undefined
+    # solve_v compares the winner with the baselines, so fit_synth solves
+    # its vector once, whatever the mode
+    ("optimized", False, 1),
+    ("optimized", True, 1),
     ("inverse_variance", False, 1),
     ("uniform", False, 1),
     ("uniform", True, 1),
@@ -205,14 +207,13 @@ def test_fit_synth_solves_each_candidate_once(
 
 
 def test_fit_synth_solves_a_uniform_search_winner_once(rng, monkeypatch):
-    # one donor: every v gives the same weights, so the search's winner is its
-    # uniform first point, and it shares the uniform baseline's solve
+    # one donor: every v gives the same weights, so solve_v returns the
+    # uniform vector unsearched, and fit_synth solves it once
     panel, predictors, spec = _small_study(rng, J=1)
     design = build_design(panel, predictors, spec)
     calls = _count_final_solves(monkeypatch)
     result = fit_synth(spec, design)
-    # uniform and inverse-variance
-    assert calls.count(False) == 2
+    assert calls == [False]
     assert np.array_equal(solve_v(spec, design), np.full(4, 0.25))
     assert np.array_equal(result.v_star, np.full(4, 0.25))
 
@@ -262,22 +263,30 @@ def test_search_gives_a_constant_row_the_least_inverse_variance(rng, monkeypatch
     assert np.array_equal(second, np.log(np.full(3, 1 / 3)))
 
 
-def _evaluations_per_start(monkeypatch, spec, design) -> list[int]:
-    """How many weight solves solve_v makes from each of its starts."""
-    counts = []
+def _evaluations_per_start(monkeypatch, spec, design) -> tuple[list[int], int]:
+    """How many points solve_v scores from each of its starts, and how many
+    weight solves it makes besides."""
+    counts, solves = [], [0]
 
     def started(*args, **kwargs):
         counts.append(0)
-        return _nelder_mead(*args, **kwargs)
+        search, f = _nelder_mead(*args, **kwargs), None
+        while True:
+            try:
+                point = search.send(f)
+            except StopIteration:
+                return
+            counts[-1] += 1
+            f = yield point
 
     def counted(*args, **kwargs):
-        counts[-1] += 1
+        solves[0] += 1
         return solve_w(*args, **kwargs)
 
     monkeypatch.setattr(engine, "_nelder_mead", started)
     monkeypatch.setattr(engine, "solve_w", counted)
     solve_v(spec, design)
-    return counts
+    return counts, solves[0] - sum(counts)
 
 
 @pytest.mark.parametrize("J, per_start", [
@@ -290,7 +299,8 @@ def test_search_stops_at_its_tolerances_its_stall_and_its_budget(
         rng, monkeypatch, J, per_start):
     panel, predictors, spec = _small_study(rng, J=J)
     design = build_design(panel, predictors, spec)
-    assert _evaluations_per_start(monkeypatch, spec, design) == per_start
+    # a search also scores the inverse-variance vector, once
+    assert _evaluations_per_start(monkeypatch, spec, design) == (per_start, int(J > 1))
 
 
 def test_search_stalls_where_every_vector_validates_alike(rng, monkeypatch):
@@ -303,7 +313,8 @@ def test_search_stalls_where_every_vector_validates_alike(rng, monkeypatch):
     Y0 = design.Y0.copy()
     Y0[:, design.val] = Y0[0, design.val]
     design = dataclasses.replace(design, Y0=Y0)
-    assert _evaluations_per_start(monkeypatch, spec, design) == [5, engine._V_STALL_EVALS]
+    assert _evaluations_per_start(monkeypatch, spec, design) == \
+        ([5, engine._V_STALL_EVALS], 1)
 
 
 def test_inverse_variance_mode_rejects_a_constant_lone_row():
