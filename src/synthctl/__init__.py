@@ -21,7 +21,6 @@ from .engine import (
     SynthResult,
     build_design,
     fit_synth,
-    inverse_variance_v,
     solve_v,
     split_pre_period,
 )
@@ -94,7 +93,6 @@ __all__ = [
     "fit_logistic",
     "fit_synth",
     "ingest_panel",
-    "inverse_variance_v",
     "load_metadata",
     "load_predictors",
     "logistic_predict",

@@ -20,8 +20,9 @@ import numpy as np
 
 from . import donors as donor_ops
 from .engine import PLACEMENTS, V_MODES, StudySpec, build_design, fit_synth, split_pre_period
-from .errors import ConfigError, EmptyIntersection, InvalidSplit, SynthctlError
-from .inference import p_value, placebo_run, training_sweep
+from .errors import (ConfigError, EmptyIntersection, InvalidSplit, SynthctlError, UnknownState,
+                     UnlabeledUnit)
+from .inference import PlaceboEntry, p_value, placebo_run, training_sweep
 from .logistic import classify_quadrant, decile_summary, fit_logistic, theme_regression
 from .panel import (
     Panel,
@@ -37,7 +38,6 @@ from .serialize import write_csv, write_json
 from .weights import Regularization
 
 V_MODE_CHOICES = tuple(mode.replace("_", "-") for mode in V_MODES)
-FILTER_CHOICES = ("none", "cluster", "neighbors")
 
 
 # ---------------------------------------------------------------------------
@@ -171,22 +171,29 @@ def _intervention_index(args: argparse.Namespace, panel: Panel, treated: str) ->
 
 
 def _donor_pool(args: argparse.Namespace, panel: Panel, treated: str) -> tuple[str, ...]:
-    """The units of no treated state: neither a state the metadata marks, nor `treated`'s own."""
+    """The units of no treated state, narrowed by each side table given.
+
+    A treated state is one the metadata marks, or `treated`'s own. --clusters
+    keeps `treated`'s cluster, then --adjacency the states that border its
+    own; a table that would leave no donor is skipped, with a warning.
+    """
     control, _ = donor_ops.split_control_target(panel)
     pool = tuple(u for u in control if state_of(u) != state_of(treated))
-
-    mode = args.filter
-    if mode != "none":
-        if mode == "cluster":
-            clusters = donor_ops.load_clusters(_required(args, "clusters"))
-            filtered = donor_ops.filter_by_cluster(treated, pool, clusters)
+    for key, load, narrow, name in (
+            ("clusters", donor_ops.load_clusters, donor_ops.filter_by_cluster, "cluster"),
+            ("adjacency", donor_ops.load_adjacency, donor_ops.filter_by_neighbor_states,
+             "neighbor")):
+        path = getattr(args, key)
+        if path is None:
+            continue
+        try:
+            narrowed = narrow(treated, pool, load(path))
+        except (UnlabeledUnit, UnknownState) as exc:
+            raise ConfigError(f"--{key} {path}: {exc}")
+        if narrowed:
+            pool = narrowed
         else:
-            adjacency = donor_ops.load_adjacency(_required(args, "adjacency"))
-            filtered = donor_ops.filter_by_neighbor_states(treated, pool, adjacency)
-        if filtered:
-            pool = filtered
-        else:  # the warning names the filter in the singular: cluster, neighbor
-            print(f"warning: {mode.removesuffix('s')} filter left no donors for {treated}; "
+            print(f"warning: {name} filter left no donors for {treated}; "
                   "using the full pool", file=sys.stderr)
     if not pool:
         raise ConfigError(f"no donors remain for treated unit {treated}")
@@ -224,9 +231,18 @@ def _load_study(args: argparse.Namespace,
     return panel, predictors, spec
 
 
-def _unconverged(unit: str, fw_gap: float) -> str:
-    return (f"warning: donor weights for {unit} are not certified optimal "
+def _unconverged(unit: str, fw_gap: float, run: str = "") -> str:
+    return (f"warning: {run}donor weights for {unit} are not certified optimal "
             f"(Frank-Wolfe gap {fw_gap:.3g})")
+
+
+def _warn_placebo_fits(entries: tuple[PlaceboEntry, ...], run: str = "") -> None:
+    """Warn of each skipped or uncertified fit of a placebo run; `run` prefixes each."""
+    for e in entries:
+        if e.skipped:
+            print(f"warning: {run}placebo {e.unit} skipped: {e.reason}", file=sys.stderr)
+        elif not e.converged:
+            print(_unconverged(e.unit, e.fw_gap, run), file=sys.stderr)
 
 
 def _dates_map(panel: Panel, values: np.ndarray) -> dict[str, float]:
@@ -286,11 +302,7 @@ def cmd_placebo(args: argparse.Namespace) -> int:
     out = _out_dir(args)
 
     ensemble = placebo_run(spec, panel, predictors, jobs=args.jobs, placebo_T0=placebo_T0)
-    for e in ensemble.entries:
-        if e.skipped:
-            print(f"warning: placebo {e.unit} skipped: {e.reason}", file=sys.stderr)
-        elif not e.converged:
-            print(_unconverged(e.unit, e.fw_gap), file=sys.stderr)
+    _warn_placebo_fits(ensemble.entries)
     p = p_value(ensemble)
     payload = {
         "treated": ensemble.treated,
@@ -304,11 +316,10 @@ def cmd_placebo(args: argparse.Namespace) -> int:
     }
     placebo_path = os.path.join(out, "placebo.json")
     write_json(placebo_path, payload)
-    valid = [e for e in ensemble.entries if not e.skipped]
-    skipped = [e for e in ensemble.entries if e.skipped]
+    skipped = sum(e.skipped for e in ensemble.entries)
     pvalues_path = os.path.join(out, "pvalues.csv")
     write_csv(pvalues_path, ["treated", "p_value", "n_valid", "n_skipped"],
-              [(ensemble.treated, p, len(valid), len(skipped))])
+              [(ensemble.treated, p, len(ensemble.entries) - skipped, skipped)])
     print(f"wrote {placebo_path}")
     print(f"wrote {pvalues_path}")
     return 0
@@ -329,6 +340,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for row in rows:
         if row.failed:
             print(f"warning: t_fit={row.t_fit}: {row.reason}", file=sys.stderr)
+        _warn_placebo_fits(row.entries, f"t_fit={row.t_fit}: ")
     print(f"wrote {sweep_path}")
     return 0
 
@@ -453,9 +465,10 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 
 
 def _add_study(sub: argparse.ArgumentParser, *, sweep: bool = False) -> None:
-    _option(sub, "--clusters", _existing_file, help="fips,cluster CSV for --filter cluster")
+    _option(sub, "--clusters", _existing_file,
+            help="fips,cluster CSV: keep the treated unit's cluster")
     _option(sub, "--adjacency", _existing_file,
-            help="state,neighbor CSV for --filter neighbors")
+            help="state,neighbor CSV: keep the states that border the treated unit's")
     sub.add_argument("--treated", help="treated unit code")
     _option(sub, "--t0", _date, help="intervention date (ISO)")
     if sweep:
@@ -473,8 +486,6 @@ def _add_study(sub: argparse.ArgumentParser, *, sweep: bool = False) -> None:
             help=f"{' | '.join(PLACEMENTS)} (default %(default)s)")
     sub.add_argument("--no-standardize", action="store_true",
                      help="skip z-scoring of predictor rows")
-    _option(sub, "--filter", _one_of(FILTER_CHOICES), default="none",
-            help=f"{' | '.join(FILTER_CHOICES)} (default %(default)s)")
 
 
 def build_parser(defaults: dict[str, object] | None = None) -> argparse.ArgumentParser:

@@ -114,18 +114,6 @@ def split_pre_period(T0: int, t_fit: int, placement: str = "tail") -> tuple[rang
     raise ValueError(f"unknown placement {placement!r}")
 
 
-def inverse_variance_v(X: np.ndarray) -> np.ndarray:
-    """Importance proportional to 1/variance of each predictor across units."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[0] < 1:
-        raise ValueError(f"need a predictors-by-units matrix, got shape {X.shape}")
-    var = X.var(axis=1)
-    if (var == 0).any():
-        row = int(np.argmax(var == 0))
-        raise ZeroVariancePredictor(f"predictor row {row} is constant across units")
-    return _inverse_variance(var)
-
-
 def _inverse_variance(var: np.ndarray) -> np.ndarray:
     """1/variance per row, normalized to sum to 1, from the rows' variances.
 

@@ -173,6 +173,7 @@ class SweepRow:
     p_value: float
     failed: bool = False
     reason: str | None = None
+    entries: tuple[PlaceboEntry, ...] = ()  # the row's placebo run; empty if failed
 
 
 def training_sweep(
@@ -185,12 +186,12 @@ def training_sweep(
 ) -> tuple[SweepRow, ...]:
     """Refit the study for each training-window length and tabulate quality.
 
-    Each row comes from one placebo run. Its p_value ranks the treated unit
-    in that ensemble, and its pre_deviation is the treated fit's summed
-    squared gap over the whole pre-period (R_pre^2 * T0), so rows are
-    comparable across window lengths. A window length that does not fit the
-    pre-period yields a marked row; any other failure, a skipped treated
-    fit included, is a defect of the study and propagates.
+    Each row comes from one placebo run, whose entries it keeps. Its p_value
+    ranks the treated unit in that ensemble, and its pre_deviation is the
+    treated fit's summed squared gap over the whole pre-period (R_pre^2 *
+    T0), so rows compare across window lengths. A window length that does
+    not fit the pre-period yields a marked row; any other failure, a skipped
+    treated fit included, is a defect of the study and propagates.
     """
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
@@ -204,5 +205,6 @@ def training_sweep(
             continue
         ensemble = placebo_run(study, panel, predictors, jobs=jobs)
         treated = ensemble.entries[ensemble.treated_index]
-        rows.append(SweepRow(t_fit, treated.R_pre ** 2 * ensemble.T0, p_value(ensemble)))
+        rows.append(SweepRow(t_fit, treated.R_pre ** 2 * ensemble.T0, p_value(ensemble),
+                             entries=ensemble.entries))
     return tuple(rows)

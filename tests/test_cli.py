@@ -178,11 +178,14 @@ def _selection_files(tmp_path):
     ("placebo", "--seed"),
     ("sweep", "--seed"),
     ("logistic", "--seed"),
+    ("fit", "--filter"),
+    ("placebo", "--filter"),
 ])
 def test_flags_a_command_never_reads_exit_2(tmp_path, capsys, command, flag):
     outcomes, _ = _study_files(tmp_path)
     predictors, blocks = _selection_files(tmp_path)
-    value = {"--seed": "1", "--predictors": predictors, "--outcomes": outcomes}[flag]
+    value = {"--seed": "1", "--predictors": predictors, "--outcomes": outcomes,
+             "--filter": "cluster"}[flag]
     inputs = {"ingest": ["--outcomes", outcomes],
               "select-predictors": ["--predictors", predictors, "--blocks", blocks],
               "logistic": ["--outcomes", outcomes, "--predictors", predictors]}.get(
@@ -222,6 +225,18 @@ def test_l2_config_key_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {cfg}:1: unknown option 'l2'\n"
 
 
+def test_filter_config_key_exits_2(tmp_path, capsys):
+    # the side tables pick the donor filters; no key names one
+    outcomes, _ = _study_files(tmp_path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("filter = cluster\n")
+    code = main(["fit", "--outcomes", outcomes, "--treated", "10001",
+                 "--t0", _dates(40)[25], "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {cfg}:1: unknown option 'filter'\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_file_unknown_key_exits_2(tmp_path, capsys):
     outcomes, _ = _study_files(tmp_path)
     cfg = tmp_path / "run.cfg"
@@ -257,7 +272,7 @@ def test_config_boolean_must_read_true_or_false(tmp_path, capsys):
 def test_config_file_takes_the_options_of_every_subcommand(tmp_path):
     keys = ["outcomes", "predictors", "metadata", "clusters", "adjacency", "blocks",
             "treated", "t0", "t_fit", "l1", "v_mode", "train_placement", "placebo_t0",
-            "bins", "jobs", "out", "no_standardize", "filter"]
+            "bins", "jobs", "out", "no_standardize"]
     cfg = tmp_path / "run.cfg"
     cfg.write_text("".join(f"{key.replace('_', '-')} = 1\n" for key in keys))
     entries = cli._read_config(str(cfg), cli.build_parser())
@@ -482,7 +497,9 @@ def test_sweep_warns_why_a_row_failed(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "warning: t_fit=40: need 1 <= t_fit < T0, got t_fit=40 T0=40" in err
     assert "warning: t_fit=500: need 1 <= t_fit < T0, got t_fit=500 T0=40" in err
-    assert "t_fit=10" not in err
+    # the row that fits warns only of its placebo run's skipped fits
+    assert all(line.startswith("warning: t_fit=10: placebo ")
+               for line in err.splitlines() if "t_fit=10" in line)
     assert (out / "sweep.csv").read_text().splitlines()[2:] == ["40,,", "500,,"]
 
 
@@ -833,11 +850,11 @@ def test_donor_and_block_tables_name_the_bad_line_exits_3(tmp_path, capsys, tabl
     fit = ["fit", "--outcomes", outcomes, "--treated", "10001", "--t0", _dates(40)[25]]
     header, rows, argv = {
         "clusters": (["fips", "cluster"], [["10001", "a"], ["1001", "a"]],
-                     [*fit, "--filter", "cluster", "--clusters"]),
+                     [*fit, "--clusters"]),
         "cluster label": (["fips", "cluster"], [["10001", "a"], ["20000", ""]],
-                          [*fit, "--filter", "cluster", "--clusters"]),
+                          [*fit, "--clusters"]),
         "adjacency": (["state", "neighbor"], [["10", "20"], ["20", ""]],
-                      [*fit, "--filter", "neighbors", "--adjacency"]),
+                      [*fit, "--adjacency"]),
         "blocks": (["block", "predictor"], [["demo", "a"], ["", "b"]],
                    ["select-predictors", "--predictors", predictors, "--blocks"]),
     }[table]
@@ -870,9 +887,9 @@ def test_side_table_defects_name_the_file_exits_3(tmp_path, capsys, table, defec
         # repeating the last column gives the metadata two 'treated' columns
         "metadata": (["unit", "treated"], [[u, "0"] for u in units], [*fit, "--metadata"]),
         "clusters": (["fips", "cluster"], [[u, "a"] for u in units],
-                     [*fit, "--filter", "cluster", "--clusters"]),
+                     [*fit, "--clusters"]),
         "adjacency": (["state", "neighbor"], [["10", "20"]],
-                      [*fit, "--filter", "neighbors", "--adjacency"]),
+                      [*fit, "--adjacency"]),
         "blocks": (["block", "predictor"], [["demo", "a"], ["demo", "b"]],
                    ["select-predictors", "--predictors", predictors, "--blocks"]),
     }[table]
@@ -938,6 +955,18 @@ def test_fit_warns_when_final_weights_do_not_converge(tmp_path, capsys, monkeypa
             "(Frank-Wolfe gap 0.25) (objective ") in err
 
 
+def test_sweep_warns_about_each_rows_unconverged_placebos(tmp_path, capsys, monkeypatch):
+    _uncertified_solves(monkeypatch)
+    out = tmp_path / "out"
+    assert main(["sweep", *_capped_study(tmp_path), "--t-fit", "10,5",
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        f"warning: t_fit={t_fit}: donor weights for {unit} are not certified optimal "
+        "(Frank-Wolfe gap 0.25)"
+        for t_fit in (5, 10) for unit in ["10001", "20000", "20002", "20004", "20006"]]
+    assert len((out / "sweep.csv").read_text().splitlines()) == 3
+
+
 def test_fit_cluster_filter_falls_back_when_empty(tmp_path, capsys):
     outcomes, predictors = _study_files(tmp_path, seed=8)
     clusters = _wide_csv(tmp_path / "c.csv", ["fips", "cluster"],
@@ -946,8 +975,7 @@ def test_fit_cluster_filter_falls_back_when_empty(tmp_path, capsys):
                           ["20006", "Other"]])
     out = tmp_path / "out"
     code = main(["fit", "--outcomes", outcomes, "--treated", "10001",
-                 "--t0", _dates(40)[25], "--filter", "cluster",
-                 "--clusters", clusters, "--out", str(out)])
+                 "--t0", _dates(40)[25], "--clusters", clusters, "--out", str(out)])
     assert code == 0
     assert "cluster filter left no donors" in capsys.readouterr().err
 
@@ -958,10 +986,67 @@ def test_fit_neighbors_filter_keeps_donors_of_bordering_states(tmp_path, capsys)
                           [["10", "30"], ["10", "40"], ["20", "10"]])
     out = tmp_path / "out"
     assert main(["fit", "--outcomes", outcomes, "--treated", "10001", "--t0", _dates(40)[25],
-                 "--filter", "neighbors", "--adjacency", adjacency, "--out", str(out)]) == 0
+                 "--adjacency", adjacency, "--out", str(out)]) == 0
     assert capsys.readouterr().err == ""
     assert list(json.loads((out / "result.json").read_text())["w"]) == \
         ["30001", "40001", "40003"]
+
+
+def _state_clusters(tmp_path, labels):
+    return _wide_csv(tmp_path / "c.csv", ["fips", "cluster"], list(labels.items()))
+
+
+def test_fit_clusters_alone_keep_donors_of_the_treated_cluster(tmp_path, capsys):
+    outcomes = _state_study(tmp_path)
+    clusters = _state_clusters(tmp_path, {"10001": "a", "20001": "a", "30001": "b",
+                                          "40001": "a", "40003": "b"})
+    out = tmp_path / "out"
+    assert main(["fit", "--outcomes", outcomes, "--treated", "10001", "--t0", _dates(40)[25],
+                 "--clusters", clusters, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert list(json.loads((out / "result.json").read_text())["w"]) == ["20001", "40001"]
+
+
+def test_fit_clusters_then_adjacency_narrow_the_pool_in_turn(tmp_path, capsys):
+    outcomes = _state_study(tmp_path)
+    clusters = _state_clusters(tmp_path, {"10001": "a", "20001": "a", "30001": "a",
+                                          "40001": "a", "40003": "b"})
+    adjacency = _wide_csv(tmp_path / "a.csv", ["state", "neighbor"],
+                          [["10", "30"], ["10", "40"]])
+    argv = ["fit", "--outcomes", outcomes, "--treated", "10001", "--t0", _dates(40)[25]]
+    donors = {}
+    for name, tables in {"both": ["--clusters", clusters, "--adjacency", adjacency],
+                         "reversed": ["--adjacency", adjacency, "--clusters", clusters]}.items():
+        out = tmp_path / name
+        assert main([*argv, *tables, "--out", str(out)]) == 0
+        donors[name] = list(json.loads((out / "result.json").read_text())["w"])
+    assert donors == {"both": ["30001", "40001"], "reversed": ["30001", "40001"]}
+
+    # a table that would empty what the other left is not applied
+    lone = _wide_csv(tmp_path / "lone.csv", ["state", "neighbor"], [["10", "50"]])
+    out = tmp_path / "lone"
+    assert main([*argv, "--clusters", clusters, "--adjacency", lone, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == \
+        "warning: neighbor filter left no donors for 10001; using the full pool\n"
+    assert list(json.loads((out / "result.json").read_text())["w"]) == \
+        ["20001", "30001", "40001"]
+
+
+@pytest.mark.parametrize("flag, header, rows, complaint", [
+    ("--clusters", ["fips", "cluster"], [["20001", "a"], ["30001", "a"]],
+     "unit '10001' has no cluster label"),
+    ("--adjacency", ["state", "neighbor"], [["20", "30"]],
+     "no adjacency entry for state '10'"),
+], ids=["clusters", "adjacency"])
+def test_side_table_without_the_treated_unit_exits_2_naming_flag_and_file(
+        tmp_path, capsys, flag, header, rows, complaint):
+    outcomes = _state_study(tmp_path)
+    table = _wide_csv(tmp_path / "table.csv", header, rows)
+    out = tmp_path / "out"
+    assert main(["fit", "--outcomes", outcomes, "--treated", "10001", "--t0", _dates(40)[25],
+                 flag, table, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {flag} {table}: {complaint}\n"
+    assert not out.exists()
 
 
 def test_fit_uniform_v_mode(tmp_path):

@@ -13,13 +13,12 @@ from synthctl import (
     StudySpec,
     build_design,
     fit_synth,
-    inverse_variance_v,
     solve_v,
     solve_w,
     split_pre_period,
 )
 from synthctl import engine
-from synthctl.engine import OUTCOME_MEAN_NAME, _nelder_mead
+from synthctl.engine import OUTCOME_MEAN_NAME, _inverse_variance, _nelder_mead
 from synthctl.errors import InvalidSplit, ZeroVariancePredictor
 
 
@@ -62,16 +61,13 @@ def test_split_rejects_degenerate_windows():
 # ---------------------------------------------------------------------------
 
 def test_inverse_variance_hand_value():
-    # row variances 1 and 4 -> importances 0.8 and 0.2
-    X = np.array([[1.0, -1.0], [2.0, -2.0]])
-    v = inverse_variance_v(X)
-    assert np.allclose(v, [0.8, 0.2])
-
-
-def test_inverse_variance_constant_row_raises():
-    X = np.array([[1.0, 1.0], [0.0, 2.0]])
-    with pytest.raises(ZeroVariancePredictor):
-        inverse_variance_v(X)
+    # raw rows [1, -1] (a predictor) and [2, -2] (the training means) have
+    # variances 1 and 4 -> importances 0.8 and 0.2
+    panel = make_panel(np.array([[2.0] * 6, [-2.0] * 6]))
+    spec = StudySpec(treated=panel.units[0], donors=panel.units[1:], T0=4, t_fit=2,
+                     v_mode="inverse_variance")
+    design = build_design(panel, make_predictors([[1.0, -1.0]], panel.units), spec)
+    assert np.allclose(solve_v(spec, design), [0.8, 0.2])
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +151,7 @@ def test_fit_synth_never_loses_to_uniform_or_invvar(rng):
 
     best = validation_error(v_star)
     uniform = validation_error(np.ones(k) / k)
-    invvar = validation_error(inverse_variance_v(design.raw))
+    invvar = validation_error(_inverse_variance(design.raw.var(axis=1)))
     assert best <= uniform
     assert best <= invvar
 
@@ -236,7 +232,7 @@ def test_search_starts_from_the_inverse_variances_when_every_row_varies(rng, mon
     design = build_design(panel, predictors, spec)
     first, second = _search_starts(monkeypatch, spec, design)
     assert np.array_equal(first, np.zeros(4))
-    assert np.array_equal(second, np.log(inverse_variance_v(design.raw)))
+    assert np.array_equal(second, np.log(_inverse_variance(design.raw.var(axis=1))))
 
 
 def test_search_gives_a_constant_row_the_least_inverse_variance(rng, monkeypatch):
