@@ -179,6 +179,7 @@ def _donor_pool(args: argparse.Namespace, panel: Panel, treated: str) -> tuple[s
     """
     control, _ = donor_ops.split_control_target(panel)
     pool = tuple(u for u in control if state_of(u) != state_of(treated))
+    kept = "the full pool"
     for key, load, narrow, name in (
             ("clusters", donor_ops.load_clusters, donor_ops.filter_by_cluster, "cluster"),
             ("adjacency", donor_ops.load_adjacency, donor_ops.filter_by_neighbor_states,
@@ -191,10 +192,10 @@ def _donor_pool(args: argparse.Namespace, panel: Panel, treated: str) -> tuple[s
         except (UnlabeledUnit, UnknownState) as exc:
             raise ConfigError(f"--{key} {path}: {exc}")
         if narrowed:
-            pool = narrowed
+            pool, kept = narrowed, f"the {name} filter's pool"
         else:
-            print(f"warning: {name} filter left no donors for {treated}; "
-                  "using the full pool", file=sys.stderr)
+            print(f"warning: {name} filter left no donors for {treated}; using {kept}",
+                  file=sys.stderr)
     if not pool:
         raise ConfigError(f"no donors remain for treated unit {treated}")
     return pool
@@ -226,8 +227,6 @@ def _load_study(args: argparse.Namespace,
                          standardize=not args.no_standardize)
     except InvalidSplit as exc:
         raise ConfigError(f"--t-fit {t_fit} does not fit the pre-period: {exc}")
-    except (SynthctlError, ValueError) as exc:
-        raise ConfigError(str(exc))
     return panel, predictors, spec
 
 

@@ -44,8 +44,6 @@ def csv_cell(value: object) -> str:
         return fmt_float(value)
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
     text = str(value)
     if "," in text or '"' in text or "\n" in text:
         text = '"' + text.replace('"', '""') + '"'

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, SingularSystem
+from .errors import DimensionMismatch
 
 # a solve is certified when its Frank-Wolfe gap is at most REL_GAP * f plus
 # ABS_GAP times the scale s of the inputs (LSQ_FLOOR * s^2 / f when l1 = 0),
@@ -205,7 +205,6 @@ class _Solver:
         self.c = float(np.sum((b - U @ self.b) ** 2))
         self.l1 = l1
         self.k, self.J = self.A.shape
-        self.singular = False  # a KKT system needed the lstsq fallback
         self.exact = False  # every free set by lstsq, not by normal equations
 
     def rnorm(self, r: np.ndarray) -> float:
@@ -268,7 +267,6 @@ class _Solver:
             z = self._linsolve(self._primal(AF, mu), np.concatenate((AF.T @ b, [1.0])))
             if z is not None:
                 return z[:n], None
-            self.singular = True
         if n == 1:
             return np.ones(1), None
         # x = (x', 1 - sum(x')): min ||(A_F' - a 1') x' - (b - a)||^2
@@ -444,8 +442,8 @@ class _Solver:
 
         The bound is the Frank-Wolfe gap, or f itself where that is smaller.
         Free sets are solved by normal equations first; weights they leave
-        uncertified are solved again by lstsq alone. Raises SingularSystem
-        when a system was singular and neither pass certifies its weights.
+        uncertified are solved again by lstsq alone, and the better pass's
+        weights are returned, certified or not.
         """
         f, gap, w = self.search()
         if not self.certified(f, gap):
@@ -453,12 +451,7 @@ class _Solver:
             again = self.search()
             if self.certified(*again[:2]) or again[0] < f:
                 f, gap, w = again
-        certified = self.certified(f, gap)
-        if not certified and self.singular:
-            raise SingularSystem(
-                f"donor weight KKT system is singular and its least-squares solution is "
-                f"not certified (Frank-Wolfe gap {gap:.3g}, objective {f:.6g})")
-        return w, min(gap, f), certified
+        return w, min(gap, f), self.certified(f, gap)
 
     def search(self) -> tuple[float, float, np.ndarray]:
         """The objective, Frank-Wolfe gap and weights of one pass of the solve."""
@@ -556,9 +549,8 @@ def solve_w(
 
     Returns the minimizer found by the active-set solve described in the
     module docstring, with its Frank-Wolfe gap. The weights satisfy
-    sum(w) = 1 within 1e-8 and w >= 0 exactly. Raises SingularSystem when a
-    KKT system is singular and the lstsq fallback's weights fail the
-    certificate.
+    sum(w) = 1 within 1e-8 and w >= 0 exactly. Weights the gap does not
+    certify are still returned, with converged False.
     """
     X1 = np.asarray(X1, dtype=float)
     X0 = np.asarray(X0, dtype=float)

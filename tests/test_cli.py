@@ -497,9 +497,10 @@ def test_sweep_warns_why_a_row_failed(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "warning: t_fit=40: need 1 <= t_fit < T0, got t_fit=40 T0=40" in err
     assert "warning: t_fit=500: need 1 <= t_fit < T0, got t_fit=500 T0=40" in err
-    # the row that fits warns only of its placebo run's skipped fits
-    assert all(line.startswith("warning: t_fit=10: placebo ")
-               for line in err.splitlines() if "t_fit=10" in line)
+    # the row that fits skips no placebo, and warns only of its uncertified fits
+    lines = [line for line in err.splitlines() if "t_fit=10" in line]
+    assert lines and all(line.startswith("warning: t_fit=10: donor weights for ")
+                         for line in lines)
     assert (out / "sweep.csv").read_text().splitlines()[2:] == ["40,,", "500,,"]
 
 
@@ -1027,7 +1028,7 @@ def test_fit_clusters_then_adjacency_narrow_the_pool_in_turn(tmp_path, capsys):
     out = tmp_path / "lone"
     assert main([*argv, "--clusters", clusters, "--adjacency", lone, "--out", str(out)]) == 0
     assert capsys.readouterr().err == \
-        "warning: neighbor filter left no donors for 10001; using the full pool\n"
+        "warning: neighbor filter left no donors for 10001; using the cluster filter's pool\n"
     assert list(json.loads((out / "result.json").read_text())["w"]) == \
         ["20001", "30001", "40001"]
 
@@ -1141,6 +1142,20 @@ def test_quick_start_fit_runs_clean(tmp_path, capsys):
     assert (tmp_path / "results" / "result.json").exists()
 
 
+def _src_env():
+    """The environment with this checkout's synthctl first on PYTHONPATH."""
+    src = str(pathlib.Path(synthctl.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+def test_demo_study_script_runs(tmp_path):
+    # the library walk-through that the README points to
+    proc = subprocess.run([sys.executable, str(DEMO_SCRIPT.with_name("run_demo_study.py"))],
+                          cwd=tmp_path, env=_src_env(), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def _scipy_free_run(script, *argv):
     """Run script in a fresh interpreter that then must hold no scipy module
     and no numpy.random: no command draws a random number."""
@@ -1149,11 +1164,8 @@ def _scipy_free_run(script, *argv):
                         if m.split(".")[0] == "scipy" or m.startswith("numpy.random"))
         assert not loaded, loaded
     """)
-    src = str(pathlib.Path(synthctl.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, "-c", script, *argv],
-                          env=env, capture_output=True, text=True)
+                          env=_src_env(), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -1235,8 +1247,8 @@ def test_placebo_exits_3_when_a_worker_process_dies(tmp_path, capsys, monkeypatc
     assert "Traceback" not in err
 
 
-def test_uncertified_singular_solve_fails_the_fit_and_skips_the_placebo(tmp_path, capsys,
-                                                                         monkeypatch):
+def test_uncertified_singular_solve_warns_and_keeps_the_placebo_entries(tmp_path, capsys,
+                                                                        monkeypatch):
     from synthctl import weights
 
     # every KKT solve "fails", so each takes the lstsq fallback, and no
@@ -1244,14 +1256,58 @@ def test_uncertified_singular_solve_fails_the_fit_and_skips_the_placebo(tmp_path
     monkeypatch.setattr(weights._Solver, "_linsolve", lambda self, K, rhs: None)
     monkeypatch.setattr(weights._Solver, "certified", lambda self, f, gap: False)
     outcomes, predictors = _study_files(tmp_path, seed=5)
+    out = tmp_path / "out"
     assert main(["fit", "--outcomes", outcomes, "--predictors", predictors,
                  "--treated", "10001", "--t0", _dates(40)[25], "--v-mode", "uniform",
-                 "--out", str(tmp_path / "out")]) == 3
+                 "--out", str(out)]) == 0
     err = capsys.readouterr().err
-    assert err.startswith("error: donor weight KKT system is singular") and "Traceback" not in err
+    assert err.startswith("warning: donor weights for 10001 are not certified optimal "
+                          "(Frank-Wolfe gap ") and err.count("\n") == 1
+    assert sum(json.loads((out / "result.json").read_text())["w"].values()) == \
+        pytest.approx(1.0, abs=1e-8)
 
     spec = StudySpec(treated="10001", donors=("20000", "20002", "20004", "20006"), T0=25,
                      v_mode="uniform")
     entries = placebo_run(spec, ingest_panel(outcomes), load_predictors(predictors)).entries
-    assert all(e.skipped and e.reason.startswith("donor weight KKT system is singular")
-               for e in entries)
+    assert len(entries) == 5
+    assert all(not e.skipped and e.converged is False and e.fw_gap > 0.0 for e in entries)
+
+
+@pytest.mark.parametrize("seed", [2, 6])
+def test_placebo_keeps_every_donor_whose_probe_solves_were_uncertified(tmp_path, capsys, seed):
+    # the importance search of the treated fit (seed 2) and of donor 20004's
+    # placebo fit (seed 6) meets a probe whose lstsq fallback is not certified
+    outcomes, predictors = _study_files(tmp_path, T=60, seed=seed)
+    argv = ["--outcomes", outcomes, "--predictors", predictors,
+            "--treated", "10001", "--t0", _dates(60)[40]]
+    assert main(["fit", *argv, "--out", str(tmp_path / "fit")]) == 0
+    written = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"j{jobs}"
+        assert main(["placebo", *argv, "--jobs", jobs, "--out", str(out)]) == 0
+        assert (out / "pvalues.csv").read_text().splitlines()[1].endswith(",5,0")
+        written.append([(out / name).read_bytes() for name in ("placebo.json", "pvalues.csv")])
+    assert "skipped" not in capsys.readouterr().err
+    assert written[0] == written[1]
+
+
+def test_fit_on_non_numeric_unit_codes_takes_every_other_unit_as_donor(tmp_path):
+    # a code that is not a 5-digit FIPS code is its own state
+    rng = np.random.default_rng(3)
+    series = {code: 30 + rng.normal(0, 1, 40).cumsum() for code in ("CA", "NY", "TX", "WA")}
+    outcomes = _long_csv(tmp_path / "o.csv", series)
+    out = tmp_path / "out"
+    assert main(["fit", "--outcomes", outcomes, "--treated", "NY", "--t0", _dates(40)[25],
+                 "--out", str(out)]) == 0
+    assert list(json.loads((out / "result.json").read_text())["w"]) == ["CA", "TX", "WA"]
+
+
+def test_predictor_table_not_led_by_unit_exits_3_naming_the_file(tmp_path, capsys):
+    outcomes, _ = _study_files(tmp_path)
+    predictors = _wide_csv(tmp_path / "lead.csv", ["a", "unit"],
+                           [["1.0", u] for u in ("10001", "20000", "20002", "20004", "20006")])
+    assert main(["fit", "--outcomes", outcomes, "--predictors", predictors,
+                 "--treated", "10001", "--t0", _dates(40)[25],
+                 "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {predictors} must start with a 'unit' column")
