@@ -1,0 +1,174 @@
+"""Run a fixed set of synthctl commands on two source trees and compare what they write.
+
+Usage, from anywhere:
+
+    python scripts/compare_outputs.py PARENT_SRC CHANGE_SRC [--work DIR]
+
+PARENT_SRC and CHANGE_SRC are `src/` directories that each hold a `synthctl`
+package. The inputs are generated once, by this checkout's `bench/gen.py` and
+`scripts/make_demo_data.py`, and both trees run the same commands on them as
+`python -m synthctl.cli`, with one BLAS thread per process:
+
+- `bench/gen.py` studies, seeds 1-3 x parts 0-9: `placebo --jobs 1`,
+  `placebo --jobs 2` and `fit --l1 0`;
+- the study of seeds 1-3, part 0: `sweep --t-fit 5,10,20 --jobs 2`;
+- the county panel of seed 1: `ingest`, then `fit --v-mode inverse-variance`
+  on the cleaned panel;
+- the growth series of seed 1: `logistic --bins 4`;
+- the demo data: `fit`, `fit --l1 0`, `placebo --jobs 2` and
+  `sweep --t-fit 5,10,20 --jobs 2`.
+
+Every output file, and each command's exit code, stdout and stderr, is
+compared byte for byte. A file that differs is reported with the largest
+absolute and relative difference over its numbers, when the two files differ
+only in their numbers. Exits 0 when every file is identical, else 1.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "bench"))
+sys.dont_write_bytecode = True  # keep bench/ free of caches
+
+import gen  # noqa: E402
+
+STUDY_SEEDS = (1, 2, 3)
+STUDY_PARTS = range(10)
+T_FITS = "5,10,20"
+NUMBER = re.compile(rb"-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf")
+
+
+def _study_args(inp: str, treated: str) -> list[str]:
+    return ["--outcomes", f"{inp}/outcomes.csv", "--predictors", f"{inp}/predictors.csv",
+            "--metadata", f"{inp}/metadata.csv", "--treated", treated]
+
+
+def make_inputs(work: str) -> list[tuple[str, list[str]]]:
+    """Write every input under work and return the runs: (name, argv)."""
+    runs = []
+    for seed in STUDY_SEEDS:
+        for part in STUDY_PARTS:
+            inp = os.path.join(work, f"study_s{seed}_p{part}")
+            truth = gen.gen_study(inp, seed, part)
+            study = _study_args(inp, truth.treated)
+            name = f"study_s{seed}_p{part}"
+            runs += [(f"{name}_placebo_j1", ["placebo", *study, "--jobs", "1"]),
+                     (f"{name}_placebo_j2", ["placebo", *study, "--jobs", "2"]),
+                     (f"{name}_fit_l1_0", ["fit", *study, "--l1", "0"])]
+            if part == 0:
+                runs.append((f"{name}_sweep",
+                             ["sweep", *study, "--t-fit", T_FITS, "--jobs", "2"]))
+
+    inp = os.path.join(work, "county_s1")
+    truth = gen.gen_county(inp, 1)
+    runs.append(("county_s1_ingest", ["ingest", "--outcomes", f"{inp}/raw.csv",
+                                      "--metadata", f"{inp}/metadata.csv"]))
+    # the fit reads the panel that the ingest run wrote into the same tree
+    runs.append(("county_s1_fit", ["fit", "--outcomes", "county_s1_ingest/panel_clean.csv",
+                                   "--predictors", f"{inp}/predictors.csv",
+                                   "--metadata", f"{inp}/metadata.csv",
+                                   "--treated", truth.treated,
+                                   "--v-mode", "inverse-variance"]))
+
+    inp = os.path.join(work, "growth_s1")
+    gen.gen_growth(inp, 1)
+    runs.append(("growth_s1_logistic", ["logistic", "--outcomes", f"{inp}/uptake.csv",
+                                        "--predictors", f"{inp}/index.csv", "--bins", "4"]))
+
+    inp = os.path.join(work, "demo")
+    subprocess.run([sys.executable, os.path.join(ROOT, "scripts", "make_demo_data.py"),
+                    "--out", inp], check=True, stdout=subprocess.DEVNULL)
+    demo = _study_args(inp, "10001")
+    runs += [("demo_fit", ["fit", *demo]),
+             ("demo_fit_l1_0", ["fit", *demo, "--l1", "0"]),
+             ("demo_placebo_j2", ["placebo", *demo, "--jobs", "2"]),
+             ("demo_sweep", ["sweep", *demo, "--t-fit", T_FITS, "--jobs", "2"])]
+    return runs
+
+
+def run_tree(src: str, runs: list[tuple[str, list[str]]], out: str) -> None:
+    """Run every command of runs from src, each into out/<name>/."""
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    for name, argv in runs:
+        # a relative --out keeps each tree's stdout free of its own directory
+        proc = subprocess.run([sys.executable, "-m", "synthctl.cli", *argv, "--out", name],
+                              cwd=out, env=env, capture_output=True, timeout=600)
+        os.makedirs(os.path.join(out, name), exist_ok=True)
+        for suffix, data in (("exit", b"%d\n" % proc.returncode),
+                             ("stdout", proc.stdout), ("stderr", proc.stderr)):
+            with open(os.path.join(out, name, f"_{suffix}.txt"), "wb") as fh:
+                fh.write(data)
+
+
+def _files(top: str) -> set[str]:
+    return {os.path.relpath(os.path.join(d, f), top)
+            for d, _, names in os.walk(top) for f in names}
+
+
+def difference(a: bytes, b: bytes) -> str:
+    """How two differing files differ: their numbers' largest gaps, or their text."""
+    if NUMBER.sub(b"#", a) != NUMBER.sub(b"#", b):
+        return "differs in more than its numbers"
+    abs_gap = rel_gap = 0.0
+    for x, y in zip(NUMBER.findall(a), NUMBER.findall(b)):
+        fx, fy = float(x), float(y)
+        gap = abs(fx - fy)
+        if gap > 0.0:
+            abs_gap = max(abs_gap, gap)
+            rel_gap = max(rel_gap, gap / max(abs(fx), abs(fy)))
+    return f"max abs diff {abs_gap:.3g}, max rel diff {rel_gap:.3g}"
+
+
+def compare(parent: str, change: str) -> list[str]:
+    """One line per file that is not byte-identical in both trees."""
+    lines = []
+    for rel in sorted(_files(parent) | _files(change)):
+        paths = (os.path.join(parent, rel), os.path.join(change, rel))
+        if not all(os.path.exists(p) for p in paths):
+            lines.append(f"{rel}: only in {'parent' if os.path.exists(paths[0]) else 'change'}")
+            continue
+        with open(paths[0], "rb") as fa, open(paths[1], "rb") as fb:
+            a, b = fa.read(), fb.read()
+        if a != b:
+            lines.append(f"{rel}: {difference(a, b)}")
+    return lines
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent_src")
+    parser.add_argument("change_src")
+    parser.add_argument("--work", help="directory for inputs and outputs, kept afterwards "
+                                       "(default: a temporary directory, removed)")
+    args = parser.parse_args()
+    work = args.work or tempfile.mkdtemp(prefix="synthctl-compare-")
+    try:
+        runs = make_inputs(os.path.join(work, "inputs"))
+        trees = {}
+        for label, src in (("parent", args.parent_src), ("change", args.change_src)):
+            trees[label] = os.path.join(work, label)
+            os.makedirs(trees[label], exist_ok=True)
+            run_tree(src, runs, trees[label])
+        n_files = len(_files(trees["parent"]) | _files(trees["change"]))
+        lines = compare(trees["parent"], trees["change"])
+    finally:
+        if not args.work:
+            shutil.rmtree(work, ignore_errors=True)
+    for line in lines:
+        print(line)
+    print(f"{len(runs)} runs, {n_files} files: "
+          f"{n_files - len(lines)} identical, {len(lines)} differ")
+    return 1 if lines else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

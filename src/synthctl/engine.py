@@ -293,7 +293,11 @@ def solve_v(spec: StudySpec, design: Design) -> np.ndarray:
     inverse-variance vector when every row varies (scored once more), and
     the best vector the search scored; so the fit never validates worse
     than either baseline. A single row or a single donor leaves nothing to
-    search, and gets uniform.
+    search, and gets uniform. Each weight solve after the first, the
+    inverse-variance re-score included, starts warm from the previous
+    evaluation's (see solve_w). The first starts cold, and no state crosses
+    calls, so the vector is a function of the design alone; fit_synth
+    solves it once more, cold.
     """
     k = design.raw.shape[0]
     var = design.raw.var(axis=1)
@@ -307,8 +311,12 @@ def solve_v(spec: StudySpec, design: Design) -> np.ndarray:
     if spec.v_mode == "uniform" or k == 1 or design.X0.shape[1] == 1:
         return uniform
 
+    last = None  # the previous evaluation's solve, where the next one starts
+
     def error(v: np.ndarray) -> float:
-        return design.validation_error(solve_w(design.X1, design.X0, v, spec.reg).w)
+        nonlocal last
+        last = solve_w(design.X1, design.X0, v, spec.reg, start=last)
+        return design.validation_error(last.w)
 
     uniform_f = None
     best_f, best_v = np.inf, uniform
@@ -346,7 +354,8 @@ def fit_synth(spec: StudySpec, design: Design) -> SynthResult:
     synthetic series over the whole panel, the per-day gap (actual minus
     synthetic), and summed squared errors over the training, validation, and
     full pre-intervention windows. The weights are solve_v's vector's,
-    solved once, whatever the v_mode.
+    solved once and cold, whatever the v_mode, so they equal a fresh
+    solve_w of v_star.
     """
     v = solve_v(spec, design)
     result = solve_w(design.X1, design.X0, v, spec.reg)

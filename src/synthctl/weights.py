@@ -29,6 +29,17 @@ programs, which the active-set method also solves. Its certificate is the
 least-norm subgradient that makes its Frank-Wolfe gap zero, a least-distance
 program solved by Lawson & Hanson's NNLS.
 
+A solve may start warm from an earlier one's result, as the importance
+search's consecutive solves do (engine.fit_synth's final solve of the chosen
+importances stays cold): for l1 > 0 and an earlier mu > 0 it skips the
+least-squares program and enters the mu iteration at the earlier mu, weights
+and free set, with no low end of the bracket until a program lands below the
+root. If the root lies below a mu that no Newton step can leave downward (as
+at the kink, which only the least-squares program detects), or the warm
+iteration ends uncertified, the solve falls back to the cold one and returns
+its weights. With l1 > 0 the minimizer is unique, so a certified warm solve
+reaches the cold one's optimum by another path.
+
 A solve stops on the Frank-Wolfe gap of f, g.w - min_j g_j for a
 (sub)gradient g at w, which bounds f(w) - min f. `converged` means that this
 gap certifies w: it is within REL_GAP of f, or at the rounding floor of the
@@ -76,13 +87,18 @@ class SolveResult:
     """Donor weights, their objective, and the Frank-Wolfe certificate.
 
     fw_gap bounds objective - (the minimum objective); converged is True
-    when that bound certifies the weights (see REL_GAP).
+    when that bound certifies the weights (see REL_GAP). mu is the ridge
+    coefficient of the program that found w (0 for a least-squares program
+    or an exact fit), and support its free set: the sorted indices of the
+    positive weights. A later solve may start from them (see solve_w).
     """
 
     w: np.ndarray
     objective: float
     converged: bool
     fw_gap: float
+    mu: float
+    support: np.ndarray
 
 
 def _check_inputs(X1: np.ndarray, X0: np.ndarray, v: np.ndarray) -> tuple[int, int]:
@@ -437,49 +453,71 @@ class _Solver:
         floor = ABS_GAP * self.scale if self.l1 else LSQ_FLOOR * self.scale ** 2 / f
         return gap <= REL_GAP * f + floor
 
-    def solve(self) -> tuple[np.ndarray, float, bool]:
-        """Weights, a bound on their distance to the optimum, and whether it certifies them.
+    def solve(self, start: SolveResult | None = None
+              ) -> tuple[np.ndarray, float, bool, float, np.ndarray]:
+        """Weights, a bound on their distance to the optimum, whether it
+        certifies them, and the mu and free set of the program that found them.
 
         The bound is the Frank-Wolfe gap, or f itself where that is smaller.
-        Free sets are solved by normal equations first; weights they leave
-        uncertified are solved again by lstsq alone, and the better pass's
-        weights are returned, certified or not.
+        A start makes the first pass warm (see search); a warm pass that ends
+        uncertified is dropped for a cold one. Free sets are solved by normal
+        equations first; weights they leave uncertified are solved again by
+        lstsq alone, cold, and the better pass's weights are returned,
+        certified or not.
         """
-        f, gap, w = self.search()
+        found = self.search(start)
+        if start is not None and not self.certified(*found[:2]):
+            found = self.search()
+        f, gap = found[:2]
         if not self.certified(f, gap):
             self.exact = True
             again = self.search()
             if self.certified(*again[:2]) or again[0] < f:
-                f, gap, w = again
-        return w, min(gap, f), self.certified(f, gap)
+                found = again
+        f, gap, w, mu, F = found
+        return w, min(gap, f), self.certified(f, gap), mu, F
 
-    def search(self) -> tuple[float, float, np.ndarray]:
-        """The objective, Frank-Wolfe gap and weights of one pass of the solve."""
+    def search(self, start: SolveResult | None = None
+               ) -> tuple[float, float, np.ndarray, float, np.ndarray]:
+        """The objective, Frank-Wolfe gap, weights, mu and free set of one pass.
+
+        A cold pass starts from the least-squares program at the best vertex.
+        A warm pass skips it and enters the mu loop at the start's mu, weights
+        and free set, with the bracket's low end unknown until a program lands
+        below the root. When the root lies below a mu and no Newton step stays
+        inside (0, mu), as at a kink, which only the least-squares program
+        detects, the warm pass stops with its best point, uncertified.
+        """
         A, b, l1 = self.A, self.b, self.l1
-        j0 = int(np.argmin(((A - b[:, None]) ** 2).sum(axis=0)))
-        w = np.zeros(self.J)
-        w[j0] = 1.0
-        w, F, r, y = self.program(0.0, w, np.array([j0]))
-        f, gap = self.certificate(w, r, y)
-        best = (f, gap, w)
-        if l1 == 0.0 or self.certified(f, gap):
-            return best
-
-        nr, nw = self.rnorm(r), float(np.linalg.norm(w))
-        kink = nr <= ABS_GAP * self.scale
         lo = hi = None  # mu below and above the root, with their values
-        if kink:
-            # an exact fit, where f has a kink at r = 0: the root of
-            # 1 - l1 ||y||/||w|| is found on the ridge path from just above 0
-            fit0 = (w, F)
-            mu = 1e-6 * float((A * A).sum()) / self.J or 1.0  # 1.0 when A = 0
+        kink = False
+        if start is not None:
+            mu, w, F = start.mu, start.w, start.support
+            best = (math.inf, math.inf, w, mu, F)
         else:
-            # the root of mu - h(mu), h = l1 ||r||/||w||: from mu = 0, where
-            # h is the fixed-point step and Newton's step may go further
-            h = l1 * nr / nw
-            lo = (0.0, -h)
-            dvalue = 1.0 - self.dh(0.0, F, w, r, y, nr, nw) if F.size <= self.k + 1 else 0.0
-            mu = min(max(h, h / dvalue), 10.0 * h) if dvalue > 0.0 else h
+            j0 = int(np.argmin(((A - b[:, None]) ** 2).sum(axis=0)))
+            w = np.zeros(self.J)
+            w[j0] = 1.0
+            w, F, r, y = self.program(0.0, w, np.array([j0]))
+            f, gap = self.certificate(w, r, y)
+            best = (f, gap, w, 0.0, F)
+            if l1 == 0.0 or self.certified(f, gap):
+                return best
+
+            nr, nw = self.rnorm(r), float(np.linalg.norm(w))
+            kink = nr <= ABS_GAP * self.scale
+            if kink:
+                # an exact fit, where f has a kink at r = 0: the root of
+                # 1 - l1 ||y||/||w|| is found on the ridge path from just above 0
+                fit0 = (w, F)
+                mu = 1e-6 * float((A * A).sum()) / self.J or 1.0  # 1.0 when A = 0
+            else:
+                # the root of mu - h(mu), h = l1 ||r||/||w||: from mu = 0, where
+                # h is the fixed-point step and Newton's step may go further
+                h = l1 * nr / nw
+                lo = (0.0, -h)
+                dvalue = 1.0 - self.dh(0.0, F, w, r, y, nr, nw) if F.size <= self.k + 1 else 0.0
+                mu = min(max(h, h / dvalue), 10.0 * h) if dvalue > 0.0 else h
         side = 0  # Illinois: the end that moved last, -1 low or 1 high
         for _ in range(_MAX_MU_STEPS):
             w, F, r, y = self.program(mu, w, F)
@@ -487,8 +525,8 @@ class _Solver:
                 y = r / mu
             f, gap = self.certificate(w, r, y)
             if self.certified(f, gap):
-                return f, gap, w
-            best = min(best, (f, gap, w), key=lambda t: t[0])
+                return f, gap, w, mu, F
+            best = min(best, (f, gap, w, mu, F), key=lambda t: t[0])
             nr = mu * float(np.linalg.norm(y)) if kink else self.rnorm(r)
             nw = float(np.linalg.norm(w))
             h = l1 * nr / nw
@@ -496,15 +534,21 @@ class _Solver:
             dh = self.dh(mu, F, w, r, y, nr, nw)
             dvalue = (h - mu * dh) / mu ** 2 if kink else 1.0 - dh
             newton = mu - value / dvalue if dvalue > 0.0 else math.nan
+            if lo is None and value >= 0.0 and start is not None:
+                # warm, and the root lies below mu: only Newton steps approach it
+                if not 0.0 < newton < mu:
+                    break
+                hi, side, mu = (mu, value), 1, newton
+                continue
             if lo is None and value >= 0.0:
                 # the root lies below the first mu: at the least-norm exact
                 # fit (mu -> 0) or between, and this free set holds the fit
-                w0, _, r0, y0 = self.least_norm_fit(F, *fit0)
+                w0, F0, r0, y0 = self.least_norm_fit(F, *fit0)
                 u0 = self.kink_multiplier(w0)
                 f0, gap0 = self.certificate(w0, r0, y0, u0)
                 if self.certified(f0, gap0):
-                    return f0, gap0, w0
-                best = min(best, (f0, gap0, w0), key=lambda t: t[0])
+                    return f0, gap0, w0, 0.0, F0
+                best = min(best, (f0, gap0, w0, 0.0, F0), key=lambda t: t[0])
                 value0 = 0.0 if u0 is None else 1.0 - float(np.linalg.norm(u0))
                 if value0 >= 0.0:
                     break  # the exact fit's certificate failed; keep the best point
@@ -538,6 +582,7 @@ def solve_w(
     X0: np.ndarray,
     v: np.ndarray,
     reg: Regularization,
+    start: SolveResult | None = None,
 ) -> SolveResult:
     """Minimize the penalized discrepancy over donor weights.
 
@@ -546,11 +591,17 @@ def solve_w(
         X0: donor predictor matrix, shape (k, J).
         v: nonnegative predictor importance weights, shape (k,).
         reg: penalty coefficient.
+        start: an earlier solve over the same donors, typically at a nearby
+            v. With l1 > 0 and a positive start.mu the solve starts warm from
+            its mu, weights and free set, and falls back to the cold solve
+            when that cannot certify its weights (see the module docstring).
+            Otherwise the start is ignored.
 
     Returns the minimizer found by the active-set solve described in the
     module docstring, with its Frank-Wolfe gap. The weights satisfy
     sum(w) = 1 within 1e-8 and w >= 0 exactly. Weights the gap does not
-    certify are still returned, with converged False.
+    certify are still returned, with converged False. A certified warm
+    solve's weights may differ from the cold solve's in the last digits.
     """
     X1 = np.asarray(X1, dtype=float)
     X0 = np.asarray(X0, dtype=float)
@@ -560,12 +611,16 @@ def solve_w(
         if not np.isfinite(a).all():
             raise ValueError(f"{name} holds a NaN or an infinity; the weight solve "
                              "needs finite inputs")
+    if start is not None and start.w.shape != (J,):
+        raise DimensionMismatch(f"start has {start.w.size} donor weights, expected {J}")
 
     if J == 1:
         w = np.array([1.0])
-        return SolveResult(w, objective(w, X1, X0, v, reg), True, 0.0)
+        return SolveResult(w, objective(w, X1, X0, v, reg), True, 0.0, 0.0, np.array([0]))
 
+    warm = start is not None and reg.l1 > 0.0 and start.mu > 0.0
     root_v = np.sqrt(v)
-    w, gap, certified = _Solver(root_v[:, None] * X0, root_v * X1, reg.l1).solve()
+    solver = _Solver(root_v[:, None] * X0, root_v * X1, reg.l1)
+    w, gap, certified, mu, F = solver.solve(start if warm else None)
     w = np.maximum(w, 0.0)
-    return SolveResult(w, objective(w, X1, X0, v, reg), certified, gap)
+    return SolveResult(w, objective(w, X1, X0, v, reg), certified, gap, mu, F)

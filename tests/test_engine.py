@@ -156,12 +156,14 @@ def test_fit_synth_never_loses_to_uniform_or_invvar(rng):
     assert best <= invvar
 
 
-def _count_final_solves(monkeypatch) -> list[bool]:
-    """Record, for each solve_w call of engine, whether the importance search made it."""
-    calls, searching = [], [False]
+def _count_final_solves(monkeypatch) -> tuple[list[bool], list]:
+    """Record, for each solve_w call of engine, whether the importance search
+    made it, and the start it was given."""
+    calls, starts, searching = [], [], [False]
 
     def counted(*args, **kwargs):
         calls.append(searching[0])
+        starts.append(kwargs.get("start"))
         return solve_w(*args, **kwargs)
 
     def search(*args, **kwargs):
@@ -173,7 +175,7 @@ def _count_final_solves(monkeypatch) -> list[bool]:
 
     monkeypatch.setattr(engine, "solve_w", counted)
     monkeypatch.setattr(engine, "solve_v", search)
-    return calls
+    return calls, starts
 
 
 @pytest.mark.parametrize("v_mode, constant_row, full_solves", [
@@ -194,10 +196,11 @@ def test_fit_synth_solves_each_candidate_once(
         predictors = make_predictors(values, predictors.units)
     spec = dataclasses.replace(spec, v_mode=v_mode)
     design = build_design(panel, predictors, spec)
-    calls = _count_final_solves(monkeypatch)
+    calls, starts = _count_final_solves(monkeypatch)
     result = fit_synth(spec, design)
     assert calls.count(False) == full_solves
-    # the kept solve is one of those: solving its v again gives the same weights
+    # the final solve is the last, and cold: solving its v again gives the same weights
+    assert not calls[-1] and starts[-1] is None
     again = solve_w(design.X1, design.X0, result.v_star, spec.reg)
     assert np.array_equal(result.w_star, again.w)
 
@@ -207,11 +210,37 @@ def test_fit_synth_solves_a_uniform_search_winner_once(rng, monkeypatch):
     # uniform vector unsearched, and fit_synth solves it once
     panel, predictors, spec = _small_study(rng, J=1)
     design = build_design(panel, predictors, spec)
-    calls = _count_final_solves(monkeypatch)
+    calls, starts = _count_final_solves(monkeypatch)
     result = fit_synth(spec, design)
-    assert calls == [False]
+    assert calls == [False] and starts == [None]
     assert np.array_equal(solve_v(spec, design), np.full(4, 0.25))
     assert np.array_equal(result.v_star, np.full(4, 0.25))
+
+
+@pytest.mark.parametrize("constant_row", [False, True])
+def test_search_starts_each_weight_solve_from_the_previous_one(rng, monkeypatch, constant_row):
+    panel, predictors, spec = _small_study(rng)
+    if constant_row:  # no inverse-variance re-score, only the search's solves
+        values = predictors.values.copy()
+        values[1] = 2.5
+        predictors = make_predictors(values, predictors.units)
+    spec = dataclasses.replace(spec, reg=Regularization())
+    design = build_design(panel, predictors, spec)
+    starts, results = [], []
+
+    def recorded(*args, **kwargs):
+        starts.append(kwargs.get("start"))
+        results.append(solve_w(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(engine, "solve_w", recorded)
+    for _ in range(2):  # warm state never crosses solve_v calls
+        starts.clear()
+        results.clear()
+        solve_v(spec, design)
+        assert starts[0] is None
+        assert len(starts) > 60 and all(s is r for s, r in zip(starts[1:], results))
+        assert any(r.mu > 0.0 for r in results)  # so later solves start warm
 
 
 def _search_starts(monkeypatch, spec, design) -> list[np.ndarray]:

@@ -1,5 +1,6 @@
 """Weight solver tests: hand oracles, grid-search, NNLS and descent oracles, and invariants."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from helpers import grid_simplex_3
 from synthctl import (
     Regularization,
     SolveResult,
+    engine,
     objective,
     project_simplex,
     solve_w,
@@ -310,3 +312,108 @@ def test_solve_result_reports_the_certificate():
     assert isinstance(result, SolveResult)
     assert result.objective == objective(result.w, X1, X0, v, Regularization())
     assert 0.0 <= result.fw_gap <= weights.REL_GAP * result.objective
+
+
+# ---------------------------------------------------------------------------
+# warm starts from an earlier solve
+# ---------------------------------------------------------------------------
+
+def _factor_design(J, n_predictors, seed=0):
+    """A factor-model study's design, as engine assembles it: k = n_predictors + 1 rows."""
+    rng = np.random.default_rng([J, n_predictors, seed])
+    loadings = rng.normal(size=(J + 1, 3))
+    outcomes = 30 + loadings @ rng.normal(0, 0.3, size=(3, 60)).cumsum(axis=1) \
+        + rng.normal(0, 0.5, size=(J + 1, 60))
+    base = rng.normal(size=(n_predictors, 3)) @ loadings.T \
+        + rng.normal(0, 0.5, size=(n_predictors, J + 1))
+    units = tuple(f"{10001 + j:05d}" for j in range(J + 1))
+    spec = engine.StudySpec(treated=units[0], donors=units[1:], T0=40)
+    return engine._assemble(base, outcomes, tuple(f"p{i}" for i in range(n_predictors)), spec)
+
+
+def _nearby_vectors(k, n=30, step=0.1):
+    """Importance vectors along a random walk in softmax coordinates, as a search visits."""
+    rng = np.random.default_rng(k)
+    theta = np.cumsum(rng.normal(0, step, size=(n, k)), axis=0)
+    return [engine._softmax(t) for t in theta]
+
+
+def _count_faces(monkeypatch) -> list[int]:
+    faces = [0]
+    face = weights._Solver.face
+
+    def counted(self, *args, **kwargs):
+        faces[0] += 1
+        return face(self, *args, **kwargs)
+
+    monkeypatch.setattr(weights._Solver, "face", counted)
+    return faces
+
+
+@pytest.mark.parametrize("J, n_predictors", [(6, 10), (40, 30)])
+def test_warm_chain_matches_cold_solves_with_fewer_faces(monkeypatch, J, n_predictors):
+    design = _factor_design(J, n_predictors)
+    vs = _nearby_vectors(n_predictors + 1)
+    reg = Regularization()
+    faces = _count_faces(monkeypatch)
+    cold = [solve_w(design.X1, design.X0, v, reg) for v in vs]
+    cold_faces, faces[0] = faces[0], 0
+    warm, last = [], None
+    for v in vs:
+        last = solve_w(design.X1, design.X0, v, reg, start=last)
+        warm.append(last)
+    assert faces[0] < cold_faces / 2
+    for a, b in zip(cold, warm):
+        assert b.converged and b.mu > 0.0
+        assert np.abs(a.w - b.w).max() <= 1e-9
+        assert abs(a.objective - b.objective) <= 1e-14 * a.objective
+        assert np.array_equal(b.support, np.flatnonzero(b.w))
+
+
+@pytest.mark.parametrize("scale", [1e6, 1e-6])
+@pytest.mark.parametrize("inside", [False, True])
+def test_start_from_an_unrelated_design_returns_the_cold_answer(monkeypatch, scale, inside):
+    # the start's mu lies far above or far below this design's root. Inside
+    # the donor hull the minimum is at the kink of an exact fit, which only a
+    # cold pass finds: the warm pass ends uncertified and the cold pass runs
+    design, other = _factor_design(6, 10, seed=1), _factor_design(6, 10, seed=2)
+    X1 = design.X0 @ np.random.default_rng(1).dirichlet(np.ones(6)) if inside else design.X1
+    v, reg = np.full(11, 1 / 11), Regularization()
+    previous = solve_w(other.X1, other.X0, v, reg)
+    start = dataclasses.replace(previous, mu=scale * previous.mu)
+    cold = solve_w(X1, design.X0, v, reg)
+    passes = []
+    search = weights._Solver.search
+
+    def recorded(self, start=None):
+        passes.append(start is not None)
+        return search(self, start)
+
+    monkeypatch.setattr(weights._Solver, "search", recorded)
+    result = solve_w(X1, design.X0, v, reg, start=start)
+    assert result.converged
+    if inside:
+        assert passes == [True, False]  # the warm pass, then the cold fallback
+        assert np.array_equal(result.w, cold.w) and result.mu == cold.mu == 0.0
+    else:
+        assert passes == [True]
+        assert np.abs(result.w - cold.w).max() <= 1e-9
+
+
+def test_start_is_ignored_without_a_penalty():
+    design = _factor_design(40, 30)
+    v, reg = np.full(31, 1 / 31), Regularization(0.0)
+    start = solve_w(design.X1, design.X0, v, Regularization())
+    assert start.mu > 0.0
+    cold = solve_w(design.X1, design.X0, v, reg)
+    warm = solve_w(design.X1, design.X0, v, reg, start=start)
+    assert cold.mu == warm.mu == 0.0
+    assert np.array_equal(cold.w, warm.w) and cold.objective == warm.objective
+    assert cold.fw_gap == warm.fw_gap and np.array_equal(cold.support, warm.support)
+
+
+def test_start_over_other_donors_raises():
+    design = _factor_design(6, 10)
+    start = solve_w(design.X1, design.X0[:, :5], np.ones(11), Regularization())
+    with pytest.raises(DimensionMismatch):
+        solve_w(design.X1, design.X0, np.ones(11), Regularization(), start=start)
