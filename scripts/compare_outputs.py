@@ -12,8 +12,10 @@ package. The inputs are generated once, by this checkout's `bench/gen.py` and
 - `bench/gen.py` studies, seeds 1-3 x parts 0-9: `placebo --jobs 1`,
   `placebo --jobs 2` and `fit --l1 0`;
 - the study of seeds 1-3, part 0: `sweep --t-fit 5,10,20 --jobs 2`;
-- the county panel of seed 1: `ingest`, then `fit --v-mode inverse-variance`
+- the county panels of seeds 1-3: `ingest`, then `fit --v-mode inverse-variance`
   on the cleaned panel;
+- `ingest` of a small hand-written panel whose unit codes need CSV quoting or
+  hold a `%`, with missing cells and one unit dropped;
 - the growth series of seed 1: `logistic --bins 4`;
 - the demo data: `fit`, `fit --l1 0`, `placebo --jobs 2` and
   `sweep --t-fit 5,10,20 --jobs 2`.
@@ -42,6 +44,10 @@ import gen  # noqa: E402
 
 STUDY_SEEDS = (1, 2, 3)
 STUDY_PARTS = range(10)
+COUNTY_SEEDS = (1, 2, 3)
+# raw CSV fields of unit codes that need quoting or hold a printf "%"
+EDGE_UNITS = ('"Saint Louis, city"', '"The ""Bay"" area"', "50% Township", "Z\u00fcrich", "100%s",
+              "Nowhere")
 T_FITS = "5,10,20"
 NUMBER = re.compile(rb"-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf")
 
@@ -49,6 +55,19 @@ NUMBER = re.compile(rb"-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf")
 def _study_args(inp: str, treated: str) -> list[str]:
     return ["--outcomes", f"{inp}/outcomes.csv", "--predictors", f"{inp}/predictors.csv",
             "--metadata", f"{inp}/metadata.csv", "--treated", treated]
+
+
+def write_edge_panel(path: str) -> None:
+    """20 days of EDGE_UNITS: one missing cell in every other unit, and the
+    last unit missing enough cells to be dropped."""
+    last = len(EDGE_UNITS) - 1
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("unit,date,value\n")
+        for i, unit in enumerate(EDGE_UNITS):
+            for day in range(1, 21):
+                missing = 2 <= day <= 6 if i == last else (i % 2 == 0 and day == 3 + i)
+                value = "NA" if missing else repr(10.0 * i + day ** 1.5)
+                fh.write(f"{unit},2021-03-{day:02d},{value}\n")
 
 
 def make_inputs(work: str) -> list[tuple[str, list[str]]]:
@@ -67,16 +86,22 @@ def make_inputs(work: str) -> list[tuple[str, list[str]]]:
                 runs.append((f"{name}_sweep",
                              ["sweep", *study, "--t-fit", T_FITS, "--jobs", "2"]))
 
-    inp = os.path.join(work, "county_s1")
-    truth = gen.gen_county(inp, 1)
-    runs.append(("county_s1_ingest", ["ingest", "--outcomes", f"{inp}/raw.csv",
-                                      "--metadata", f"{inp}/metadata.csv"]))
-    # the fit reads the panel that the ingest run wrote into the same tree
-    runs.append(("county_s1_fit", ["fit", "--outcomes", "county_s1_ingest/panel_clean.csv",
-                                   "--predictors", f"{inp}/predictors.csv",
-                                   "--metadata", f"{inp}/metadata.csv",
-                                   "--treated", truth.treated,
-                                   "--v-mode", "inverse-variance"]))
+    for seed in COUNTY_SEEDS:
+        name = f"county_s{seed}"
+        inp = os.path.join(work, name)
+        truth = gen.gen_county(inp, seed)
+        runs.append((f"{name}_ingest", ["ingest", "--outcomes", f"{inp}/raw.csv",
+                                        "--metadata", f"{inp}/metadata.csv"]))
+        # the fit reads the panel that the ingest run wrote into the same tree
+        runs.append((f"{name}_fit", ["fit", "--outcomes", f"{name}_ingest/panel_clean.csv",
+                                     "--predictors", f"{inp}/predictors.csv",
+                                     "--metadata", f"{inp}/metadata.csv",
+                                     "--treated", truth.treated,
+                                     "--v-mode", "inverse-variance"]))
+
+    path = os.path.join(work, "edge_units.csv")
+    write_edge_panel(path)
+    runs.append(("edge_units_ingest", ["ingest", "--outcomes", path]))
 
     inp = os.path.join(work, "growth_s1")
     gen.gen_growth(inp, 1)

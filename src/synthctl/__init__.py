@@ -5,108 +5,45 @@ The pieces fit together in one direction: `panel` loads and cleans the data,
 synthetic control (driving the `weights` solver), `inference` wraps the fit in
 placebo permutation tests, and `logistic` handles the growth-curve side of the
 analysis. `cli` exposes all of it as subcommands.
+
+Each public name is imported from its module on first access (PEP 562), so
+`import synthctl` loads no submodule, and a command loads only the modules
+it runs.
 """
 
-from .donors import (
-    SelectionResult,
-    abs_correlation,
-    filter_by_cluster,
-    filter_by_neighbor_states,
-    select_predictors_naive,
-    split_control_target,
-)
-from .engine import (
-    Design,
-    StudySpec,
-    SynthResult,
-    build_design,
-    fit_synth,
-    solve_v,
-    split_pre_period,
-)
-from .errors import SynthctlError
-from .inference import (
-    PlaceboEnsemble,
-    PlaceboEntry,
-    SweepRow,
-    p_value,
-    placebo_run,
-    training_sweep,
-)
-from .logistic import (
-    BinStat,
-    LogisticFit,
-    RegressionLine,
-    classify_quadrant,
-    decile_summary,
-    fit_logistic,
-    logistic_predict,
-    theme_regression,
-)
-from .panel import (
-    Panel,
-    PredictorTable,
-    UnitMeta,
-    clean_panel,
-    enforce_monotone,
-    ingest_panel,
-    load_metadata,
-    load_predictors,
-    repair_series,
-    rolling_mean,
-)
-from .weights import (
-    Regularization,
-    SolveResult,
-    objective,
-    project_simplex,
-    solve_w,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BinStat",
-    "Design",
-    "LogisticFit",
-    "Panel",
-    "PlaceboEnsemble",
-    "PlaceboEntry",
-    "PredictorTable",
-    "RegressionLine",
-    "Regularization",
-    "SelectionResult",
-    "SolveResult",
-    "StudySpec",
-    "SweepRow",
-    "SynthResult",
-    "SynthctlError",
-    "UnitMeta",
-    "abs_correlation",
-    "build_design",
-    "classify_quadrant",
-    "clean_panel",
-    "decile_summary",
-    "enforce_monotone",
-    "filter_by_cluster",
-    "filter_by_neighbor_states",
-    "fit_logistic",
-    "fit_synth",
-    "ingest_panel",
-    "load_metadata",
-    "load_predictors",
-    "logistic_predict",
-    "objective",
-    "p_value",
-    "placebo_run",
-    "project_simplex",
-    "repair_series",
-    "rolling_mean",
-    "select_predictors_naive",
-    "solve_v",
-    "solve_w",
-    "split_control_target",
-    "split_pre_period",
-    "theme_regression",
-    "training_sweep",
-]
+_NAMES = {
+    "donors": ("SelectionResult", "abs_correlation", "filter_by_cluster",
+               "filter_by_neighbor_states", "select_predictors_naive", "split_control_target"),
+    "engine": ("Design", "StudySpec", "SynthResult", "build_design", "fit_synth", "solve_v",
+               "split_pre_period"),
+    "errors": ("SynthctlError",),
+    "inference": ("PlaceboEnsemble", "PlaceboEntry", "SweepRow", "p_value", "placebo_run",
+                  "training_sweep"),
+    "logistic": ("BinStat", "LogisticFit", "RegressionLine", "classify_quadrant",
+                 "decile_summary", "fit_logistic", "logistic_predict", "theme_regression"),
+    "panel": ("Panel", "PredictorTable", "UnitMeta", "clean_panel", "enforce_monotone",
+              "ingest_panel", "load_metadata", "load_predictors", "repair_series",
+              "rolling_mean", "write_panel"),
+    "weights": ("Regularization", "SolveResult", "objective", "project_simplex", "solve_w"),
+}
+# public name -> the module that defines it
+_MODULE_OF = {name: module for module, names in _NAMES.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

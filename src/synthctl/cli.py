@@ -15,15 +15,13 @@ import datetime as dt
 import functools
 import os
 import sys
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import donors as donor_ops
 from .engine import PLACEMENTS, V_MODES, StudySpec, build_design, fit_synth, split_pre_period
-from .errors import (ConfigError, EmptyIntersection, InvalidSplit, SynthctlError, UnknownState,
-                     UnlabeledUnit)
-from .inference import PlaceboEntry, p_value, placebo_run, training_sweep
-from .logistic import classify_quadrant, decile_summary, fit_logistic, theme_regression
+from .errors import (ConfigError, EmptyIntersection, InvalidSplit, SeriesOverflow, SynthctlError,
+                     UnknownState, UnlabeledUnit)
 from .panel import (
     Panel,
     PredictorTable,
@@ -33,9 +31,15 @@ from .panel import (
     load_predictors,
     parse_bool,
     state_of,
+    write_panel,
 )
 from .serialize import write_csv, write_json
 from .weights import Regularization
+
+# inference, logistic and donors are imported inside the commands that run
+# them, so that a launch loads only the modules its command needs
+if TYPE_CHECKING:
+    from .inference import PlaceboEntry
 
 V_MODE_CHOICES = tuple(mode.replace("_", "-") for mode in V_MODES)
 
@@ -177,6 +181,8 @@ def _donor_pool(args: argparse.Namespace, panel: Panel, treated: str) -> tuple[s
     keeps `treated`'s cluster, then --adjacency the states that border its
     own; a table that would leave no donor is skipped, with a warning.
     """
+    from . import donors as donor_ops
+
     control, _ = donor_ops.split_control_target(panel)
     pool = tuple(u for u in control if state_of(u) != state_of(treated))
     kept = "the full pool"
@@ -285,6 +291,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 
 def cmd_placebo(args: argparse.Namespace) -> int:
+    from .inference import p_value, placebo_run
+
     panel, predictors, spec = _load_study(args, args.t_fit)
     placebo_T0 = None
     if args.placebo_t0 is not None:
@@ -325,6 +333,8 @@ def cmd_placebo(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    from .inference import training_sweep
+
     t_fits = _required(args, "t_fit")
     panel, predictors, spec = _load_study(args, min(t_fits))
     out = _out_dir(args)
@@ -345,6 +355,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_logistic(args: argparse.Namespace) -> int:
+    from .logistic import classify_quadrant, decile_summary, fit_logistic, theme_regression
+
     panel = ingest_panel(_required(args, "outcomes"))
     themes = load_predictors(_required(args, "predictors"))
     indexed = set(themes.units)
@@ -414,6 +426,8 @@ def cmd_logistic(args: argparse.Namespace) -> int:
 
 
 def cmd_select_predictors(args: argparse.Namespace) -> int:
+    from . import donors as donor_ops
+
     table = load_predictors(_required(args, "predictors"))
     blocks = donor_ops.load_blocks(_required(args, "blocks"))
     out = _out_dir(args)
@@ -434,13 +448,12 @@ def cmd_select_predictors(args: argparse.Namespace) -> int:
 def cmd_ingest(args: argparse.Namespace) -> int:
     panel = _load_panel(args)
     out = _out_dir(args)
-    cleaned, report = clean_panel(panel)
+    try:
+        cleaned, report = clean_panel(panel)
+    except SeriesOverflow as exc:
+        raise SeriesOverflow(f"{args.outcomes}: {exc}") from None
     clean_path = os.path.join(out, "panel_clean.csv")
-    days = [d.isoformat() for d in cleaned.dates]
-    write_csv(clean_path, ["unit", "date", "value"],
-              ((u, day, value)
-               for u, series in zip(cleaned.units, cleaned.values.tolist())
-               for day, value in zip(days, series)))
+    write_panel(clean_path, cleaned)
     dropped_path = os.path.join(out, "dropped.csv")
     write_csv(dropped_path, ["unit", "reason"], report)
     print(f"wrote {clean_path} ({cleaned.n_units} units kept, {len(report)} dropped)")

@@ -39,6 +39,10 @@ class AllMissing(SynthctlError):
     """A series has no valid observation at all."""
 
 
+class SeriesOverflow(SynthctlError):
+    """Repairing or smoothing a finite series passed the float range."""
+
+
 # ---- weight and importance optimization ----
 
 class DimensionMismatch(SynthctlError):

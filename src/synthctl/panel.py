@@ -1,9 +1,12 @@
-"""Panel ingestion, alignment, and series cleaning.
+"""Panel ingestion, alignment, series cleaning, and the cleaned panel's file.
 
 A panel is a dense unit-by-date grid of daily observations. Input files are
 long-format CSVs that may skip days or contain carryover artifacts (dips in
 cumulative counts, literal zeros on days a source failed to report), so this
 module handles gridding, side tables keyed by unit, and per-series repair.
+`write_panel` is `ingest_panel`'s inverse: it writes a panel back as a long
+CSV, a unit's block of rows at a time, with the 17-digit floats and empty
+non-finite cells of `serialize.write_csv`, byte for byte.
 """
 
 from __future__ import annotations
@@ -22,8 +25,10 @@ from .errors import (
     DuplicateCell,
     EmptyFile,
     EmptyIntersection,
+    SeriesOverflow,
     UnparseableDate,
 )
+from .serialize import csv_cell, fmt_float
 
 DAY = dt.timedelta(days=1)
 
@@ -266,6 +271,29 @@ def ingest_panel(path: str) -> Panel:
     return Panel(tuple(units), dates, values.reshape(len(units), n_days))
 
 
+def write_panel(path: str, panel: Panel) -> None:
+    """Write panel as a long unit,date,value CSV, the file ingest_panel reads back.
+
+    The rows run unit by unit in panel order, each unit's days in date order,
+    and hold the bytes that serialize.write_csv writes for the same cells.
+    A unit whose values are all finite is written with one `%` call on a row
+    template built once from the dates: `'%.17g' % x` is `fmt_float(x)` for
+    every finite x, and the unit's cell text has each `%` doubled. Any other
+    unit falls back to fmt_float per cell, which leaves a non-finite cell empty.
+    """
+    days = [d.isoformat() for d in panel.dates]
+    template = "".join(f"\0,{day},%.17g\n" for day in days)
+    finite = np.isfinite(panel.values).all(axis=1)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(_LONG_COLUMNS) + "\n")
+        for unit, row, all_finite in zip(panel.units, panel.values.tolist(), finite):
+            cell = csv_cell(unit)
+            if all_finite:
+                fh.write(template.replace("\0", cell.replace("%", "%%")) % tuple(row))
+            else:
+                fh.write("".join(f"{cell},{day},{fmt_float(x)}\n" for day, x in zip(days, row)))
+
+
 def _parse_cell(raw: str, path: str, unit: str, column: str, line: int) -> float:
     """A finite number from a stripped CSV cell, or an error naming where the cell is."""
     try:
@@ -440,7 +468,8 @@ def clean_panel(panel: Panel) -> tuple[Panel, list[tuple[str, str]]]:
     the drop rule runs first: if the bad fraction after the first positive
     value (see _bad_mask) strictly exceeds MAX_BAD_FRACTION, the series is
     dropped unrepaired. Surviving series are repaired and smoothed with a
-    SMOOTHING_WINDOW-day trailing mean.
+    SMOOTHING_WINDOW-day trailing mean. A series whose repair or running sums
+    pass the float range raises SeriesOverflow naming the unit.
     """
     kept_units: list[str] = []
     kept_rows: list[np.ndarray] = []
@@ -453,8 +482,12 @@ def clean_panel(panel: Panel) -> tuple[Panel, list[tuple[str, str]]]:
         if fraction > MAX_BAD_FRACTION:
             report.append((unit, f"bad fraction {fraction:.4f} exceeds {MAX_BAD_FRACTION:.4f}"))
             continue
+        with np.errstate(over="ignore", invalid="ignore"):
+            smoothed = rolling_mean(_interpolate(row, bad), SMOOTHING_WINDOW)
+        if not np.isfinite(smoothed).all():
+            raise SeriesOverflow(f"smoothing the series of unit {unit} overflows the float range")
         kept_units.append(unit)
-        kept_rows.append(rolling_mean(_interpolate(row, bad), SMOOTHING_WINDOW))
+        kept_rows.append(smoothed)
     if not kept_units:
         raise EmptyIntersection("cleaning dropped every unit")
     meta = {u: panel.meta[u] for u in kept_units if u in panel.meta}

@@ -3,9 +3,15 @@
 CSV floats are written with 17 significant digits and JSON floats in their
 shortest round-trip form, so both read back as exactly the doubles that were
 written, and two runs that compute identical numbers produce byte-identical
-files. Non-finite floats become empty CSV cells and JSON nulls. Dict
+files. Non-finite floats become empty CSV cells and JSON nulls, and a CSV
+cell holding a comma, a quote or a line break is quoted. Dict
 insertion order is preserved and no timestamps or environment details are
 ever written.
+
+`write_csv` writes the small result tables a cell at a time. The cleaned
+panel, the one large file, is written by `panel.write_panel` a unit at a
+time; it keeps this module's CSV contract (`csv_cell` text, `fmt_float`'s
+17 digits and empty non-finite cells), so both writers give the same bytes.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ def csv_cell(value: object) -> str:
     if value is None:
         return ""
     text = str(value)
-    if "," in text or '"' in text or "\n" in text:
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
         text = '"' + text.replace('"', '""') + '"'
     return text
 

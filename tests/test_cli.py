@@ -10,6 +10,7 @@ import shlex
 import subprocess
 import sys
 import textwrap
+import warnings
 
 import numpy as np
 import pytest
@@ -696,6 +697,21 @@ def test_ingest_bad_value_cell_exits_3(tmp_path, capsys):
     assert f"on line 5 of {path}" in err
 
 
+def test_ingest_exits_3_when_smoothing_overflows(tmp_path, capsys):
+    # 1e306 * (day + 1) is finite on every day, but its running sum is not
+    series = {"10001": np.arange(1.0, 41.0), "20001": np.arange(2.0, 42.0),
+              "30001": np.arange(3.0, 43.0), "71003": 1e306 * np.arange(1.0, 41.0)}
+    outcomes = _long_csv(tmp_path / "o.csv", series)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would fail the test
+        code = main(["ingest", "--outcomes", outcomes, "--out", str(out)])
+    assert code == 3
+    assert capsys.readouterr().err == \
+        f"error: {outcomes}: smoothing the series of unit 71003 overflows the float range\n"
+    assert not (out / "panel_clean.csv").exists()
+
+
 def _fit_outputs(out, *argv):
     """The bytes of result.json and curve.csv from a fit that must succeed."""
     assert main(["fit", *argv, "--treated", "10001", "--out", str(out)]) == 0
@@ -1156,12 +1172,14 @@ def test_demo_study_script_runs(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-def _scipy_free_run(script, *argv):
-    """Run script in a fresh interpreter that then must hold no scipy module
-    and no numpy.random: no command draws a random number."""
-    script = textwrap.dedent(script) + textwrap.dedent("""
+def _scipy_free_run(script, *argv, absent=()):
+    """Run script in a fresh interpreter that then must hold no scipy module,
+    no numpy.random (no command draws a random number) and no module named
+    in absent."""
+    script = textwrap.dedent(script) + textwrap.dedent(f"""
         loaded = sorted(m for m in sys.modules
-                        if m.split(".")[0] == "scipy" or m.startswith("numpy.random"))
+                        if m.split(".")[0] == "scipy" or m.startswith("numpy.random")
+                        or m in {tuple(absent)!r})
         assert not loaded, loaded
     """)
     proc = subprocess.run([sys.executable, "-c", script, *argv],
@@ -1181,6 +1199,19 @@ def test_ingest_and_inverse_variance_fit_never_import_scipy(tmp_path):
                      "--out", out + "/fit"]) == 0
     """, str(tmp_path / "out"), *files)
     assert (tmp_path / "out" / "fit" / "result.json").exists()
+
+
+def test_ingest_loads_only_the_modules_it_runs(tmp_path):
+    files = _demo_files(tmp_path / "demo")
+    _scipy_free_run("""
+        import sys
+        from synthctl.cli import main
+        out, files = sys.argv[1], sys.argv[2:]
+        assert main(["ingest", *files, "--out", out]) == 0
+    """, str(tmp_path / "out"), *files[:2], *files[4:],
+        absent=("synthctl.inference", "synthctl.logistic", "synthctl.donors",
+                "concurrent.futures"))
+    assert (tmp_path / "out" / "panel_clean.csv").exists()
 
 
 def test_study_commands_never_import_scipy(tmp_path):
@@ -1203,7 +1234,8 @@ def test_study_commands_never_import_scipy(tmp_path):
 
 
 def test_logistic_never_imports_scipy(tmp_path):
-    # growth curves are fit by the package's own Levenberg-Marquardt
+    # growth curves are fit by the package's own Levenberg-Marquardt, and
+    # neither the placebo runs nor the donor pools load for them
     outcomes, themes = _logistic_files(tmp_path, ["40000", "40002", "40004", "40006", "40008"])
     _scipy_free_run("""
         import sys
@@ -1211,7 +1243,8 @@ def test_logistic_never_imports_scipy(tmp_path):
         out, outcomes, themes = sys.argv[1:]
         assert main(["logistic", "--outcomes", outcomes, "--predictors", themes,
                      "--bins", "2", "--out", out]) == 0
-    """, str(tmp_path / "out"), outcomes, themes)
+    """, str(tmp_path / "out"), outcomes, themes,
+        absent=("synthctl.inference", "synthctl.donors"))
     assert len((tmp_path / "out" / "fits.csv").read_text().splitlines()) == 6
 
 

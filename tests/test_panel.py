@@ -2,6 +2,7 @@
 
 import csv
 import datetime as dt
+import warnings
 
 import numpy as np
 import pytest
@@ -19,13 +20,16 @@ from synthctl import (
     load_predictors,
     repair_series,
     rolling_mean,
+    write_panel,
 )
 from synthctl.errors import (
     AllMissing,
     DuplicateCell,
+    SeriesOverflow,
     UnparseableDate,
 )
 from synthctl.panel import read_table, validate_unit_code
+from synthctl.serialize import write_csv
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +202,67 @@ def test_ingest_matches_row_by_row_reference(tmp_path_factory, text):
     np.testing.assert_array_equal(panel.values, values)
 
 
+# unit codes that need quoting, hold a printf `%` or leave ASCII
+_UNIT_CODES = st.text(alphabet=st.sampled_from(list('ab, "\r\n%\u00e9\u6f225')), min_size=1,
+                      max_size=6).filter(lambda code: code == code.strip() and not code.isdigit())
+_CELLS = st.one_of(
+    st.floats(),
+    st.sampled_from([-0.0, 0.0, 5e-324, 2.5e-310, -1e300, 1e300, 3.0, -7.0, 2.0 ** 60,
+                     np.nan, np.inf, -np.inf]))
+
+
+@st.composite
+def _panels(draw, cells=_CELLS):
+    units = draw(st.lists(_UNIT_CODES, min_size=1, max_size=4, unique=True))
+    n_days = draw(st.integers(1, 5))
+    values = [[draw(cells) for _ in range(n_days)] for _ in units]
+    return make_panel(np.array(values), units=units)
+
+
+def _write_csv_panel(path, panel):
+    """The panel file as serialize.write_csv writes it, one row of cells at a time."""
+    days = [d.isoformat() for d in panel.dates]
+    write_csv(path, ["unit", "date", "value"],
+              ((u, day, value)
+               for u, series in zip(panel.units, panel.values.tolist())
+               for day, value in zip(days, series)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(panel=_panels())
+def test_write_panel_writes_the_bytes_of_write_csv(tmp_path_factory, panel):
+    folder = tmp_path_factory.mktemp("write")
+    write_panel(str(folder / "panel.csv"), panel)
+    _write_csv_panel(str(folder / "rows.csv"), panel)
+    assert (folder / "panel.csv").read_bytes() == (folder / "rows.csv").read_bytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(panel=_panels(cells=_CELLS.filter(lambda x: not np.isinf(x))))
+def test_ingest_reads_back_what_write_panel_writes(tmp_path_factory, panel):
+    # an infinite cell is written empty like a NaN one, so it reads back as NaN
+    path = str(tmp_path_factory.mktemp("round") / "panel.csv")
+    write_panel(path, panel)
+    back = ingest_panel(path)
+    assert back.units == panel.units
+    assert back.dates == panel.dates
+    missing = np.isnan(panel.values)
+    assert np.array_equal(np.isnan(back.values), missing)
+    assert back.values[~missing].tobytes() == panel.values[~missing].tobytes()
+
+
+def test_write_panel_quotes_units_and_leaves_non_finite_cells_empty(tmp_path):
+    panel = make_panel([[1.5, -0.0], [np.nan, 0.1], [np.inf, 2.0]],
+                       units=["a,b", 'say "hi"', "50%"])
+    path = tmp_path / "panel.csv"
+    write_panel(str(path), panel)
+    assert path.read_text(encoding="utf-8").splitlines() == [
+        "unit,date,value",
+        '"a,b",2021-01-01,1.5', '"a,b",2021-01-02,-0',
+        '"say ""hi""",2021-01-01,', '"say ""hi""",2021-01-02,0.10000000000000001',
+        "50%,2021-01-01,", "50%,2021-01-02,2"]
+
+
 def test_load_predictors_shape(tmp_path):
     path = _write(tmp_path / "x.csv", (
         "unit,a,b\n"
@@ -282,6 +347,17 @@ def test_clean_panel_reports_drops():
     cleaned, report = clean_panel(panel)
     assert cleaned.units == (panel.units[0],)
     assert [u for u, _ in report] == [panel.units[1], panel.units[2]]
+
+
+def test_clean_panel_names_a_unit_whose_smoothing_overflows():
+    values = np.vstack([np.linspace(1, 20, 21), 1e306 * np.arange(1, 22)])
+    panel = make_panel(values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy overflow warning escapes
+        with pytest.raises(SeriesOverflow, match=f"unit {panel.units[1]} overflows"):
+            clean_panel(panel)
+    cleaned, _ = clean_panel(make_panel(values[:1]))
+    np.testing.assert_array_equal(cleaned.values[0], rolling_mean(values[0], 7))
 
 
 def test_rolling_mean_window_and_prefix():
