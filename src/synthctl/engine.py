@@ -4,15 +4,18 @@ Fitting runs in four steps. The pre-intervention span splits into a training
 and a validation window. For a candidate importance vector v, donor weights
 w(v) are fit on training-window predictors. In optimized mode a search looks
 for the v whose weights minimize the validation-window outcome error, and
-keeps it unless the uniform or the inverse-variance vector validates no
-worse. The chosen vector is solved once more for the final weights. The
-synthetic series is the weighted donor combination over the whole panel.
+keeps it unless the uniform vector (on raw rows, also the inverse-variance
+vector) validates no worse. The chosen vector is solved once more for the
+final weights. The synthetic series is the weighted donor combination over
+the whole panel.
 
 Predictor matrices get one extra row beyond the unit-level predictors: each
 unit's mean outcome over the training window, so the match is anchored to
 pre-intervention levels even when no predictor table is supplied. Predictor
 rows are z-scored across units so importance weights live on one scale,
-unless the study's spec sets standardize=False to keep raw rows.
+unless the study's spec sets standardize=False to keep raw rows. On z-scored
+rows the optimized search reads nothing else of the raw values, so its
+vector and weights do not depend on the units a predictor is recorded in.
 """
 
 from __future__ import annotations
@@ -34,6 +37,9 @@ PLACEMENTS = ("head", "tail")
 # a 50-evaluation stretch end the search
 _V_STALL_TOL = 1e-10
 _V_STALL_EVALS = 50
+# each vertex of the search's initial simplex steps one coordinate of the
+# softmax parameter theta by this much
+_SIMPLEX_STEP = 0.5
 
 
 @dataclass(frozen=True)
@@ -226,20 +232,15 @@ def _nelder_mead(x0: np.ndarray, xatol: float, fatol: float):
     """The Nelder-Mead simplex method, as a generator of the points it evaluates.
 
     Yields exactly the points, in the same order, that scipy's
-    minimize(method="Nelder-Mead") evaluates with these options, no bounds
-    and no budget, non-adaptive: reflection 1, expansion 2, contraction 0.5,
-    shrink 0.5, the initial simplex stepping each coordinate by 5 % (0.00025
-    from zero). Each point is a fresh copy, and the caller sends back its
-    value; the first send is None. Returns when scipy's tolerance test holds.
-    The caller owns every other stopping rule: it stops sending.
+    minimize(method="Nelder-Mead") evaluates with these options, no bounds,
+    no budget and initial_simplex x0 + _SIMPLEX_STEP * [0; I], non-adaptive:
+    reflection 1, expansion 2, contraction 0.5, shrink 0.5. Each point is a
+    fresh copy, and the caller sends back its value; the first send is None.
+    Returns when scipy's tolerance test holds. The caller owns every other
+    stopping rule: it stops sending.
     """
     n = x0.size
-    sim = np.empty((n + 1, n))
-    sim[0] = x0
-    for i in range(n):
-        y = x0.copy()
-        y[i] = 1.05 * y[i] if y[i] != 0 else 0.00025
-        sim[i + 1] = y
+    sim = x0 + _SIMPLEX_STEP * np.vstack([np.zeros(n), np.eye(n)])
     fsim = np.full(n + 1, np.inf)
     for i in range(n + 1):
         fsim[i] = yield sim[i].copy()
@@ -283,18 +284,21 @@ def solve_v(spec: StudySpec, design: Design) -> np.ndarray:
     row by 1/variance across units of its raw values, and a constant row
     fails naming its predictor. optimized runs a derivative-free search over
     softmax-parameterized importance vectors, scoring each candidate by the
-    validation-window error of its implied donor weights. The search starts
-    from the uniform vector, then from the log of _inverse_variance's, and
-    draws nothing at random. Each start ends at the simplex's tolerances,
-    after max(60, 4k) evaluations, or after _V_STALL_EVALS evaluations in a
-    row that improve on the best error by no more than _V_STALL_TOL.
-    optimized then returns whichever validates best, the first on ties, of
-    the uniform vector (scored as the search's first point), the
-    inverse-variance vector when every row varies (scored once more), and
-    the best vector the search scored; so the fit never validates worse
-    than either baseline. A single row or a single donor leaves nothing to
-    search, and gets uniform. Each weight solve after the first, the
-    inverse-variance re-score included, starts warm from the previous
+    validation-window error of its implied donor weights, and draws nothing
+    at random. The search starts from the uniform vector (theta = 0); on raw
+    rows (spec.standardize off) it starts again from the log of
+    _inverse_variance's. On z-scored rows that second start would repeat
+    the first: every row the weights see has variance 1 or 0, so its
+    inverse-variance vector is uniform. Each start ends at the simplex's
+    tolerances, after max(60, 4k) evaluations, or after _V_STALL_EVALS
+    evaluations in a row that improve on the best error by no more than
+    _V_STALL_TOL. optimized then returns whichever validates best, the first
+    on ties, of the uniform vector (scored as the search's first point), the
+    inverse-variance vector (only on raw rows that all vary, scored once
+    more), and the best vector the search scored; so the fit never
+    validates worse than those baselines. A single row or a single donor
+    leaves nothing to search, and gets uniform. Each weight solve after the first,
+    the inverse-variance re-score included, starts warm from the previous
     evaluation's (see solve_w). The first starts cold, and no state crosses
     calls, so the vector is a function of the design alone; fit_synth
     solves it once more, cold.
@@ -318,9 +322,12 @@ def solve_v(spec: StudySpec, design: Design) -> np.ndarray:
         last = solve_w(design.X1, design.X0, v, spec.reg, start=last)
         return design.validation_error(last.w)
 
+    theta0s = [np.zeros(k)]
+    if not spec.standardize:  # on z-scored rows the inverse-variance vector is uniform
+        theta0s.append(np.log(_inverse_variance(var)))
     uniform_f = None
     best_f, best_v = np.inf, uniform
-    for theta0 in (np.zeros(k), np.log(_inverse_variance(var))):
+    for theta0 in theta0s:
         search = _nelder_mead(theta0, xatol=1e-3, fatol=_V_STALL_TOL)
         f = None
         since_improve = 0
@@ -341,7 +348,7 @@ def solve_v(spec: StudySpec, design: Design) -> np.ndarray:
                     break
 
     chosen, errors = [uniform, best_v], [uniform_f, best_f]
-    if var.all():  # every row varies
+    if not spec.standardize and var.all():  # raw rows that all vary
         chosen.insert(1, _inverse_variance(var))
         errors.insert(1, error(chosen[1]))
     return chosen[int(np.argmin(errors))]

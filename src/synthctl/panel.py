@@ -429,18 +429,27 @@ def _bad_mask(series: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def _interpolate(x: np.ndarray, bad: np.ndarray) -> np.ndarray:
-    """A copy of x with its bad cells filled linearly between the good ones."""
+    """A copy of x with its bad cells filled linearly between the good ones.
+
+    A fill that passes the float range raises SeriesOverflow.
+    """
     good = ~bad
     if not good.any():
         raise AllMissing("series has no usable cell to interpolate from")
     idx = np.arange(x.size)
     x = x.copy()
-    x[bad] = np.interp(idx[bad], idx[good], x[good])
+    with np.errstate(over="ignore", invalid="ignore"):
+        x[bad] = np.interp(idx[bad], idx[good], x[good])
+    if not np.isfinite(x[bad]).all():
+        raise SeriesOverflow("repairing the series overflows the float range")
     return x
 
 
 def repair_series(series: np.ndarray) -> np.ndarray:
-    """Fill bad cells by linear interpolation between good ones, without smoothing."""
+    """Fill bad cells by linear interpolation between good ones, without smoothing.
+
+    A fill that passes the float range raises SeriesOverflow.
+    """
     x = np.asarray(series, dtype=float)
     return _interpolate(x, _bad_mask(x)[0])
 
@@ -450,15 +459,20 @@ def rolling_mean(series: np.ndarray, window: int) -> np.ndarray:
 
     The first window-1 positions average the available prefix, so output
     length equals input length and every output value is a convex combination
-    of inputs.
+    of inputs. A finite series whose running sums pass the float range raises
+    SeriesOverflow.
     """
     x = np.asarray(series, dtype=float)
     if window == 1:
         return x.copy()
-    csum = np.concatenate([[0.0], np.cumsum(x)])
-    t = np.arange(x.size)
-    start = np.maximum(t - window + 1, 0)
-    return (csum[t + 1] - csum[start]) / (t + 1 - start)
+    with np.errstate(over="ignore", invalid="ignore"):
+        csum = np.concatenate([[0.0], np.cumsum(x)])
+        t = np.arange(x.size)
+        start = np.maximum(t - window + 1, 0)
+        out = (csum[t + 1] - csum[start]) / (t + 1 - start)
+    if not np.isfinite(out).all() and np.isfinite(x).all():
+        raise SeriesOverflow("smoothing the series overflows the float range")
+    return out
 
 
 def clean_panel(panel: Panel) -> tuple[Panel, list[tuple[str, str]]]:
@@ -482,10 +496,11 @@ def clean_panel(panel: Panel) -> tuple[Panel, list[tuple[str, str]]]:
         if fraction > MAX_BAD_FRACTION:
             report.append((unit, f"bad fraction {fraction:.4f} exceeds {MAX_BAD_FRACTION:.4f}"))
             continue
-        with np.errstate(over="ignore", invalid="ignore"):
+        try:
             smoothed = rolling_mean(_interpolate(row, bad), SMOOTHING_WINDOW)
-        if not np.isfinite(smoothed).all():
-            raise SeriesOverflow(f"smoothing the series of unit {unit} overflows the float range")
+        except SeriesOverflow:
+            raise SeriesOverflow(
+                f"smoothing the series of unit {unit} overflows the float range") from None
         kept_units.append(unit)
         kept_rows.append(smoothed)
     if not kept_units:

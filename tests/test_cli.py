@@ -489,7 +489,8 @@ def test_sweep_writes_sorted_rows(tmp_path):
 
 
 def test_sweep_warns_why_a_row_failed(tmp_path, capsys):
-    outcomes, predictors = _study_files(tmp_path, T=60, seed=6)
+    # seed 1: one placebo fit of the t_fit=10 row is uncertified
+    outcomes, predictors = _study_files(tmp_path, T=60, seed=1)
     out = tmp_path / "out"
     code = main(["sweep", "--outcomes", outcomes, "--predictors", predictors,
                  "--treated", "10001", "--t0", _dates(60)[40],

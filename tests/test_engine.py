@@ -1,6 +1,9 @@
 """Study assembly and nested-optimization tests."""
 
 import dataclasses
+import importlib.util
+import pathlib
+import sys
 
 import numpy as np
 import pytest
@@ -13,6 +16,8 @@ from synthctl import (
     StudySpec,
     build_design,
     fit_synth,
+    ingest_panel,
+    load_predictors,
     solve_v,
     solve_w,
     split_pre_period,
@@ -20,6 +25,8 @@ from synthctl import (
 from synthctl import engine
 from synthctl.engine import OUTCOME_MEAN_NAME, _inverse_variance, _nelder_mead
 from synthctl.errors import InvalidSplit, ZeroVariancePredictor
+
+GEN = pathlib.Path(__file__).resolve().parents[1] / "bench" / "gen.py"
 
 
 # ---------------------------------------------------------------------------
@@ -141,19 +148,22 @@ def test_design_requires_finite_outcomes(rng):
 # ---------------------------------------------------------------------------
 
 def test_fit_synth_never_loses_to_uniform_or_invvar(rng):
+    # on z-scored rows the inverse-variance vector of the rows the weights see
+    # is uniform, so only raw rows compare with 1/variance of their values
     panel, predictors, spec = _small_study(rng, k=4, J=6, T=60, T0=40)
-    design = build_design(panel, predictors, spec)
-    v_star = fit_synth(spec, design).v_star
-    k = v_star.size
+    for standardize in (True, False):
+        spec = dataclasses.replace(spec, standardize=standardize)
+        design = build_design(panel, predictors, spec)
+        v_star = fit_synth(spec, design).v_star
+        k = v_star.size
 
-    def validation_error(v):
-        return design.validation_error(solve_w(design.X1, design.X0, v, spec.reg).w)
+        def validation_error(v):
+            return design.validation_error(solve_w(design.X1, design.X0, v, spec.reg).w)
 
-    best = validation_error(v_star)
-    uniform = validation_error(np.ones(k) / k)
-    invvar = validation_error(_inverse_variance(design.raw.var(axis=1)))
-    assert best <= uniform
-    assert best <= invvar
+        best = validation_error(v_star)
+        assert best <= validation_error(np.ones(k) / k)
+        if not standardize:
+            assert best <= validation_error(_inverse_variance(design.raw.var(axis=1)))
 
 
 def _count_final_solves(monkeypatch) -> tuple[list[bool], list]:
@@ -217,14 +227,11 @@ def test_fit_synth_solves_a_uniform_search_winner_once(rng, monkeypatch):
     assert np.array_equal(result.v_star, np.full(4, 0.25))
 
 
-@pytest.mark.parametrize("constant_row", [False, True])
-def test_search_starts_each_weight_solve_from_the_previous_one(rng, monkeypatch, constant_row):
+@pytest.mark.parametrize("standardize", [False, True])
+def test_search_starts_each_weight_solve_from_the_previous_one(rng, monkeypatch, standardize):
+    # raw rows: two starts and the inverse-variance re-score; z-scored rows: one start
     panel, predictors, spec = _small_study(rng)
-    if constant_row:  # no inverse-variance re-score, only the search's solves
-        values = predictors.values.copy()
-        values[1] = 2.5
-        predictors = make_predictors(values, predictors.units)
-    spec = dataclasses.replace(spec, reg=Regularization())
+    spec = dataclasses.replace(spec, reg=Regularization(), standardize=standardize)
     design = build_design(panel, predictors, spec)
     starts, results = [], []
 
@@ -239,7 +246,8 @@ def test_search_starts_each_weight_solve_from_the_previous_one(rng, monkeypatch,
         results.clear()
         solve_v(spec, design)
         assert starts[0] is None
-        assert len(starts) > 60 and all(s is r for s, r in zip(starts[1:], results))
+        assert len(starts) > (1 if standardize else 60)
+        assert all(s is r for s, r in zip(starts[1:], results))
         assert any(r.mu > 0.0 for r in results)  # so later solves start warm
 
 
@@ -256,8 +264,16 @@ def _search_starts(monkeypatch, spec, design) -> list[np.ndarray]:
     return starts
 
 
+def test_search_starts_once_from_the_uniform_vector_on_z_scored_rows(rng, monkeypatch):
+    panel, predictors, spec = _small_study(rng)
+    assert spec.standardize
+    starts = _search_starts(monkeypatch, spec, build_design(panel, predictors, spec))
+    assert len(starts) == 1 and np.array_equal(starts[0], np.zeros(4))
+
+
 def test_search_starts_from_the_inverse_variances_when_every_row_varies(rng, monkeypatch):
     panel, predictors, spec = _small_study(rng)
+    spec = dataclasses.replace(spec, standardize=False)
     design = build_design(panel, predictors, spec)
     first, second = _search_starts(monkeypatch, spec, design)
     assert np.array_equal(first, np.zeros(4))
@@ -269,6 +285,7 @@ def test_search_gives_a_constant_row_the_least_inverse_variance(rng, monkeypatch
     values = predictors.values.copy()
     values[1] = 2.5
     predictors = make_predictors(values, predictors.units)
+    spec = dataclasses.replace(spec, standardize=False)
     design = build_design(panel, predictors, spec)
     first, second = _search_starts(monkeypatch, spec, design)
     var = design.raw.var(axis=1)
@@ -317,29 +334,68 @@ def _evaluations_per_start(monkeypatch, spec, design) -> tuple[list[int], int]:
 @pytest.mark.parametrize("J, per_start", [
     # one donor: every vector gives the same weights, so no search runs
     (1, []),
-    # three donors: both starts run to the budget, max(60, 4k) at k = 4
-    (3, [60, 60]),
+    # three donors: the one start on z-scored rows runs to the budget,
+    # max(60, 4k) at k = 4
+    (3, [60]),
 ])
 def test_search_stops_at_its_tolerances_its_stall_and_its_budget(
         rng, monkeypatch, J, per_start):
     panel, predictors, spec = _small_study(rng, J=J)
     design = build_design(panel, predictors, spec)
-    # a search also scores the inverse-variance vector, once
-    assert _evaluations_per_start(monkeypatch, spec, design) == (per_start, int(J > 1))
+    # z-scored rows leave no inverse-variance vector to score besides
+    assert _evaluations_per_start(monkeypatch, spec, design) == (per_start, 0)
+    # on raw rows both starts run to the budget, and the inverse-variance
+    # vector is scored once
+    spec = dataclasses.replace(spec, standardize=False)
+    design = build_design(panel, predictors, spec)
+    assert _evaluations_per_start(monkeypatch, spec, design) == \
+        (per_start * 2, int(J > 1))
 
 
 def test_search_stalls_where_every_vector_validates_alike(rng, monkeypatch):
     # three donors with one outcome path over the validation window: vectors
-    # differ in their weights but not in their error. The first start's
-    # simplex is within both tolerances once its 5 points are scored; the
-    # second start's is wider, and it stalls with no improvement at all
+    # differ in their weights but not in their error. The simplex is wider
+    # than xatol, so the one start stalls: its first point sets the best
+    # error, and the next _V_STALL_EVALS do not improve on it
     panel, predictors, spec = _small_study(rng, J=3)
     design = build_design(panel, predictors, spec)
     Y0 = design.Y0.copy()
     Y0[:, design.val] = Y0[0, design.val]
     design = dataclasses.replace(design, Y0=Y0)
-    assert _evaluations_per_start(monkeypatch, spec, design) == \
-        ([5, engine._V_STALL_EVALS], 1)
+    assert _evaluations_per_start(monkeypatch, spec, design) == ([1 + engine._V_STALL_EVALS], 0)
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1e3])
+@pytest.mark.parametrize("row", range(3))
+def test_default_fit_does_not_depend_on_the_predictors_units(rng, row, scale):
+    # z-scoring makes every row the weights see units-free, and the search
+    # reads nothing else of the raw values
+    panel, predictors, spec = _small_study(rng)
+    spec = dataclasses.replace(spec, reg=Regularization())
+    values = predictors.values.copy()
+    values[row] *= scale
+    rescaled = make_predictors(values, predictors.units)
+    w = fit_synth(spec, build_design(panel, predictors, spec)).w_star
+    w_rescaled = fit_synth(spec, build_design(panel, rescaled, spec)).w_star
+    assert np.abs(w - w_rescaled).max() <= 1e-12
+
+
+def test_search_moves_v_away_from_uniform_at_30_predictors(tmp_path, monkeypatch):
+    # a factor-model study of the benchmark's generator: 40 donors, 450
+    # days, the intervention on day 300 and 30 predictor rows (k = 31)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # keep bench/ free of caches
+    loader = importlib.util.spec_from_file_location("bench_gen", GEN)
+    gen = importlib.util.module_from_spec(loader)
+    monkeypatch.setitem(sys.modules, "bench_gen", gen)  # its dataclasses look it up
+    loader.loader.exec_module(gen)
+    truth = gen.gen_study(str(tmp_path), 1, n_donors=40, days=450, t0_index=300,
+                          n_predictors=30)
+    panel = ingest_panel(str(tmp_path / "outcomes.csv"))
+    predictors = load_predictors(str(tmp_path / "predictors.csv"))
+    spec = StudySpec(treated=truth.treated, donors=truth.donors, T0=truth.T0)
+    v = solve_v(spec, build_design(panel, predictors, spec))
+    assert v.size == 31
+    assert np.abs(v - 1 / 31).max() > 1e-3
 
 
 def test_inverse_variance_mode_rejects_a_constant_lone_row():
@@ -511,8 +567,11 @@ def _driven_nelder_mead(f, x0, maxfev, xatol, fatol):
 
 def _scipy_nelder_mead(f, x0, maxfev, xatol, fatol):
     import scipy.optimize
+    # each vertex after the first steps one coordinate by 0.5
+    simplex = x0 + 0.5 * np.vstack([np.zeros(x0.size), np.eye(x0.size)])
     scipy.optimize.minimize(f, x0, method="Nelder-Mead",
-                            options={"maxfev": maxfev, "xatol": xatol, "fatol": fatol})
+                            options={"maxfev": maxfev, "xatol": xatol, "fatol": fatol,
+                                     "initial_simplex": simplex})
 
 
 def _rosenbrock(x):
@@ -534,8 +593,7 @@ def _ridged(x):
      1e-3, 1e-10, None, False),
     # ridges: a rejected outside contraction shrinks too
     (_ridged, [0.2, 0.1, -0.3, 0.5], 300, 1e-8, 1e-12, None, False),
-    # zero entries take the absolute initial step; the objective scribbles on
-    # its argument, which must not reach the simplex
+    # the objective scribbles on its argument, which must not reach the simplex
     (lambda x: float(np.dot(x - 1.0, x - 1.0)), [0.0, 2.0, 0.0, -1.0], 300, 1e-3,
      1e-10, None, True),
     # stopped by an exception from the objective

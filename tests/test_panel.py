@@ -356,8 +356,26 @@ def test_clean_panel_names_a_unit_whose_smoothing_overflows():
         warnings.simplefilter("error")  # no numpy overflow warning escapes
         with pytest.raises(SeriesOverflow, match=f"unit {panel.units[1]} overflows"):
             clean_panel(panel)
+        # a repair that overflows fails the same way
+        values[1] = 1.0
+        values[1, 9:12] = -1e308, np.nan, 1e308
+        with pytest.raises(SeriesOverflow, match=f"unit {panel.units[1]} overflows"):
+            clean_panel(make_panel(values))
     cleaned, _ = clean_panel(make_panel(values[:1]))
     np.testing.assert_array_equal(cleaned.values[0], rolling_mean(values[0], 7))
+
+
+def test_rolling_mean_and_repair_raise_where_a_finite_series_overflows():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy overflow warning escapes
+        with pytest.raises(SeriesOverflow, match="smoothing the series overflows"):
+            rolling_mean(1e306 * np.arange(1, 41), 7)
+        # the fill between -1e308 and 1e308 steps by more than the float range
+        with pytest.raises(SeriesOverflow, match="repairing the series overflows"):
+            repair_series(np.array([-1e308, np.nan, 1e308]))
+        # a series that is not finite gives what its sums give, as before
+        out = rolling_mean(np.array([1.0, np.nan, 2.0]), 2)
+    assert out[0] == 1.0 and np.isnan(out[1:]).all()
 
 
 def test_rolling_mean_window_and_prefix():
