@@ -11,19 +11,23 @@ package. The inputs are generated once, by this checkout's `bench/gen.py` and
 
 - `bench/gen.py` studies, seeds 1-3 x parts 0-9: `placebo --jobs 1`,
   `placebo --jobs 2` and `fit --l1 0`;
-- the study of seeds 1-3, part 0: `sweep --t-fit 5,10,20 --jobs 2`;
+- the study of seeds 1-3, part 0: `sweep --t-fit 5,10,20` at `--jobs 1` and
+  `--jobs 2`;
 - the county panels of seeds 1-3: `ingest`, then `fit --v-mode inverse-variance`
   on the cleaned panel;
 - `ingest` of a small hand-written panel whose unit codes need CSV quoting or
   hold a `%`, with missing cells and one unit dropped;
 - the growth series of seed 1: `logistic --bins 4`;
 - the demo data: `fit`, `fit --l1 0`, `placebo --jobs 2` and
-  `sweep --t-fit 5,10,20 --jobs 2`.
+  `sweep --t-fit 5,10,20` at `--jobs 1` and `--jobs 2`.
 
 Every output file, and each command's exit code, stdout and stderr, is
-compared byte for byte. A file that differs is reported with the largest
-absolute and relative difference over its numbers, when the two files differ
-only in their numbers. Exits 0 when every file is identical, else 1.
+compared byte for byte across the two trees. Within each tree, every run at
+`--jobs 1` is compared the same way with its twin at `--jobs 2`, stdout
+aside, since it names the output directory. A file that differs is reported
+with the largest absolute and relative difference over its numbers, when the
+two files differ only in their numbers. Exits 0 when every file is identical,
+else 1.
 """
 
 from __future__ import annotations
@@ -49,6 +53,8 @@ COUNTY_SEEDS = (1, 2, 3)
 EDGE_UNITS = ('"Saint Louis, city"', '"The ""Bay"" area"', "50% Township", "Z\u00fcrich", "100%s",
               "Nowhere")
 T_FITS = "5,10,20"
+# stdout names the output directory, so a --jobs 1 run's never matches its twin's
+JOBS_SKIP = frozenset({"_stdout.txt"})
 NUMBER = re.compile(rb"-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf")
 
 
@@ -83,8 +89,9 @@ def make_inputs(work: str) -> list[tuple[str, list[str]]]:
                      (f"{name}_placebo_j2", ["placebo", *study, "--jobs", "2"]),
                      (f"{name}_fit_l1_0", ["fit", *study, "--l1", "0"])]
             if part == 0:
-                runs.append((f"{name}_sweep",
-                             ["sweep", *study, "--t-fit", T_FITS, "--jobs", "2"]))
+                runs += [(f"{name}_sweep_j{jobs}",
+                          ["sweep", *study, "--t-fit", T_FITS, "--jobs", str(jobs)])
+                         for jobs in (1, 2)]
 
     for seed in COUNTY_SEEDS:
         name = f"county_s{seed}"
@@ -114,8 +121,9 @@ def make_inputs(work: str) -> list[tuple[str, list[str]]]:
     demo = _study_args(inp, "10001")
     runs += [("demo_fit", ["fit", *demo]),
              ("demo_fit_l1_0", ["fit", *demo, "--l1", "0"]),
-             ("demo_placebo_j2", ["placebo", *demo, "--jobs", "2"]),
-             ("demo_sweep", ["sweep", *demo, "--t-fit", T_FITS, "--jobs", "2"])]
+             ("demo_placebo_j2", ["placebo", *demo, "--jobs", "2"])]
+    runs += [(f"demo_sweep_j{jobs}", ["sweep", *demo, "--t-fit", T_FITS, "--jobs", str(jobs)])
+             for jobs in (1, 2)]
     return runs
 
 
@@ -153,13 +161,17 @@ def difference(a: bytes, b: bytes) -> str:
     return f"max abs diff {abs_gap:.3g}, max rel diff {rel_gap:.3g}"
 
 
-def compare(parent: str, change: str) -> list[str]:
-    """One line per file that is not byte-identical in both trees."""
+def compare(first: str, second: str, labels: tuple[str, str] = ("parent", "change"),
+            skip: frozenset[str] = frozenset()) -> list[str]:
+    """One line per file, by its path under both, that is not byte-identical in both
+    directories; files named in skip are left out."""
     lines = []
-    for rel in sorted(_files(parent) | _files(change)):
-        paths = (os.path.join(parent, rel), os.path.join(change, rel))
+    for rel in sorted(_files(first) | _files(second)):
+        if os.path.basename(rel) in skip:
+            continue
+        paths = (os.path.join(first, rel), os.path.join(second, rel))
         if not all(os.path.exists(p) for p in paths):
-            lines.append(f"{rel}: only in {'parent' if os.path.exists(paths[0]) else 'change'}")
+            lines.append(f"{rel}: only in {labels[0] if os.path.exists(paths[0]) else labels[1]}")
             continue
         with open(paths[0], "rb") as fa, open(paths[1], "rb") as fb:
             a, b = fa.read(), fb.read()
@@ -185,14 +197,22 @@ def main() -> int:
             run_tree(src, runs, trees[label])
         n_files = len(_files(trees["parent"]) | _files(trees["change"]))
         lines = compare(trees["parent"], trees["change"])
+        # each --jobs 1 run and its --jobs 2 twin, within one tree
+        twins = [(name, name[:-1] + "2") for name, _ in runs if name.endswith("_j1")]
+        jobs_lines = [f"{label}/{j1} vs {j2}: {line}"
+                      for label, tree in trees.items() for j1, j2 in twins
+                      for line in compare(os.path.join(tree, j1), os.path.join(tree, j2),
+                                          ("--jobs 1", "--jobs 2"), JOBS_SKIP)]
     finally:
         if not args.work:
             shutil.rmtree(work, ignore_errors=True)
-    for line in lines:
+    for line in lines + jobs_lines:
         print(line)
     print(f"{len(runs)} runs, {n_files} files: "
           f"{n_files - len(lines)} identical, {len(lines)} differ")
-    return 1 if lines else 0
+    print(f"{len(twins)} --jobs 1 runs per tree against their --jobs 2 twins: "
+          f"{len(jobs_lines)} files differ")
+    return 1 if lines or jobs_lines else 0
 
 
 if __name__ == "__main__":

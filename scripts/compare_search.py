@@ -185,6 +185,7 @@ def main() -> int:
     args = parser.parse_args()
     work = args.work or tempfile.mkdtemp(prefix="synthctl-search-")
     try:
+        os.makedirs(work, exist_ok=True)
         manifest = os.path.join(work, "studies.json")
         with open(manifest, "w") as fh:
             json.dump(make_inputs(work), fh)

@@ -29,7 +29,6 @@ from .panel import (
     ingest_panel,
     load_metadata,
     load_predictors,
-    parse_bool,
     state_of,
     write_panel,
 )
@@ -99,19 +98,18 @@ def _window_lengths(flag: str, text: str) -> list[int]:
     return lengths
 
 
-def _read_config(path: str, parser: argparse.ArgumentParser) -> dict[str, object]:
+def _read_config(path: str, parser: argparse.ArgumentParser) -> dict[str, str]:
     """Read a key=value option file into defaults for build_parser.
 
-    The keys are the dests of the parser's subcommand options. A switch's
-    value must read true or false; every other value stays text, for the
-    option's check to convert as it converts a flag's.
+    The keys are the dests of the parser's subcommand options. Each value
+    stays text, for the option's check to convert as it converts a flag's.
     """
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
     commands = next(a for a in parser._actions if a.dest == "command")
-    options = {a.dest: a for sub in commands.choices.values() for a in sub._actions
+    options = {a.dest for sub in commands.choices.values() for a in sub._actions
                if a.dest not in ("help", "config")}
-    entries: dict[str, object] = {}
+    entries: dict[str, str] = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.strip()
@@ -123,13 +121,7 @@ def _read_config(path: str, parser: argparse.ArgumentParser) -> dict[str, object
             key = key.strip().replace("-", "_")
             if key not in options:
                 raise ConfigError(f"{path}:{lineno}: unknown option {key!r}")
-            value = value.strip()
-            if isinstance(options[key].default, bool):  # a store_true switch
-                switch = parse_bool(value)
-                if switch is None:
-                    raise ConfigError(f"{key} must be true or false, got {value!r} in {path}")
-                value = switch
-            entries[key] = value
+            entries[key] = value.strip()
     return entries
 
 
@@ -229,8 +221,7 @@ def _load_study(args: argparse.Namespace,
     try:
         spec = StudySpec(treated=treated, donors=pool, T0=T0, t_fit=t_fit,
                          v_mode=args.v_mode.replace("-", "_"), reg=reg,
-                         train_placement=args.train_placement,
-                         standardize=not args.no_standardize)
+                         train_placement=args.train_placement)
     except InvalidSplit as exc:
         raise ConfigError(f"--t-fit {t_fit} does not fit the pre-period: {exc}")
     return panel, predictors, spec
@@ -496,11 +487,9 @@ def _add_study(sub: argparse.ArgumentParser, *, sweep: bool = False) -> None:
             help=f"{' | '.join(V_MODE_CHOICES)} (default %(default)s)")
     _option(sub, "--train-placement", _one_of(PLACEMENTS), default=StudySpec.train_placement,
             help=f"{' | '.join(PLACEMENTS)} (default %(default)s)")
-    sub.add_argument("--no-standardize", action="store_true",
-                     help="skip z-scoring of predictor rows")
 
 
-def build_parser(defaults: dict[str, object] | None = None) -> argparse.ArgumentParser:
+def build_parser(defaults: dict[str, str] | None = None) -> argparse.ArgumentParser:
     """The command-line parser, the one place each option is declared.
 
     defaults, a config file's values by key, replace the declared defaults of

@@ -2,20 +2,19 @@
 
 Fitting runs in four steps. The pre-intervention span splits into a training
 and a validation window. For a candidate importance vector v, donor weights
-w(v) are fit on training-window predictors. In optimized mode a search looks
-for the v whose weights minimize the validation-window outcome error, and
-keeps it unless the uniform vector (on raw rows, also the inverse-variance
-vector) validates no worse. The chosen vector is solved once more for the
-final weights. The synthetic series is the weighted donor combination over
-the whole panel.
+w(v) are fit on training-window predictors. In optimized mode a search from
+the uniform vector looks for the v whose weights minimize the
+validation-window outcome error. The chosen vector is solved once more for
+the final weights. The synthetic series is the weighted donor combination
+over the whole panel.
 
 Predictor matrices get one extra row beyond the unit-level predictors: each
 unit's mean outcome over the training window, so the match is anchored to
 pre-intervention levels even when no predictor table is supplied. Predictor
-rows are z-scored across units so importance weights live on one scale,
-unless the study's spec sets standardize=False to keep raw rows. On z-scored
-rows the optimized search reads nothing else of the raw values, so its
-vector and weights do not depend on the units a predictor is recorded in.
+rows are always z-scored across units so importance weights live on one
+scale. The optimized search reads nothing else of the raw values, so its
+vector and weights do not depend on the units a predictor is recorded in;
+only inverse_variance mode reads the raw rows' variances.
 """
 
 from __future__ import annotations
@@ -50,9 +49,8 @@ class StudySpec:
     post-intervention day. t_fit training days are carved out of the
     pre-period at the head or tail; the remainder is the validation window.
     v_mode picks the predictor importance vector: optimized searches for it,
-    inverse_variance weights each predictor row by 1/variance across units,
-    and uniform weights every row equally. standardize z-scores each
-    predictor row across the study's units.
+    inverse_variance weights each predictor row by 1/variance of its raw
+    values across units, and uniform weights every row equally.
     """
 
     treated: str
@@ -62,7 +60,6 @@ class StudySpec:
     v_mode: str = "optimized"
     reg: Regularization = field(default_factory=Regularization)
     train_placement: str = "tail"
-    standardize: bool = True
 
     def __post_init__(self) -> None:
         if not self.donors:
@@ -120,17 +117,6 @@ def split_pre_period(T0: int, t_fit: int, placement: str = "tail") -> tuple[rang
     raise ValueError(f"unknown placement {placement!r}")
 
 
-def _inverse_variance(var: np.ndarray) -> np.ndarray:
-    """1/variance per row, normalized to sum to 1, from the rows' variances.
-
-    Each constant row takes the least entry of the rows that vary, and with
-    no row that varies the vector is uniform.
-    """
-    # 1 / var.max() is the least entry of the rows that vary
-    inv = 1.0 / np.where(var > 0, var, var.max() or 1.0)
-    return inv / inv.sum()
-
-
 @dataclass(frozen=True)
 class Design:
     """One study's arrays: predictor matrices, outcome rows and pre-period windows."""
@@ -159,9 +145,9 @@ def build_design(
 
     Every unit must be in the panel with no missing outcome, and the
     pre-period must fit inside the panel. Predictor rows are the predictor
-    table rows plus the appended training-window outcome mean. If
-    spec.standardize is set, each row is z-scored across the treated unit and
-    donors together; constant rows become zeros.
+    table rows plus the appended training-window outcome mean, each z-scored
+    across the treated unit and donors together; constant rows become zeros.
+    The unscaled rows are kept as the design's raw.
     """
     order = (spec.treated,) + spec.donors
     rows = [panel.unit_index(u) for u in order]
@@ -210,13 +196,9 @@ def _assemble(base: np.ndarray, outcomes: np.ndarray, names: tuple[str, ...],
     train, val = np.asarray(train, dtype=int), np.asarray(val, dtype=int)
     mean_row = outcomes[:, train].mean(axis=1)
     raw = np.vstack([base, mean_row[None, :]])
-
-    if spec.standardize:
-        mu = raw.mean(axis=1, keepdims=True)
-        sd = raw.std(axis=1, keepdims=True)
-        scaled = np.where(sd > 0, (raw - mu) / np.where(sd > 0, sd, 1.0), 0.0)
-    else:
-        scaled = raw
+    mu = raw.mean(axis=1, keepdims=True)
+    sd = raw.std(axis=1, keepdims=True)
+    scaled = np.where(sd > 0, (raw - mu) / np.where(sd > 0, sd, 1.0), 0.0)
     return Design(X1=scaled[:, 0].copy(), X0=scaled[:, 1:].copy(), raw=raw,
                   names=names + (OUTCOME_MEAN_NAME,),
                   Y1=outcomes[0], Y0=outcomes[1:], train=train, val=val)
@@ -285,73 +267,51 @@ def solve_v(spec: StudySpec, design: Design) -> np.ndarray:
     fails naming its predictor. optimized runs a derivative-free search over
     softmax-parameterized importance vectors, scoring each candidate by the
     validation-window error of its implied donor weights, and draws nothing
-    at random. The search starts from the uniform vector (theta = 0); on raw
-    rows (spec.standardize off) it starts again from the log of
-    _inverse_variance's. On z-scored rows that second start would repeat
-    the first: every row the weights see has variance 1 or 0, so its
-    inverse-variance vector is uniform. Each start ends at the simplex's
-    tolerances, after max(60, 4k) evaluations, or after _V_STALL_EVALS
-    evaluations in a row that improve on the best error by no more than
-    _V_STALL_TOL. optimized then returns whichever validates best, the first
-    on ties, of the uniform vector (scored as the search's first point), the
-    inverse-variance vector (only on raw rows that all vary, scored once
-    more), and the best vector the search scored; so the fit never
-    validates worse than those baselines. A single row or a single donor
-    leaves nothing to search, and gets uniform. Each weight solve after the first,
-    the inverse-variance re-score included, starts warm from the previous
+    at random. The search starts from the uniform vector (theta = 0), and
+    ends at the simplex's tolerances, after max(60, 4k) evaluations, or after
+    _V_STALL_EVALS evaluations in a row that improve on the best error by no
+    more than _V_STALL_TOL. It returns the best vector it scored. Its first
+    point is the uniform vector bit for bit, and the best moves only on an
+    improvement larger than _V_STALL_TOL, so the fit never validates worse
+    than uniform, and a search that finds nothing better returns uniform.
+    A single row or a single donor leaves nothing to search, and gets
+    uniform. Each weight solve after the first starts warm from the previous
     evaluation's (see solve_w). The first starts cold, and no state crosses
     calls, so the vector is a function of the design alone; fit_synth
     solves it once more, cold.
     """
     k = design.raw.shape[0]
-    var = design.raw.var(axis=1)
     if spec.v_mode == "inverse_variance":
+        var = design.raw.var(axis=1)
         constant = np.flatnonzero(var == 0)
         if constant.size:
             raise ZeroVariancePredictor(
                 f"predictor {design.names[constant[0]]!r} is constant across units")
-        return _inverse_variance(var)
+        inv = 1.0 / var
+        return inv / inv.sum()
     uniform = np.full(k, 1.0 / k)
     if spec.v_mode == "uniform" or k == 1 or design.X0.shape[1] == 1:
         return uniform
 
+    search = _nelder_mead(np.zeros(k), xatol=1e-3, fatol=_V_STALL_TOL)
     last = None  # the previous evaluation's solve, where the next one starts
-
-    def error(v: np.ndarray) -> float:
-        nonlocal last
+    f = None
+    best_f, best_v, since_improve = np.inf, uniform, 0
+    for _ in range(max(60, 4 * k)):
+        try:
+            theta = search.send(f)
+        except StopIteration:  # the simplex is within both tolerances
+            break
+        v = _softmax(theta)
         last = solve_w(design.X1, design.X0, v, spec.reg, start=last)
-        return design.validation_error(last.w)
-
-    theta0s = [np.zeros(k)]
-    if not spec.standardize:  # on z-scored rows the inverse-variance vector is uniform
-        theta0s.append(np.log(_inverse_variance(var)))
-    uniform_f = None
-    best_f, best_v = np.inf, uniform
-    for theta0 in theta0s:
-        search = _nelder_mead(theta0, xatol=1e-3, fatol=_V_STALL_TOL)
-        f = None
-        since_improve = 0
-        for _ in range(max(60, 4 * k)):
-            try:
-                theta = search.send(f)
-            except StopIteration:  # the simplex is within both tolerances
+        f = design.validation_error(last.w)
+        if f < best_f - _V_STALL_TOL:
+            best_f, best_v, since_improve = f, v, 0
+        else:
+            since_improve += 1
+            if since_improve >= _V_STALL_EVALS:
                 break
-            v = _softmax(theta)
-            f = error(v)
-            if uniform_f is None:  # _softmax(zeros) is the uniform vector bit for bit
-                uniform_f = f
-            if f < best_f - _V_STALL_TOL:
-                best_f, best_v, since_improve = f, v, 0
-            else:
-                since_improve += 1
-                if since_improve >= _V_STALL_EVALS:
-                    break
-
-    chosen, errors = [uniform, best_v], [uniform_f, best_f]
-    if not spec.standardize and var.all():  # raw rows that all vary
-        chosen.insert(1, _inverse_variance(var))
-        errors.insert(1, error(chosen[1]))
-    return chosen[int(np.argmin(errors))]
+    return best_v
 
 
 def fit_synth(spec: StudySpec, design: Design) -> SynthResult:

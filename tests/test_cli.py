@@ -181,12 +181,15 @@ def _selection_files(tmp_path):
     ("logistic", "--seed"),
     ("fit", "--filter"),
     ("placebo", "--filter"),
+    # predictor rows are always z-scored
+    ("fit", "--no-standardize"),
+    ("placebo", "--no-standardize"),
 ])
 def test_flags_a_command_never_reads_exit_2(tmp_path, capsys, command, flag):
     outcomes, _ = _study_files(tmp_path)
     predictors, blocks = _selection_files(tmp_path)
-    value = {"--seed": "1", "--predictors": predictors, "--outcomes": outcomes,
-             "--filter": "cluster"}[flag]
+    given = [flag] + {"--seed": ["1"], "--predictors": [predictors], "--outcomes": [outcomes],
+                      "--filter": ["cluster"], "--no-standardize": []}[flag]
     inputs = {"ingest": ["--outcomes", outcomes],
               "select-predictors": ["--predictors", predictors, "--blocks", blocks],
               "logistic": ["--outcomes", outcomes, "--predictors", predictors]}.get(
@@ -194,9 +197,9 @@ def test_flags_a_command_never_reads_exit_2(tmp_path, capsys, command, flag):
                   "--t-fit", "10"])
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
-        main([command, *inputs, flag, value, "--out", str(out)])
+        main([command, *inputs, *given, "--out", str(out)])
     assert exc.value.code == 2
-    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert f"unrecognized arguments: {' '.join(given)}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -216,25 +219,21 @@ def test_config_key_the_command_lacks_is_ignored(tmp_path):
             assert (from_cfg / name).read_bytes() == (plain / name).read_bytes()
 
 
-def test_l2_config_key_exits_2(tmp_path, capsys):
-    outcomes, _ = _study_files(tmp_path)
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("l2 = 5\n")
-    code = main(["fit", "--outcomes", outcomes, "--treated", "10001",
-                 "--t0", _dates(40)[25], "--config", str(cfg), "--out", str(tmp_path / "out")])
-    assert code == 2
-    assert capsys.readouterr().err == f"error: {cfg}:1: unknown option 'l2'\n"
-
-
-def test_filter_config_key_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize("key, value", [
+    ("l2", "5"),
     # the side tables pick the donor filters; no key names one
+    ("filter", "cluster"),
+    # predictor rows are always z-scored
+    ("no_standardize", "true"),
+])
+def test_removed_config_key_exits_2(tmp_path, capsys, key, value):
     outcomes, _ = _study_files(tmp_path)
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("filter = cluster\n")
+    cfg.write_text(f"{key} = {value}\n")
     code = main(["fit", "--outcomes", outcomes, "--treated", "10001",
                  "--t0", _dates(40)[25], "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert code == 2
-    assert capsys.readouterr().err == f"error: {cfg}:1: unknown option 'filter'\n"
+    assert capsys.readouterr().err == f"error: {cfg}:1: unknown option '{key}'\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -247,38 +246,15 @@ def test_config_file_unknown_key_exits_2(tmp_path, capsys):
     assert "whatever" in capsys.readouterr().err
 
 
-def test_config_boolean_must_read_true_or_false(tmp_path, capsys):
-    outcomes, predictors = _study_files(tmp_path, seed=4)
-    argv = ["fit", "--outcomes", outcomes, "--predictors", predictors,
-            "--treated", "10001", "--t0", _dates(40)[25]]
-
-    def result(name, *extra):
-        assert main([*argv, *extra, "--out", str(tmp_path / name)]) == 0
-        return (tmp_path / name / "result.json").read_bytes()
-
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("no_standardize = on\n")
-    assert main([*argv, "--config", str(cfg), "--out", str(tmp_path / "bad")]) == 2
-    assert f"no_standardize must be true or false, got 'on' in {cfg}" in \
-        capsys.readouterr().err
-    assert not (tmp_path / "bad").exists()
-    plain, raw = result("plain"), result("raw", "--no-standardize")
-    assert plain != raw
-    # the spellings a metadata file's treated column accepts
-    for word, expected in (("Yes", raw), ("t", raw), ("FALSE", plain), ("0", plain)):
-        cfg.write_text(f"no_standardize = {word}\n")
-        assert result(word, "--config", str(cfg)) == expected
-
-
 def test_config_file_takes_the_options_of_every_subcommand(tmp_path):
     keys = ["outcomes", "predictors", "metadata", "clusters", "adjacency", "blocks",
             "treated", "t0", "t_fit", "l1", "v_mode", "train_placement", "placebo_t0",
-            "bins", "jobs", "out", "no_standardize"]
+            "bins", "jobs", "out"]
     cfg = tmp_path / "run.cfg"
     cfg.write_text("".join(f"{key.replace('_', '-')} = 1\n" for key in keys))
     entries = cli._read_config(str(cfg), cli.build_parser())
     assert sorted(entries) == sorted(keys)
-    assert entries["no_standardize"] is True and entries["jobs"] == "1"
+    assert set(entries.values()) == {"1"}
     for key in ("help", "config"):
         cfg.write_text(f"{key} = 1\n")
         with pytest.raises(cli.ConfigError, match=f"unknown option '{key}'"):
@@ -383,21 +359,6 @@ def test_inverse_variance_names_the_constant_predictor(tmp_path, capsys):
     assert capsys.readouterr().err.splitlines()[:-1] == [
         f"warning: placebo {unit} skipped: {complaint}"
         for unit in ("10001", "20000", "20002", "20004", "20006")]
-
-
-def test_placebo_no_standardize_reaches_every_worker(tmp_path):
-    outcomes, predictors = _study_files(tmp_path, n_donors=4, seed=5)
-    study = ["placebo", "--outcomes", outcomes, "--predictors", predictors,
-             "--treated", "10001", "--t0", _dates(40)[25]]
-    written = {}
-    for name, flags in (("raw1", ["--no-standardize", "--jobs", "1"]),
-                        ("raw2", ["--no-standardize", "--jobs", "2"]),
-                        ("scaled", ["--jobs", "2"])):
-        out = tmp_path / name
-        assert main([*study, *flags, "--out", str(out)]) == 0
-        written[name] = (out / "placebo.json").read_bytes()
-    assert written["raw1"] == written["raw2"]
-    assert written["raw1"] != written["scaled"]
 
 
 def test_placebo_entries_say_why_a_placebo_was_skipped(tmp_path, capsys):

@@ -23,7 +23,7 @@ from synthctl import (
     split_pre_period,
 )
 from synthctl import engine
-from synthctl.engine import OUTCOME_MEAN_NAME, _inverse_variance, _nelder_mead
+from synthctl.engine import OUTCOME_MEAN_NAME, _nelder_mead
 from synthctl.errors import InvalidSplit, ZeroVariancePredictor
 
 GEN = pathlib.Path(__file__).resolve().parents[1] / "bench" / "gen.py"
@@ -92,12 +92,11 @@ def _small_study(rng, k=3, J=4, T=40, T0=25):
 
 def test_design_appends_outcome_mean_row(rng):
     panel, predictors, spec = _small_study(rng)
-    design = build_design(panel, predictors,
-                          dataclasses.replace(spec, standardize=False))
+    design = build_design(panel, predictors, spec)
     assert design.names == predictors.names + (OUTCOME_MEAN_NAME,)
     train, _ = split_pre_period(spec.T0, spec.t_fit, spec.train_placement)
     expected = panel.series(spec.treated)[list(train)].mean()
-    assert design.X1[-1] == pytest.approx(expected)
+    assert design.raw[-1, 0] == pytest.approx(expected)
     assert design.raw.shape == (4, 5)
 
 
@@ -147,23 +146,18 @@ def test_design_requires_finite_outcomes(rng):
 # the importance search
 # ---------------------------------------------------------------------------
 
-def test_fit_synth_never_loses_to_uniform_or_invvar(rng):
+def test_fit_synth_never_loses_to_uniform(rng):
     # on z-scored rows the inverse-variance vector of the rows the weights see
-    # is uniform, so only raw rows compare with 1/variance of their values
+    # is uniform, so uniform is the one baseline
     panel, predictors, spec = _small_study(rng, k=4, J=6, T=60, T0=40)
-    for standardize in (True, False):
-        spec = dataclasses.replace(spec, standardize=standardize)
-        design = build_design(panel, predictors, spec)
-        v_star = fit_synth(spec, design).v_star
-        k = v_star.size
+    design = build_design(panel, predictors, spec)
+    v_star = fit_synth(spec, design).v_star
+    k = v_star.size
 
-        def validation_error(v):
-            return design.validation_error(solve_w(design.X1, design.X0, v, spec.reg).w)
+    def validation_error(v):
+        return design.validation_error(solve_w(design.X1, design.X0, v, spec.reg).w)
 
-        best = validation_error(v_star)
-        assert best <= validation_error(np.ones(k) / k)
-        if not standardize:
-            assert best <= validation_error(_inverse_variance(design.raw.var(axis=1)))
+    assert validation_error(v_star) <= validation_error(np.ones(k) / k)
 
 
 def _count_final_solves(monkeypatch) -> tuple[list[bool], list]:
@@ -189,8 +183,7 @@ def _count_final_solves(monkeypatch) -> tuple[list[bool], list]:
 
 
 @pytest.mark.parametrize("v_mode, constant_row, full_solves", [
-    # solve_v compares the winner with the baselines, so fit_synth solves
-    # its vector once, whatever the mode
+    # fit_synth solves solve_v's vector once, whatever the mode
     ("optimized", False, 1),
     ("optimized", True, 1),
     ("inverse_variance", False, 1),
@@ -227,11 +220,15 @@ def test_fit_synth_solves_a_uniform_search_winner_once(rng, monkeypatch):
     assert np.array_equal(result.v_star, np.full(4, 0.25))
 
 
-@pytest.mark.parametrize("standardize", [False, True])
-def test_search_starts_each_weight_solve_from_the_previous_one(rng, monkeypatch, standardize):
-    # raw rows: two starts and the inverse-variance re-score; z-scored rows: one start
+@pytest.mark.parametrize("constant_row", [False, True])
+def test_search_starts_each_weight_solve_from_the_previous_one(rng, monkeypatch, constant_row):
+    # a constant predictor row z-scores to zeros, which the warm starts must carry
     panel, predictors, spec = _small_study(rng)
-    spec = dataclasses.replace(spec, reg=Regularization(), standardize=standardize)
+    if constant_row:
+        values = predictors.values.copy()
+        values[1] = 2.5
+        predictors = make_predictors(values, predictors.units)
+    spec = dataclasses.replace(spec, reg=Regularization())
     design = build_design(panel, predictors, spec)
     starts, results = [], []
 
@@ -246,7 +243,7 @@ def test_search_starts_each_weight_solve_from_the_previous_one(rng, monkeypatch,
         results.clear()
         solve_v(spec, design)
         assert starts[0] is None
-        assert len(starts) > (1 if standardize else 60)
+        assert len(starts) > 1
         assert all(s is r for s, r in zip(starts[1:], results))
         assert any(r.mu > 0.0 for r in results)  # so later solves start warm
 
@@ -266,43 +263,8 @@ def _search_starts(monkeypatch, spec, design) -> list[np.ndarray]:
 
 def test_search_starts_once_from_the_uniform_vector_on_z_scored_rows(rng, monkeypatch):
     panel, predictors, spec = _small_study(rng)
-    assert spec.standardize
     starts = _search_starts(monkeypatch, spec, build_design(panel, predictors, spec))
     assert len(starts) == 1 and np.array_equal(starts[0], np.zeros(4))
-
-
-def test_search_starts_from_the_inverse_variances_when_every_row_varies(rng, monkeypatch):
-    panel, predictors, spec = _small_study(rng)
-    spec = dataclasses.replace(spec, standardize=False)
-    design = build_design(panel, predictors, spec)
-    first, second = _search_starts(monkeypatch, spec, design)
-    assert np.array_equal(first, np.zeros(4))
-    assert np.array_equal(second, np.log(_inverse_variance(design.raw.var(axis=1))))
-
-
-def test_search_gives_a_constant_row_the_least_inverse_variance(rng, monkeypatch):
-    panel, predictors, spec = _small_study(rng)
-    values = predictors.values.copy()
-    values[1] = 2.5
-    predictors = make_predictors(values, predictors.units)
-    spec = dataclasses.replace(spec, standardize=False)
-    design = build_design(panel, predictors, spec)
-    first, second = _search_starts(monkeypatch, spec, design)
-    var = design.raw.var(axis=1)
-    inv = [1.0 / var[0], 1.0 / var[2], 1.0 / var[3]]
-    expected = np.array([inv[0], min(inv), inv[1], inv[2]])
-    assert np.array_equal(first, np.zeros(4))
-    assert np.allclose(second, np.log(expected / expected.sum()), rtol=0, atol=1e-14)
-    # the fit still validates no worse than the uniform vector
-    uniform = solve_w(design.X1, design.X0, np.full(4, 0.25), spec.reg).w
-    assert fit_synth(spec, design).validation_mspe <= design.validation_error(uniform)
-
-    # with no row that varies, every vector gives the same weights: start uniform
-    panel = make_panel(np.full((5, 40), 7.0))
-    predictors = make_predictors(np.full((2, 5), 2.5), panel.units)
-    spec = dataclasses.replace(spec, treated=panel.units[0], donors=panel.units[1:])
-    _, second = _search_starts(monkeypatch, spec, build_design(panel, predictors, spec))
-    assert np.array_equal(second, np.log(np.full(3, 1 / 3)))
 
 
 def _evaluations_per_start(monkeypatch, spec, design) -> tuple[list[int], int]:
@@ -342,27 +304,23 @@ def test_search_stops_at_its_tolerances_its_stall_and_its_budget(
         rng, monkeypatch, J, per_start):
     panel, predictors, spec = _small_study(rng, J=J)
     design = build_design(panel, predictors, spec)
-    # z-scored rows leave no inverse-variance vector to score besides
+    # nothing besides the search's points is scored
     assert _evaluations_per_start(monkeypatch, spec, design) == (per_start, 0)
-    # on raw rows both starts run to the budget, and the inverse-variance
-    # vector is scored once
-    spec = dataclasses.replace(spec, standardize=False)
-    design = build_design(panel, predictors, spec)
-    assert _evaluations_per_start(monkeypatch, spec, design) == \
-        (per_start * 2, int(J > 1))
 
 
 def test_search_stalls_where_every_vector_validates_alike(rng, monkeypatch):
     # three donors with one outcome path over the validation window: vectors
     # differ in their weights but not in their error. The simplex is wider
     # than xatol, so the one start stalls: its first point sets the best
-    # error, and the next _V_STALL_EVALS do not improve on it
+    # error, and the next _V_STALL_EVALS do not improve on it. The search
+    # then returns its first point, the uniform vector bit for bit
     panel, predictors, spec = _small_study(rng, J=3)
     design = build_design(panel, predictors, spec)
     Y0 = design.Y0.copy()
     Y0[:, design.val] = Y0[0, design.val]
     design = dataclasses.replace(design, Y0=Y0)
     assert _evaluations_per_start(monkeypatch, spec, design) == ([1 + engine._V_STALL_EVALS], 0)
+    assert np.array_equal(solve_v(spec, design), np.full(4, 1 / 4))
 
 
 @pytest.mark.parametrize("scale", [1e-3, 1e3])

@@ -209,20 +209,23 @@ def test_placebo_run_builds_the_design_once(monkeypatch):
     assert not any(e.skipped for e in ens.entries)
 
 
-@pytest.mark.parametrize("standardize", [True, False])
+@pytest.mark.parametrize("constant_row", [True, False])
 @pytest.mark.parametrize("placement", ["head", "tail"])
 @pytest.mark.parametrize("placebo_T0", [None, 30])
-def test_placebo_designs_equal_build_design(monkeypatch, standardize, placement, placebo_T0):
+def test_placebo_designs_equal_build_design(monkeypatch, constant_row, placement, placebo_T0):
     # 13 donors, outcome-level and covariate predictors of mixed scale: a
     # placebo design whose predictor block is not in C order standardizes
-    # its rows with sums in another order, which shows here
+    # its rows with sums in another order, which shows here; a constant
+    # row must z-score to the same zeros in every placebo design
     rng = np.random.default_rng(22)
     panel = random_walk_panel(rng, 14, 60)
     X = np.vstack([panel.values[:, 5:45:8].T, rng.normal(55, 8, size=(1, 14)),
                    rng.lognormal(4, 1, size=(1, 14))])
+    if constant_row:
+        X[-2] = 55.0
     predictors = make_predictors(X, panel.units)
     spec = StudySpec(treated=panel.units[0], donors=panel.units[1:], T0=45, t_fit=10,
-                     train_placement=placement, standardize=standardize)
+                     train_placement=placement)
     seen = []
 
     def recorded(spec, design):
