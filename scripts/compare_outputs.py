@@ -19,7 +19,15 @@ package. The inputs are generated once, by this checkout's `bench/gen.py` and
   hold a `%`, with missing cells and one unit dropped;
 - the growth series of seed 1: `logistic --bins 4`;
 - the demo data: `fit`, `fit --l1 0`, `placebo --jobs 2` and
-  `sweep --t-fit 5,10,20` at `--jobs 1` and `--jobs 2`.
+  `sweep --t-fit 5,10,20` at `--jobs 1` and `--jobs 2`;
+- one failing run per reachable raise site (see failure_runs): `ingest` of a
+  repeated (unit, date) row, an unparseable date, a header with no rows and
+  a panel whose every unit is dropped; `fit` of the demo study with a
+  `--clusters` table that lacks the treated unit, an `--adjacency` table that
+  lacks its state, and `--v-mode inverse-variance` on a constant predictor
+  column; `logistic` with no shared unit, and with a too-short series, a
+  never-positive series, a constant index column and more bins than fits;
+  `select-predictors` with a constant column.
 
 Every output file, and each command's exit code, stdout and stderr, is
 compared byte for byte across the two trees. Within each tree, every run at
@@ -76,6 +84,74 @@ def write_edge_panel(path: str) -> None:
                 fh.write(f"{unit},2021-03-{day:02d},{value}\n")
 
 
+def _write(path: str, lines: list[str]) -> str:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("".join(line + "\n" for line in lines))
+    return path
+
+
+def _read(path: str) -> list[str]:
+    with open(path, encoding="utf-8") as fh:
+        return fh.read().splitlines()
+
+
+def failure_runs(work: str, demo: str, growth: str) -> list[tuple[str, list[str]]]:
+    """Write the inputs of runs that each end at one raise site, and return the runs.
+
+    demo and growth are the directories of the demo data and of a
+    bench/gen.py growth study, whose files the fit and logistic runs reuse.
+    """
+    os.makedirs(work, exist_ok=True)
+    header = "unit,date,value"
+    ingests = {
+        "repeated_cell": [header, "01001,2021-03-01,1.0", "01001,2021-03-01,1.0"],
+        "bad_date": [header, "01001,2021-03-01,1.0", "01001,03/02/2021,2.0"],
+        "no_rows": [header],
+        "all_dropped": [header] + [f"01001,2021-03-{day:02d},NA" for day in range(1, 11)],
+    }
+    runs = [(f"fail_ingest_{name}",
+             ["ingest", "--outcomes", _write(os.path.join(work, f"{name}.csv"), lines)])
+            for name, lines in ingests.items()]
+
+    demo_study = _study_args(demo, "10001")
+    clusters = _write(os.path.join(work, "clusters.csv"), ["fips,cluster", "99999,north"])
+    adjacency = _write(os.path.join(work, "adjacency.csv"), ["state,neighbor", "98,99"])
+    # the demo predictors with income, the last column but one, held constant
+    rows = [line.split(",") for line in _read(os.path.join(demo, "predictors.csv"))]
+    constant = _write(os.path.join(work, "constant_predictors.csv"),
+                      [",".join(row) for row in [rows[0]] + [row[:-2] + ["1.0", row[-1]]
+                                                             for row in rows[1:]]])
+    runs += [("fail_fit_clusters", ["fit", *demo_study, "--clusters", clusters]),
+             ("fail_fit_adjacency", ["fit", *demo_study, "--adjacency", adjacency]),
+             ("fail_fit_constant_predictor",
+              ["fit", *demo_study[:2], "--predictors", constant, *demo_study[4:],
+               "--v-mode", "inverse-variance"])]
+
+    uptake = os.path.join(growth, "uptake.csv")
+    strangers = _write(os.path.join(work, "index_strangers.csv"), ["unit,theme", "99999,1.0"])
+    # a unit with 5 usable days and one never positive, beside the growth units
+    degenerate = _write(os.path.join(work, "uptake_degenerate.csv"), _read(uptake) + [
+        f"39001,2021-03-{day:02d},{day}.0" for day in range(1, 6)] + [
+        f"39003,2021-03-{day:02d},0.0" for day in range(1, 21)])
+    index = _read(os.path.join(growth, "index.csv"))
+    flat_index = _write(os.path.join(work, "index_flat.csv"),
+                        [index[0] + ",flat"] + [row + ",1.0" for row in index[1:]]
+                        + [f"{unit},0.5,0.5,1.0" for unit in ("39001", "39003")])
+    runs += [("fail_logistic_no_shared_unit",
+              ["logistic", "--outcomes", uptake, "--predictors", strangers]),
+             ("fail_logistic_degenerate",
+              ["logistic", "--outcomes", degenerate, "--predictors", flat_index,
+               "--bins", "20"])]
+
+    selection = _write(os.path.join(work, "selection.csv"), ["unit,a,b,c"] + [
+        f"{60000 + 2 * i:05d},{i}.0,{i * 7 % 11}.0,2.5" for i in range(12)])
+    blocks = _write(os.path.join(work, "blocks.csv"),
+                    ["block,predictor", "demo,a", "demo,b", "econ,c"])
+    runs.append(("fail_select_constant",
+                 ["select-predictors", "--predictors", selection, "--blocks", blocks]))
+    return runs
+
+
 def make_inputs(work: str) -> list[tuple[str, list[str]]]:
     """Write every input under work and return the runs: (name, argv)."""
     runs = []
@@ -124,7 +200,8 @@ def make_inputs(work: str) -> list[tuple[str, list[str]]]:
              ("demo_placebo_j2", ["placebo", *demo, "--jobs", "2"])]
     runs += [(f"demo_sweep_j{jobs}", ["sweep", *demo, "--t-fit", T_FITS, "--jobs", str(jobs)])
              for jobs in (1, 2)]
-    return runs
+    return runs + failure_runs(os.path.join(work, "failures"), inp,
+                               os.path.join(work, "growth_s1"))
 
 
 def run_tree(src: str, runs: list[tuple[str, list[str]]], out: str) -> None:

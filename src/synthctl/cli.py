@@ -20,8 +20,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .engine import PLACEMENTS, V_MODES, StudySpec, build_design, fit_synth, split_pre_period
-from .errors import (ConfigError, EmptyIntersection, InvalidSplit, SeriesOverflow, SynthctlError,
-                     UnknownState, UnlabeledUnit)
+from .errors import ConfigError, InvalidSplit, SynthctlError, UnlabeledUnit
 from .panel import (
     Panel,
     PredictorTable,
@@ -61,15 +60,14 @@ _penalty = _parsed(lambda text: Regularization(float(text)).l1, "a finite nonneg
 _date = _parsed(dt.date.fromisoformat, "an ISO date")
 
 
-def _integer(minimum: int | None = None):
-    parse = _parsed(int, "an integer")
+_integer = _parsed(int, "an integer")
 
-    def check(flag: str, text: str) -> int:
-        number = parse(flag, text)
-        if minimum is not None and number < minimum:
-            raise ConfigError(f"{flag} must be at least {minimum}, got {number}")
-        return number
-    return check
+
+def _positive(flag: str, text: str) -> int:
+    number = _integer(flag, text)
+    if number < 1:
+        raise ConfigError(f"{flag} must be at least 1, got {number}")
+    return number
 
 
 def _one_of(choices: tuple[str, ...]):
@@ -187,7 +185,7 @@ def _donor_pool(args: argparse.Namespace, panel: Panel, treated: str) -> tuple[s
             continue
         try:
             narrowed = narrow(treated, pool, load(path))
-        except (UnlabeledUnit, UnknownState) as exc:
+        except UnlabeledUnit as exc:
             raise ConfigError(f"--{key} {path}: {exc}")
         if narrowed:
             pool, kept = narrowed, f"the {name} filter's pool"
@@ -353,7 +351,8 @@ def cmd_logistic(args: argparse.Namespace) -> int:
     indexed = set(themes.units)
     units = [u for u in panel.units if u in indexed]
     if not units:
-        raise EmptyIntersection("no unit appears in every table")
+        raise SynthctlError(f"no unit of --outcomes {args.outcomes} appears in "
+                            f"--predictors {args.predictors}")
     left_out = sorted(set(panel.units) - indexed)
     if left_out:
         print(f"warning: predictor table lacks {len(left_out)} outcome unit(s), left out: "
@@ -421,9 +420,12 @@ def cmd_select_predictors(args: argparse.Namespace) -> int:
 
     table = load_predictors(_required(args, "predictors"))
     blocks = donor_ops.load_blocks(_required(args, "blocks"))
-    out = _out_dir(args)
-    corr = donor_ops.abs_correlation(table.values)
+    try:
+        corr = donor_ops.abs_correlation(table.values, table.names)
+    except SynthctlError as exc:
+        raise SynthctlError(f"--predictors {args.predictors}: {exc}") from None
     result = donor_ops.select_predictors_naive(corr, list(table.names), blocks)
+    out = _out_dir(args)
     selected_path = os.path.join(out, "selected.csv")
     write_csv(selected_path, ["block", "predictor"],
               [(block, name)
@@ -441,8 +443,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     try:
         cleaned, report = clean_panel(panel)
-    except SeriesOverflow as exc:
-        raise SeriesOverflow(f"{args.outcomes}: {exc}") from None
+    except SynthctlError as exc:
+        raise SynthctlError(f"{args.outcomes}: {exc}") from None
     clean_path = os.path.join(out, "panel_clean.csv")
     write_panel(clean_path, cleaned)
     dropped_path = os.path.join(out, "dropped.csv")
@@ -477,7 +479,7 @@ def _add_study(sub: argparse.ArgumentParser, *, sweep: bool = False) -> None:
     if sweep:
         _option(sub, "--t-fit", _window_lengths, help="comma-separated training window lengths")
     else:
-        _option(sub, "--t-fit", _integer(minimum=1), default=StudySpec.t_fit,
+        _option(sub, "--t-fit", _positive, default=StudySpec.t_fit,
                 help="training window length (default %(default)s)")
     _option(sub, "--l1", _penalty, default=Regularization().l1,
             help="scales ||w||_2, the 2-norm of the donor weights; "
@@ -524,9 +526,9 @@ def build_parser(defaults: dict[str, str] | None = None) -> argparse.ArgumentPar
     _add_study(sweep, sweep=True)
     _option(placebo, "--placebo-t0", _date, help="intervention date used for placebo fits")
     for sub in (placebo, sweep):
-        _option(sub, "--jobs", _integer(minimum=1), default=1,
+        _option(sub, "--jobs", _positive, default=1,
                 help="parallel fits (default %(default)s)")
-    _option(logistic, "--bins", _integer(minimum=1), default=10,
+    _option(logistic, "--bins", _positive, default=10,
             help="bins for index summaries (default %(default)s)")
     _option(select, "--blocks", _existing_file, help="block,predictor CSV")
 

@@ -14,22 +14,23 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import EmptyBlock, UnknownState, UnlabeledUnit, ZeroVariance
+from .errors import SynthctlError, UnlabeledUnit
 from .panel import Panel, read_table, state_of
 
 MAX_CORRELATION = 0.4  # highest absolute correlation between two picks of a block
 PER_BLOCK = 2  # picks per block
 
 
-def abs_correlation(X: np.ndarray) -> np.ndarray:
-    """Absolute Pearson correlation between rows of X."""
+def abs_correlation(X: np.ndarray, names: Sequence[str] | None = None) -> np.ndarray:
+    """Absolute Pearson correlation between rows of X; names, if given, name a constant row."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] < 2:
         raise ValueError(f"need a predictors-by-units matrix with 2+ units, got {X.shape}")
     sd = X.std(axis=1)
     if (sd == 0).any():
         row = int(np.argmax(sd == 0))
-        raise ZeroVariance(f"predictor row {row} is constant; correlation undefined")
+        what = f"row {row}" if names is None else repr(names[row])
+        raise SynthctlError(f"predictor {what} is constant; correlation undefined")
     return np.abs(np.corrcoef(X))
 
 
@@ -68,7 +69,7 @@ def select_predictors_naive(
     if (corr < 0).any() or (corr > 1 + 1e-12).any():
         raise ValueError("absolute correlations must lie in [0, 1]")
     if not blocks:
-        raise EmptyBlock("no predictor blocks given")
+        raise SynthctlError("no predictor blocks given")
     index = {name: i for i, name in enumerate(names)}
     if len(index) != k:
         raise ValueError("predictor names must be unique")
@@ -79,7 +80,7 @@ def select_predictors_naive(
     for block_name, members in blocks.items():
         members = list(members)
         if not members:
-            raise EmptyBlock(f"block {block_name!r} has no predictors")
+            raise SynthctlError(f"block {block_name!r} has no predictors")
         for m in members:
             if m not in index:
                 raise ValueError(f"block {block_name!r} lists unknown predictor {m!r}")
@@ -127,7 +128,7 @@ def filter_by_neighbor_states(
     """
     home = state_of(target)
     if home not in adjacency:
-        raise UnknownState(f"no adjacency entry for state {home!r}")
+        raise UnlabeledUnit(f"no adjacency entry for state {home!r}")
     neighbors = set(adjacency[home]) - {home}
     return tuple(c for c in candidates
                  if c != target and state_of(c) in neighbors)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidSplit, ZeroVariancePredictor
+from .errors import InvalidSplit, SynthctlError
 from .panel import Panel, PredictorTable
 from .weights import Regularization, solve_w
 
@@ -285,7 +285,7 @@ def solve_v(spec: StudySpec, design: Design) -> np.ndarray:
         var = design.raw.var(axis=1)
         constant = np.flatnonzero(var == 0)
         if constant.size:
-            raise ZeroVariancePredictor(
+            raise SynthctlError(
                 f"predictor {design.names[constant[0]]!r} is constant across units")
         inv = 1.0 / var
         return inv / inv.sum()

@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import DegenerateSeries, TooFewUnits, ZeroVariance
+from .errors import SynthctlError
 
 K_CEILING = 120.0
 NU_FLOOR = 1e-6  # below this the curve is flat and K is unidentifiable
@@ -165,7 +165,7 @@ def fit_logistic(series: np.ndarray, t: np.ndarray | None = None) -> LogisticFit
     that collapses below 1e-6 means the series is flat and the ceiling
     cannot be identified; the fit is returned flagged rather than guessed at.
 
-    Raises DegenerateSeries for series with fewer than 10 usable points or no
+    Raises SynthctlError for series with fewer than 10 usable points or no
     strictly positive value.
     """
     y = np.asarray(series, dtype=float)
@@ -177,9 +177,9 @@ def fit_logistic(series: np.ndarray, t: np.ndarray | None = None) -> LogisticFit
     if not np.isfinite(tt).all():
         raise ValueError("time axis has a non-finite value where the series has one")
     if y.size < 10:
-        raise DegenerateSeries(f"need at least 10 usable points, have {y.size}")
+        raise SynthctlError(f"need at least 10 usable points, have {y.size}")
     if not (y > 0).any():
-        raise DegenerateSeries("series is never positive")
+        raise SynthctlError("series is never positive")
 
     k_min = float(y.max())
     if k_min >= K_CEILING:
@@ -247,9 +247,9 @@ def theme_regression(theme: np.ndarray, param: np.ndarray) -> RegressionLine:
     vx = float(x.var())
     vy = float(y.var())
     if vx == 0.0:
-        raise ZeroVariance("index values are constant")
+        raise SynthctlError("index values are constant")
     if vy == 0.0:
-        raise ZeroVariance("parameter values are constant")
+        raise SynthctlError("parameter values are constant")
     cov = float(np.mean((x - x.mean()) * (y - y.mean())))
     return RegressionLine(slope=cov / vx, corr=cov / np.sqrt(vx * vy))
 
@@ -282,7 +282,7 @@ def decile_summary(
         raise ValueError("bins must be positive")
     n = y.size
     if n < bins:
-        raise TooFewUnits(f"cannot form {bins} bins from {n} units")
+        raise SynthctlError(f"cannot form {bins} bins from {n} units")
     order = np.argsort(x, kind="stable")
     base, rem = divmod(n, bins)
     sizes = [base + 1] * rem + [base] * (bins - rem)

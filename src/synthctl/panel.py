@@ -20,14 +20,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import (
-    AllMissing,
-    DuplicateCell,
-    EmptyFile,
-    EmptyIntersection,
-    SeriesOverflow,
-    UnparseableDate,
-)
+from .errors import SeriesOverflow, SynthctlError
 from .serialize import csv_cell, fmt_float
 
 DAY = dt.timedelta(days=1)
@@ -190,7 +183,7 @@ def _parse_date(text: str, context: str) -> dt.date:
     try:
         return dt.date.fromisoformat(text.strip())
     except ValueError:
-        raise UnparseableDate(f"cannot parse date {text!r} {context}") from None
+        raise SynthctlError(f"cannot parse date {text!r} {context}") from None
 
 
 def _where(column: str, unit: str, line: int, path: str) -> str:
@@ -250,7 +243,7 @@ def ingest_panel(path: str) -> Panel:
             cell_day.append(day)
             cell_value.append(value)
     if not cell_value:
-        raise EmptyFile(f"{path} contains no data rows")
+        raise SynthctlError(f"{path} contains no data rows")
 
     days = np.array(cell_day)
     first = int(days.min())
@@ -262,7 +255,7 @@ def ingest_panel(path: str) -> Panel:
     if repeats.size:
         row = int(repeats.min())
         codes = tuple(units)
-        raise DuplicateCell(f"duplicate observation for unit {codes[cell_unit[row]]} on "
+        raise SynthctlError(f"duplicate observation for unit {codes[cell_unit[row]]} on "
                             f"{dt.date.fromordinal(cell_day[row])} in {path}")
     values = np.full(len(units) * n_days, np.nan)
     values[cells] = cell_value
@@ -314,7 +307,7 @@ def read_table(path: str, columns: Sequence[str],
     maps every header name, in header order, to its cell ("" past the end of
     a short row); blank lines are skipped. With `key`, that column's cells
     must be valid unit codes (see validate_unit_code), each listed once. A
-    file with no data row raises EmptyFile.
+    file with no data row raises SynthctlError.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -336,12 +329,12 @@ def read_table(path: str, columns: Sequence[str],
             if key is not None:
                 unit = row[key] = _unit_code(row[key], key, line, path)
                 if unit in seen:
-                    raise DuplicateCell(f"unit {unit} listed twice in column {key!r}, "
+                    raise SynthctlError(f"unit {unit} listed twice in column {key!r}, "
                                         f"again on line {line} of {path}")
                 seen.add(unit)
             yield line, row
     if not line:
-        raise EmptyFile(f"{path} contains no data rows")
+        raise SynthctlError(f"{path} contains no data rows")
 
 
 def load_predictors(path: str) -> PredictorTable:
@@ -435,7 +428,7 @@ def _interpolate(x: np.ndarray, bad: np.ndarray) -> np.ndarray:
     """
     good = ~bad
     if not good.any():
-        raise AllMissing("series has no usable cell to interpolate from")
+        raise SynthctlError("series has no usable cell to interpolate from")
     idx = np.arange(x.size)
     x = x.copy()
     with np.errstate(over="ignore", invalid="ignore"):
@@ -504,7 +497,7 @@ def clean_panel(panel: Panel) -> tuple[Panel, list[tuple[str, str]]]:
         kept_units.append(unit)
         kept_rows.append(smoothed)
     if not kept_units:
-        raise EmptyIntersection("cleaning dropped every unit")
+        raise SynthctlError("cleaning dropped every unit")
     meta = {u: panel.meta[u] for u in kept_units if u in panel.meta}
     return Panel(tuple(kept_units), panel.dates, np.array(kept_rows), meta), report
 

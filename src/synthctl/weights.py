@@ -56,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import SynthctlError
 
 # a solve is certified when its Frank-Wolfe gap is at most REL_GAP * f plus
 # ABS_GAP times the scale s of the inputs (LSQ_FLOOR * s^2 / f when l1 = 0),
@@ -103,14 +103,14 @@ class SolveResult:
 
 def _check_inputs(X1: np.ndarray, X0: np.ndarray, v: np.ndarray) -> tuple[int, int]:
     if X0.ndim != 2:
-        raise DimensionMismatch(f"X0 must be 2-d (predictors x donors), got shape {X0.shape}")
+        raise SynthctlError(f"X0 must be 2-d (predictors x donors), got shape {X0.shape}")
     k, J = X0.shape
     if X1.shape != (k,):
-        raise DimensionMismatch(f"X1 has shape {X1.shape}, expected ({k},)")
+        raise SynthctlError(f"X1 has shape {X1.shape}, expected ({k},)")
     if v.shape != (k,):
-        raise DimensionMismatch(f"v has shape {v.shape}, expected ({k},)")
+        raise SynthctlError(f"v has shape {v.shape}, expected ({k},)")
     if k < 1 or J < 1:
-        raise DimensionMismatch("need at least one predictor and one donor")
+        raise SynthctlError("need at least one predictor and one donor")
     if (v < 0).any():
         raise ValueError("importance weights must be nonnegative")
     return k, J
@@ -130,7 +130,7 @@ def objective(
     v = np.asarray(v, dtype=float)
     k, J = _check_inputs(X1, X0, v)
     if w.shape != (J,):
-        raise DimensionMismatch(f"w has shape {w.shape}, expected ({J},)")
+        raise SynthctlError(f"w has shape {w.shape}, expected ({J},)")
     r = X1 - X0 @ w
     q = float(np.dot(v, r * r))
     return float(np.sqrt(q) + reg.l1 * np.linalg.norm(w))
@@ -612,7 +612,7 @@ def solve_w(
             raise ValueError(f"{name} holds a NaN or an infinity; the weight solve "
                              "needs finite inputs")
     if start is not None and start.w.shape != (J,):
-        raise DimensionMismatch(f"start has {start.w.size} donor weights, expected {J}")
+        raise SynthctlError(f"start has {start.w.size} donor weights, expected {J}")
 
     if J == 1:
         w = np.array([1.0])

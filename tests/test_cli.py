@@ -20,6 +20,7 @@ from synthctl import (Regularization, StudySpec, ingest_panel, load_predictors, 
                       placebo_run)
 from synthctl import cli
 from synthctl.cli import main
+from synthctl.engine import placebo_design
 
 START = dt.date(2021, 3, 1)
 DEMO_SCRIPT = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "make_demo_data.py"
@@ -479,6 +480,28 @@ def test_sweep_jobs_do_not_change_output(tmp_path):
     assert written[0] == written[1]
 
 
+def test_uncertified_sweep_placebo_has_optimal_weights(tmp_path):
+    # sweep --t-fit 10 on this study warns that the placebo fit of donor
+    # 20002 is uncertified; its importance vector has collapsed onto one row,
+    # and no point of a 1/400 grid over its three donors' simplex beats the
+    # weights it kept
+    outcomes, predictors = _study_files(tmp_path, n_donors=4, T=60, seed=15)
+    panel, table = ingest_panel(outcomes), load_predictors(predictors)
+    spec = StudySpec(treated="10001", donors=("20000", "20002", "20004", "20006"),
+                     T0=40, t_fit=10)
+    placebo = dataclasses.replace(spec, treated="20002", donors=("20000", "20004", "20006"))
+    design = placebo_design(synthctl.build_design(panel, table, spec), 1, placebo)
+    result = synthctl.fit_synth(placebo, design)
+    assert np.sort(result.v_star)[-2] < 1e-20
+    n = 400
+    a, b = np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="ij")
+    inside = a + b <= n
+    W = np.column_stack([a[inside], b[inside], n - a[inside] - b[inside]]) / n
+    R = design.X1[:, None] - design.X0 @ W.T
+    scanned = np.sqrt(result.v_star @ (R * R)) + placebo.reg.l1 * np.linalg.norm(W, axis=1)
+    assert scanned.min() > result.objective
+
+
 def test_logistic_fits_and_failures(tmp_path):
     T = 60
     t = np.arange(T, dtype=float)
@@ -583,7 +606,8 @@ def test_logistic_with_no_shared_unit_exits_3(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["logistic", "--outcomes", outcomes, "--predictors", themes,
                  "--out", str(out)]) == 3
-    assert capsys.readouterr().err == "error: no unit appears in every table\n"
+    assert capsys.readouterr().err == (f"error: no unit of --outcomes {outcomes} appears in "
+                                       f"--predictors {themes}\n")
     assert not out.exists()
 
 
@@ -630,6 +654,20 @@ def test_select_predictors_warns_about_a_short_block(tmp_path, capsys):
         "block,predictor", "demo,a", "econ,c", "econ,d"]
 
 
+def test_select_predictors_constant_column_exits_3_naming_it_and_the_file(tmp_path, capsys):
+    predictors, blocks = _selection_files(tmp_path)
+    lines = pathlib.Path(predictors).read_text().splitlines()
+    rows = [",".join(cells[:3] + ["1.5"] + cells[4:])
+            for cells in (line.split(",") for line in lines[1:])]
+    pathlib.Path(predictors).write_text("\n".join([lines[0], *rows]) + "\n")
+    out = tmp_path / "out"
+    assert main(["select-predictors", "--predictors", predictors, "--blocks", blocks,
+                 "--out", str(out)]) == 3
+    assert capsys.readouterr().err == \
+        f"error: --predictors {predictors}: predictor 'c' is constant; correlation undefined\n"
+    assert not out.exists()
+
+
 def test_ingest_cleans_and_reports(tmp_path):
     good = np.linspace(1, 20, 21)
     bad = good.copy()
@@ -671,6 +709,14 @@ def test_ingest_exits_3_when_smoothing_overflows(tmp_path, capsys):
     assert code == 3
     assert capsys.readouterr().err == \
         f"error: {outcomes}: smoothing the series of unit 71003 overflows the float range\n"
+    assert not (out / "panel_clean.csv").exists()
+
+
+def test_ingest_dropping_every_unit_exits_3_naming_the_file(tmp_path, capsys):
+    outcomes = _long_csv(tmp_path / "o.csv", {"70001": np.full(21, np.nan)})
+    out = tmp_path / "out"
+    assert main(["ingest", "--outcomes", outcomes, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"error: {outcomes}: cleaning dropped every unit\n"
     assert not (out / "panel_clean.csv").exists()
 
 

@@ -14,7 +14,7 @@ from synthctl import (
     split_control_target,
 )
 from synthctl.donors import MAX_CORRELATION, PER_BLOCK
-from synthctl.errors import EmptyBlock, UnlabeledUnit, UnknownState, ZeroVariance
+from synthctl.errors import SynthctlError, UnlabeledUnit
 from synthctl.panel import UnitMeta
 
 
@@ -32,8 +32,10 @@ def test_abs_correlation_sign_folded():
 
 def test_abs_correlation_constant_row_raises():
     X = np.array([[1.0, 1.0, 1.0], [1.0, 2.0, 3.0]])
-    with pytest.raises(ZeroVariance):
+    with pytest.raises(SynthctlError, match="predictor row 0 is constant"):
         abs_correlation(X)
+    with pytest.raises(SynthctlError, match="predictor 'a' is constant"):
+        abs_correlation(X, ["a", "b"])
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +94,7 @@ def test_selection_pairwise_compliance():
 
 
 def test_selection_empty_block_raises():
-    with pytest.raises(EmptyBlock):
+    with pytest.raises(SynthctlError, match="block 'demo' has no predictors"):
         select_predictors_naive(np.eye(2), ["a", "b"], {"demo": []})
 
 
@@ -131,7 +133,7 @@ def test_cluster_filter_keeps_same_label_only():
 
 
 def test_cluster_filter_unlabeled_target_raises():
-    with pytest.raises(UnlabeledUnit):
+    with pytest.raises(UnlabeledUnit, match="unit '01001' has no cluster label"):
         filter_by_cluster("01001", ["01003"], {"01003": "Exurbs"})
 
 
@@ -154,7 +156,7 @@ def test_neighbor_filter_excludes_same_state():
 
 
 def test_neighbor_filter_unknown_state_raises():
-    with pytest.raises(UnknownState):
+    with pytest.raises(UnlabeledUnit, match="no adjacency entry for state '99'"):
         filter_by_neighbor_states("99001", ["13001"], {"01": ["13"]})
 
 

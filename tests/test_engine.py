@@ -24,7 +24,7 @@ from synthctl import (
 )
 from synthctl import engine
 from synthctl.engine import OUTCOME_MEAN_NAME, _nelder_mead
-from synthctl.errors import InvalidSplit, ZeroVariancePredictor
+from synthctl.errors import InvalidSplit, SynthctlError
 
 GEN = pathlib.Path(__file__).resolve().parents[1] / "bench" / "gen.py"
 
@@ -293,16 +293,20 @@ def _evaluations_per_start(monkeypatch, spec, design) -> tuple[list[int], int]:
     return counts, solves[0] - sum(counts)
 
 
-@pytest.mark.parametrize("J, per_start", [
+@pytest.mark.parametrize("k, J, per_start", [
     # one donor: every vector gives the same weights, so no search runs
-    (1, []),
+    (3, 1, []),
     # three donors: the one start on z-scored rows runs to the budget,
     # max(60, 4k) at k = 4
-    (3, [60]),
+    (3, 3, [60]),
+    # one predictor and the outcome mean (k = 2), six donors: the simplex
+    # shrinks within both tolerances after 43 points, short of the budget
+    # of 60 and of the 1 + _V_STALL_EVALS points a stall takes
+    (1, 6, [43]),
 ])
 def test_search_stops_at_its_tolerances_its_stall_and_its_budget(
-        rng, monkeypatch, J, per_start):
-    panel, predictors, spec = _small_study(rng, J=J)
+        rng, monkeypatch, k, J, per_start):
+    panel, predictors, spec = _small_study(rng, k=k, J=J)
     design = build_design(panel, predictors, spec)
     # nothing besides the search's points is scored
     assert _evaluations_per_start(monkeypatch, spec, design) == (per_start, 0)
@@ -361,7 +365,8 @@ def test_inverse_variance_mode_rejects_a_constant_lone_row():
     panel = make_panel(np.full((4, 40), 7.0))
     spec = StudySpec(treated=panel.units[0], donors=panel.units[1:], T0=25,
                      v_mode="inverse_variance")
-    with pytest.raises(ZeroVariancePredictor, match=f"predictor '{OUTCOME_MEAN_NAME}'"):
+    with pytest.raises(SynthctlError,
+                       match=f"predictor '{OUTCOME_MEAN_NAME}' is constant across units"):
         fit_synth(spec, build_design(panel, None, spec))
 
 

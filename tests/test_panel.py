@@ -22,12 +22,7 @@ from synthctl import (
     rolling_mean,
     write_panel,
 )
-from synthctl.errors import (
-    AllMissing,
-    DuplicateCell,
-    SeriesOverflow,
-    UnparseableDate,
-)
+from synthctl.errors import SeriesOverflow, SynthctlError
 from synthctl.panel import read_table, validate_unit_code
 from synthctl.serialize import write_csv
 
@@ -110,13 +105,13 @@ def test_ingest_duplicate_cell_raises_even_when_equal(tmp_path):
         "01001,2021-01-01,1.0\n"
         "01001,2021-01-01,1.0\n"
     ))
-    with pytest.raises(DuplicateCell):
+    with pytest.raises(SynthctlError, match="duplicate observation for unit 01001 on 2021-01-01"):
         ingest_panel(path)
 
 
 def test_ingest_bad_date_raises(tmp_path):
     path = _write(tmp_path / "p.csv", "unit,date,value\n01001,01/02/2021,1.0\n")
-    with pytest.raises(UnparseableDate):
+    with pytest.raises(SynthctlError, match="cannot parse date '01/02/2021' for unit 01001"):
         ingest_panel(path)
 
 
@@ -129,13 +124,14 @@ def test_ingest_reports_first_repeated_row_in_file_order(tmp_path):
         "02002,2021-01-01,2.0\n"
         "01001,2021-01-01,1.0\n"
     ))
-    with pytest.raises(DuplicateCell, match="unit 02002 on 2021-01-01 in "):
+    with pytest.raises(SynthctlError,
+                       match="duplicate observation for unit 02002 on 2021-01-01 in "):
         ingest_panel(path)
 
 
 def test_ingest_short_row_without_date_raises(tmp_path):
     path = _write(tmp_path / "p.csv", "unit,date,value\n01001,2021-01-01,1.0\n01001\n")
-    with pytest.raises(UnparseableDate, match="for unit 01001"):
+    with pytest.raises(SynthctlError, match="cannot parse date '' for unit 01001"):
         ingest_panel(path)
 
 
@@ -332,7 +328,7 @@ def test_drop_rule_boundary_exact():
 
 
 def test_repair_series_all_missing_raises():
-    with pytest.raises(AllMissing):
+    with pytest.raises(SynthctlError, match="series has no usable cell"):
         repair_series(np.full(10, np.nan))
 
 

@@ -18,7 +18,7 @@ from synthctl import (
     solve_w,
     weights,
 )
-from synthctl.errors import DimensionMismatch
+from synthctl.errors import SynthctlError
 
 
 # ---------------------------------------------------------------------------
@@ -46,7 +46,7 @@ def test_objective_weighted_discrepancy():
 
 
 def test_objective_shape_mismatch_raises():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(SynthctlError, match=r"X1 has shape \(3,\), expected \(2,\)"):
         objective(np.ones(2), np.zeros(3), np.zeros((2, 2)), np.ones(2),
                   Regularization())
 
@@ -415,5 +415,5 @@ def test_start_is_ignored_without_a_penalty():
 def test_start_over_other_donors_raises():
     design = _factor_design(6, 10)
     start = solve_w(design.X1, design.X0[:, :5], np.ones(11), Regularization())
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(SynthctlError, match="start has 5 donor weights, expected 6"):
         solve_w(design.X1, design.X0, np.ones(11), Regularization(), start=start)
