@@ -18,6 +18,9 @@ package. The inputs are generated once, by this checkout's `bench/gen.py` and
 - `ingest` of a small hand-written panel whose unit codes need CSV quoting or
   hold a `%`, with missing cells and one unit dropped;
 - the growth series of seed 1: `logistic --bins 4`;
+- 300 growth series of seed 2, with every 9th day missing in every third
+  unit, on 4 sets of days (see punch_holes): `logistic`, whose fits group
+  the units by their observed days and run in more than one block;
 - the demo data: `fit`, `fit --l1 0`, `placebo --jobs 2` and
   `sweep --t-fit 5,10,20` at `--jobs 1` and `--jobs 2`;
 - one failing run per reachable raise site (see failure_runs): `ingest` of a
@@ -54,6 +57,7 @@ sys.dont_write_bytecode = True  # keep bench/ free of caches
 
 import gen  # noqa: E402
 
+GROWTH_HOLED_UNITS = 300
 STUDY_SEEDS = (1, 2, 3)
 STUDY_PARTS = range(10)
 COUNTY_SEEDS = (1, 2, 3)
@@ -82,6 +86,20 @@ def write_edge_panel(path: str) -> None:
                 missing = 2 <= day <= 6 if i == last else (i % 2 == 0 and day == 3 + i)
                 value = "NA" if missing else repr(10.0 * i + day ** 1.5)
                 fh.write(f"{unit},2021-03-{day:02d},{value}\n")
+
+
+def punch_holes(path: str) -> None:
+    """Mark every 9th day of every third unit of a long CSV missing, the days
+    shifting over 4 sets from one such unit to the next."""
+    rows = [line.split(",") for line in _read(path)]
+    units = list(dict.fromkeys(row[0] for row in rows[1:]))
+    offset = {unit: (i // 3) % 4 for i, unit in enumerate(units) if i % 3 == 0}
+    day: dict[str, int] = {}
+    for row in rows[1:]:
+        d = day[row[0]] = day.get(row[0], -1) + 1
+        if row[0] in offset and d % 9 == offset[row[0]]:
+            row[2] = "NA"
+    _write(path, [",".join(row) for row in rows])
 
 
 def _write(path: str, lines: list[str]) -> str:
@@ -190,6 +208,12 @@ def make_inputs(work: str) -> list[tuple[str, list[str]]]:
     gen.gen_growth(inp, 1)
     runs.append(("growth_s1_logistic", ["logistic", "--outcomes", f"{inp}/uptake.csv",
                                         "--predictors", f"{inp}/index.csv", "--bins", "4"]))
+
+    inp = os.path.join(work, "growth_holed")
+    gen.gen_growth(inp, 2, n_units=GROWTH_HOLED_UNITS)
+    punch_holes(os.path.join(inp, "uptake.csv"))
+    runs.append(("growth_holed_logistic", ["logistic", "--outcomes", f"{inp}/uptake.csv",
+                                           "--predictors", f"{inp}/index.csv"]))
 
     inp = os.path.join(work, "demo")
     subprocess.run([sys.executable, os.path.join(ROOT, "scripts", "make_demo_data.py"),

@@ -24,7 +24,8 @@ _NAMES = {
     "inference": ("PlaceboEnsemble", "PlaceboEntry", "SweepRow", "p_value", "placebo_run",
                   "training_sweep"),
     "logistic": ("BinStat", "LogisticFit", "RegressionLine", "classify_quadrant",
-                 "decile_summary", "fit_logistic", "logistic_predict", "theme_regression"),
+                 "decile_summary", "fit_logistic", "fit_logistic_many", "logistic_predict",
+                 "theme_regression"),
     "panel": ("Panel", "PredictorTable", "UnitMeta", "clean_panel", "enforce_monotone",
               "ingest_panel", "load_metadata", "load_predictors", "repair_series",
               "rolling_mean", "write_panel"),

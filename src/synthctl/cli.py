@@ -344,7 +344,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_logistic(args: argparse.Namespace) -> int:
-    from .logistic import classify_quadrant, decile_summary, fit_logistic, theme_regression
+    from .logistic import classify_quadrant, decile_summary, fit_logistic_many, theme_regression
 
     panel = ingest_panel(_required(args, "outcomes"))
     themes = load_predictors(_required(args, "predictors"))
@@ -361,12 +361,10 @@ def cmd_logistic(args: argparse.Namespace) -> int:
 
     fits = {}
     failures: list[tuple[str, str]] = []
-    for unit in units:
-        series = panel.series(unit)
-        try:
-            fit = fit_logistic(series)
-        except (SynthctlError, ValueError) as exc:
-            failures.append((unit, str(exc)))
+    series = panel.values[[panel.unit_index(u) for u in units]]
+    for unit, fit in zip(units, fit_logistic_many(series)):
+        if isinstance(fit, Exception):
+            failures.append((unit, str(fit)))
             continue
         if fit.flagged:
             failures.append((unit, fit.note or "flagged"))

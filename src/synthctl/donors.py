@@ -26,9 +26,9 @@ def abs_correlation(X: np.ndarray, names: Sequence[str] | None = None) -> np.nda
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] < 2:
         raise ValueError(f"need a predictors-by-units matrix with 2+ units, got {X.shape}")
-    sd = X.std(axis=1)
-    if (sd == 0).any():
-        row = int(np.argmax(sd == 0))
+    flat = np.ptp(X, axis=1) == 0
+    if flat.any():
+        row = int(np.argmax(flat))
         what = f"row {row}" if names is None else repr(names[row])
         raise SynthctlError(f"predictor {what} is constant; correlation undefined")
     return np.abs(np.corrcoef(X))

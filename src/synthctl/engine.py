@@ -129,6 +129,7 @@ class Design:
     Y0: np.ndarray  # donor outcome series, J x T
     train: np.ndarray  # training-window day indices
     val: np.ndarray  # validation-window day indices
+    sources: tuple[str, str]  # the files of the predictor rows and of the outcomes
 
     def validation_error(self, w: np.ndarray) -> float:
         """Summed squared outcome gap of donor weights w over the validation window."""
@@ -146,8 +147,9 @@ def build_design(
     Every unit must be in the panel with no missing outcome, and the
     pre-period must fit inside the panel. Predictor rows are the predictor
     table rows plus the appended training-window outcome mean, each z-scored
-    across the treated unit and donors together; constant rows become zeros.
-    The unscaled rows are kept as the design's raw.
+    across the treated unit and donors together; a row of equal values
+    becomes zeros. The unscaled rows are kept as the design's raw, and the
+    files of the two tables as its sources.
     """
     order = (spec.treated,) + spec.donors
     rows = [panel.unit_index(u) for u in order]
@@ -172,7 +174,8 @@ def build_design(
         unit, day = missing[0]
         raise ValueError(f"outcome series contain missing values, first unit {order[unit]} "
                          f"on {panel.dates[day]}; clean the panel first")
-    return _assemble(base, outcome_rows, names, spec)
+    sources = ("" if predictors is None else predictors.source, panel.source)
+    return _assemble(base, outcome_rows, names, spec, sources)
 
 
 def placebo_design(design: Design, donor: int, spec: StudySpec) -> Design:
@@ -186,11 +189,11 @@ def placebo_design(design: Design, donor: int, spec: StudySpec) -> Design:
     # C order: np.vstack keeps an F-ordered block's layout, and the row means
     # of the standardization would then sum in another order
     base = np.ascontiguousarray(design.raw[:-1, 1:][:, cols])
-    return _assemble(base, design.Y0[cols], design.names[:-1], spec)
+    return _assemble(base, design.Y0[cols], design.names[:-1], spec, design.sources)
 
 
 def _assemble(base: np.ndarray, outcomes: np.ndarray, names: tuple[str, ...],
-              spec: StudySpec) -> Design:
+              spec: StudySpec, sources: tuple[str, str] = ("", "")) -> Design:
     """A design from a predictor block and outcome rows, treated unit first."""
     train, val = split_pre_period(spec.T0, spec.t_fit, spec.train_placement)
     train, val = np.asarray(train, dtype=int), np.asarray(val, dtype=int)
@@ -198,10 +201,12 @@ def _assemble(base: np.ndarray, outcomes: np.ndarray, names: tuple[str, ...],
     raw = np.vstack([base, mean_row[None, :]])
     mu = raw.mean(axis=1, keepdims=True)
     sd = raw.std(axis=1, keepdims=True)
-    scaled = np.where(sd > 0, (raw - mu) / np.where(sd > 0, sd, 1.0), 0.0)
+    # a row of equal values is constant even where its float sd is not exactly 0
+    flat = np.ptp(raw, axis=1, keepdims=True) == 0
+    scaled = np.where(flat, 0.0, (raw - mu) / np.where(flat, 1.0, sd))
     return Design(X1=scaled[:, 0].copy(), X0=scaled[:, 1:].copy(), raw=raw,
                   names=names + (OUTCOME_MEAN_NAME,),
-                  Y1=outcomes[0], Y0=outcomes[1:], train=train, val=val)
+                  Y1=outcomes[0], Y0=outcomes[1:], train=train, val=val, sources=sources)
 
 
 def _softmax(theta: np.ndarray) -> np.ndarray:
@@ -263,19 +268,20 @@ def solve_v(spec: StudySpec, design: Design) -> np.ndarray:
     """Choose the predictor importance vector for the study's design by spec.v_mode.
 
     uniform weights every predictor row 1/k; inverse_variance weights each
-    row by 1/variance across units of its raw values, and a constant row
-    fails naming its predictor. optimized runs a derivative-free search over
-    softmax-parameterized importance vectors, scoring each candidate by the
-    validation-window error of its implied donor weights, and draws nothing
-    at random. The search starts from the uniform vector (theta = 0), and
-    ends at the simplex's tolerances, after max(60, 4k) evaluations, or after
-    _V_STALL_EVALS evaluations in a row that improve on the best error by no
-    more than _V_STALL_TOL. It returns the best vector it scored. Its first
-    point is the uniform vector bit for bit, and the best moves only on an
+    row by 1/variance across units of its raw values, and a row of equal
+    values fails naming its predictor and the file it came from. optimized
+    runs a derivative-free search over softmax-parameterized importance
+    vectors, scoring each candidate by the validation-window error of its
+    implied donor weights, and draws nothing at random. The search starts
+    from the uniform vector (theta = 0), and ends at the simplex's
+    tolerances, after max(60, 4k) evaluations, or after _V_STALL_EVALS
+    evaluations in a row that improve on the best error by no more than
+    _V_STALL_TOL. It returns the best vector it scored. Its first point is
+    the uniform vector bit for bit, and the best moves only on an
     improvement larger than _V_STALL_TOL, so the fit never validates worse
-    than uniform, and a search that finds nothing better returns uniform.
-    A single row or a single donor leaves nothing to search, and gets
-    uniform. Each weight solve after the first starts warm from the previous
+    than uniform, and a search that finds nothing better returns uniform. A
+    single row or a single donor leaves nothing to search, and gets uniform.
+    Each weight solve after the first starts warm from the previous
     evaluation's (see solve_w). The first starts cold, and no state crosses
     calls, so the vector is a function of the design alone; fit_synth
     solves it once more, cold.
@@ -283,10 +289,12 @@ def solve_v(spec: StudySpec, design: Design) -> np.ndarray:
     k = design.raw.shape[0]
     if spec.v_mode == "inverse_variance":
         var = design.raw.var(axis=1)
-        constant = np.flatnonzero(var == 0)
+        constant = np.flatnonzero(np.ptp(design.raw, axis=1) == 0)
         if constant.size:
-            raise SynthctlError(
-                f"predictor {design.names[constant[0]]!r} is constant across units")
+            row = int(constant[0])
+            source = design.sources[row == k - 1]  # the last row is the training mean
+            raise SynthctlError(f"{source}{': ' if source else ''}predictor "
+                                f"{design.names[row]!r} is constant across units")
         inv = 1.0 / var
         return inv / inv.sum()
     uniform = np.full(k, 1.0 / k)

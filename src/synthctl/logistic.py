@@ -3,9 +3,11 @@
 Each unit's cumulative uptake series is summarized by three parameters: the
 ceiling K (saturation percentage), the growth rate nu, and the starting level
 p0. Each fit is a bounded least-squares problem in (K, nu, p0), solved in
-numpy alone by a bounded Levenberg-Marquardt that runs a fixed set of starts
-at once with the analytic Jacobian. Cross-unit summaries then classify units
-into quadrants around the mean ceiling and rate, regress parameters on
+numpy alone by a bounded Levenberg-Marquardt with the analytic Jacobian, from
+a fixed set of starts per series. fit_logistic_many runs the starts of many
+series in one vectorized loop per block of series that share their observed
+days; fit_logistic is its one-series case. Cross-unit summaries then classify
+units into quadrants around the mean ceiling and rate, regress parameters on
 vulnerability indices, and bin units into equal-count compartments of an
 index.
 """
@@ -26,6 +28,7 @@ N_STARTS = 7  # starting points per fit: an anchor, and one step either way alon
 LM_MAX_ITERS = 1000  # damped Gauss-Newton steps, one residual evaluation each, per start
 LM_FTOL = 1e-15  # a start stops once an accepted step lowers its SSE by no more than this share
 LM_LAMBDA_MAX = 1e16  # damping past which a step cannot move x in double precision
+LM_BLOCK = 256  # series per Levenberg-Marquardt loop; 64 and all-in-one both ran slower
 
 
 def logistic_predict(K: float, nu: float, p0: float, t: np.ndarray) -> np.ndarray:
@@ -76,16 +79,20 @@ def _levenberg_marquardt(x: np.ndarray, t: np.ndarray, y: np.ndarray,
                          lower: np.ndarray, upper: np.ndarray):
     """Bounded Levenberg-Marquardt (Moré 1978) from every row of x at once.
 
-    Each start keeps its own damping lambda: a step that lowers the SSE is
-    taken and lambda shrinks threefold; any other step is dropped and lambda
-    grows by a factor that doubles with each drop in a row (Nielsen 1999).
-    The damping is Marquardt's lambda * diag(J'J), so the step does not
-    depend on how K, nu and p0 are scaled. A coordinate on a bound whose
-    gradient points out of the box is held there for the step (an active
-    set); the free coordinates solve the reduced normal equations and the
-    point is then clipped into the box. A start stops when an accepted step
-    lowers its SSE by no more than LM_FTOL of it, or when lambda passes
-    LM_LAMBDA_MAX, so that no step can move it.
+    Row i of x is one start: it fits the curve data y[i] at the shared
+    times t, inside the box lower[i] <= x <= upper[i]. Rows from many series
+    run in one loop, and every operation on them is elementwise or per row,
+    so a row's path is the one it takes alone. Each start keeps its own
+    damping lambda: a step that lowers the SSE is taken and lambda shrinks
+    threefold; any other step is dropped and lambda grows by a factor that
+    doubles with each drop in a row (Nielsen 1999). The damping is
+    Marquardt's lambda * diag(J'J), so the step does not depend on how K,
+    nu and p0 are scaled. A coordinate on a bound whose gradient points out
+    of the box is held there for the step (an active set); the free
+    coordinates solve the reduced normal equations and the point is then
+    clipped into the box. A start stops when an accepted step lowers its SSE
+    by no more than LM_FTOL of it, or when lambda passes LM_LAMBDA_MAX, so
+    that no step can move it; a stopped start leaves the loop's work.
 
     Returns the final points, their SSEs and, per start, whether it stopped
     by those rules rather than at LM_MAX_ITERS.
@@ -100,9 +107,9 @@ def _levenberg_marquardt(x: np.ndarray, t: np.ndarray, y: np.ndarray,
         rows = np.flatnonzero(live)
         if rows.size == 0:
             break
-        xs = x[rows]
+        xs, ys, lo, hi = x[rows], y[rows], lower[rows], upper[rows]
         pred, E, c, D = _curves(xs, t)
-        r = pred - y
+        r = pred - ys
         # the analytic Jacobian, columns d/dK, d/dnu, d/dp0
         K, p0 = xs[:, 0:1], xs[:, 2:3]
         ED2 = E / (D * D)
@@ -110,14 +117,14 @@ def _levenberg_marquardt(x: np.ndarray, t: np.ndarray, y: np.ndarray,
                      axis=1)
         A = J @ J.transpose(0, 2, 1)
         g = (J @ r[:, :, None])[:, :, 0]
-        held = ((xs <= lower) & (g > 0)) | ((xs >= upper) & (g < 0))
+        held = ((xs <= lo) & (g > 0)) | ((xs >= hi) & (g < 0))
         free = ~held
         scale = A[:, diag, diag]
         M = A * (free[:, :, None] & free[:, None, :])
         M[:, diag, diag] += lam[rows, None] * np.where(scale > 0, scale, 1.0) + held
         step = np.linalg.solve(M, -(g * free)[:, :, None])[:, :, 0]
-        trial = np.clip(xs + step, lower, upper)
-        trial_sse = _sse(trial, t, y)
+        trial = np.clip(xs + step, lo, hi)
+        trial_sse = _sse(trial, t, ys)
         better = trial_sse < sse[rows]
         done = better & (sse[rows] - trial_sse <= LM_FTOL * sse[rows])
         x[rows[better]] = trial[better]
@@ -153,62 +160,108 @@ def _starts(y: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def fit_logistic(series: np.ndarray, t: np.ndarray | None = None) -> LogisticFit:
-    """Least-squares logistic fit by multistart bounded least squares.
+    """Least-squares logistic fit of one series: fit_logistic_many of that one row.
 
-    All starts run one vectorized bounded Levenberg-Marquardt
+    Raises the SynthctlError or ValueError that fit_logistic_many returns
+    for the series.
+    """
+    (fit,) = fit_logistic_many(np.asarray(series, dtype=float)[None], t)
+    if isinstance(fit, Exception):
+        raise fit
+    return fit
+
+
+def fit_logistic_many(
+    series: np.ndarray, t: np.ndarray | None = None,
+) -> list[LogisticFit | SynthctlError | ValueError]:
+    """Least-squares logistic fit of each row of series, by multistart bounded least squares.
+
+    Each fit runs N_STARTS starts of a bounded Levenberg-Marquardt
     (`_levenberg_marquardt`) directly on (K, nu, p0) with the analytic
     Jacobian, inside the box K in [max(series), 120], nu >= 0 and
-    p0 >= P0_FLOOR. The starts come from the series alone: a data-driven
-    anchor and one step either way along each axis around it, mapped into
-    the box, so equal series get equal fits. The lowest SSE wins;
-    `converged` is False when the winner stopped at LM_MAX_ITERS. A rate
-    that collapses below 1e-6 means the series is flat and the ceiling
-    cannot be identified; the fit is returned flagged rather than guessed at.
+    p0 >= P0_FLOOR, over the days where the row is finite. The starts come
+    from the row alone: a data-driven anchor and one step either way along
+    each axis around it, mapped into the box, so equal rows get equal fits.
+    The lowest SSE wins; `converged` is False when the winner stopped at
+    LM_MAX_ITERS. A rate that collapses below 1e-6 means the series is flat
+    and the ceiling cannot be identified; the fit is returned flagged rather
+    than guessed at.
 
-    Raises SynthctlError for series with fewer than 10 usable points or no
-    strictly positive value.
+    Rows with the same finite days share one loop, at most LM_BLOCK rows to
+    a loop, and a start's path in a shared loop is the one it takes alone,
+    so each fit depends on its own row and t alone.
+
+    Returns one entry per row, in order: its LogisticFit, or the error that
+    rules it out: a SynthctlError for fewer than 10 usable points or no
+    strictly positive value, a ValueError for a maximum at the ceiling or
+    a non-finite time under a finite value. Raises ValueError when t does
+    not match the rows.
     """
-    y = np.asarray(series, dtype=float)
-    tt = np.arange(y.size, dtype=float) if t is None else np.asarray(t, dtype=float)
-    if tt.shape != y.shape:
-        raise ValueError(f"time axis shape {tt.shape} does not match series {y.shape}")
-    keep = np.isfinite(y)
-    y, tt = y[keep], tt[keep]
-    if not np.isfinite(tt).all():
-        raise ValueError("time axis has a non-finite value where the series has one")
-    if y.size < 10:
-        raise SynthctlError(f"need at least 10 usable points, have {y.size}")
-    if not (y > 0).any():
-        raise SynthctlError("series is never positive")
+    Y = np.asarray(series, dtype=float)
+    if Y.ndim != 2:
+        raise ValueError(f"need one series per row, got an array of shape {Y.shape}")
+    tt = np.arange(Y.shape[1], dtype=float) if t is None else np.asarray(t, dtype=float)
+    if tt.shape != Y.shape[1:]:
+        raise ValueError(f"time axis shape {tt.shape} does not match series {Y.shape[1:]}")
+    fits: list = [None] * len(Y)
+    finite = np.isfinite(Y)
+    groups: dict[bytes, list[int]] = {}  # the rows of each set of finite days
+    for i, keep in enumerate(finite):
+        y, t_kept = Y[i, keep], tt[keep]
+        if not np.isfinite(t_kept).all():
+            fits[i] = ValueError("time axis has a non-finite value where the series has one")
+        elif y.size < 10:
+            fits[i] = SynthctlError(f"need at least 10 usable points, have {y.size}")
+        elif not (y > 0).any():
+            fits[i] = SynthctlError("series is never positive")
+        elif y.max() >= K_CEILING:
+            fits[i] = ValueError(f"series maximum {float(y.max())} exceeds the ceiling "
+                                 f"{K_CEILING}")
+        else:
+            groups.setdefault(keep.tobytes(), []).append(i)
+    for rows in groups.values():
+        keep = finite[rows[0]]
+        for at in range(0, len(rows), LM_BLOCK):
+            block = rows[at:at + LM_BLOCK]
+            for i, fit in zip(block, _fit_block(Y[block][:, keep], tt[keep])):
+                fits[i] = fit
+    return fits
 
-    k_min = float(y.max())
-    if k_min >= K_CEILING:
-        raise ValueError(f"series maximum {k_min} exceeds the ceiling {K_CEILING}")
 
-    x0 = _starts(y, tt)
-    lower = np.array([k_min, 0.0, P0_FLOOR])
-    upper = np.array([K_CEILING, np.inf, np.inf])
-    x, sse, settled = _levenberg_marquardt(x0, tt, y, lower, upper)
-    best = int(np.argmin(sse))
-    best_sse = float(sse[best])
+def _fit_block(Y: np.ndarray, t: np.ndarray) -> list[LogisticFit]:
+    """The fits of the fully finite rows of Y at times t, all starts in one loop."""
+    n = len(Y)
+    k_min = Y.max(axis=1)
+    x0 = np.vstack([_starts(y, t) for y in Y])
+    lower = np.repeat(np.column_stack([k_min, np.zeros(n), np.full(n, P0_FLOOR)]),
+                      N_STARTS, axis=0)
+    upper = np.tile([K_CEILING, np.inf, np.inf], (n * N_STARTS, 1))
+    x, sse, settled = _levenberg_marquardt(x0, t, np.repeat(Y, N_STARTS, axis=0),
+                                           lower, upper)
+    best = np.arange(n) * N_STARTS + sse.reshape(n, N_STARTS).argmin(axis=1)
+    return [_best_fit(y, t, x[b], float(sse[b]), bool(settled[b])) for y, b in zip(Y, best)]
 
-    K, nu, p0 = (float(v) for v in x[best])
-    pred = logistic_predict(K, nu, p0, tt)
+
+def _best_fit(y: np.ndarray, t: np.ndarray, x: np.ndarray, sse: float,
+              converged: bool) -> LogisticFit:
+    """The LogisticFit of the winning start x, flagged when it shows no growth."""
+    K, nu, p0 = (float(v) for v in x)
+    pred = logistic_predict(K, nu, p0, t)
     movement = float(pred.max() - pred.min())
     if movement < 1e-6 * max(1.0, K):
         # flat solution family: nu ~ 0 (any K) and p0 ~ K (any nu) both fit a
         # constant series equally well, so no single rate or ceiling is
         # identified; report the family's canonical zero-rate member
         nu = 0.0
-        resid = y - logistic_predict(K, nu, p0, tt)
-        best_sse = float(np.dot(resid, resid))
+        resid = y - logistic_predict(K, nu, p0, t)
+        sse = float(np.dot(resid, resid))
         flagged = True
         note = "series shows no growth; rate and ceiling unidentifiable"
     else:
         flagged = nu < NU_FLOOR
         note = "rate is effectively zero, ceiling unidentifiable" if flagged else None
-    return LogisticFit(K=K, nu=nu, p0=p0, sse=best_sse, flagged=flagged, note=note,
-                       converged=bool(settled[best]))
+    return LogisticFit(K=K, nu=nu, p0=p0, sse=sse, flagged=flagged, note=note,
+                       converged=converged)
 
 
 def classify_quadrant(fits: Mapping[str, LogisticFit]) -> dict[str, str]:
@@ -244,12 +297,12 @@ def theme_regression(theme: np.ndarray, param: np.ndarray) -> RegressionLine:
         raise ValueError("theme and parameter must be 1-d arrays of equal length")
     if x.size < 3:
         raise ValueError(f"need at least 3 units, have {x.size}")
+    if np.ptp(x) == 0:
+        raise SynthctlError("index values are constant")
+    if np.ptp(y) == 0:
+        raise SynthctlError("parameter values are constant")
     vx = float(x.var())
     vy = float(y.var())
-    if vx == 0.0:
-        raise SynthctlError("index values are constant")
-    if vy == 0.0:
-        raise SynthctlError("parameter values are constant")
     cov = float(np.mean((x - x.mean()) * (y - y.mean())))
     return RegressionLine(slope=cov / vx, corr=cov / np.sqrt(vx * vy))
 

@@ -71,6 +71,7 @@ class Panel:
     dates: tuple[dt.date, ...]
     values: np.ndarray
     meta: Mapping[str, UnitMeta] = field(default_factory=dict)
+    source: str = ""  # the file the values were read from, for messages
 
     def __post_init__(self) -> None:
         for code in self.units:
@@ -122,12 +123,12 @@ class Panel:
         """New panel containing only `units`, in the given order."""
         rows = [self.unit_index(u) for u in units]
         meta = {u: self.meta[u] for u in units if u in self.meta}
-        return Panel(tuple(units), self.dates, self.values[rows].copy(), meta)
+        return Panel(tuple(units), self.dates, self.values[rows].copy(), meta, self.source)
 
     def with_metadata(self, meta: Mapping[str, UnitMeta]) -> "Panel":
         units = set(self.units)
         kept = {u: m for u, m in meta.items() if u in units}
-        return Panel(self.units, self.dates, self.values, kept)
+        return Panel(self.units, self.dates, self.values, kept, self.source)
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,6 +138,7 @@ class PredictorTable:
     names: tuple[str, ...]
     units: tuple[str, ...]
     values: np.ndarray
+    source: str = ""  # the file the values were read from, for messages
 
     def __post_init__(self) -> None:
         if len(set(self.names)) != len(self.names):
@@ -168,7 +170,8 @@ class PredictorTable:
 
     def restrict(self, units: Sequence[str]) -> "PredictorTable":
         cols = [self.unit_index(u) for u in units]
-        return PredictorTable(self.names, tuple(units), self.values[:, cols].copy())
+        return PredictorTable(self.names, tuple(units), self.values[:, cols].copy(),
+                              self.source)
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +264,7 @@ def ingest_panel(path: str) -> Panel:
     values[cells] = cell_value
     start = dt.date.fromordinal(first)
     dates = tuple(start + DAY * i for i in range(n_days))
-    return Panel(tuple(units), dates, values.reshape(len(units), n_days))
+    return Panel(tuple(units), dates, values.reshape(len(units), n_days), source=path)
 
 
 def write_panel(path: str, panel: Panel) -> None:
@@ -356,7 +359,7 @@ def load_predictors(path: str) -> PredictorTable:
         units.append(unit)
         rows.append([_parse_cell(row[name], path, unit, name, line) for name in names])
     values = np.array(rows, dtype=float).T if names else np.zeros((0, len(units)))
-    return PredictorTable(names, tuple(units), values)
+    return PredictorTable(names, tuple(units), values, path)
 
 
 _TRUTHY = {"1", "true", "yes", "y", "t"}
@@ -499,7 +502,8 @@ def clean_panel(panel: Panel) -> tuple[Panel, list[tuple[str, str]]]:
     if not kept_units:
         raise SynthctlError("cleaning dropped every unit")
     meta = {u: panel.meta[u] for u in kept_units if u in panel.meta}
-    return Panel(tuple(kept_units), panel.dates, np.array(kept_rows), meta), report
+    return (Panel(tuple(kept_units), panel.dates, np.array(kept_rows), meta, panel.source),
+            report)
 
 
 def enforce_monotone(series: np.ndarray) -> np.ndarray:

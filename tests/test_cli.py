@@ -20,7 +20,7 @@ from synthctl import (Regularization, StudySpec, ingest_panel, load_predictors, 
                       placebo_run)
 from synthctl import cli
 from synthctl.cli import main
-from synthctl.engine import placebo_design
+from synthctl.engine import OUTCOME_MEAN_NAME, placebo_design
 
 START = dt.date(2021, 3, 1)
 DEMO_SCRIPT = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "make_demo_data.py"
@@ -61,12 +61,12 @@ def _study_files(tmp_path, n_donors=4, T=40, seed=0):
     return outcomes, predictors
 
 
-def _constant_row_predictors(tmp_path, n_donors=4, seed=5):
-    """A predictor table for _study_files' units whose column c is constant."""
+def _constant_row_predictors(tmp_path, n_donors=4, seed=5, value="2.5"):
+    """A predictor table for _study_files' units whose column c is `value` in each."""
     units = ["10001"] + [f"{20000 + 2 * j:05d}" for j in range(n_donors)]
     X = np.random.default_rng(seed).normal(size=(len(units), 2))
     return _wide_csv(tmp_path / "constant.csv", ["unit", "a", "b", "c"],
-                     [[u, *map(str, X[i]), "2.5"] for i, u in enumerate(units)])
+                     [[u, *map(str, X[i]), value] for i, u in enumerate(units)])
 
 
 def test_fit_writes_result_and_curve(tmp_path):
@@ -351,15 +351,34 @@ def test_out_of_range_flag_exits_2(tmp_path, capsys, command, flag, value):
 
 def test_inverse_variance_names_the_constant_predictor(tmp_path, capsys):
     outcomes, _ = _study_files(tmp_path, n_donors=4, seed=5)
-    study = ["--outcomes", outcomes, "--predictors", _constant_row_predictors(tmp_path),
+    constant = _constant_row_predictors(tmp_path)
+    study = ["--outcomes", outcomes, "--predictors", constant,
              "--treated", "10001", "--t0", _dates(40)[25], "--v-mode", "inverse-variance"]
-    complaint = "predictor 'c' is constant across units"
+    complaint = f"{constant}: predictor 'c' is constant across units"
     assert main(["fit", *study, "--out", str(tmp_path / "fit")]) == 3
     assert capsys.readouterr().err == f"error: {complaint}\n"
     assert main(["placebo", *study, "--out", str(tmp_path / "placebo")]) == 3
     assert capsys.readouterr().err.splitlines()[:-1] == [
         f"warning: placebo {unit} skipped: {complaint}"
         for unit in ("10001", "20000", "20002", "20004", "20006")]
+
+
+def test_inverse_variance_names_the_outcomes_file_for_a_constant_training_mean(tmp_path,
+                                                                               capsys):
+    # every unit has the same series, so the training-mean row is constant;
+    # the predictor column c holds 0.1 in 6 units, whose float variance is not 0
+    series = 30 + np.random.default_rng(3).normal(0, 1, 40).cumsum()
+    units = ["10001"] + [f"{20000 + 2 * j:05d}" for j in range(5)]
+    outcomes = _long_csv(tmp_path / "same.csv", {u: series for u in units})
+    predictors = _constant_row_predictors(tmp_path, n_donors=5, value="0.1")
+    for table, source, name in ((predictors, predictors, "c"),
+                                (_study_files(tmp_path, n_donors=5)[1], outcomes,
+                                 OUTCOME_MEAN_NAME)):
+        assert main(["fit", "--outcomes", outcomes, "--predictors", table,
+                     "--treated", "10001", "--t0", _dates(40)[25],
+                     "--v-mode", "inverse-variance", "--out", str(tmp_path / "fit")]) == 3
+        assert capsys.readouterr().err == (
+            f"error: {source}: predictor {name!r} is constant across units\n")
 
 
 def test_placebo_entries_say_why_a_placebo_was_skipped(tmp_path, capsys):
@@ -582,6 +601,22 @@ def test_logistic_warns_about_each_unconverged_fit_and_keeps_it(tmp_path, capsys
     fits = (out / "fits.csv").read_text().splitlines()
     assert fits[0] == "unit,K,nu,p0,sse,quadrant"
     assert [line.split(",")[0] for line in fits[1:]] == units
+
+
+def test_logistic_skips_the_regressions_of_an_index_of_equal_values(tmp_path, capsys):
+    # 0.1 in 7 units has a float variance of 2e-34, not 0
+    t = np.arange(60, dtype=float)
+    series = {f"{40000 + 2 * i:05d}": logistic_predict(50.0 + 5 * i, 0.12 + 0.01 * i, 1.0, t)
+              for i in range(7)}
+    themes = _wide_csv(tmp_path / "themes.csv", ["unit", "flat"],
+                       [[u, "0.1"] for u in series])
+    out = tmp_path / "out"
+    assert main(["logistic", "--outcomes", _long_csv(tmp_path / "o.csv", series),
+                 "--predictors", themes, "--bins", "1", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == "".join(
+        f"warning: skipping regression flat/{param}: index values are constant\n"
+        for param in ("K", "nu"))
+    assert (out / "ccvi_regression.csv").read_text() == "theme,param,slope,corr\n"
 
 
 def test_logistic_fits_units_with_equal_series_alike(tmp_path):

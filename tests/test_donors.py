@@ -38,6 +38,13 @@ def test_abs_correlation_constant_row_raises():
         abs_correlation(X, ["a", "b"])
 
 
+def test_abs_correlation_rejects_a_row_of_equal_values():
+    X = np.array([np.full(6, 0.1), np.arange(6.0)])
+    assert X[0].std() > 0  # equal values whose float spread is not exactly 0
+    with pytest.raises(SynthctlError, match="predictor row 0 is constant"):
+        abs_correlation(X)
+
+
 # ---------------------------------------------------------------------------
 # selection: the three-predictor walk-through is the oracle
 # ---------------------------------------------------------------------------

@@ -370,6 +370,31 @@ def test_inverse_variance_mode_rejects_a_constant_lone_row():
         fit_synth(spec, build_design(panel, None, spec))
 
 
+def _equal_values_study(rng):
+    """7 units whose predictor p1 is 0.1 in each: equal values whose float
+    standard deviation is not exactly 0."""
+    panel = random_walk_panel(rng, 7, 40)
+    X = np.vstack([rng.normal(size=7), np.full(7, 0.1)])
+    assert X[1].std() > 0
+    spec = StudySpec(treated=panel.units[0], donors=panel.units[1:], T0=25)
+    return panel, make_predictors(X, panel.units), spec
+
+
+def test_design_z_scores_a_row_of_equal_values_to_zeros(rng):
+    panel, predictors, spec = _equal_values_study(rng)
+    design = build_design(panel, predictors, spec)
+    assert design.X1[1] == 0.0
+    assert (design.X0[1] == 0.0).all()
+    assert np.abs(design.X0[0]).max() > 0
+
+
+def test_inverse_variance_mode_rejects_a_row_of_equal_values(rng):
+    panel, predictors, spec = _equal_values_study(rng)
+    spec = dataclasses.replace(spec, v_mode="inverse_variance")
+    with pytest.raises(SynthctlError, match="^predictor 'p1' is constant across units$"):
+        solve_v(spec, build_design(panel, predictors, spec))
+
+
 def test_solve_v_downweights_noise_predictor():
     # donor outcomes driven by predictor row 0; row 1 is pure noise with a
     # misleading treated value, so validation error should prefer row 0

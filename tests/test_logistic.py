@@ -210,6 +210,63 @@ def test_fit_stopped_at_the_iteration_cap_is_not_converged(monkeypatch):
     assert not fit_logistic(y).converged
 
 
+def _one_at_a_time(Y):
+    """fit_logistic of each row alone, or the error it raises."""
+    out = []
+    for y in Y:
+        try:
+            out.append(fit_logistic(y))
+        except (SynthctlError, ValueError) as exc:
+            out.append(exc)
+    return out
+
+
+def _same_outcome(batched, alone):
+    """Equal fits (every float bit for bit), or errors of one type and text."""
+    if isinstance(alone, Exception):
+        return type(batched) is type(alone) and str(batched) == str(alone)
+    return batched == alone
+
+
+def test_batched_fits_equal_fits_one_at_a_time(monkeypatch):
+    rng = np.random.default_rng(29)
+    Y = np.vstack([_noisy_uptake(rng)[2] for _ in range(320)])
+    for i in range(0, 320, 8):  # 40 units with holes on 4 sets of days
+        Y[i, (i // 8) % 4::11] = np.nan
+    Y[101, 9:] = np.nan  # too short, between good units
+    Y[102] = 0.0  # never positive
+    loops = []
+    solve = logistic._levenberg_marquardt
+
+    def counted(x, *args):
+        loops.append(len(x) // logistic.N_STARTS)
+        return solve(x, *args)
+    monkeypatch.setattr(logistic, "_levenberg_marquardt", counted)
+    batched = logistic.fit_logistic_many(Y)
+    # the 278 units without holes run in two blocks, each set of holes in one
+    assert sorted(loops) == [10, 10, 10, 10, 278 - logistic.LM_BLOCK, logistic.LM_BLOCK]
+    alone = _one_at_a_time(Y)
+    assert str(alone[101]) == "need at least 10 usable points, have 9"
+    assert str(alone[102]) == "series is never positive"
+    assert all(_same_outcome(b, a) for b, a in zip(batched, alone))
+
+
+def test_batched_fit_at_the_iteration_cap_is_alone_in_not_converging(monkeypatch):
+    rng = np.random.default_rng(3)
+    Y = np.vstack([_noisy_uptake(rng)[2] for _ in range(8)])
+    monkeypatch.setattr(logistic, "LM_MAX_ITERS", 25)
+    batched = logistic.fit_logistic_many(Y)
+    assert [f.converged for f in batched] == [True] * 4 + [False] + [True] * 3
+    assert batched == _one_at_a_time(Y)
+
+
+def test_equal_series_in_one_batch_get_equal_fits():
+    rng = np.random.default_rng(8)
+    y, other = _noisy_uptake(rng)[2], _noisy_uptake(rng)[2]
+    fits = logistic.fit_logistic_many(np.vstack([y, other, y, y]))
+    assert fits[0] == fits[2] == fits[3] != fits[1]
+
+
 def test_fit_with_explicit_times():
     t = np.arange(0, 730, 2, dtype=float)
     y = logistic_predict(75.0, 0.03, 1.0, t)
@@ -291,6 +348,15 @@ def test_regression_constant_inputs_raise():
         theme_regression(np.ones(5), np.arange(5.0))
     with pytest.raises(SynthctlError, match="parameter values are constant"):
         theme_regression(np.arange(5.0), np.ones(5))
+
+
+def test_regression_rejects_equal_values_whose_float_variance_is_not_zero():
+    flat = np.full(7, 0.1)
+    assert flat.var() > 0
+    with pytest.raises(SynthctlError, match="index values are constant"):
+        theme_regression(flat, np.arange(7.0))
+    with pytest.raises(SynthctlError, match="parameter values are constant"):
+        theme_regression(np.arange(7.0), flat)
 
 
 def test_regression_needs_three_units():
