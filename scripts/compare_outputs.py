@@ -23,14 +23,16 @@ package. The inputs are generated once, by this checkout's `bench/gen.py` and
   the units by their observed days and run in more than one block;
 - the demo data: `fit`, `fit --l1 0`, `placebo --jobs 2` and
   `sweep --t-fit 5,10,20` at `--jobs 1` and `--jobs 2`;
+- `synthctl --help` and `--help` of each subcommand (HELP_COMMANDS), whose
+  texts carry the option defaults and choices;
 - one failing run per reachable raise site (see failure_runs): `ingest` of a
-  repeated (unit, date) row, an unparseable date, a header with no rows and
-  a panel whose every unit is dropped; `fit` of the demo study with a
-  `--clusters` table that lacks the treated unit, an `--adjacency` table that
-  lacks its state, and `--v-mode inverse-variance` on a constant predictor
-  column; `logistic` with no shared unit, and with a too-short series, a
-  never-positive series, a constant index column and more bins than fits;
-  `select-predictors` with a constant column.
+  repeated (unit, date) row, an unparseable date, an infinite value, a
+  header with no rows and a panel whose every unit is dropped; `fit` of the
+  demo study with a `--clusters` table that lacks the treated unit, an
+  `--adjacency` table that lacks its state, and `--v-mode inverse-variance`
+  on a constant predictor column; `logistic` with no shared unit, and with a
+  too-short series, a never-positive series, a constant index column and
+  more bins than fits; `select-predictors` with a constant column.
 
 Every output file, and each command's exit code, stdout and stderr, is
 compared byte for byte across the two trees. Within each tree, every run at
@@ -65,6 +67,7 @@ COUNTY_SEEDS = (1, 2, 3)
 EDGE_UNITS = ('"Saint Louis, city"', '"The ""Bay"" area"', "50% Township", "Z\u00fcrich", "100%s",
               "Nowhere")
 T_FITS = "5,10,20"
+HELP_COMMANDS = ("fit", "placebo", "sweep", "logistic", "select-predictors", "ingest")
 # stdout names the output directory, so a --jobs 1 run's never matches its twin's
 JOBS_SKIP = frozenset({"_stdout.txt"})
 NUMBER = re.compile(rb"-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf")
@@ -124,6 +127,7 @@ def failure_runs(work: str, demo: str, growth: str) -> list[tuple[str, list[str]
     ingests = {
         "repeated_cell": [header, "01001,2021-03-01,1.0", "01001,2021-03-01,1.0"],
         "bad_date": [header, "01001,2021-03-01,1.0", "01001,03/02/2021,2.0"],
+        "infinite": [header, "01001,2021-03-01,1e400", "01001,2021-03-02,2.0"],
         "no_rows": [header],
         "all_dropped": [header] + [f"01001,2021-03-{day:02d},NA" for day in range(1, 11)],
     }
@@ -224,6 +228,8 @@ def make_inputs(work: str) -> list[tuple[str, list[str]]]:
              ("demo_placebo_j2", ["placebo", *demo, "--jobs", "2"])]
     runs += [(f"demo_sweep_j{jobs}", ["sweep", *demo, "--t-fit", T_FITS, "--jobs", str(jobs)])
              for jobs in (1, 2)]
+    runs += [("help", ["--help"])] + [(f"help_{command}", [command, "--help"])
+                                      for command in HELP_COMMANDS]
     return runs + failure_runs(os.path.join(work, "failures"), inp,
                                os.path.join(work, "growth_s1"))
 

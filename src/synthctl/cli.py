@@ -13,13 +13,13 @@ from __future__ import annotations
 import argparse
 import datetime as dt
 import functools
+import gc
 import os
 import sys
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .engine import PLACEMENTS, V_MODES, StudySpec, build_design, fit_synth, split_pre_period
 from .errors import ConfigError, InvalidSplit, SynthctlError, UnlabeledUnit
 from .panel import (
     Panel,
@@ -32,10 +32,11 @@ from .panel import (
     write_panel,
 )
 from .serialize import write_csv, write_json
-from .weights import Regularization
+from .spec import PLACEMENTS, V_MODES, Regularization, StudySpec, split_pre_period
 
-# inference, logistic and donors are imported inside the commands that run
-# them, so that a launch loads only the modules its command needs
+# engine (with weights), inference, logistic and donors are imported inside
+# the commands that run them, so that a launch loads only the modules its
+# command needs; the parser's defaults and choices come from spec
 if TYPE_CHECKING:
     from .inference import PlaceboEntry
 
@@ -248,6 +249,8 @@ def _dates_map(panel: Panel, values: np.ndarray) -> dict[str, float]:
 # ---------------------------------------------------------------------------
 
 def cmd_fit(args: argparse.Namespace) -> int:
+    from .engine import build_design, fit_synth
+
     panel, predictors, spec = _load_study(args, args.t_fit)
     out = _out_dir(args)
 
@@ -563,6 +566,15 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
+    """Run main on the process's arguments and exit with its code.
+
+    The objects that the imports made stay alive until exit. gc.freeze moves
+    them to the permanent generation, which no collection walks: not those
+    the run triggers, not the full one at interpreter shutdown, and not
+    those in the placebo workers that a pool forks later. Library callers
+    and tests call main, which freezes nothing.
+    """
+    gc.freeze()
     sys.exit(main())
 
 

@@ -25,12 +25,10 @@ import numpy as np
 
 from .errors import InvalidSplit, SynthctlError
 from .panel import Panel, PredictorTable
-from .weights import Regularization, solve_w
+from .spec import StudySpec, split_pre_period
+from .weights import solve_w
 
 OUTCOME_MEAN_NAME = "outcome_training_mean"
-
-V_MODES = ("optimized", "inverse_variance", "uniform")
-PLACEMENTS = ("head", "tail")
 
 # search budget for the importance vector: improvements smaller than this over
 # a 50-evaluation stretch end the search
@@ -39,40 +37,6 @@ _V_STALL_EVALS = 50
 # each vertex of the search's initial simplex steps one coordinate of the
 # softmax parameter theta by this much
 _SIMPLEX_STEP = 0.5
-
-
-@dataclass(frozen=True)
-class StudySpec:
-    """What to fit: the treated unit, its donor pool, and the time layout.
-
-    T0 counts pre-intervention days, so panel column T0 is the first
-    post-intervention day. t_fit training days are carved out of the
-    pre-period at the head or tail; the remainder is the validation window.
-    v_mode picks the predictor importance vector: optimized searches for it,
-    inverse_variance weights each predictor row by 1/variance of its raw
-    values across units, and uniform weights every row equally.
-    """
-
-    treated: str
-    donors: tuple[str, ...]
-    T0: int
-    t_fit: int = 10
-    v_mode: str = "optimized"
-    reg: Regularization = field(default_factory=Regularization)
-    train_placement: str = "tail"
-
-    def __post_init__(self) -> None:
-        if not self.donors:
-            raise ValueError("donor pool must be non-empty")
-        if len(set(self.donors)) != len(self.donors):
-            raise ValueError("donor pool contains duplicates")
-        if self.treated in self.donors:
-            raise ValueError("treated unit cannot be its own donor")
-        if self.v_mode not in V_MODES:
-            raise ValueError(f"v_mode must be one of {V_MODES}, got {self.v_mode!r}")
-        if self.train_placement not in PLACEMENTS:
-            raise ValueError(f"train_placement must be one of {PLACEMENTS}")
-        split_pre_period(self.T0, self.t_fit, self.train_placement)  # validates
 
 
 @dataclass(frozen=True)
@@ -102,21 +66,6 @@ class SynthResult:
         return {n: float(v) for n, v in zip(self.predictor_names, self.v_star)}
 
 
-def split_pre_period(T0: int, t_fit: int, placement: str = "tail") -> tuple[range, range]:
-    """Carve the pre-period [0, T0) into training and validation windows.
-
-    head places the t_fit training days first; tail places them last, keeping
-    the match anchored to the days closest to the intervention.
-    """
-    if not (1 <= t_fit < T0):
-        raise InvalidSplit(f"need 1 <= t_fit < T0, got t_fit={t_fit} T0={T0}")
-    if placement == "head":
-        return range(0, t_fit), range(t_fit, T0)
-    if placement == "tail":
-        return range(T0 - t_fit, T0), range(0, T0 - t_fit)
-    raise ValueError(f"unknown placement {placement!r}")
-
-
 @dataclass(frozen=True)
 class Design:
     """One study's arrays: predictor matrices, outcome rows and pre-period windows."""
@@ -130,10 +79,18 @@ class Design:
     train: np.ndarray  # training-window day indices
     val: np.ndarray  # validation-window day indices
     sources: tuple[str, str]  # the files of the predictor rows and of the outcomes
+    # Y1[val] and Y0[:, val], cut once for the search's many validation_error
+    # calls; __post_init__ sets them, so dataclasses.replace recuts them
+    Y1_val: np.ndarray = field(init=False)
+    Y0_val: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "Y1_val", self.Y1[self.val])
+        object.__setattr__(self, "Y0_val", self.Y0[:, self.val])
 
     def validation_error(self, w: np.ndarray) -> float:
         """Summed squared outcome gap of donor weights w over the validation window."""
-        diff = self.Y1[self.val] - self.Y0[:, self.val].T @ w
+        diff = self.Y1_val - self.Y0_val.T @ w
         return float(np.dot(diff, diff))
 
 

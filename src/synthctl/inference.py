@@ -14,9 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import StudySpec, build_design, fit_synth, placebo_design, split_pre_period
+from .engine import build_design, fit_synth, placebo_design
 from .errors import InvalidSplit, SynthctlError
 from .panel import Panel, PredictorTable
+from .spec import StudySpec, split_pre_period
 
 # pre-period error below this is treated as an exact fit; the ratio is taken
 # against the floor instead of erroring so placebo loops keep running

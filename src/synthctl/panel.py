@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Sequence
@@ -199,10 +200,13 @@ def ingest_panel(path: str) -> Panel:
     The date grid spans the earliest through the latest date present in the
     file; (unit, date) cells with no row become NaN. Empty or NA-like value
     fields also become NaN, as do the value fields of rows too short to hold
-    one; blank lines and extra fields are ignored. A repeated (unit, date)
-    pair is an error even if the values agree, since silent aggregation would
-    hide upstream defects; it is reported at the first repeating row, after
-    every row has parsed.
+    one; blank lines and extra fields are ignored. A value that reads as
+    infinite (`inf`, `-inf`, `1e400`) is an error naming its unit, line and
+    file, since cleaning would otherwise repair it as a missing cell, while
+    `nan` stays missing. A repeated (unit, date) pair is an error even if the
+    values agree, since silent aggregation would hide upstream defects; it is
+    reported at the first repeating row. Both are checked after every row
+    has parsed.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -247,6 +251,10 @@ def ingest_panel(path: str) -> Panel:
             cell_value.append(value)
     if not cell_value:
         raise SynthctlError(f"{path} contains no data rows")
+    read = np.array(cell_value)
+    infinite = np.flatnonzero(np.isinf(read))
+    if infinite.size:
+        raise ValueError(_infinite_cell(path, iu, iv, int(infinite[0])))
 
     days = np.array(cell_day)
     first = int(days.min())
@@ -261,10 +269,24 @@ def ingest_panel(path: str) -> Panel:
         raise SynthctlError(f"duplicate observation for unit {codes[cell_unit[row]]} on "
                             f"{dt.date.fromordinal(cell_day[row])} in {path}")
     values = np.full(len(units) * n_days, np.nan)
-    values[cells] = cell_value
+    values[cells] = read
     start = dt.date.fromordinal(first)
     dates = tuple(start + DAY * i for i in range(n_days))
     return Panel(tuple(units), dates, values.reshape(len(units), n_days), source=path)
+
+
+def _infinite_cell(path: str, iu: int, iv: int, index: int) -> str:
+    """The error for the infinite value of data row `index` of a long CSV.
+
+    ingest_panel finds the cell by its position in the values it read; only
+    then is the file read again, for the cell's text, unit and line.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        row = next(itertools.islice((row for row in reader if row), index, None))
+        where = _where("value", row[iu].strip(), reader.line_num, path)
+        return f"non-finite value {row[iv].strip()!r} {where}"
 
 
 def write_panel(path: str, panel: Panel) -> None:

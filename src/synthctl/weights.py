@@ -57,6 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SynthctlError
+from .spec import Regularization
 
 # a solve is certified when its Frank-Wolfe gap is at most REL_GAP * f plus
 # ABS_GAP times the scale s of the inputs (LSQ_FLOOR * s^2 / f when l1 = 0),
@@ -69,17 +70,6 @@ LSQ_FLOOR = 1e-15
 _ENTER_TOL = 1e-13
 _MAX_MU_STEPS = 60
 _TINY = 1e-300
-
-
-@dataclass(frozen=True)
-class Regularization:
-    """Penalty coefficient: l1 multiplies ||w||_2."""
-
-    l1: float = 0.6
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.l1 < math.inf:
-            raise ValueError("penalty coefficient must be finite and nonnegative")
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 
 import datetime as dt
 import dataclasses
+import gc
 import json
 import os
 import pathlib
@@ -732,6 +733,17 @@ def test_ingest_bad_value_cell_exits_3(tmp_path, capsys):
     assert f"on line 5 of {path}" in err
 
 
+def test_ingest_infinite_value_cell_exits_3(tmp_path, capsys):
+    # 1e400 reads as inf; cleaning would have interpolated over it and exited 0
+    path = tmp_path / "o.csv"
+    path.write_text("unit,date,value\n01001,2021-01-01,1e400\n01001,2021-01-02,2\n")
+    out = tmp_path / "out"
+    assert main(["ingest", "--outcomes", str(path), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == ("error: non-finite value '1e400' in column 'value' "
+                                       f"for unit 01001 on line 2 of {path}\n")
+    assert not (out / "panel_clean.csv").exists()
+
+
 def test_ingest_exits_3_when_smoothing_overflows(tmp_path, capsys):
     # 1e306 * (day + 1) is finite on every day, but its running sum is not
     series = {"10001": np.arange(1.0, 41.0), "20001": np.arange(2.0, 42.0),
@@ -1244,6 +1256,11 @@ def test_ingest_and_inverse_variance_fit_never_import_scipy(tmp_path):
     assert (tmp_path / "out" / "fit" / "result.json").exists()
 
 
+# the modules that only the study commands (fit, placebo, sweep) run
+FITTING_MODULES = ("synthctl.engine", "synthctl.weights", "synthctl.inference",
+                   "concurrent.futures")
+
+
 def test_ingest_loads_only_the_modules_it_runs(tmp_path):
     files = _demo_files(tmp_path / "demo")
     _scipy_free_run("""
@@ -1252,9 +1269,35 @@ def test_ingest_loads_only_the_modules_it_runs(tmp_path):
         out, files = sys.argv[1], sys.argv[2:]
         assert main(["ingest", *files, "--out", out]) == 0
     """, str(tmp_path / "out"), *files[:2], *files[4:],
-        absent=("synthctl.inference", "synthctl.logistic", "synthctl.donors",
-                "concurrent.futures"))
+        absent=FITTING_MODULES + ("synthctl.logistic", "synthctl.donors"))
     assert (tmp_path / "out" / "panel_clean.csv").exists()
+
+
+def test_select_predictors_loads_no_fitting_module(tmp_path):
+    predictors, blocks = _selection_files(tmp_path)
+    _scipy_free_run("""
+        import sys
+        from synthctl.cli import main
+        assert main(["select-predictors", *sys.argv[1:]]) == 0
+    """, "--predictors", predictors, "--blocks", blocks, "--out", str(tmp_path / "out"),
+        absent=FITTING_MODULES + ("synthctl.logistic",))
+    assert (tmp_path / "out" / "selected.csv").exists()
+
+
+@pytest.mark.parametrize("command", [[]] + [[name] for name in cli.COMMANDS],
+                         ids=["synthctl"] + list(cli.COMMANDS))
+def test_help_loads_no_module_a_command_runs(command):
+    _scipy_free_run("""
+        import sys
+        from synthctl.cli import main
+        try:
+            main(sys.argv[1:])
+        except SystemExit as exc:
+            assert exc.code == 0, exc.code
+        else:
+            raise AssertionError("--help returned")
+    """, *command, "--help",
+        absent=FITTING_MODULES + ("synthctl.logistic", "synthctl.donors"))
 
 
 def test_study_commands_never_import_scipy(tmp_path):
@@ -1287,8 +1330,59 @@ def test_logistic_never_imports_scipy(tmp_path):
         assert main(["logistic", "--outcomes", outcomes, "--predictors", themes,
                      "--bins", "2", "--out", out]) == 0
     """, str(tmp_path / "out"), outcomes, themes,
-        absent=("synthctl.inference", "synthctl.donors"))
+        absent=FITTING_MODULES + ("synthctl.donors",))
     assert len((tmp_path / "out" / "fits.csv").read_text().splitlines()) == 6
+
+
+def test_entrypoint_freezes_the_heap_once_before_main(monkeypatch):
+    freezes, seen = [], []
+    freeze = gc.freeze
+
+    def counted_freeze():
+        freezes.append(1)
+        freeze()
+
+    def recording_main():
+        seen.append((len(freezes), gc.get_freeze_count()))
+        return 3
+
+    monkeypatch.setattr(gc, "freeze", counted_freeze)
+    monkeypatch.setattr(cli, "main", recording_main)
+    try:
+        with pytest.raises(SystemExit) as info:
+            cli.entrypoint()
+    finally:
+        gc.unfreeze()
+    assert info.value.code == 3
+    assert len(seen) == 1 and seen[0][0] == 1 and seen[0][1] > 0
+    assert len(freezes) == 1
+
+
+def test_module_launch_keeps_main_exit_codes_and_streams(tmp_path, capsys, monkeypatch):
+    # `python -m synthctl.cli` runs entrypoint: the same code, stdout and
+    # stderr as main in this process, for a fit, a --help, a configuration
+    # error (2) and a computation error (3)
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal's width
+    outcomes, predictors = _study_files(tmp_path)
+    infinite = tmp_path / "inf.csv"
+    infinite.write_text("unit,date,value\n01001,2021-01-01,1e400\n01001,2021-01-02,2\n")
+    runs = {
+        0: ["fit", "--outcomes", outcomes, "--predictors", predictors, "--treated", "10001",
+            "--t0", _dates(40)[25], "--out", str(tmp_path / "out")],
+        2: ["fit", "--outcomes", str(tmp_path / "nope.csv"), "--treated", "10001"],
+        3: ["ingest", "--outcomes", str(infinite), "--out", str(tmp_path / "ingest")],
+    }
+    for code, argv in [*runs.items(), (0, ["fit", "--help"])]:
+        try:
+            assert main(argv) == code
+        except SystemExit as exc:
+            assert exc.code == code
+        expected = capsys.readouterr()
+        assert expected.out or expected.err
+        proc = subprocess.run([sys.executable, "-m", "synthctl.cli", *argv],
+                              env=_src_env(), capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == \
+            (code, expected.out, expected.err), argv
 
 
 def test_fit_pool_leaves_out_the_treated_units_state(tmp_path):

@@ -135,6 +135,23 @@ def test_ingest_short_row_without_date_raises(tmp_path):
         ingest_panel(path)
 
 
+@pytest.mark.parametrize("cell", ["inf", "-inf", "1e400", " -Infinity "])
+def test_ingest_infinite_value_raises_naming_value_unit_line_and_file(tmp_path, cell):
+    # cleaning would repair an infinite cell as a missing one; the blank line
+    # still counts toward the line number
+    path = _write(tmp_path / "p.csv", (
+        "unit,date,value\n"
+        "01001,2021-01-01,1.0\n"
+        "\n"
+        f"02002,2021-01-01,{cell}\n"
+        "02002,2021-01-02,nan\n"
+    ))
+    with pytest.raises(ValueError) as info:
+        ingest_panel(path)
+    assert str(info.value) == (f"non-finite value {cell.strip()!r} in column 'value' "
+                               f"for unit 02002 on line 4 of {path}")
+
+
 _MISSING = ("", "NA", "na", "nan", "NaN", "none", "None", "NULL")
 
 
