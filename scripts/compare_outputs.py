@@ -13,6 +13,12 @@ package. The inputs are generated once, by this checkout's `bench/gen.py` and
   `placebo --jobs 2` and `fit --l1 0`;
 - the study of seeds 1-3, part 0: `sweep --t-fit 5,10,20` at `--jobs 1` and
   `--jobs 2`;
+- exact-fit studies (see write_exact_study) of 2, 3, 4, 5 and 8 donors over
+  40 and 60 days, seeds 1-3: `placebo --t0` on day 2T/3, at the default
+  `--l1` and at `--l1 0`, each at `--jobs 1` and `--jobs 2`. Their weight
+  solves reach the branches of `weights.py` that the other inputs leave
+  unrun: the warm-to-cold fallback, the lstsq re-run, the kink branch of
+  the mu search and its Illinois secant steps;
 - the county panels of seeds 1-3: `ingest`, then `fit --v-mode inverse-variance`
   on the cleaned panel;
 - `ingest` of a small hand-written panel whose unit codes need CSV quoting or
@@ -46,6 +52,7 @@ else 1.
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import re
 import shutil
@@ -58,11 +65,15 @@ sys.path.insert(0, os.path.join(ROOT, "bench"))
 sys.dont_write_bytecode = True  # keep bench/ free of caches
 
 import gen  # noqa: E402
+import numpy as np  # noqa: E402
 
 GROWTH_HOLED_UNITS = 300
 STUDY_SEEDS = (1, 2, 3)
 STUDY_PARTS = range(10)
 COUNTY_SEEDS = (1, 2, 3)
+EXACT_DONORS = (2, 3, 4, 5, 8)
+EXACT_DAYS = (40, 60)
+EXACT_SEEDS = (1, 2, 3)
 # raw CSV fields of unit codes that need quoting or hold a printf "%"
 EDGE_UNITS = ('"Saint Louis, city"', '"The ""Bay"" area"', "50% Township", "Z\u00fcrich", "100%s",
               "Nowhere")
@@ -89,6 +100,27 @@ def write_edge_panel(path: str) -> None:
                 missing = 2 <= day <= 6 if i == last else (i % 2 == 0 and day == 3 + i)
                 value = "NA" if missing else repr(10.0 * i + day ** 1.5)
                 fh.write(f"{unit},2021-03-{day:02d},{value}\n")
+
+
+def write_exact_study(inp: str, n_donors: int, days: int, seed: int) -> str:
+    """Write a study whose treated unit 10001 is an exact convex mix of its
+    donors, and return the date of its day 2 * days / 3.
+
+    The donors are random walks, the mix's weights a Dirichlet draw, and each
+    unit has three standard normal predictors.
+    """
+    rng = np.random.default_rng(seed)
+    donors = 30 + rng.normal(0.0, 1.0, (n_donors, days)).cumsum(axis=1)
+    values = np.vstack([rng.dirichlet(np.ones(n_donors)) @ donors, donors])
+    units = ["10001"] + [f"{20000 + 2 * j:05d}" for j in range(n_donors)]
+    dates = gen._dates(days)
+    os.makedirs(inp, exist_ok=True)
+    gen._write_long(os.path.join(inp, "outcomes.csv"), units, dates,
+                    ((i, t, repr(float(values[i, t])))
+                     for i in range(len(units)) for t in range(days)))
+    gen._write_wide(os.path.join(inp, "predictors.csv"), units, ("a", "b", "c"),
+                    rng.normal(size=(3, len(units))))
+    return dates[2 * days // 3]
 
 
 def punch_holes(path: str) -> None:
@@ -190,6 +222,15 @@ def make_inputs(work: str) -> list[tuple[str, list[str]]]:
                 runs += [(f"{name}_sweep_j{jobs}",
                           ["sweep", *study, "--t-fit", T_FITS, "--jobs", str(jobs)])
                          for jobs in (1, 2)]
+
+    for n_donors, days, seed in itertools.product(EXACT_DONORS, EXACT_DAYS, EXACT_SEEDS):
+        name = f"exact_d{n_donors}_T{days}_s{seed}"
+        inp = os.path.join(work, name)
+        t0 = write_exact_study(inp, n_donors, days, seed)
+        study = ["--outcomes", f"{inp}/outcomes.csv", "--predictors", f"{inp}/predictors.csv",
+                 "--treated", "10001", "--t0", t0]
+        runs += [(f"{name}{label}_placebo_j{jobs}", ["placebo", *study, *l1, "--jobs", str(jobs)])
+                 for label, l1 in (("", []), ("_l1_0", ["--l1", "0"])) for jobs in (1, 2)]
 
     for seed in COUNTY_SEEDS:
         name = f"county_s{seed}"

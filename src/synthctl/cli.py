@@ -32,7 +32,7 @@ from .panel import (
     write_panel,
 )
 from .serialize import write_csv, write_json
-from .spec import PLACEMENTS, V_MODES, Regularization, StudySpec, split_pre_period
+from .spec import PLACEMENTS, V_MODES, Regularization, StudySpec
 
 # engine (with weights), inference, logistic and donors are imported inside
 # the commands that run them, so that a launch loads only the modules its
@@ -100,8 +100,8 @@ def _window_lengths(flag: str, text: str) -> list[int]:
 def _read_config(path: str, parser: argparse.ArgumentParser) -> dict[str, str]:
     """Read a key=value option file into defaults for build_parser.
 
-    The keys are the dests of the parser's subcommand options. Each value
-    stays text, for the option's check to convert as it converts a flag's.
+    The keys are the dests of the parser's subcommand options, each set once.
+    Each value stays text, for the option's check to convert as a flag's.
     """
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
@@ -109,6 +109,7 @@ def _read_config(path: str, parser: argparse.ArgumentParser) -> dict[str, str]:
     options = {a.dest for sub in commands.choices.values() for a in sub._actions
                if a.dest not in ("help", "config")}
     entries: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.strip()
@@ -120,6 +121,9 @@ def _read_config(path: str, parser: argparse.ArgumentParser) -> dict[str, str]:
             key = key.strip().replace("-", "_")
             if key not in options:
                 raise ConfigError(f"{path}:{lineno}: unknown option {key!r}")
+            if first_line.setdefault(key, lineno) != lineno:
+                raise ConfigError(f"{path}:{lineno}: option {key!r} is set twice "
+                                  f"(first on line {first_line[key]})")
             entries[key] = value.strip()
     return entries
 
@@ -147,6 +151,14 @@ def _load_panel(args: argparse.Namespace) -> Panel:
     return panel
 
 
+def _day_index(panel: Panel, day: dt.date, what: str) -> int:
+    """The panel column of day; `what` names the date in the error when it has none."""
+    try:
+        return panel.date_index(day)
+    except KeyError:
+        raise ConfigError(f"{what} is outside the panel's date range")
+
+
 def _intervention_index(args: argparse.Namespace, panel: Panel, treated: str) -> int:
     """The treated unit's intervention day: --t0, else its t0 in the metadata file.
 
@@ -158,11 +170,8 @@ def _intervention_index(args: argparse.Namespace, panel: Panel, treated: str) ->
         t0, source = panel.meta_for(treated).t0, args.metadata
     if t0 is None:
         raise ConfigError("--t0 is required (or provide it in the metadata file)")
-    try:
-        return panel.date_index(t0)
-    except KeyError:
-        raise ConfigError(f"intervention date {t0} of treated unit {treated} (from {source}) "
-                          "is outside the panel's date range")
+    return _day_index(panel, t0,
+                      f"intervention date {t0} of treated unit {treated} (from {source})")
 
 
 def _donor_pool(args: argparse.Namespace, panel: Panel, treated: str) -> tuple[str, ...]:
@@ -286,21 +295,15 @@ def cmd_placebo(args: argparse.Namespace) -> int:
     from .inference import p_value, placebo_run
 
     panel, predictors, spec = _load_study(args, args.t_fit)
-    placebo_T0 = None
-    if args.placebo_t0 is not None:
-        try:
-            placebo_T0 = panel.date_index(args.placebo_t0)
-        except KeyError:
-            raise ConfigError(
-                f"placebo date {args.placebo_t0} is outside the panel's date range")
-        try:
-            split_pre_period(placebo_T0, spec.t_fit, spec.train_placement)
-        except InvalidSplit as exc:
-            raise ConfigError(f"--placebo-t0 {args.placebo_t0} leaves too short a "
-                              f"pre-period: {exc}")
+    placebo_T0 = (None if args.placebo_t0 is None else
+                  _day_index(panel, args.placebo_t0, f"placebo date {args.placebo_t0}"))
+    try:
+        ensemble = placebo_run(spec, panel, predictors, jobs=args.jobs, placebo_T0=placebo_T0)
+    except InvalidSplit as exc:
+        # raised before any fit: StudySpec has already checked spec.T0's window
+        raise ConfigError(f"--placebo-t0 {args.placebo_t0} leaves too short a "
+                          f"pre-period: {exc}")
     out = _out_dir(args)
-
-    ensemble = placebo_run(spec, panel, predictors, jobs=args.jobs, placebo_T0=placebo_T0)
     _warn_placebo_fits(ensemble.entries)
     p = p_value(ensemble)
     payload = {

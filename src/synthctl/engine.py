@@ -110,7 +110,7 @@ def build_design(
     """
     order = (spec.treated,) + spec.donors
     rows = [panel.unit_index(u) for u in order]
-    if not (spec.t_fit < spec.T0 <= panel.n_dates):
+    if spec.T0 > panel.n_dates:
         raise InvalidSplit(
             f"pre-period T0={spec.T0} does not fit a panel of {panel.n_dates} days"
         )

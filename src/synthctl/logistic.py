@@ -159,27 +159,26 @@ def _starts(y: np.ndarray, t: np.ndarray) -> np.ndarray:
                             np.exp(theta[:, 1]), np.maximum(np.exp(theta[:, 2]), P0_FLOOR)])
 
 
-def fit_logistic(series: np.ndarray, t: np.ndarray | None = None) -> LogisticFit:
+def fit_logistic(series: np.ndarray) -> LogisticFit:
     """Least-squares logistic fit of one series: fit_logistic_many of that one row.
 
     Raises the SynthctlError or ValueError that fit_logistic_many returns
     for the series.
     """
-    (fit,) = fit_logistic_many(np.asarray(series, dtype=float)[None], t)
+    (fit,) = fit_logistic_many(np.asarray(series, dtype=float)[None])
     if isinstance(fit, Exception):
         raise fit
     return fit
 
 
-def fit_logistic_many(
-    series: np.ndarray, t: np.ndarray | None = None,
-) -> list[LogisticFit | SynthctlError | ValueError]:
+def fit_logistic_many(series: np.ndarray) -> list[LogisticFit | SynthctlError | ValueError]:
     """Least-squares logistic fit of each row of series, by multistart bounded least squares.
 
-    Each fit runs N_STARTS starts of a bounded Levenberg-Marquardt
-    (`_levenberg_marquardt`) directly on (K, nu, p0) with the analytic
-    Jacobian, inside the box K in [max(series), 120], nu >= 0 and
-    p0 >= P0_FLOOR, over the days where the row is finite. The starts come
+    Each row is a daily series: column i is day i, and a day with no
+    observation is a NaN cell. Each fit runs N_STARTS starts of a bounded
+    Levenberg-Marquardt (`_levenberg_marquardt`) directly on (K, nu, p0) with
+    the analytic Jacobian, inside the box K in [max(series), 120], nu >= 0
+    and p0 >= P0_FLOOR, over the days where the row is finite. The starts come
     from the row alone: a data-driven anchor and one step either way along
     each axis around it, mapped into the box, so equal rows get equal fits.
     The lowest SSE wins; `converged` is False when the winner stopped at
@@ -189,28 +188,23 @@ def fit_logistic_many(
 
     Rows with the same finite days share one loop, at most LM_BLOCK rows to
     a loop, and a start's path in a shared loop is the one it takes alone,
-    so each fit depends on its own row and t alone.
+    so each fit depends on its own row alone.
 
     Returns one entry per row, in order: its LogisticFit, or the error that
     rules it out: a SynthctlError for fewer than 10 usable points or no
-    strictly positive value, a ValueError for a maximum at the ceiling or
-    a non-finite time under a finite value. Raises ValueError when t does
-    not match the rows.
+    strictly positive value, a ValueError for a maximum at the ceiling.
+    Raises ValueError when series is not 2-d.
     """
     Y = np.asarray(series, dtype=float)
     if Y.ndim != 2:
         raise ValueError(f"need one series per row, got an array of shape {Y.shape}")
-    tt = np.arange(Y.shape[1], dtype=float) if t is None else np.asarray(t, dtype=float)
-    if tt.shape != Y.shape[1:]:
-        raise ValueError(f"time axis shape {tt.shape} does not match series {Y.shape[1:]}")
+    days = np.arange(Y.shape[1], dtype=float)
     fits: list = [None] * len(Y)
     finite = np.isfinite(Y)
     groups: dict[bytes, list[int]] = {}  # the rows of each set of finite days
     for i, keep in enumerate(finite):
-        y, t_kept = Y[i, keep], tt[keep]
-        if not np.isfinite(t_kept).all():
-            fits[i] = ValueError("time axis has a non-finite value where the series has one")
-        elif y.size < 10:
+        y = Y[i, keep]
+        if y.size < 10:
             fits[i] = SynthctlError(f"need at least 10 usable points, have {y.size}")
         elif not (y > 0).any():
             fits[i] = SynthctlError("series is never positive")
@@ -223,7 +217,7 @@ def fit_logistic_many(
         keep = finite[rows[0]]
         for at in range(0, len(rows), LM_BLOCK):
             block = rows[at:at + LM_BLOCK]
-            for i, fit in zip(block, _fit_block(Y[block][:, keep], tt[keep])):
+            for i, fit in zip(block, _fit_block(Y[block][:, keep], days[keep])):
                 fits[i] = fit
     return fits
 

@@ -206,7 +206,8 @@ def ingest_panel(path: str) -> Panel:
     `nan` stays missing. A repeated (unit, date) pair is an error even if the
     values agree, since silent aggregation would hide upstream defects; it is
     reported at the first repeating row. Both are checked after every row
-    has parsed.
+    has parsed. A header that repeats a column name is an error, as in
+    every side table (see read_table).
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -214,9 +215,8 @@ def ingest_panel(path: str) -> Panel:
         for col in _LONG_COLUMNS:
             if col not in header:
                 raise ValueError(f"column {col!r} not found in {path} (header: {header})")
-        # a repeated column name resolves to its last occurrence, as in csv.DictReader
-        position = {name: i for i, name in enumerate(header)}
-        iu, idt, iv = (position[col] for col in _LONG_COLUMNS)
+        _check_unique_columns(header, path)
+        iu, idt, iv = (header.index(col) for col in _LONG_COLUMNS)
         width = max(iu, idt, iv) + 1
         unit_at: dict[str, int] = {}  # raw unit field -> row of the grid
         units: dict[str, int] = {}  # unit code -> row of the grid, in first-seen order
@@ -324,6 +324,12 @@ def _parse_cell(raw: str, path: str, unit: str, column: str, line: int) -> float
     return value
 
 
+def _check_unique_columns(header: list[str], path: str) -> None:
+    repeated = [name for i, name in enumerate(header) if name in header[:i]]
+    if repeated:
+        raise ValueError(f"column {repeated[0]!r} appears twice in the header of {path}")
+
+
 def read_table(path: str, columns: Sequence[str],
                key: str | None = None) -> Iterator[tuple[int, dict[str, str]]]:
     """Yield (line, row) for each data row of a CSV side table, cells stripped.
@@ -341,9 +347,7 @@ def read_table(path: str, columns: Sequence[str],
         if missing:
             raise ValueError(f"{path} must carry column(s) {', '.join(map(repr, missing))} "
                              f"(header: {header})")
-        repeated = [name for i, name in enumerate(header) if name in header[:i]]
-        if repeated:
-            raise ValueError(f"column {repeated[0]!r} appears twice in the header of {path}")
+        _check_unique_columns(header, path)
         seen: set[str] = set()
         line = 0  # the last data row's line, 0 until one is read
         for cells in reader:

@@ -32,8 +32,8 @@ program solved by Lawson & Hanson's NNLS.
 A solve may start warm from an earlier one's result, as the importance
 search's consecutive solves do (engine.fit_synth's final solve of the chosen
 importances stays cold): for l1 > 0 and an earlier mu > 0 it skips the
-least-squares program and enters the mu iteration at the earlier mu, weights
-and free set, with no low end of the bracket until a program lands below the
+least-squares program and enters the mu iteration at the earlier mu and
+weights, with no low end of the bracket until a program lands below the
 root. If the root lies below a mu that no Newton step can leave downward (as
 at the kink, which only the least-squares program detects), or the warm
 iteration ends uncertified, the solve falls back to the cold one and returns
@@ -79,8 +79,7 @@ class SolveResult:
     fw_gap bounds objective - (the minimum objective); converged is True
     when that bound certifies the weights (see REL_GAP). mu is the ridge
     coefficient of the program that found w (0 for a least-squares program
-    or an exact fit), and support its free set: the sorted indices of the
-    positive weights. A later solve may start from them (see solve_w).
+    or an exact fit). A later solve may start from w and mu (see solve_w).
     """
 
     w: np.ndarray
@@ -88,7 +87,6 @@ class SolveResult:
     converged: bool
     fw_gap: float
     mu: float
-    support: np.ndarray
 
 
 def _check_inputs(X1: np.ndarray, X0: np.ndarray, v: np.ndarray) -> tuple[int, int]:
@@ -444,9 +442,9 @@ class _Solver:
         return gap <= REL_GAP * f + floor
 
     def solve(self, start: SolveResult | None = None
-              ) -> tuple[np.ndarray, float, bool, float, np.ndarray]:
+              ) -> tuple[np.ndarray, float, bool, float]:
         """Weights, a bound on their distance to the optimum, whether it
-        certifies them, and the mu and free set of the program that found them.
+        certifies them, and the mu of the program that found them.
 
         The bound is the Frank-Wolfe gap, or f itself where that is smaller.
         A start makes the first pass warm (see search); a warm pass that ends
@@ -464,16 +462,16 @@ class _Solver:
             again = self.search()
             if self.certified(*again[:2]) or again[0] < f:
                 found = again
-        f, gap, w, mu, F = found
-        return w, min(gap, f), self.certified(f, gap), mu, F
+        f, gap, w, mu = found
+        return w, min(gap, f), self.certified(f, gap), mu
 
     def search(self, start: SolveResult | None = None
-               ) -> tuple[float, float, np.ndarray, float, np.ndarray]:
-        """The objective, Frank-Wolfe gap, weights, mu and free set of one pass.
+               ) -> tuple[float, float, np.ndarray, float]:
+        """The objective, Frank-Wolfe gap, weights and mu of one pass.
 
         A cold pass starts from the least-squares program at the best vertex.
-        A warm pass skips it and enters the mu loop at the start's mu, weights
-        and free set, with the bracket's low end unknown until a program lands
+        A warm pass skips it and enters the mu loop at the start's mu and
+        weights, with the bracket's low end unknown until a program lands
         below the root. When the root lies below a mu and no Newton step stays
         inside (0, mu), as at a kink, which only the least-squares program
         detects, the warm pass stops with its best point, uncertified.
@@ -482,15 +480,15 @@ class _Solver:
         lo = hi = None  # mu below and above the root, with their values
         kink = False
         if start is not None:
-            mu, w, F = start.mu, start.w, start.support
-            best = (math.inf, math.inf, w, mu, F)
+            mu, w, F = start.mu, start.w, np.flatnonzero(start.w)
+            best = (math.inf, math.inf, w, mu)
         else:
             j0 = int(np.argmin(((A - b[:, None]) ** 2).sum(axis=0)))
             w = np.zeros(self.J)
             w[j0] = 1.0
             w, F, r, y = self.program(0.0, w, np.array([j0]))
             f, gap = self.certificate(w, r, y)
-            best = (f, gap, w, 0.0, F)
+            best = (f, gap, w, 0.0)
             if l1 == 0.0 or self.certified(f, gap):
                 return best
 
@@ -515,8 +513,8 @@ class _Solver:
                 y = r / mu
             f, gap = self.certificate(w, r, y)
             if self.certified(f, gap):
-                return f, gap, w, mu, F
-            best = min(best, (f, gap, w, mu, F), key=lambda t: t[0])
+                return f, gap, w, mu
+            best = min(best, (f, gap, w, mu), key=lambda t: t[0])
             nr = mu * float(np.linalg.norm(y)) if kink else self.rnorm(r)
             nw = float(np.linalg.norm(w))
             h = l1 * nr / nw
@@ -533,12 +531,12 @@ class _Solver:
             if lo is None and value >= 0.0:
                 # the root lies below the first mu: at the least-norm exact
                 # fit (mu -> 0) or between, and this free set holds the fit
-                w0, F0, r0, y0 = self.least_norm_fit(F, *fit0)
+                w0, _, r0, y0 = self.least_norm_fit(F, *fit0)
                 u0 = self.kink_multiplier(w0)
                 f0, gap0 = self.certificate(w0, r0, y0, u0)
                 if self.certified(f0, gap0):
-                    return f0, gap0, w0, 0.0, F0
-                best = min(best, (f0, gap0, w0, 0.0, F0), key=lambda t: t[0])
+                    return f0, gap0, w0, 0.0
+                best = min(best, (f0, gap0, w0, 0.0), key=lambda t: t[0])
                 value0 = 0.0 if u0 is None else 1.0 - float(np.linalg.norm(u0))
                 if value0 >= 0.0:
                     break  # the exact fit's certificate failed; keep the best point
@@ -583,7 +581,7 @@ def solve_w(
         reg: penalty coefficient.
         start: an earlier solve over the same donors, typically at a nearby
             v. With l1 > 0 and a positive start.mu the solve starts warm from
-            its mu, weights and free set, and falls back to the cold solve
+            its mu and weights, and falls back to the cold solve
             when that cannot certify its weights (see the module docstring).
             Otherwise the start is ignored.
 
@@ -606,11 +604,11 @@ def solve_w(
 
     if J == 1:
         w = np.array([1.0])
-        return SolveResult(w, objective(w, X1, X0, v, reg), True, 0.0, 0.0, np.array([0]))
+        return SolveResult(w, objective(w, X1, X0, v, reg), True, 0.0, 0.0)
 
     warm = start is not None and reg.l1 > 0.0 and start.mu > 0.0
     root_v = np.sqrt(v)
     solver = _Solver(root_v[:, None] * X0, root_v * X1, reg.l1)
-    w, gap, certified, mu, F = solver.solve(start if warm else None)
+    w, gap, certified, mu = solver.solve(start if warm else None)
     w = np.maximum(w, 0.0)
-    return SolveResult(w, objective(w, X1, X0, v, reg), certified, gap, mu, F)
+    return SolveResult(w, objective(w, X1, X0, v, reg), certified, gap, mu)

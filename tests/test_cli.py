@@ -866,6 +866,9 @@ def test_fit_without_any_t0_exits_2(tmp_path, capsys, with_metadata):
 @pytest.mark.parametrize("command, flags, message", [
     ("fit", ["--config", "{tmp}/missing.cfg"], "config file not found: {tmp}/missing.cfg"),
     ("fit", ["--config", "{garbled}"], "{garbled}:1: expected key=value, got 'garbage'"),
+    # both spellings name one option
+    ("fit", ["--config", "{repeated}"],
+     "{repeated}:3: option 't_fit' is set twice (first on line 1)"),
     ("fit", ["--treated", "99999"], "treated unit '99999' is not in the outcome panel"),
     # every donor shares a state with 20000, which the metadata marks treated
     ("fit", ["--metadata", "{state_20_treated}"], "no donors remain for treated unit 10001"),
@@ -876,13 +879,15 @@ def test_fit_without_any_t0_exits_2(tmp_path, capsys, with_metadata):
     ("sweep", ["--t-fit", ","], "--t-fit selected no window lengths"),
     ("fit", ["--t-fit", "500"],
      "--t-fit 500 does not fit the pre-period: need 1 <= t_fit < T0, got t_fit=500 T0=25"),
-], ids=["config-missing", "config-line", "treated-absent", "no-donors", "placebo-t0-outside",
-        "t-fit-not-integers", "t-fit-empty", "t-fit-too-long"])
+], ids=["config-missing", "config-line", "config-repeat", "treated-absent", "no-donors",
+        "placebo-t0-outside", "t-fit-not-integers", "t-fit-empty", "t-fit-too-long"])
 def test_study_defects_exit_2_with_their_message(tmp_path, capsys, command, flags, message):
     outcomes, predictors = _study_files(tmp_path)
     garbled = tmp_path / "garbled.cfg"
     garbled.write_text("garbage\n")
-    paths = {"tmp": str(tmp_path), "garbled": str(garbled),
+    repeated = tmp_path / "repeated.cfg"
+    repeated.write_text("t-fit = 5\nl1 = 0\nt_fit = 20\n")
+    paths = {"tmp": str(tmp_path), "garbled": str(garbled), "repeated": str(repeated),
              "state_20_treated": _wide_csv(tmp_path / "m.csv", ["unit", "treated"],
                                            [["20000", "1"]])}
     out = tmp_path / "out"
@@ -978,6 +983,18 @@ def test_side_table_defects_name_the_file_exits_3(tmp_path, capsys, table, defec
     assert code == 3
     err = capsys.readouterr().err
     assert SIDE_TABLE_DEFECTS[defect] in err and path in err
+
+
+def test_outcomes_header_repeating_a_column_exits_3(tmp_path, capsys):
+    outcomes, _ = _study_files(tmp_path, seed=4)
+    path = pathlib.Path(outcomes)
+    lines = path.read_text().splitlines()
+    path.write_text("".join(f"{line},{line.rsplit(',', 1)[1]}\n" for line in lines))
+    out = tmp_path / "out"
+    assert main(["ingest", "--outcomes", outcomes, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        f"error: column 'value' appears twice in the header of {outcomes}\n")
+    assert not out.exists()
 
 
 def _capped_study(tmp_path):

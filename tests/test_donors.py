@@ -185,3 +185,29 @@ def test_split_control_target_partitions_by_state():
 def test_split_control_target_without_a_treated_unit_keeps_every_control():
     panel = make_panel(np.zeros((2, 3)))
     assert split_control_target(panel) == (panel.units, ())
+
+
+# ---------------------------------------------------------------------------
+# input checks
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: abs_correlation(np.ones((2, 1))), ValueError,
+     "need a predictors-by-units matrix with 2+ units, got (2, 1)"),
+    (lambda: select_predictors_naive(np.eye(2), ["a"], {"x": ["a"]}), ValueError,
+     "correlation matrix shape (2, 2) does not match 1 names"),
+    (lambda: select_predictors_naive(np.array([[1.0, 0.5], [0.2, 1.0]]), ["a", "b"],
+                                     {"x": ["a"]}),
+     ValueError, "correlation matrix must be symmetric"),
+    (lambda: select_predictors_naive(np.array([[1.0, 2.0], [2.0, 1.0]]), ["a", "b"],
+                                     {"x": ["a"]}),
+     ValueError, "absolute correlations must lie in [0, 1]"),
+    (lambda: select_predictors_naive(np.eye(2), ["a", "b"], {}), SynthctlError,
+     "no predictor blocks given"),
+    (lambda: select_predictors_naive(np.eye(2), ["a", "a"], {"x": ["a"]}), ValueError,
+     "predictor names must be unique"),
+], ids=["one-unit", "shape", "asymmetric", "out-of-range", "no-blocks", "repeated-name"])
+def test_input_checks_raise_with_their_message(call, error, message):
+    with pytest.raises(error) as raised:
+        call()
+    assert raised.type is error and raised.value.args == (message,)

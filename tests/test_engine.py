@@ -63,6 +63,19 @@ def test_split_rejects_degenerate_windows():
         split_pre_period(10, 0, "tail")
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: StudySpec("10001", ("20000", "20000"), T0=20), "donor pool contains duplicates"),
+    (lambda: StudySpec("10001", ("20000",), T0=20, train_placement="middle"),
+     "train_placement must be one of ('head', 'tail')"),
+    (lambda: split_pre_period(20, 5, "middle"), "unknown placement 'middle'"),
+], ids=["repeated-donor", "spec-placement", "split-placement"])
+def test_spec_checks_raise_with_their_message(call, message):
+    with pytest.raises(ValueError) as raised:
+        call()
+    assert raised.type is ValueError and raised.value.args == (message,)
+
+
+
 # ---------------------------------------------------------------------------
 # importance vectors
 # ---------------------------------------------------------------------------

@@ -253,6 +253,16 @@ def test_placebo_t0_inside_the_training_window_raises_before_any_fit(monkeypatch
         placebo_run(spec, panel, None, placebo_T0=50)
 
 
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_placebo_run_rejects_jobs_below_one(monkeypatch, jobs):
+    panel, spec = _null_study()
+    monkeypatch.setattr(inference, "build_design", None)  # raised before any work
+    with pytest.raises(ValueError) as raised:
+        placebo_run(spec, panel, None, jobs=jobs)
+    assert raised.type is ValueError and raised.value.args == ("jobs must be at least 1",)
+
+
+
 def test_p_value_on_null_panel_is_rational():
     panel, spec = _null_study(seed=10, n=7)
     ens = placebo_run(spec, panel, None)

@@ -102,16 +102,6 @@ def test_fit_too_few_points_raises():
         fit_logistic(np.array([1.0, 2.0, 3.0]))
 
 
-def test_fit_rejects_a_non_finite_time_under_a_value():
-    t = np.arange(60, dtype=float)
-    y = logistic_predict(50.0, 0.1, 1.0, t)
-    t[7] = np.nan
-    with pytest.raises(ValueError, match="time axis"):
-        fit_logistic(y, t)
-    y[7] = np.nan  # a time under a missing value is never used
-    assert fit_logistic(y, t).K == pytest.approx(50.0, rel=1e-6)
-
-
 def test_fit_rejects_series_above_ceiling():
     y = np.linspace(1.0, 130.0, 60)
     with pytest.raises(ValueError):
@@ -189,15 +179,17 @@ def test_fit_no_worse_than_scipy_trust_region():
     t, y = _noisy_uptake(rng)[1:]
     holed = y.copy()
     holed[3::5] = np.nan
-    uneven = np.cumsum(rng.integers(1, 4, size=100)).astype(float)
+    # observed on 100 unevenly spaced days, the others missing
+    uneven = np.cumsum(rng.integers(1, 4, size=100))
     noisy = logistic_predict(70.0, 0.04, 1.5, uneven) + rng.normal(0.0, 0.3, size=100)
+    sparse = np.full(uneven[-1] + 1, np.nan)
+    sparse[uneven] = np.maximum.accumulate(np.maximum(noisy, 0.01))
     # a late jump above the plateau: the best ceiling is the series maximum
     pinned = logistic_predict(60.0, 0.1, 1.0, T365[:120])
     pinned[-3:] = 62.0
-    cases += [(t, holed), (uneven, np.maximum.accumulate(np.maximum(noisy, 0.01))),
-              (T365[:120], pinned)]
+    cases += [(t, holed), (np.arange(sparse.size, dtype=float), sparse), (T365[:120], pinned)]
     for t, y in cases:
-        fit = fit_logistic(y, t)
+        fit = fit_logistic(y)
         assert fit.converged
         assert fit.sse <= _trf_sse(y, t) * (1 + 1e-12)
     assert fit.K == 62.0
@@ -267,10 +259,10 @@ def test_equal_series_in_one_batch_get_equal_fits():
     assert fits[0] == fits[2] == fits[3] != fits[1]
 
 
-def test_fit_with_explicit_times():
-    t = np.arange(0, 730, 2, dtype=float)
-    y = logistic_predict(75.0, 0.03, 1.0, t)
-    fit = fit_logistic(y, t)
+def test_fit_of_every_other_day():
+    y = np.full(729, np.nan)
+    y[::2] = logistic_predict(75.0, 0.03, 1.0, np.arange(0, 730, 2, dtype=float))
+    fit = fit_logistic(y)
     assert fit.K == pytest.approx(75.0, rel=1e-3)
     assert fit.nu == pytest.approx(0.03, rel=1e-3)
 
@@ -407,3 +399,22 @@ def test_decile_bins_partition_units(n, bins):
     # lowest bins absorb the remainder
     counts = [s.count for s in stats]
     assert counts == sorted(counts, reverse=True)
+
+
+# ---------------------------------------------------------------------------
+# input checks
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: logistic.fit_logistic_many(np.ones(20)),
+     "need one series per row, got an array of shape (20,)"),
+    (lambda: theme_regression(np.ones(3), np.ones(4)),
+     "theme and parameter must be 1-d arrays of equal length"),
+    (lambda: decile_summary(np.ones(3), np.ones(4)),
+     "param and index must be 1-d arrays of equal length"),
+    (lambda: decile_summary(np.ones(3), np.ones(3), bins=0), "bins must be positive"),
+], ids=["one-d-series", "regression-shapes", "decile-shapes", "no-bins"])
+def test_input_checks_raise_with_their_message(call, message):
+    with pytest.raises(ValueError) as raised:
+        call()
+    assert raised.type is ValueError and raised.value.args == (message,)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from helpers import make_dates, make_panel
 from synthctl import (
     Panel,
+    PredictorTable,
     UnitMeta,
     clean_panel,
     enforce_monotone,
@@ -445,3 +446,41 @@ def test_enforce_monotone_missing_inherits_running_max():
     assert np.isnan(out[0])
     assert np.allclose(out[1:], [2.0, 2.0, 2.0])
 
+
+# ---------------------------------------------------------------------------
+# input checks
+# ---------------------------------------------------------------------------
+
+def _csv(tmp_path, text):
+    path = tmp_path / "panel.csv"
+    path.write_text(text)
+    return str(path)
+
+
+DAY0 = dt.date(2021, 3, 1)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda tmp: Panel(("10001",), (), np.zeros((1, 0))), ValueError,
+     "panel must cover at least one date"),
+    (lambda tmp: Panel(("10001",), (DAY0,), np.zeros((2, 1))), ValueError,
+     "values shape (2, 1) does not match 1 units x 1 dates"),
+    (lambda tmp: PredictorTable(("a", "a"), ("10001",), np.zeros((2, 1))), ValueError,
+     "predictor names must be unique"),
+    (lambda tmp: PredictorTable(("a",), ("10001", "10001"), np.zeros((1, 2))), ValueError,
+     "unit codes must be unique in a predictor table"),
+    (lambda tmp: PredictorTable(("a",), ("10001",), np.zeros((2, 1))), ValueError,
+     "predictor matrix shape (2, 1) does not match 1 predictors x 1 units"),
+    (lambda tmp: PredictorTable(("a",), ("10001",), np.zeros((1, 1))).unit_index("99999"),
+     KeyError, "unit '99999' not in predictor table"),
+    (lambda tmp: ingest_panel(_csv(tmp, "unit,date\n10001,2021-03-01\n")), ValueError,
+     "column 'value' not found in {path} (header: ['unit', 'date'])"),
+    (lambda tmp: ingest_panel(_csv(tmp, "unit,date,value\n")), SynthctlError,
+     "{path} contains no data rows"),
+], ids=["no-dates", "panel-shape", "repeated-predictor", "repeated-unit", "table-shape",
+        "absent-unit", "missing-column", "header-only"])
+def test_input_checks_raise_with_their_message(tmp_path, call, error, message):
+    with pytest.raises(error) as raised:
+        call(tmp_path)
+    assert raised.type is error
+    assert raised.value.args == (message.format(path=tmp_path / "panel.csv"),)
