@@ -29,6 +29,15 @@ package. The inputs are generated once, by this checkout's `bench/gen.py` and
   the units by their observed days and run in more than one block;
 - the demo data: `fit`, `fit --l1 0`, `placebo --jobs 2` and
   `sweep --t-fit 5,10,20` at `--jobs 1` and `--jobs 2`;
+- one run per path that no run above reaches (see path_runs), each placebo
+  and sweep at `--jobs 1` and `--jobs 2`: a `select-predictors` that selects;
+  a `fit` whose options come from a `--config` file; `fit` with `--clusters`
+  and `--adjacency` tables that each narrow the donor pool, and with tables
+  that each leave it empty; `placebo` with no `--predictors`, and with
+  `--train-placement head`; `sweep --train-placement head` with windows too
+  long for the pre-period; `placebo --v-mode inverse-variance` with a
+  predictor constant across the donors, so that every placebo is skipped;
+  and `logistic` with a flat series;
 - `synthctl --help` and `--help` of each subcommand (HELP_COMMANDS), whose
   texts carry the option defaults and choices;
 - one failing run per reachable raise site (see failure_runs): `ingest` of a
@@ -206,6 +215,78 @@ def failure_runs(work: str, demo: str, growth: str) -> list[tuple[str, list[str]
     return runs
 
 
+def path_runs(work: str, demo: str, growth: str) -> list[tuple[str, list[str]]]:
+    """Write the inputs of runs that each reach a path no other run does, and return the runs.
+
+    demo and growth are as in failure_runs. The demo study's treated unit is
+    10001 (state 10), and its donors 20001-31001 are one unit per state from
+    20 to 31.
+    """
+    os.makedirs(work, exist_ok=True)
+    demo_study = _study_args(demo, "10001")
+    no_predictors = demo_study[:2] + demo_study[4:]
+    runs = []
+
+    selection = _write(os.path.join(work, "selection.csv"), ["unit,a,b,c,d"] + [
+        f"{60000 + 2 * i:05d},{i}.0,{i * 7 % 11}.0,{i * i % 13}.0,{2 * i + i % 3}.0"
+        for i in range(12)])
+    blocks = _write(os.path.join(work, "blocks.csv"),
+                    ["block,predictor", "demo,a", "demo,b", "demo,d", "econ,c"])
+    runs.append(("select_predictors",
+                 ["select-predictors", "--predictors", selection, "--blocks", blocks]))
+
+    # the options of the demo fit, spelled both ways, around a comment and a
+    # blank line; the --l1 flag wins over the file's l1
+    config = _write(os.path.join(work, "fit.cfg"), [
+        "# the demo study", f"outcomes = {demo}/outcomes.csv",
+        f"predictors={demo}/predictors.csv", f"metadata={demo}/metadata.csv", "",
+        "treated=10001", "t-fit=15", "v_mode=uniform", "l1=0.3"])
+    runs.append(("config_fit", ["fit", "--config", config, "--l1", "0"]))
+
+    def side_tables(name: str, clusters: list[str], adjacency: list[str]) -> list[str]:
+        return ["--clusters", _write(os.path.join(work, f"{name}_clusters.csv"),
+                                     ["fips,cluster"] + clusters),
+                "--adjacency", _write(os.path.join(work, f"{name}_adjacency.csv"),
+                                      ["state,neighbor"] + adjacency)]
+    donors = [f"{state}001" for state in range(20, 32)]
+    # the cluster keeps donors of states 20-27, then adjacency states 21, 23 and 25
+    narrow = side_tables("narrow", ["10001,north"] + [
+        f"{unit},{'north' if i < 8 else 'south'}" for i, unit in enumerate(donors)],
+        ["10,21", "10,23", "10,25", "10,30"])
+    # the treated unit's cluster and its state's neighbors hold no donor
+    empty = side_tables("empty", ["10001,east"] + [f"{unit},west" for unit in donors],
+                        ["10,98", "10,99"])
+    runs += [("fit_side_tables_narrow", ["fit", *demo_study, *narrow]),
+             ("fit_side_tables_empty", ["fit", *demo_study, *empty])]
+
+    # the demo predictors with income, the last column but one, equal in every donor
+    rows = [line.split(",") for line in _read(os.path.join(demo, "predictors.csv"))]
+    donor_constant = _write(os.path.join(work, "donor_constant_predictors.csv"), [
+        ",".join(row if row[0] in ("unit", "10001") else row[:-2] + ["55.0", row[-1]])
+        for row in rows])
+    for jobs in (1, 2):
+        j = ["--jobs", str(jobs)]
+        runs += [(f"placebo_no_predictors_j{jobs}", ["placebo", *no_predictors, *j]),
+                 (f"placebo_head_j{jobs}",
+                  ["placebo", *demo_study, "--train-placement", "head", *j]),
+                 (f"sweep_head_long_windows_j{jobs}",
+                  ["sweep", *demo_study, "--train-placement", "head",
+                   "--t-fit", "10,30,80,200", *j]),
+                 (f"placebo_skipped_j{jobs}",
+                  ["placebo", *demo_study[:2], "--predictors", donor_constant,
+                   *demo_study[4:], "--v-mode", "inverse-variance", *j])]
+
+    uptake = os.path.join(growth, "uptake.csv")
+    days = dict.fromkeys(line.split(",")[1] for line in _read(uptake)[1:])
+    flat = _write(os.path.join(work, "uptake_flat.csv"), _read(uptake) + [
+        f"39005,{day},5.0" for day in days])
+    flat_index = _write(os.path.join(work, "index_flat_unit.csv"),
+                        _read(os.path.join(growth, "index.csv")) + ["39005,0.5,0.5"])
+    runs.append(("logistic_flat", ["logistic", "--outcomes", flat, "--predictors", flat_index,
+                                   "--bins", "4"]))
+    return runs
+
+
 def make_inputs(work: str) -> list[tuple[str, list[str]]]:
     """Write every input under work and return the runs: (name, argv)."""
     runs = []
@@ -271,8 +352,9 @@ def make_inputs(work: str) -> list[tuple[str, list[str]]]:
              for jobs in (1, 2)]
     runs += [("help", ["--help"])] + [(f"help_{command}", [command, "--help"])
                                       for command in HELP_COMMANDS]
-    return runs + failure_runs(os.path.join(work, "failures"), inp,
-                               os.path.join(work, "growth_s1"))
+    growth = os.path.join(work, "growth_s1")
+    return (runs + path_runs(os.path.join(work, "paths"), inp, growth)
+            + failure_runs(os.path.join(work, "failures"), inp, growth))
 
 
 def run_tree(src: str, runs: list[tuple[str, list[str]]], out: str) -> None:

@@ -63,21 +63,22 @@ def synth_section() -> None:
     rng = np.random.default_rng(SEED)
     panel, predictors, spec, w_true = make_study(rng)
 
-    result = fit_synth(spec, build_design(panel, predictors, spec))
+    design = build_design(panel, predictors, spec)  # built once, fit by every step below
+    result = fit_synth(spec, design)
     print("== synthetic control fit ==")
-    print(f"treated unit      {result.treated}")
-    top = sorted(zip(result.donors, result.w_star), key=lambda p: -p[1])[:4]
+    print(f"treated unit      {spec.treated}")
+    top = sorted(zip(spec.donors, result.w_star), key=lambda p: -p[1])[:4]
     shown = ", ".join(f"{u}={w:.3f}" for u, w in top)
     print(f"largest weights   {shown}")
     print(f"true weights      {spec.donors[0]}=0.350, {spec.donors[1]}=0.650")
     print(f"pre-period MSPE   {result.pre_mspe:.3e}")
     print(f"mean post gap     {result.gap[spec.T0:].mean():+.3f} (injected +4.0)")
 
-    ensemble = placebo_run(spec, panel, predictors, jobs=1)
+    ensemble = placebo_run(spec, design, jobs=1)
     print(f"placebo p-value   {p_value(ensemble):.3f} "
           f"({len(ensemble.entries)} units in the ensemble)")
 
-    rows = training_sweep(spec, [5, 10, 20, 40], panel, predictors)
+    rows = training_sweep(spec, [5, 10, 20, 40], design)
     print("training-window sweep (t_fit, pre deviation, p):")
     for row in rows:
         print(f"  {row.t_fit:>3}  {row.pre_deviation:.3e}  {row.p_value:.3f}")

@@ -23,7 +23,6 @@ import numpy as np
 from .errors import ConfigError, InvalidSplit, SynthctlError, UnlabeledUnit
 from .panel import (
     Panel,
-    PredictorTable,
     clean_panel,
     ingest_panel,
     load_metadata,
@@ -38,9 +37,8 @@ from .spec import PLACEMENTS, V_MODES, Regularization, StudySpec
 # the commands that run them, so that a launch loads only the modules its
 # command needs; the parser's defaults and choices come from spec
 if TYPE_CHECKING:
+    from .engine import Design
     from .inference import PlaceboEntry
-
-V_MODE_CHOICES = tuple(mode.replace("_", "-") for mode in V_MODES)
 
 
 # ---------------------------------------------------------------------------
@@ -207,12 +205,14 @@ def _donor_pool(args: argparse.Namespace, panel: Panel, treated: str) -> tuple[s
     return pool
 
 
-def _load_study(args: argparse.Namespace,
-                t_fit: int) -> tuple[Panel, PredictorTable | None, StudySpec]:
-    """The panel, predictor table and spec of the study that fit, placebo and sweep run.
+def _load_study(args: argparse.Namespace, t_fit: int) -> tuple[Panel, StudySpec, Design]:
+    """The panel, spec and design of the study that fit, placebo and sweep run.
 
     The predictor table needs rows for the treated unit and its donors only.
+    The design is built once, here, for every fit of the command.
     """
+    from .engine import build_design
+
     panel = _load_panel(args)
     predictors = None if args.predictors is None else load_predictors(args.predictors)
     treated = _required(args, "treated")
@@ -228,11 +228,10 @@ def _load_study(args: argparse.Namespace,
     reg = Regularization(l1=args.l1)
     try:
         spec = StudySpec(treated=treated, donors=pool, T0=T0, t_fit=t_fit,
-                         v_mode=args.v_mode.replace("-", "_"), reg=reg,
-                         train_placement=args.train_placement)
+                         v_mode=args.v_mode, reg=reg, train_placement=args.train_placement)
     except InvalidSplit as exc:
         raise ConfigError(f"--t-fit {t_fit} does not fit the pre-period: {exc}")
-    return panel, predictors, spec
+    return panel, spec, build_design(panel, predictors, spec)
 
 
 def _unconverged(unit: str, fw_gap: float, run: str = "") -> str:
@@ -258,20 +257,20 @@ def _dates_map(panel: Panel, values: np.ndarray) -> dict[str, float]:
 # ---------------------------------------------------------------------------
 
 def cmd_fit(args: argparse.Namespace) -> int:
-    from .engine import build_design, fit_synth
+    from .engine import fit_synth
 
-    panel, predictors, spec = _load_study(args, args.t_fit)
+    panel, spec, design = _load_study(args, args.t_fit)
     out = _out_dir(args)
 
-    result = fit_synth(spec, build_design(panel, predictors, spec))
+    result = fit_synth(spec, design)
     if not result.converged:
         print(f"{_unconverged(spec.treated, result.fw_gap)} (objective {result.objective:.6g})",
               file=sys.stderr)
     actual = panel.series(spec.treated)
     payload = {
-        "treated": result.treated,
-        "w": result.weights_by_donor,
-        "v": result.importance_by_predictor,
+        "treated": spec.treated,
+        "w": dict(zip(spec.donors, result.w_star.tolist())),
+        "v": dict(zip(design.names, result.v_star.tolist())),
         "synthetic": _dates_map(panel, result.synthetic),
         "gap": _dates_map(panel, result.gap),
         "mspe": {
@@ -294,11 +293,11 @@ def cmd_fit(args: argparse.Namespace) -> int:
 def cmd_placebo(args: argparse.Namespace) -> int:
     from .inference import p_value, placebo_run
 
-    panel, predictors, spec = _load_study(args, args.t_fit)
+    panel, spec, design = _load_study(args, args.t_fit)
     placebo_T0 = (None if args.placebo_t0 is None else
                   _day_index(panel, args.placebo_t0, f"placebo date {args.placebo_t0}"))
     try:
-        ensemble = placebo_run(spec, panel, predictors, jobs=args.jobs, placebo_T0=placebo_T0)
+        ensemble = placebo_run(spec, design, jobs=args.jobs, placebo_T0=placebo_T0)
     except InvalidSplit as exc:
         # raised before any fit: StudySpec has already checked spec.T0's window
         raise ConfigError(f"--placebo-t0 {args.placebo_t0} leaves too short a "
@@ -331,10 +330,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     from .inference import training_sweep
 
     t_fits = _required(args, "t_fit")
-    panel, predictors, spec = _load_study(args, min(t_fits))
+    _, spec, design = _load_study(args, min(t_fits))
     out = _out_dir(args)
 
-    rows = training_sweep(spec, t_fits, panel, predictors, jobs=args.jobs)
+    rows = training_sweep(spec, t_fits, design, jobs=args.jobs)
     sweep_path = os.path.join(out, "sweep.csv")
     write_csv(sweep_path, ["t_fit", "pre_deviation", "p_value"],
               [(row.t_fit,
@@ -488,9 +487,8 @@ def _add_study(sub: argparse.ArgumentParser, *, sweep: bool = False) -> None:
     _option(sub, "--l1", _penalty, default=Regularization().l1,
             help="scales ||w||_2, the 2-norm of the donor weights; "
                  "not a lasso term (default %(default)s)")
-    _option(sub, "--v-mode", _one_of(V_MODE_CHOICES),
-            default=StudySpec.v_mode.replace("_", "-"),
-            help=f"{' | '.join(V_MODE_CHOICES)} (default %(default)s)")
+    _option(sub, "--v-mode", _one_of(V_MODES), default=StudySpec.v_mode,
+            help=f"{' | '.join(V_MODES)} (default %(default)s)")
     _option(sub, "--train-placement", _one_of(PLACEMENTS), default=StudySpec.train_placement,
             help=f"{' | '.join(PLACEMENTS)} (default %(default)s)")
 

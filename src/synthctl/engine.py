@@ -14,7 +14,7 @@ pre-intervention levels even when no predictor table is supplied. Predictor
 rows are always z-scored across units so importance weights live on one
 scale. The optimized search reads nothing else of the raw values, so its
 vector and weights do not depend on the units a predictor is recorded in;
-only inverse_variance mode reads the raw rows' variances.
+only inverse-variance mode reads the raw rows' variances.
 """
 
 from __future__ import annotations
@@ -41,11 +41,12 @@ _SIMPLEX_STEP = 0.5
 
 @dataclass(frozen=True)
 class SynthResult:
-    """A fitted synthetic control and its error summary."""
+    """A fitted synthetic control and its error summary.
 
-    treated: str
-    donors: tuple[str, ...]
-    predictor_names: tuple[str, ...]
+    w_star holds one weight per donor, in the order of spec.donors; v_star
+    holds one importance per predictor row, in the order of design.names.
+    """
+
     w_star: np.ndarray
     v_star: np.ndarray
     synthetic: np.ndarray
@@ -56,14 +57,6 @@ class SynthResult:
     objective: float
     converged: bool  # whether the final weight solve's Frank-Wolfe gap certifies it
     fw_gap: float  # that solve's Frank-Wolfe gap, a bound on its distance to the optimum
-
-    @property
-    def weights_by_donor(self) -> dict[str, float]:
-        return {d: float(w) for d, w in zip(self.donors, self.w_star)}
-
-    @property
-    def importance_by_predictor(self) -> dict[str, float]:
-        return {n: float(v) for n, v in zip(self.predictor_names, self.v_star)}
 
 
 @dataclass(frozen=True)
@@ -149,6 +142,12 @@ def placebo_design(design: Design, donor: int, spec: StudySpec) -> Design:
     return _assemble(base, design.Y0[cols], design.names[:-1], spec, design.sources)
 
 
+def window_design(design: Design, spec: StudySpec) -> Design:
+    """The study's design recut to spec's pre-period windows: the arrays equal build_design's."""
+    outcomes = np.vstack([design.Y1, design.Y0])
+    return _assemble(design.raw[:-1], outcomes, design.names[:-1], spec, design.sources)
+
+
 def _assemble(base: np.ndarray, outcomes: np.ndarray, names: tuple[str, ...],
               spec: StudySpec, sources: tuple[str, str] = ("", "")) -> Design:
     """A design from a predictor block and outcome rows, treated unit first."""
@@ -224,7 +223,7 @@ def _nelder_mead(x0: np.ndarray, xatol: float, fatol: float):
 def solve_v(spec: StudySpec, design: Design) -> np.ndarray:
     """Choose the predictor importance vector for the study's design by spec.v_mode.
 
-    uniform weights every predictor row 1/k; inverse_variance weights each
+    uniform weights every predictor row 1/k; inverse-variance weights each
     row by 1/variance across units of its raw values, and a row of equal
     values fails naming its predictor and the file it came from. optimized
     runs a derivative-free search over softmax-parameterized importance
@@ -244,7 +243,7 @@ def solve_v(spec: StudySpec, design: Design) -> np.ndarray:
     solves it once more, cold.
     """
     k = design.raw.shape[0]
-    if spec.v_mode == "inverse_variance":
+    if spec.v_mode == "inverse-variance":
         var = design.raw.var(axis=1)
         constant = np.flatnonzero(np.ptp(design.raw, axis=1) == 0)
         if constant.size:
@@ -287,8 +286,12 @@ def fit_synth(spec: StudySpec, design: Design) -> SynthResult:
     synthetic), and summed squared errors over the training, validation, and
     full pre-intervention windows. The weights are solve_v's vector's,
     solved once and cold, whatever the v_mode, so they equal a fresh
-    solve_w of v_star.
+    solve_w of v_star. A design whose donor columns do not match
+    spec.donors raises ValueError.
     """
+    if design.X0.shape[1] != len(spec.donors):
+        raise ValueError(f"the design has {design.X0.shape[1]} donor columns but the spec "
+                         f"names {len(spec.donors)} donors")
     v = solve_v(spec, design)
     result = solve_w(design.X1, design.X0, v, spec.reg)
 
@@ -296,9 +299,6 @@ def fit_synth(spec: StudySpec, design: Design) -> SynthResult:
     gap = design.Y1 - synthetic
     train, val, pre = gap[design.train], gap[design.val], gap[:spec.T0]
     return SynthResult(
-        treated=spec.treated,
-        donors=spec.donors,
-        predictor_names=design.names,
         w_star=result.w,
         v_star=v,
         synthetic=synthetic,

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import build_design, fit_synth, placebo_design
+from .engine import Design, fit_synth, placebo_design, window_design
 from .errors import InvalidSplit, SynthctlError
-from .panel import Panel, PredictorTable
 from .spec import StudySpec, split_pre_period
 
 # pre-period error below this is treated as an exact fit; the ratio is taken
@@ -44,11 +43,10 @@ class PlaceboEnsemble:
     treated: str
     entries: tuple[PlaceboEntry, ...]
     treated_index: int
-    T0: int
 
 
 # the study every placebo task of one placebo_run fits against: set once per
-# process by _share_study, so that each task sends only its unit code
+# process by _share_study, so that each task sends only its unit's column index
 _study: tuple = ()
 
 
@@ -61,21 +59,21 @@ def _rms(gap: np.ndarray) -> float:
     return float(np.sqrt(np.mean(gap * gap)))
 
 
-def _fit_ratio_task(unit: str) -> PlaceboEntry:
-    """Fit `unit` of the shared study as if treated, and return its ratio entry.
+def _fit_ratio_task(index: int) -> PlaceboEntry:
+    """Fit the shared study's unit at column `index` as if treated, and return its entry.
 
-    The treated unit keeps the study's spec and design; a donor is fit
-    against the other donors at placebo_T0, on the design placebo_design
-    cuts from the study's. A spec or fit that fails gives a skipped entry.
+    Index 0 is the treated unit, which keeps the study's spec and design;
+    index i is donor i-1, fit against the other donors at placebo_T0, on the
+    design placebo_design cuts from the study's. A spec or fit that fails
+    gives a skipped entry.
     """
     spec, design, placebo_T0 = _study
+    unit = spec.donors[index - 1] if index else spec.treated
     try:
-        if unit != spec.treated:
-            i = spec.donors.index(unit)
-            spec = dataclasses.replace(
-                spec, treated=unit, donors=spec.donors[:i] + spec.donors[i + 1:],
-                T0=placebo_T0)
-            design = placebo_design(design, i, spec)
+        if index:
+            donors = spec.donors[:index - 1] + spec.donors[index:]
+            spec = dataclasses.replace(spec, treated=unit, donors=donors, T0=placebo_T0)
+            design = placebo_design(design, index - 1, spec)
         result = fit_synth(spec, design)
     except (SynthctlError, ValueError) as exc:
         return PlaceboEntry(unit, float("nan"), float("nan"), float("nan"),
@@ -91,38 +89,38 @@ def _fit_ratio_task(unit: str) -> PlaceboEntry:
 
 def placebo_run(
     spec: StudySpec,
-    panel: Panel,
-    predictors: PredictorTable | None = None,
+    design: Design,
     *,
     jobs: int = 1,
     placebo_T0: int | None = None,
 ) -> PlaceboEnsemble:
-    """Fit the treated unit and every donor-as-placebo, collecting ratios.
+    """Fit the treated unit and every donor-as-placebo of the study's design, collecting ratios.
 
     Each placebo inherits the treated unit's intervention index unless
     placebo_T0 overrides it, and is fit against the other donors only; the
-    truly treated unit never enters any placebo's pool. The study's design
-    is built once, before any fit, and goes to each worker process once with
-    the spec; each task is one unit code. A placebo_T0 that leaves no
-    training window raises InvalidSplit, before any fit. Each fit is a
-    function of its unit's design alone, and entries are ordered by unit
-    code, so output is identical for any job count. A worker process
-    that dies raises SynthctlError naming the first unit whose fit it lost.
+    truly treated unit never enters any placebo's pool. The design goes to
+    each worker process once with the spec; each task is one column index.
+    A placebo_T0 that leaves no training window raises InvalidSplit, before
+    any fit. Each fit is a function of its unit's design alone, and entries
+    are ordered by unit code, so output is identical for any job count. A
+    worker process that dies raises SynthctlError naming the first unit
+    whose fit it lost.
     """
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
     placebo_T0 = spec.T0 if placebo_T0 is None else placebo_T0
+    n_dates = design.Y1.size
     for T0 in (spec.T0, placebo_T0):
-        if T0 >= panel.n_dates:
-            raise ValueError(f"T0={T0} leaves no post-period in a {panel.n_dates}-day panel")
+        if T0 >= n_dates:
+            raise ValueError(f"T0={T0} leaves no post-period in a {n_dates}-day panel")
     split_pre_period(placebo_T0, spec.t_fit, spec.train_placement)
 
     units = (spec.treated,) + spec.donors
-    study = (spec, build_design(panel, predictors, spec), placebo_T0)
+    study = (spec, design, placebo_T0)
     if jobs == 1:
         _share_study(*study)
         try:
-            entries = [_fit_ratio_task(unit) for unit in units]
+            entries = [_fit_ratio_task(index) for index in range(len(units))]
         finally:
             _share_study()
     else:
@@ -130,7 +128,7 @@ def placebo_run(
         with concurrent.futures.ProcessPoolExecutor(
                 max_workers=min(jobs, len(units)), initializer=_share_study,
                 initargs=study) as pool:
-            futures = [pool.submit(_fit_ratio_task, unit) for unit in units]
+            futures = [pool.submit(_fit_ratio_task, index) for index in range(len(units))]
             entries = []
             for unit, future in zip(units, futures):
                 try:
@@ -142,7 +140,7 @@ def placebo_run(
     entries.sort(key=lambda e: e.unit)
     ordered = tuple(entries)
     treated_index = next(i for i, e in enumerate(ordered) if e.unit == spec.treated)
-    return PlaceboEnsemble(spec.treated, ordered, treated_index, spec.T0)
+    return PlaceboEnsemble(spec.treated, ordered, treated_index)
 
 
 def p_value(ensemble: PlaceboEnsemble) -> float:
@@ -180,19 +178,19 @@ class SweepRow:
 def training_sweep(
     spec: StudySpec,
     t_fit_values: list[int],
-    panel: Panel,
-    predictors: PredictorTable | None = None,
+    design: Design,
     *,
     jobs: int = 1,
 ) -> tuple[SweepRow, ...]:
-    """Refit the study for each training-window length and tabulate quality.
+    """Refit the study's design for each training-window length and tabulate quality.
 
-    Each row comes from one placebo run, whose entries it keeps. Its p_value
-    ranks the treated unit in that ensemble, and its pre_deviation is the
-    treated fit's summed squared gap over the whole pre-period (R_pre^2 *
-    T0), so rows compare across window lengths. A window length that does
-    not fit the pre-period yields a marked row; any other failure, a skipped
-    treated fit included, is a defect of the study and propagates.
+    Each row comes from one placebo run on the design recut to its window,
+    whose entries it keeps. Its p_value ranks the treated unit in that
+    ensemble, and its pre_deviation is the treated fit's summed squared gap
+    over the whole pre-period (R_pre^2 * T0), so rows compare across window
+    lengths. A window length that does not fit the pre-period yields a
+    marked row; any other failure, a skipped treated fit included, is a
+    defect of the study and propagates.
     """
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
@@ -204,8 +202,8 @@ def training_sweep(
             rows.append(SweepRow(t_fit, float("nan"), float("nan"),
                                  failed=True, reason=str(exc)))
             continue
-        ensemble = placebo_run(study, panel, predictors, jobs=jobs)
+        ensemble = placebo_run(study, window_design(design, study), jobs=jobs)
         treated = ensemble.entries[ensemble.treated_index]
-        rows.append(SweepRow(t_fit, treated.R_pre ** 2 * ensemble.T0, p_value(ensemble),
+        rows.append(SweepRow(t_fit, treated.R_pre ** 2 * study.T0, p_value(ensemble),
                              entries=ensemble.entries))
     return tuple(rows)

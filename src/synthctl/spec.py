@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .errors import InvalidSplit
 
-V_MODES = ("optimized", "inverse_variance", "uniform")
+V_MODES = ("optimized", "inverse-variance", "uniform")
 PLACEMENTS = ("head", "tail")
 
 
@@ -37,7 +37,7 @@ class StudySpec:
     post-intervention day. t_fit training days are carved out of the
     pre-period at the head or tail; the remainder is the validation window.
     v_mode picks the predictor importance vector: optimized searches for it,
-    inverse_variance weights each predictor row by 1/variance of its raw
+    inverse-variance weights each predictor row by 1/variance of its raw
     values across units, and uniform weights every row equally.
     """
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import datetime as dt
+import sys
 
 import numpy as np
 
@@ -17,6 +18,22 @@ def make_dates(n: int, start: dt.date = START) -> tuple[dt.date, ...]:
 
 def unit_codes(n: int, base: int = 10001) -> tuple[str, ...]:
     return tuple(f"{base + 2 * i:05d}" for i in range(n))
+
+
+def count_calls(monkeypatch, module, name: str) -> list:
+    """Record the arguments of every call of module.name, through every synthctl
+    module that holds a reference to it; returns the list that collects them."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module_name, loaded in list(sys.modules.items()):
+        if module_name.split(".")[0] == "synthctl" and getattr(loaded, name, None) is original:
+            monkeypatch.setattr(loaded, name, counted)
+    return calls
 
 
 def make_panel(values: np.ndarray, units=None, meta=None, start: dt.date = START) -> Panel:

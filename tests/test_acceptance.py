@@ -124,8 +124,7 @@ def _rank_ensemble(rs):
     entries = tuple(PlaceboEntry(unit=u, r=float(r), R_pre=1.0, R_post=float(r),
                                  skipped=False)
                     for u, r in zip(units, rs))
-    return PlaceboEnsemble(treated=units[0], entries=entries, treated_index=0,
-                           T0=10)
+    return PlaceboEnsemble(treated=units[0], entries=entries, treated_index=0)
 
 
 def test_criterion_04_p_value_exactness(capsys):
@@ -154,7 +153,7 @@ def _null_sim(sim: int) -> float:
     panel = make_panel(values)
     spec = StudySpec(treated=panel.units[0], donors=panel.units[1:], T0=T0,
                      t_fit=10, v_mode="optimized", reg=Regularization())
-    ensemble = placebo_run(spec, panel, None, jobs=1)
+    ensemble = placebo_run(spec, build_design(panel, None, spec), jobs=1)
     return p_value(ensemble)
 
 
@@ -187,10 +186,11 @@ def test_criterion_06_effect_detection(capsys):
     snapshots = panel.values[:, [5, 15, 25, 35]].T  # pre-period outcome rows
     predictors = make_predictors(snapshots, units)
     spec = StudySpec(treated=units[0], donors=units[1:], T0=T0, t_fit=10,
-                     v_mode="inverse_variance", reg=Regularization(0.0))
-    result = fit_synth(spec, build_design(panel, predictors, spec))
+                     v_mode="inverse-variance", reg=Regularization(0.0))
+    design = build_design(panel, predictors, spec)
+    result = fit_synth(spec, design)
     mean_gap = float(result.gap[T0:].mean())
-    ensemble = placebo_run(spec, panel, predictors)
+    ensemble = placebo_run(spec, design)
     p = p_value(ensemble)
     ok = 4.5 <= mean_gap <= 5.5 and p == 0.0
     _report(capsys, "criterion 6 effect detection", ok,
@@ -360,7 +360,7 @@ def test_criterion_11_performance_floor(capsys):
     fit_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    ensemble = placebo_run(spec, panel, predictors, jobs=8)
+    ensemble = placebo_run(spec, build_design(panel, predictors, spec), jobs=8)
     ensemble_seconds = time.perf_counter() - start
     n_fits = len(ensemble.entries)
 

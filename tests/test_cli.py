@@ -17,9 +17,10 @@ import numpy as np
 import pytest
 
 import synthctl
-from synthctl import (Regularization, StudySpec, ingest_panel, load_predictors, logistic_predict,
-                      placebo_run)
-from synthctl import cli
+from helpers import count_calls
+from synthctl import (Regularization, StudySpec, build_design, ingest_panel, load_predictors,
+                      logistic_predict, placebo_run)
+from synthctl import cli, engine
 from synthctl.cli import main
 from synthctl.engine import OUTCOME_MEAN_NAME, placebo_design
 
@@ -394,8 +395,8 @@ def test_placebo_entries_say_why_a_placebo_was_skipped(tmp_path, capsys):
     assert not any(out.iterdir())
 
     spec = StudySpec(treated="10001", donors=("20000",), T0=25)
-    treated, donor = placebo_run(spec, ingest_panel(outcomes),
-                                 load_predictors(predictors)).entries
+    design = build_design(ingest_panel(outcomes), load_predictors(predictors), spec)
+    treated, donor = placebo_run(spec, design).entries
     assert donor.unit == "20000" and donor.skipped
     assert donor.reason == "donor pool must be non-empty"
     assert np.isnan([donor.r, donor.R_pre, donor.R_post]).all()
@@ -456,6 +457,30 @@ def test_missing_outcome_names_unit_and_date_exits_3(tmp_path, capsys, command):
     assert capsys.readouterr().err == (
         f"error: outcome series contain missing values, first unit 20002 on "
         f"{_dates(40)[10]}; clean the panel first\n")
+
+
+@pytest.mark.parametrize("command", ["fit", "placebo", "sweep"])
+def test_missing_outcome_fails_before_the_output_directory_is_made(tmp_path, command):
+    outcomes, predictors = _study_files(tmp_path, seed=5)
+    path = pathlib.Path(outcomes)
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(l for l in lines if not l.startswith(f"20002,{_dates(40)[10]},")))
+    t_fits = ["--t-fit", "10,20"] if command == "sweep" else []
+    out = tmp_path / "out"
+    assert main([command, "--outcomes", outcomes, "--predictors", predictors,
+                 "--treated", "10001", "--t0", _dates(40)[25], *t_fits, "--out", str(out)]) == 3
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, t_fits", [("fit", "10"), ("placebo", "10"),
+                                             ("sweep", "5,10,20")])
+def test_each_study_command_builds_its_design_once(tmp_path, monkeypatch, command, t_fits):
+    outcomes, predictors = _study_files(tmp_path, T=60, seed=6)
+    calls = count_calls(monkeypatch, engine, "build_design")
+    assert main([command, "--outcomes", outcomes, "--predictors", predictors,
+                 "--treated", "10001", "--t0", _dates(60)[40], "--t-fit", t_fits,
+                 "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1
 
 
 def test_sweep_writes_sorted_rows(tmp_path):
@@ -1455,7 +1480,8 @@ def test_uncertified_singular_solve_warns_and_keeps_the_placebo_entries(tmp_path
 
     spec = StudySpec(treated="10001", donors=("20000", "20002", "20004", "20006"), T0=25,
                      v_mode="uniform")
-    entries = placebo_run(spec, ingest_panel(outcomes), load_predictors(predictors)).entries
+    design = build_design(ingest_panel(outcomes), load_predictors(predictors), spec)
+    entries = placebo_run(spec, design).entries
     assert len(entries) == 5
     assert all(not e.skipped and e.converged is False and e.fw_gap > 0.0 for e in entries)
 

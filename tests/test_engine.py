@@ -23,7 +23,7 @@ from synthctl import (
     split_pre_period,
 )
 from synthctl import engine
-from synthctl.engine import OUTCOME_MEAN_NAME, _nelder_mead
+from synthctl.engine import OUTCOME_MEAN_NAME, _nelder_mead, window_design
 from synthctl.errors import InvalidSplit, SynthctlError
 
 GEN = pathlib.Path(__file__).resolve().parents[1] / "bench" / "gen.py"
@@ -85,7 +85,7 @@ def test_inverse_variance_hand_value():
     # variances 1 and 4 -> importances 0.8 and 0.2
     panel = make_panel(np.array([[2.0] * 6, [-2.0] * 6]))
     spec = StudySpec(treated=panel.units[0], donors=panel.units[1:], T0=4, t_fit=2,
-                     v_mode="inverse_variance")
+                     v_mode="inverse-variance")
     design = build_design(panel, make_predictors([[1.0, -1.0]], panel.units), spec)
     assert np.allclose(solve_v(spec, design), [0.8, 0.2])
 
@@ -146,6 +146,35 @@ def test_design_checks_the_study_against_the_panel(rng):
             treated=spec.treated, donors=spec.donors, T0=41))
 
 
+@pytest.mark.parametrize("placement", ["head", "tail"])
+@pytest.mark.parametrize("constant_row", [True, False])
+def test_window_design_equals_build_design(rng, placement, constant_row):
+    # the design recut to each window holds build_design's arrays bit for bit
+    panel, predictors, spec = _small_study(rng, k=3, J=6, T=50, T0=35)
+    if constant_row:
+        values = predictors.values.copy()
+        values[1] = 0.1
+        predictors = make_predictors(values, predictors.units)
+    spec = dataclasses.replace(spec, train_placement=placement, t_fit=5)
+    design = build_design(panel, predictors, spec)
+    for t_fit in (5, 10, 20, 34):
+        window = dataclasses.replace(spec, t_fit=t_fit)
+        recut, expected = window_design(design, window), build_design(panel, predictors, window)
+        for field in dataclasses.fields(recut):
+            assert np.array_equal(getattr(recut, field.name), getattr(expected, field.name))
+
+
+@pytest.mark.parametrize("n_donors", [3, 5])
+def test_fit_synth_rejects_a_design_of_another_donor_count(rng, n_donors):
+    # the design has 4 donor columns; weights would be zipped onto the wrong donors
+    panel, predictors, spec = _small_study(rng)
+    design = build_design(panel, predictors, spec)
+    other = StudySpec(treated="99999", donors=unit_codes(n_donors, base=20001), T0=spec.T0)
+    with pytest.raises(ValueError, match=f"the design has 4 donor columns but the spec "
+                                         f"names {n_donors} donors"):
+        fit_synth(other, design)
+
+
 def test_design_requires_finite_outcomes(rng):
     panel, predictors, spec = _small_study(rng)
     values = panel.values.copy()
@@ -199,7 +228,7 @@ def _count_final_solves(monkeypatch) -> tuple[list[bool], list]:
     # fit_synth solves solve_v's vector once, whatever the mode
     ("optimized", False, 1),
     ("optimized", True, 1),
-    ("inverse_variance", False, 1),
+    ("inverse-variance", False, 1),
     ("uniform", False, 1),
     ("uniform", True, 1),
 ])
@@ -377,7 +406,7 @@ def test_inverse_variance_mode_rejects_a_constant_lone_row():
     # no predictor table and equal training means: the one row is constant
     panel = make_panel(np.full((4, 40), 7.0))
     spec = StudySpec(treated=panel.units[0], donors=panel.units[1:], T0=25,
-                     v_mode="inverse_variance")
+                     v_mode="inverse-variance")
     with pytest.raises(SynthctlError,
                        match=f"predictor '{OUTCOME_MEAN_NAME}' is constant across units"):
         fit_synth(spec, build_design(panel, None, spec))
@@ -403,7 +432,7 @@ def test_design_z_scores_a_row_of_equal_values_to_zeros(rng):
 
 def test_inverse_variance_mode_rejects_a_row_of_equal_values(rng):
     panel, predictors, spec = _equal_values_study(rng)
-    spec = dataclasses.replace(spec, v_mode="inverse_variance")
+    spec = dataclasses.replace(spec, v_mode="inverse-variance")
     with pytest.raises(SynthctlError, match="^predictor 'p1' is constant across units$"):
         solve_v(spec, build_design(panel, predictors, spec))
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import make_panel, make_predictors, random_walk_panel, unit_codes
+from helpers import count_calls, make_predictors, random_walk_panel, unit_codes
 from synthctl import (
     PlaceboEnsemble,
     PlaceboEntry,
@@ -22,7 +22,7 @@ from synthctl import (
     placebo_run,
     training_sweep,
 )
-from synthctl import inference
+from synthctl import engine, inference
 from synthctl.errors import InvalidSplit
 
 
@@ -41,7 +41,7 @@ def _ensemble(rs, treated_index=0, skipped=None):
         for i, (u, r) in enumerate(zip(units, rs))
     )
     return PlaceboEnsemble(treated=units[treated_index], entries=entries,
-                           treated_index=treated_index, T0=10)
+                           treated_index=treated_index)
 
 
 def test_p_value_hand_fixture():
@@ -116,7 +116,7 @@ def _null_study(seed=0, n=6, T=40, T0=25):
 
 def test_placebo_run_covers_every_unit_sorted():
     panel, spec = _null_study()
-    ens = placebo_run(spec, panel, None)
+    ens = placebo_run(spec, build_design(panel, None, spec))
     assert tuple(e.unit for e in ens.entries) == tuple(sorted(panel.units))
     assert ens.entries[ens.treated_index].unit == spec.treated
     assert all(not e.skipped for e in ens.entries)
@@ -135,7 +135,7 @@ def test_placebo_pools_exclude_treated_unit():
     spec = StudySpec(treated=twin_panel.units[0], donors=twin_panel.units[1:],
                      T0=25, t_fit=10, v_mode="optimized",
                      reg=Regularization(0.0))
-    ens = placebo_run(spec, twin_panel, None)
+    ens = placebo_run(spec, build_design(twin_panel, None, spec))
     twin_entry = next(e for e in ens.entries if e.unit == twin_panel.units[1])
     # donors for the twin exclude the treated unit, so its pre-fit is imperfect
     assert twin_entry.R_pre > 1e-6
@@ -143,8 +143,9 @@ def test_placebo_pools_exclude_treated_unit():
 
 def test_placebo_jobs_parallel_matches_serial():
     panel, spec = _null_study(seed=3)
-    serial = placebo_run(spec, panel, None, jobs=1)
-    parallel = placebo_run(spec, panel, None, jobs=4)
+    design = build_design(panel, None, spec)
+    serial = placebo_run(spec, design, jobs=1)
+    parallel = placebo_run(spec, design, jobs=4)
     # repr spells out every field of every entry, floats exactly
     assert repr(serial) == repr(parallel)
 
@@ -160,15 +161,20 @@ def test_placebo_pool_starts_no_more_workers_than_units(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures.ProcessPoolExecutor, "_spawn_process", counted)
     panel, spec = _null_study(seed=3, n=3)
-    parallel = placebo_run(spec, panel, None, jobs=6)
+    design = build_design(panel, None, spec)
+    parallel = placebo_run(spec, design, jobs=6)
     assert 1 <= len(spawned) <= 3
-    assert repr(parallel) == repr(placebo_run(spec, panel, None, jobs=1))
+    assert repr(parallel) == repr(placebo_run(spec, design, jobs=1))
 
 
 def test_placebo_custom_t0_applies_to_placebos_only():
     panel, spec = _null_study(seed=6, T=50, T0=30)
-    ens = placebo_run(spec, panel, None, placebo_T0=20)
-    assert ens.T0 == spec.T0
+    design = build_design(panel, None, spec)
+    ens = placebo_run(spec, design, placebo_T0=20)
+    treated = ens.entries[ens.treated_index]
+    # the treated fit keeps spec.T0: its ratio is the study's own fit's
+    pre = fit_synth(spec, design).gap[:spec.T0]
+    assert treated.R_pre == np.sqrt(np.mean(pre * pre))
     assert all(not e.skipped for e in ens.entries)
 
 
@@ -186,7 +192,7 @@ def test_placebo_perfect_pre_fit_floors_ratio():
     spec = StudySpec(treated=panel.units[0], donors=panel.units[1:3], T0=T0,
                      t_fit=10, v_mode="uniform",
                      reg=Regularization(0.0))
-    ens = placebo_run(spec, panel, None)
+    ens = placebo_run(spec, build_design(panel, None, spec))
     floored = [e for e in ens.entries if e.pre_floored]
     assert len(floored) == 2
     for e in floored:
@@ -195,18 +201,15 @@ def test_placebo_perfect_pre_fit_floors_ratio():
         assert e.r >= 1e6  # enormous but finite
 
 
-def test_placebo_run_builds_the_design_once(monkeypatch):
+def test_placebo_run_and_training_sweep_build_no_design(monkeypatch):
     panel, spec = _null_study(seed=21)
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return build_design(*args, **kwargs)
-
-    monkeypatch.setattr(inference, "build_design", counted)
-    ens = placebo_run(spec, panel, None)
-    assert len(calls) == 1
+    design = build_design(panel, None, spec)
+    calls = count_calls(monkeypatch, engine, "build_design")
+    ens = placebo_run(spec, design)
+    (row,) = training_sweep(spec, [10], design)
+    assert calls == []
     assert not any(e.skipped for e in ens.entries)
+    assert not row.failed
 
 
 @pytest.mark.parametrize("constant_row", [True, False])
@@ -233,7 +236,7 @@ def test_placebo_designs_equal_build_design(monkeypatch, constant_row, placement
         raise ValueError("recorded")
 
     monkeypatch.setattr(inference, "fit_synth", recorded)
-    placebo_run(spec, panel, predictors, placebo_T0=placebo_T0)
+    placebo_run(spec, build_design(panel, predictors, spec), placebo_T0=placebo_T0)
     assert sorted(s.treated for s, _ in seen) == sorted(panel.units)
     for placebo_spec, design in seen:
         if placebo_spec.treated != spec.treated:
@@ -245,27 +248,29 @@ def test_placebo_designs_equal_build_design(monkeypatch, constant_row, placement
 
 def test_placebo_t0_inside_the_training_window_raises_before_any_fit(monkeypatch):
     panel, spec = _null_study(seed=23, T=50, T0=30)
+    design = build_design(panel, None, spec)
     monkeypatch.setattr(inference, "fit_synth", None)  # any fit would fail loudly
     for T0 in (spec.t_fit, 4):
         with pytest.raises(InvalidSplit, match=f"got t_fit=10 T0={T0}"):
-            placebo_run(spec, panel, None, placebo_T0=T0)
-    with pytest.raises(ValueError, match="T0=50 leaves no post-period"):
-        placebo_run(spec, panel, None, placebo_T0=50)
+            placebo_run(spec, design, placebo_T0=T0)
+    with pytest.raises(ValueError, match="T0=50 leaves no post-period in a 50-day panel"):
+        placebo_run(spec, design, placebo_T0=50)
 
 
 @pytest.mark.parametrize("jobs", [0, -1])
 def test_placebo_run_rejects_jobs_below_one(monkeypatch, jobs):
     panel, spec = _null_study()
-    monkeypatch.setattr(inference, "build_design", None)  # raised before any work
+    design = build_design(panel, None, spec)
+    monkeypatch.setattr(inference, "fit_synth", None)  # raised before any fit
     with pytest.raises(ValueError) as raised:
-        placebo_run(spec, panel, None, jobs=jobs)
+        placebo_run(spec, design, jobs=jobs)
     assert raised.type is ValueError and raised.value.args == ("jobs must be at least 1",)
 
 
 
 def test_p_value_on_null_panel_is_rational():
     panel, spec = _null_study(seed=10, n=7)
-    ens = placebo_run(spec, panel, None)
+    ens = placebo_run(spec, build_design(panel, None, spec))
     p = p_value(ens)
     assert p in {i / 7 for i in range(8)}
 
@@ -276,7 +281,7 @@ def test_p_value_on_null_panel_is_rational():
 
 def test_training_sweep_rows_sorted_and_complete():
     panel, spec = _null_study(seed=12, T=70, T0=55)
-    rows = training_sweep(spec, [20, 10, 40], panel, None)
+    rows = training_sweep(spec, [20, 10, 40], build_design(panel, None, spec))
     assert tuple(r.t_fit for r in rows) == (10, 20, 40)
     for row in rows:
         assert not row.failed
@@ -286,7 +291,7 @@ def test_training_sweep_rows_sorted_and_complete():
 
 def test_training_sweep_marks_impossible_windows():
     panel, spec = _null_study(seed=14, T=40, T0=25)
-    rows = training_sweep(spec, [10, 25], panel, None)
+    rows = training_sweep(spec, [10, 25], build_design(panel, None, spec))
     by_t = {r.t_fit: r for r in rows}
     assert not by_t[10].failed
     assert by_t[25].failed
@@ -305,16 +310,35 @@ def test_placebo_tasks_send_no_panel_data(monkeypatch):
     monkeypatch.setattr(inference, "_fit_ratio_task", measured)
     for T in (40, 400):
         panel, spec = _null_study(seed=16, n=4, T=T, T0=25)
-        placebo_run(spec, panel, None)
+        placebo_run(spec, build_design(panel, None, spec))
     short, long = sizes[:4], sizes[4:]
     assert max(long) <= max(short)
+
+
+def test_placebo_task_is_the_units_column_index(monkeypatch):
+    # index 0 is the treated unit and index i is donor i-1
+    tasks, units = [], []
+    task = inference._fit_ratio_task
+
+    def recorded(index):
+        entry = task(index)
+        tasks.append(index)
+        units.append(entry.unit)
+        return entry
+
+    monkeypatch.setattr(inference, "_fit_ratio_task", recorded)
+    panel, spec = _null_study(seed=16, n=5)
+    placebo_run(spec, build_design(panel, None, spec))
+    assert all(type(index) is int for index in tasks)
+    assert tasks == list(range(len(panel.units)))
+    assert tuple(units) == (spec.treated,) + spec.donors
 
 
 def _sweep_study():
     rng = np.random.default_rng(18)
     panel = random_walk_panel(rng, 5, 40)
     spec = StudySpec(treated=panel.units[0], donors=panel.units[1:], T0=25,
-                     t_fit=10, v_mode="inverse_variance")
+                     t_fit=10, v_mode="inverse-variance")
     return panel, spec
 
 
@@ -328,16 +352,17 @@ def test_training_sweep_fits_each_unit_once(monkeypatch):
         return fit(*args, **kwargs)
 
     monkeypatch.setattr(inference, "fit_synth", counted)
-    training_sweep(spec, [10], panel, None)
+    training_sweep(spec, [10], build_design(panel, None, spec))
     assert sorted(calls) == sorted(panel.units)
 
 
 def test_training_sweep_row_comes_from_the_placebo_run():
     panel, spec = _null_study(seed=20, n=5)
-    (row,) = training_sweep(spec, [10], panel, None)
-    ensemble = placebo_run(spec, panel, None)
+    design = build_design(panel, None, spec)
+    (row,) = training_sweep(spec, [10], design)
+    ensemble = placebo_run(spec, design)
     assert row.p_value == p_value(ensemble)
-    treated_fit = fit_synth(spec, build_design(panel, None, spec))
+    treated_fit = fit_synth(spec, design)
     assert row.pre_deviation == pytest.approx(treated_fit.pre_mspe, rel=1e-12, abs=0)
 
 
@@ -346,11 +371,17 @@ def test_training_sweep_marks_a_skipped_treated_fit():
     panel, spec = _sweep_study()
     values = panel.values.copy()
     values[0, 3] = np.nan
+    # a missing outcome fails where the study's design is built, before any sweep
     with pytest.raises(ValueError, match="missing values, first unit 10001 on 2021-01-04"):
-        training_sweep(spec, [10], dataclasses.replace(panel, values=values), None)
+        build_design(dataclasses.replace(panel, values=values), None, spec)
+    # a predictor constant across units skips the treated fit of inverse-variance mode
+    constant = make_predictors(np.full((1, len(panel.units)), 2.5), panel.units)
+    with pytest.raises(ValueError, match=r"treated unit 10001 has no fit \(predictor 'p0' "
+                                         r"is constant across units\)"):
+        training_sweep(spec, [10], build_design(panel, constant, spec))
 
 
 def test_training_sweep_rejects_jobs_below_one():
     panel, spec = _sweep_study()
     with pytest.raises(ValueError, match="jobs must be at least 1"):
-        training_sweep(spec, [10, 20], panel, None, jobs=0)
+        training_sweep(spec, [10, 20], build_design(panel, None, spec), jobs=0)
