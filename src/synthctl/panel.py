@@ -1,4 +1,4 @@
-"""Panel ingestion, alignment, series cleaning, and the cleaned panel's file.
+"""Panel ingestion, alignment, series cleaning, and the cleaned panel's files.
 
 A panel is a dense unit-by-date grid of daily observations. Input files are
 long-format CSVs that may skip days or contain carryover artifacts (dips in
@@ -7,6 +7,15 @@ module handles gridding, side tables keyed by unit, and per-series repair.
 `write_panel` is `ingest_panel`'s inverse: it writes a panel back as a long
 CSV, a unit's block of rows at a time, with the 17-digit floats and empty
 non-finite cells of `serialize.write_csv`, byte for byte.
+
+Next to that CSV, `write_panel` also stores the grid in binary, in a
+sidecar at the CSV's path plus GRID_SUFFIX: one line of canonical JSON (a
+format tag, the SHA-256 of the CSV's bytes, the unit codes, the first date
+and the day count), then the values as little-endian float64, row-major.
+`ingest_panel` returns the sidecar's panel instead of parsing the CSV only
+while the CSV still has that digest, so the CSV stays the one source of
+truth: an edited, stale or damaged pair is parsed, with every check, and
+deleting a sidecar is always safe.
 """
 
 from __future__ import annotations
@@ -15,7 +24,9 @@ import csv
 import datetime as dt
 import functools
 import itertools
+import json
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Sequence
 
@@ -194,8 +205,19 @@ def _where(column: str, unit: str, line: int, path: str) -> str:
     return f"in column {column!r} for unit {unit} on line {line} of {path}"
 
 
+GRID_SUFFIX = ".grid"  # the binary sidecar of a long panel CSV (see write_panel)
+_GRID_FORMAT = "synthctl-panel-grid/1"
+
+
 def ingest_panel(path: str) -> Panel:
     """Read a long-format unit,date,value CSV into a dense daily panel.
+
+    When `write_panel` wrote the file, its sidecar at path + GRID_SUFFIX
+    holds the very panel that parsing the file gives, and is returned
+    instead, but only while the file's SHA-256 is the one the sidecar
+    records and its payload has every cell. Any other sidecar (stale,
+    truncated, not JSON) is ignored and the file is parsed as below, so
+    every check and message holds for a file edited after it was written.
 
     The date grid spans the earliest through the latest date present in the
     file; (unit, date) cells with no row become NaN. Empty or NA-like value
@@ -209,6 +231,39 @@ def ingest_panel(path: str) -> Panel:
     has parsed. A header that repeats a column name is an error, as in
     every side table (see read_table).
     """
+    if os.path.exists(path + GRID_SUFFIX):
+        stored = _read_grid(path)
+        if stored is not None:
+            return stored
+    return _parse_long_csv(path)
+
+
+def _read_grid(path: str) -> Panel | None:
+    """The panel in path's sidecar if it is the copy of path's current bytes, else None."""
+    import hashlib  # only a run that finds a sidecar pays for the import
+
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(functools.partial(fh.read, 1 << 20), b""):
+            digest.update(block)
+    with open(path + GRID_SUFFIX, "rb") as fh:
+        head, payload = fh.readline(), fh.read()
+    try:
+        meta = json.loads(head)
+        if meta["format"] != _GRID_FORMAT or meta["digest"] != digest.hexdigest():
+            return None
+        units, n_days = tuple(meta["units"]), int(meta["days"])
+        start = dt.date.fromisoformat(meta["first"])
+        # both calls raise ValueError unless the payload holds exactly every cell
+        values = np.frombuffer(payload, "<f8").reshape(len(units), n_days).astype(float)
+        dates = tuple(start + DAY * i for i in range(n_days))
+        return Panel(units, dates, values, source=path)
+    except (ValueError, KeyError, TypeError):
+        return None
+
+
+def _parse_long_csv(path: str) -> Panel:
+    """ingest_panel's parse of the CSV itself, with every input check."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
@@ -298,18 +353,45 @@ def write_panel(path: str, panel: Panel) -> None:
     template built once from the dates: `'%.17g' % x` is `fmt_float(x)` for
     every finite x, and the unit's cell text has each `%` doubled. Any other
     unit falls back to fmt_float per cell, which leaves a non-finite cell empty.
+
+    The grid then goes to the sidecar at path + GRID_SUFFIX (see the module
+    docstring), keyed by the SHA-256 of the CSV's bytes as they are written.
+    It holds what parsing the CSV gives: each non-finite cell is stored as
+    NaN, since its empty cell reads back as one. A panel that the parse
+    would not give back, one with no unit or with a unit code that has
+    surrounding whitespace (the parse strips it), gets no sidecar, and one
+    that an earlier write left at that path is removed.
     """
+    import hashlib  # a launch that writes no panel does not load it
+
     days = [d.isoformat() for d in panel.dates]
     template = "".join(f"\0,{day},%.17g\n" for day in days)
-    finite = np.isfinite(panel.values).all(axis=1)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(_LONG_COLUMNS) + "\n")
-        for unit, row, all_finite in zip(panel.units, panel.values.tolist(), finite):
+    finite = np.isfinite(panel.values)
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        def put(text: str) -> None:
+            data = text.encode("utf-8")
+            digest.update(data)
+            fh.write(data)
+
+        put(",".join(_LONG_COLUMNS) + "\n")
+        for unit, row, all_finite in zip(panel.units, panel.values.tolist(), finite.all(axis=1)):
             cell = csv_cell(unit)
             if all_finite:
-                fh.write(template.replace("\0", cell.replace("%", "%%")) % tuple(row))
+                put(template.replace("\0", cell.replace("%", "%%")) % tuple(row))
             else:
-                fh.write("".join(f"{cell},{day},{fmt_float(x)}\n" for day, x in zip(days, row)))
+                put("".join(f"{cell},{day},{fmt_float(x)}\n" for day, x in zip(days, row)))
+    grid = path + GRID_SUFFIX
+    if not panel.units or any(code != code.strip() for code in panel.units):
+        if os.path.exists(grid):
+            os.remove(grid)
+        return
+    head = json.dumps({"days": panel.n_dates, "digest": digest.hexdigest(),
+                       "first": days[0], "format": _GRID_FORMAT, "units": list(panel.units)},
+                      sort_keys=True, separators=(",", ":"))
+    with open(grid, "wb") as fh:
+        fh.write(head.encode("ascii") + b"\n")
+        fh.write(np.where(finite, panel.values, np.nan).astype("<f8").tobytes())
 
 
 def _parse_cell(raw: str, path: str, unit: str, column: str, line: int) -> float:
@@ -425,28 +507,25 @@ MAX_BAD_FRACTION = 0.10  # a series with a larger bad fraction (see _bad_mask) i
 SMOOTHING_WINDOW = 7  # trailing rolling-mean width in days
 
 
-def _bad_mask(series: np.ndarray) -> tuple[np.ndarray, float]:
-    """Cells needing repair, and the drop fraction measured after the first positive.
+def _bad_mask(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cells needing repair, and each series' drop fraction after its first positive.
 
-    A cell is bad if it is missing, or if it is a literal zero occurring after
+    `values` holds one series along its last axis, or a grid of them. A
+    cell is bad if it is missing, or if it is a literal zero occurring after
     the series' first positive value (a cumulative count cannot fall back to
     zero, so such cells are reporting failures, not data). Leading zeros are
     genuine. The drop fraction is the share of bad cells among the cells
-    strictly after the first positive one.
+    strictly after the first positive one, 0 when there is none.
     """
-    missing = ~np.isfinite(series)
-    positive = np.isfinite(series) & (series > 0)
-    bad = missing.copy()
-    fraction = 0.0
-    if positive.any():
-        first_pos = int(np.argmax(positive))
-        after = np.zeros_like(bad)
-        after[first_pos + 1:] = True
-        zero_after = after & np.isfinite(series) & (series == 0)
-        bad |= zero_after
-        n_after = int(after.sum())
-        if n_after > 0:
-            fraction = float((bad & after).sum()) / n_after
+    finite = np.isfinite(values)
+    positive = finite & (values > 0)
+    n = values.shape[-1]
+    first = np.where(positive.any(axis=-1), positive.argmax(axis=-1), n)
+    after = np.arange(n) > first[..., None]
+    bad = ~finite | (after & (values == 0))
+    n_after = n - 1 - first
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fraction = np.where(n_after > 0, (bad & after).sum(axis=-1) / n_after, 0.0)
     return bad, fraction
 
 
@@ -476,6 +555,22 @@ def repair_series(series: np.ndarray) -> np.ndarray:
     return _interpolate(x, _bad_mask(x)[0])
 
 
+def _trailing_mean(x: np.ndarray, window: int) -> np.ndarray:
+    """rolling_mean along the last axis of x, one series or a grid, unchecked.
+
+    cumsum runs along each series in order, so a grid's rows get the bits
+    that each row gets alone.
+    """
+    if window == 1:
+        return x.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        csum = np.cumsum(x, axis=-1)
+        csum = np.concatenate([np.zeros(x.shape[:-1] + (1,)), csum], axis=-1)
+        t = np.arange(x.shape[-1])
+        start = np.maximum(t - window + 1, 0)
+        return (csum[..., t + 1] - csum[..., start]) / (t + 1 - start)
+
+
 def rolling_mean(series: np.ndarray, window: int) -> np.ndarray:
     """Trailing rolling mean: out[t] averages the last `window` days up to t.
 
@@ -485,13 +580,7 @@ def rolling_mean(series: np.ndarray, window: int) -> np.ndarray:
     SeriesOverflow.
     """
     x = np.asarray(series, dtype=float)
-    if window == 1:
-        return x.copy()
-    with np.errstate(over="ignore", invalid="ignore"):
-        csum = np.concatenate([[0.0], np.cumsum(x)])
-        t = np.arange(x.size)
-        start = np.maximum(t - window + 1, 0)
-        out = (csum[t + 1] - csum[start]) / (t + 1 - start)
+    out = _trailing_mean(x, window)
     if not np.isfinite(out).all() and np.isfinite(x).all():
         raise SeriesOverflow("smoothing the series overflows the float range")
     return out
@@ -505,31 +594,35 @@ def clean_panel(panel: Panel) -> tuple[Panel, list[tuple[str, str]]]:
     value (see _bad_mask) strictly exceeds MAX_BAD_FRACTION, the series is
     dropped unrepaired. Surviving series are repaired and smoothed with a
     SMOOTHING_WINDOW-day trailing mean. A series whose repair or running sums
-    pass the float range raises SeriesOverflow naming the unit.
+    pass the float range raises SeriesOverflow naming the first such unit.
+    The whole grid is masked and smoothed at once; only the kept series
+    that have a bad cell are repaired one at a time.
     """
-    kept_units: list[str] = []
-    kept_rows: list[np.ndarray] = []
-    report: list[tuple[str, str]] = []
-    for unit, row in zip(panel.units, np.asarray(panel.values, dtype=float)):
-        if not np.isfinite(row).any():
-            report.append((unit, "all cells missing"))
-            continue
-        bad, fraction = _bad_mask(row)
-        if fraction > MAX_BAD_FRACTION:
-            report.append((unit, f"bad fraction {fraction:.4f} exceeds {MAX_BAD_FRACTION:.4f}"))
-            continue
-        try:
-            smoothed = rolling_mean(_interpolate(row, bad), SMOOTHING_WINDOW)
-        except SeriesOverflow:
-            raise SeriesOverflow(
-                f"smoothing the series of unit {unit} overflows the float range") from None
-        kept_units.append(unit)
-        kept_rows.append(smoothed)
-    if not kept_units:
+    values = np.asarray(panel.values, dtype=float)
+    bad, fraction = _bad_mask(values)
+    empty = ~np.isfinite(values).any(axis=1)
+    kept = ~empty & ~(fraction > MAX_BAD_FRACTION)
+    report = [(unit, "all cells missing" if empty[i] else
+               f"bad fraction {fraction[i]:.4f} exceeds {MAX_BAD_FRACTION:.4f}")
+              for i, unit in enumerate(panel.units) if not kept[i]]
+    if not kept.any():
         raise SynthctlError("cleaning dropped every unit")
+    kept_units = tuple(u for u, keep in zip(panel.units, kept) if keep)
+    repaired, bad = values[kept], bad[kept]
+    overflows = np.zeros(len(kept_units), dtype=bool)
+    for i in np.flatnonzero(bad.any(axis=1)):
+        try:
+            repaired[i] = _interpolate(repaired[i], bad[i])
+        except SeriesOverflow:
+            overflows[i] = True
+    smoothed = _trailing_mean(repaired, SMOOTHING_WINDOW)
+    # every repaired series is finite, so a non-finite mean is an overflow
+    overflows |= ~np.isfinite(smoothed).all(axis=1)
+    if overflows.any():
+        raise SeriesOverflow(f"smoothing the series of unit {kept_units[overflows.argmax()]} "
+                             "overflows the float range")
     meta = {u: panel.meta[u] for u in kept_units if u in panel.meta}
-    return (Panel(tuple(kept_units), panel.dates, np.array(kept_rows), meta, panel.source),
-            report)
+    return Panel(kept_units, panel.dates, smoothed, meta, panel.source), report
 
 
 def enforce_monotone(series: np.ndarray) -> np.ndarray:

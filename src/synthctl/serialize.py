@@ -11,7 +11,9 @@ ever written.
 `write_csv` writes the small result tables a cell at a time. The cleaned
 panel, the one large file, is written by `panel.write_panel` a unit at a
 time; it keeps this module's CSV contract (`csv_cell` text, `fmt_float`'s
-17 digits and empty non-finite cells), so both writers give the same bytes.
+17 digits and empty non-finite cells), so both writers give the same bytes,
+and it adds a binary sidecar that `panel.ingest_panel` loads in place of
+the CSV while the CSV's SHA-256 matches (see the `panel` module).
 """
 
 from __future__ import annotations

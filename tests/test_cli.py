@@ -745,6 +745,34 @@ def test_ingest_cleans_and_reports(tmp_path):
     assert len(clean) == 22  # one kept unit, 21 days
 
 
+def test_study_commands_write_the_same_bytes_with_or_without_the_panel_sidecar(
+        tmp_path, monkeypatch):
+    outcomes, predictors = _study_files(tmp_path)
+    first, again = tmp_path / "ingest", tmp_path / "again"
+    for out in (first, again):
+        assert main(["ingest", "--outcomes", outcomes, "--out", str(out)]) == 0
+    grid = first / "panel_clean.csv.grid"
+    assert grid.read_bytes() == (again / "panel_clean.csv.grid").read_bytes()
+    parses = count_calls(monkeypatch, synthctl.panel, "_parse_long_csv")
+    study = ["--outcomes", str(first / "panel_clean.csv"), "--predictors", predictors,
+             "--treated", "10001", "--t0", _dates(40)[25]]
+    runs = {"fit": [], "placebo": ["--jobs", "2"]}
+
+    def outputs(tag):
+        written = {}
+        for command, flags in runs.items():
+            out = tmp_path / f"{command}-{tag}"
+            assert main([command, *study, *flags, "--out", str(out)]) == 0
+            written[command] = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+        return written
+
+    from_sidecar = outputs("sidecar")
+    assert parses == []  # both commands read the sidecar
+    grid.unlink()
+    assert outputs("parsed") == from_sidecar
+    assert len(parses) == len(runs)
+
+
 def test_ingest_bad_value_cell_exits_3(tmp_path, capsys):
     path = tmp_path / "o.csv"
     _long_csv(path, {"70001": np.linspace(1, 20, 21)})

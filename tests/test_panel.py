@@ -2,6 +2,7 @@
 
 import csv
 import datetime as dt
+import re
 import warnings
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_dates, make_panel
+from helpers import count_calls, make_dates, make_panel
 from synthctl import (
     Panel,
     PredictorTable,
@@ -23,8 +24,9 @@ from synthctl import (
     rolling_mean,
     write_panel,
 )
+from synthctl import panel as panel_module
 from synthctl.errors import SeriesOverflow, SynthctlError
-from synthctl.panel import read_table, validate_unit_code
+from synthctl.panel import GRID_SUFFIX, read_table, validate_unit_code
 from synthctl.serialize import write_csv
 
 
@@ -277,6 +279,106 @@ def test_write_panel_quotes_units_and_leaves_non_finite_cells_empty(tmp_path):
         "50%,2021-01-01,", "50%,2021-01-02,2"]
 
 
+# ---------------------------------------------------------------------------
+# the binary sidecar of a written panel
+# ---------------------------------------------------------------------------
+
+def _assert_same_panel(got, want):
+    assert got.units == want.units
+    assert got.dates == want.dates
+    assert got.values.tobytes() == want.values.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(panel=_panels())
+def test_sidecar_holds_the_panel_that_parsing_gives(tmp_path_factory, panel):
+    folder = tmp_path_factory.mktemp("grid")
+    path = folder / "panel.csv"
+    write_panel(str(path), panel)
+    grid = folder / ("panel.csv" + GRID_SUFFIX)
+    stored = grid.read_bytes()
+    write_panel(str(path), panel)
+    assert grid.read_bytes() == stored
+    from_grid = ingest_panel(str(path))
+    grid.unlink()
+    _assert_same_panel(from_grid, ingest_panel(str(path)))
+    assert from_grid.source == str(path)
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """The calls in which ingest_panel parsed the CSV rather than read its sidecar."""
+    return count_calls(monkeypatch, panel_module, "_parse_long_csv")
+
+
+def test_ingest_reads_an_intact_sidecar_without_parsing(tmp_path, parses):
+    panel = make_panel([[1.0, np.nan, -np.inf], [0.0, 2.5, 3.0]], units=["a", "b"])
+    path = str(tmp_path / "panel.csv")
+    write_panel(path, panel)
+    back = ingest_panel(path)
+    assert parses == []
+    assert back.units == ("a", "b")
+    np.testing.assert_array_equal(back.values, [[1.0, np.nan, np.nan], [0.0, 2.5, 3.0]])
+    assert back.values.flags.writeable
+
+
+def test_unit_code_the_parse_would_strip_gets_no_sidecar(tmp_path, parses):
+    path = tmp_path / "panel.csv"
+    grid = tmp_path / ("panel.csv" + GRID_SUFFIX)
+    write_panel(str(path), make_panel([[1.0], [2.0]], units=["a", "b"]))
+    assert grid.exists()
+    write_panel(str(path), make_panel([[1.0], [2.0]], units=[" a", "b\t"]))
+    assert not grid.exists()  # the earlier write's sidecar is gone too
+    assert ingest_panel(str(path)).units == ("a", "b")
+    assert parses == [(str(path),)]
+
+
+def _edit_value(path):
+    lines = path.read_text().splitlines(True)
+    lines[2] = lines[2].rsplit(",", 1)[0] + ",7.25\n"
+    path.write_text("".join(lines))
+
+
+def _append_duplicate(path):
+    with open(path, "a") as fh:
+        fh.write(path.read_text().splitlines(True)[1])
+
+
+def _damage(transform):
+    def edit(path):
+        grid = path.with_name(path.name + GRID_SUFFIX)
+        grid.write_bytes(transform(grid.read_bytes()))
+    return edit
+
+
+_SIDECAR_DEFECTS = {
+    "edited-csv": _edit_value,
+    "duplicate-row": _append_duplicate,
+    "truncated-payload": _damage(lambda data: data[:-1]),
+    "longer-payload": _damage(lambda data: data + bytes(8)),
+    "not-json": _damage(lambda data: b"not json" + data[data.index(b"\n"):]),
+    "wrong-digest": _damage(lambda data: re.sub(rb'"digest":"[0-9a-f]+"',
+                                                b'"digest":"' + b"0" * 64 + b'"', data)),
+}
+
+
+@pytest.mark.parametrize("defect", _SIDECAR_DEFECTS.values(), ids=_SIDECAR_DEFECTS.keys())
+def test_stale_or_damaged_sidecar_falls_back_to_the_parse(tmp_path, parses, defect):
+    path = tmp_path / "panel.csv"
+    write_panel(str(path), make_panel([[1.0, 2.0, 3.0], [4.0, np.nan, 6.0]]))
+    defect(path)
+    if defect is _append_duplicate:
+        message = f"duplicate observation for unit 10001 on 2021-01-01 in {path}"
+        with pytest.raises(SynthctlError, match=f"^{re.escape(message)}$"):
+            ingest_panel(str(path))
+    else:
+        back = ingest_panel(str(path))
+        want = [[1.0, 7.25, 3.0], [4.0, np.nan, 6.0]] if defect is _edit_value \
+            else [[1.0, 2.0, 3.0], [4.0, np.nan, 6.0]]
+        np.testing.assert_array_equal(back.values, want)
+    assert parses == [(str(path),)]
+
+
 def test_load_predictors_shape(tmp_path):
     path = _write(tmp_path / "x.csv", (
         "unit,a,b\n"
@@ -350,6 +452,53 @@ def test_repair_series_all_missing_raises():
         repair_series(np.full(10, np.nan))
 
 
+def _reference_clean(values):
+    """clean_panel's rule one series at a time, in plain steps: (kept rows, report)."""
+    kept, report = [], []
+    for i, row in enumerate(values):
+        finite = np.isfinite(row)
+        if not finite.any():
+            report.append((i, "all cells missing"))
+            continue
+        bad, fraction = ~finite, 0.0
+        positive = np.flatnonzero(finite & (row > 0))
+        if positive.size:
+            after = np.arange(row.size) > positive[0]
+            bad |= after & (row == 0)
+            if after.any():
+                fraction = float((bad & after).sum()) / int(after.sum())
+        if fraction > 0.1:
+            report.append((i, f"bad fraction {fraction:.4f} exceeds 0.1000"))
+            continue
+        idx = np.arange(row.size)
+        x = row.copy()
+        x[bad] = np.interp(idx[bad], idx[~bad], row[~bad])
+        csum = np.concatenate([[0.0], np.cumsum(x)])
+        start = np.maximum(idx - 6, 0)
+        kept.append((i, (csum[idx + 1] - csum[start]) / (idx + 1 - start)))
+    return kept, report
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.integers(1, 5).flatmap(lambda n_days: st.lists(
+    st.lists(st.one_of(st.sampled_from([np.nan, 0.0, 1.0, -2.0]),
+                       st.floats(-1e6, 1e6, allow_nan=False)),
+             min_size=n_days * 3, max_size=n_days * 3),
+    min_size=1, max_size=5)))
+def test_clean_panel_matches_a_series_at_a_time_reference(values):
+    values = np.array(values)
+    kept, report = _reference_clean(values)
+    panel = make_panel(values)
+    if not kept:
+        with pytest.raises(SynthctlError, match="cleaning dropped every unit"):
+            clean_panel(panel)
+        return
+    cleaned, got_report = clean_panel(panel)
+    assert got_report == [(panel.units[i], reason) for i, reason in report]
+    assert cleaned.units == tuple(panel.units[i] for i, _ in kept)
+    assert cleaned.values.tobytes() == np.array([row for _, row in kept]).tobytes()
+
+
 def test_clean_panel_reports_drops():
     values = np.vstack([
         np.linspace(1, 20, 21),
@@ -377,6 +526,16 @@ def test_clean_panel_names_a_unit_whose_smoothing_overflows():
             clean_panel(make_panel(values))
     cleaned, _ = clean_panel(make_panel(values[:1]))
     np.testing.assert_array_equal(cleaned.values[0], rolling_mean(values[0], 7))
+
+
+def test_clean_panel_names_the_first_unit_that_overflows():
+    smoothing = 1e306 * np.arange(1, 22)
+    repair = np.ones(21)
+    repair[9:12] = -1e308, np.nan, 1e308
+    for rows in ([smoothing, repair], [repair, smoothing]):
+        panel = make_panel(np.vstack([np.linspace(1, 20, 21), *rows]))
+        with pytest.raises(SeriesOverflow, match=f"unit {panel.units[1]} overflows"):
+            clean_panel(panel)
 
 
 def test_rolling_mean_and_repair_raise_where_a_finite_series_overflows():
