@@ -47,7 +47,14 @@ package. The inputs are generated once, by this checkout's `bench/gen.py` and
   `--adjacency` table that lacks its state, and `--v-mode inverse-variance`
   on a constant predictor column; `logistic` with no shared unit, and with a
   too-short series, a never-positive series, a constant index column and
-  more bins than fits; `select-predictors` with a constant column.
+  more bins than fits; `select-predictors` with a constant column;
+- one run per error found while checking the command line (see
+  option_error_runs), each of which exits 2: `fit`, `placebo`, `sweep`,
+  `logistic` and `select-predictors`, each without one option it
+  requires and with a file that is no table, which a tree that reads its
+  input first fails on with exit 3 instead; `placebo --jobs 0`;
+  `fit --l1 -1`; `fit --outcomes` of a missing file; and `fit --config` of
+  a file with an unknown key.
 
 Every output file, and each command's exit code, stdout and stderr, is
 compared byte for byte across the two trees. Within each tree, every run at
@@ -215,6 +222,24 @@ def failure_runs(work: str, demo: str, growth: str) -> list[tuple[str, list[str]
     return runs
 
 
+def option_error_runs(work: str) -> list[tuple[str, list[str]]]:
+    """Write the inputs of runs that each stop at one check of the command line,
+    and return the runs."""
+    os.makedirs(work, exist_ok=True)
+    bad = _write(os.path.join(work, "not_a_table.csv"), ["not,a,table"])
+    config = _write(os.path.join(work, "unknown_key.cfg"), ["treated = 10001", "colour = blue"])
+    return [("option_fit_no_treated", ["fit", "--outcomes", bad]),
+            ("option_placebo_no_treated", ["placebo", "--outcomes", bad]),
+            ("option_sweep_no_treated", ["sweep", "--outcomes", bad, "--t-fit", T_FITS]),
+            ("option_logistic_no_predictors", ["logistic", "--outcomes", bad]),
+            ("option_select_no_blocks", ["select-predictors", "--predictors", bad]),
+            ("option_jobs_0", ["placebo", "--jobs", "0"]),
+            ("option_l1_negative", ["fit", "--l1", "-1"]),
+            ("option_outcomes_missing",
+             ["fit", "--outcomes", os.path.join(work, "missing.csv")]),
+            ("option_config_unknown_key", ["fit", "--config", config])]
+
+
 def path_runs(work: str, demo: str, growth: str) -> list[tuple[str, list[str]]]:
     """Write the inputs of runs that each reach a path no other run does, and return the runs.
 
@@ -354,7 +379,8 @@ def make_inputs(work: str) -> list[tuple[str, list[str]]]:
                                       for command in HELP_COMMANDS]
     growth = os.path.join(work, "growth_s1")
     return (runs + path_runs(os.path.join(work, "paths"), inp, growth)
-            + failure_runs(os.path.join(work, "failures"), inp, growth))
+            + failure_runs(os.path.join(work, "failures"), inp, growth)
+            + option_error_runs(os.path.join(work, "options")))
 
 
 def run_tree(src: str, runs: list[tuple[str, list[str]]], out: str) -> None:

@@ -14,31 +14,26 @@ import argparse
 import datetime as dt
 import functools
 import gc
+import importlib
 import os
 import sys
-from typing import TYPE_CHECKING
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .errors import ConfigError, InvalidSplit, SynthctlError, UnlabeledUnit
-from .panel import (
-    Panel,
-    clean_panel,
-    ingest_panel,
-    load_metadata,
-    load_predictors,
-    state_of,
-    write_panel,
-)
 from .serialize import write_csv, write_json
 from .spec import PLACEMENTS, V_MODES, Regularization, StudySpec
 
-# engine (with weights), inference, logistic and donors are imported inside
-# the commands that run them, so that a launch loads only the modules its
-# command needs; the parser's defaults and choices come from spec
+# numpy and the modules that read or fit data (panel, donors, engine with
+# weights, inference, logistic) are imported only once the command line has
+# checked out, each by the commands that run it (see COMMANDS): a --help or
+# an option error loads none of them, and a launch loads only the modules
+# its command needs. The parser's defaults and choices come from spec.
 if TYPE_CHECKING:
+    import numpy as np
+
     from .engine import Design
     from .inference import PlaceboEntry
+    from .panel import Panel
 
 
 # ---------------------------------------------------------------------------
@@ -130,20 +125,15 @@ def _read_config(path: str, parser: argparse.ArgumentParser) -> dict[str, str]:
 # shared study assembly
 # ---------------------------------------------------------------------------
 
-def _required(args: argparse.Namespace, key: str):
-    value = getattr(args, key)
-    if value is None or value == "":
-        raise ConfigError(f"--{key.replace('_', '-')} is required")
-    return value
-
-
 def _out_dir(args: argparse.Namespace) -> str:
     os.makedirs(args.out, exist_ok=True)
     return args.out
 
 
 def _load_panel(args: argparse.Namespace) -> Panel:
-    panel = ingest_panel(_required(args, "outcomes"))
+    from .panel import ingest_panel, load_metadata
+
+    panel = ingest_panel(args.outcomes)
     if args.metadata is not None:
         panel = panel.with_metadata(load_metadata(args.metadata))
     return panel
@@ -180,6 +170,7 @@ def _donor_pool(args: argparse.Namespace, panel: Panel, treated: str) -> tuple[s
     own; a table that would leave no donor is skipped, with a warning.
     """
     from . import donors as donor_ops
+    from .panel import state_of
 
     control, _ = donor_ops.split_control_target(panel)
     pool = tuple(u for u in control if state_of(u) != state_of(treated))
@@ -212,10 +203,11 @@ def _load_study(args: argparse.Namespace, t_fit: int) -> tuple[Panel, StudySpec,
     The design is built once, here, for every fit of the command.
     """
     from .engine import build_design
+    from .panel import load_predictors
 
     panel = _load_panel(args)
     predictors = None if args.predictors is None else load_predictors(args.predictors)
-    treated = _required(args, "treated")
+    treated = args.treated
     if treated not in panel.units:
         raise ConfigError(f"treated unit {treated!r} is not in the outcome panel")
     T0 = _intervention_index(args, panel, treated)
@@ -329,7 +321,7 @@ def cmd_placebo(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     from .inference import training_sweep
 
-    t_fits = _required(args, "t_fit")
+    t_fits = args.t_fit
     _, spec, design = _load_study(args, min(t_fits))
     out = _out_dir(args)
 
@@ -349,10 +341,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_logistic(args: argparse.Namespace) -> int:
-    from .logistic import classify_quadrant, decile_summary, fit_logistic_many, theme_regression
+    import numpy as np
 
-    panel = ingest_panel(_required(args, "outcomes"))
-    themes = load_predictors(_required(args, "predictors"))
+    from .logistic import classify_quadrant, decile_summary, fit_logistic_many, theme_regression
+    from .panel import ingest_panel, load_predictors
+
+    panel = ingest_panel(args.outcomes)
+    themes = load_predictors(args.predictors)
     indexed = set(themes.units)
     units = [u for u in panel.units if u in indexed]
     if not units:
@@ -420,9 +415,10 @@ def cmd_logistic(args: argparse.Namespace) -> int:
 
 def cmd_select_predictors(args: argparse.Namespace) -> int:
     from . import donors as donor_ops
+    from .panel import load_predictors
 
-    table = load_predictors(_required(args, "predictors"))
-    blocks = donor_ops.load_blocks(_required(args, "blocks"))
+    table = load_predictors(args.predictors)
+    blocks = donor_ops.load_blocks(args.blocks)
     try:
         corr = donor_ops.abs_correlation(table.values, table.names)
     except SynthctlError as exc:
@@ -442,6 +438,8 @@ def cmd_select_predictors(args: argparse.Namespace) -> int:
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
+    from .panel import clean_panel, write_panel
+
     panel = _load_panel(args)
     out = _out_dir(args)
     try:
@@ -541,23 +539,49 @@ def build_parser(defaults: dict[str, str] | None = None) -> argparse.ArgumentPar
     return parser
 
 
+class Command(NamedTuple):
+    """One subcommand: its function, the options it requires, checked in
+    this order, and the synthctl modules that its function imports."""
+
+    run: Callable[[argparse.Namespace], int]
+    required: tuple[str, ...]
+    modules: tuple[str, ...]
+
+
 COMMANDS = {
-    "fit": cmd_fit,
-    "placebo": cmd_placebo,
-    "sweep": cmd_sweep,
-    "logistic": cmd_logistic,
-    "select-predictors": cmd_select_predictors,
-    "ingest": cmd_ingest,
+    "fit": Command(cmd_fit, ("outcomes", "treated"), ("panel", "donors", "engine")),
+    "placebo": Command(cmd_placebo, ("outcomes", "treated"),
+                       ("panel", "donors", "engine", "inference")),
+    "sweep": Command(cmd_sweep, ("t_fit", "outcomes", "treated"),
+                     ("panel", "donors", "engine", "inference")),
+    "logistic": Command(cmd_logistic, ("outcomes", "predictors"), ("panel", "logistic")),
+    "select-predictors": Command(cmd_select_predictors, ("predictors", "blocks"),
+                                 ("panel", "donors")),
+    "ingest": Command(cmd_ingest, ("outcomes",), ("panel",)),
 }
 
 
-def main(argv: list[str] | None = None) -> int:
+def _run(argv: list[str] | None, freeze: bool) -> int:
+    """Check the command line, import the command's modules, then run it.
+
+    Every option check, required options included, comes before any input
+    file is read or numpy is imported. freeze calls gc.freeze between the
+    imports and the run (see entrypoint).
+    """
     try:
         parser = build_parser()
         args = parser.parse_args(argv)
         if args.config:
             args = build_parser(_read_config(args.config, parser)).parse_args(argv)
-        return COMMANDS[args.command](args)
+        command = COMMANDS[args.command]
+        for key in command.required:
+            if getattr(args, key) in (None, ""):
+                raise ConfigError(f"--{key.replace('_', '-')} is required")
+        for module in command.modules:
+            importlib.import_module(f"{__package__}.{module}")
+        if freeze:
+            gc.freeze()
+        return command.run(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -566,17 +590,22 @@ def main(argv: list[str] | None = None) -> int:
         return 3
 
 
-def entrypoint() -> None:
-    """Run main on the process's arguments and exit with its code.
+def main(argv: list[str] | None = None) -> int:
+    """Run one command line and return its exit code; freezes nothing."""
+    return _run(argv, freeze=False)
 
-    The objects that the imports made stay alive until exit. gc.freeze moves
-    them to the permanent generation, which no collection walks: not those
-    the run triggers, not the full one at interpreter shutdown, and not
-    those in the placebo workers that a pool forks later. Library callers
-    and tests call main, which freezes nothing.
+
+def entrypoint() -> None:
+    """Run the process's command line and exit with its code.
+
+    The objects that the imports made stay alive until exit. Once the
+    command's modules are imported, and before it reads any input, gc.freeze
+    moves them to the permanent generation, which no collection walks: not
+    those the run triggers, not the full one at interpreter shutdown, and
+    not those in the placebo workers that a pool forks later. Library
+    callers and tests call main, which freezes nothing.
     """
-    gc.freeze()
-    sys.exit(main())
+    sys.exit(_run(None, freeze=True))
 
 
 if __name__ == "__main__":

@@ -1367,7 +1367,52 @@ def test_help_loads_no_module_a_command_runs(command):
         else:
             raise AssertionError("--help returned")
     """, *command, "--help",
-        absent=FITTING_MODULES + ("synthctl.logistic", "synthctl.donors"))
+        absent=FITTING_MODULES + ("synthctl.logistic", "synthctl.donors", "synthctl.panel",
+                                  "numpy"))
+
+
+def _numpy_free_exit(*argv):
+    """The exit code and stderr of main(argv) in a fresh interpreter that must
+    then hold neither numpy nor synthctl.panel."""
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent("""
+        import sys
+        from synthctl.cli import main
+        code = main(sys.argv[1:])
+        loaded = [m for m in ("numpy", "synthctl.panel") if m in sys.modules]
+        assert not loaded, loaded
+        sys.exit(code)
+    """), *argv], env=_src_env(), capture_output=True, text=True)
+    return proc.returncode, proc.stderr
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["placebo", "--jobs", "0"], "--jobs must be at least 1, got 0"),
+    (["fit", "--l1", "-1"], "--l1 must be a finite nonnegative number, got '-1'"),
+    (["fit", "--outcomes", "{tmp}/missing.csv"], "file not found: {tmp}/missing.csv"),
+    (["fit", "--config", "{tmp}/unknown.cfg"], "{tmp}/unknown.cfg:2: unknown option 'colour'"),
+], ids=["jobs-0", "l1-negative", "outcomes-missing", "config-unknown-key"])
+def test_option_errors_load_no_numpy(tmp_path, argv, message):
+    (tmp_path / "unknown.cfg").write_text("treated = 10001\ncolour = blue\n")
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    assert _numpy_free_exit(*argv) == (2, f"error: {message.format(tmp=tmp_path)}\n")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["fit", "--outcomes", "{bad}"], "--treated"),
+    (["placebo", "--outcomes", "{bad}", "--jobs", "2"], "--treated"),
+    (["sweep", "--outcomes", "{bad}", "--t-fit", "5"], "--treated"),
+    (["logistic", "--outcomes", "{bad}"], "--predictors"),
+    (["select-predictors", "--predictors", "{bad}"], "--blocks"),
+    (["ingest", "--metadata", "{bad}"], "--outcomes"),
+], ids=["fit", "placebo", "sweep", "logistic", "select-predictors", "ingest"])
+def test_missing_required_option_exits_2_before_reading_any_input(tmp_path, argv, flag):
+    # the given file is no table at all, so reading it would fail with exit 3
+    bad = tmp_path / "bad.csv"
+    bad.write_text("not,a,table\n")
+    out = tmp_path / "out"
+    argv = [arg.format(bad=bad) for arg in argv]
+    assert _numpy_free_exit(*argv, "--out", str(out)) == (2, f"error: {flag} is required\n")
+    assert not out.exists()
 
 
 def test_study_commands_never_import_scipy(tmp_path):
@@ -1404,28 +1449,68 @@ def test_logistic_never_imports_scipy(tmp_path):
     assert len((tmp_path / "out" / "fits.csv").read_text().splitlines()) == 6
 
 
-def test_entrypoint_freezes_the_heap_once_before_main(monkeypatch):
-    freezes, seen = [], []
-    freeze = gc.freeze
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_entrypoint_freezes_the_heap_once_before_the_command_runs(tmp_path, command):
+    # in a fresh interpreter, so that the modules loaded at the freeze are
+    # the launch's own; every open of an input file must come after it
+    outcomes, predictors = _study_files(tmp_path)
+    study = ["--outcomes", outcomes, "--predictors", predictors, "--treated", "10001",
+             "--t0", _dates(40)[25]]
+    uptake, themes = _logistic_files(tmp_path, ["40000", "40002", "40004", "40006", "40008"])
+    selection, blocks = _selection_files(tmp_path)
+    argv = {
+        "fit": study,
+        "placebo": [*study, "--jobs", "2"],
+        "sweep": [*study, "--t-fit", "5,10"],
+        "logistic": ["--outcomes", uptake, "--predictors", themes, "--bins", "2"],
+        "select-predictors": ["--predictors", selection, "--blocks", blocks],
+        "ingest": ["--outcomes", outcomes],
+    }[command]
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent("""
+        import builtins, gc, json, sys
+        from synthctl import cli
 
-    def counted_freeze():
-        freezes.append(1)
-        freeze()
+        def loaded():
+            return sorted(m for m in sys.modules if m == "numpy" or m.startswith("synthctl"))
 
-    def recording_main():
-        seen.append((len(freezes), gc.get_freeze_count()))
-        return 3
+        freezes, reads, inputs = [], [], set(sys.argv[1:])
+        freeze, open_ = gc.freeze, builtins.open
 
-    monkeypatch.setattr(gc, "freeze", counted_freeze)
-    monkeypatch.setattr(cli, "main", recording_main)
-    try:
-        with pytest.raises(SystemExit) as info:
+        def counted_freeze():
+            freezes.append(loaded())
+            freeze()
+
+        def counted_open(file, *args, **kwargs):
+            if file in inputs:
+                reads.append(len(freezes))
+            return open_(file, *args, **kwargs)
+
+        gc.freeze, builtins.open = counted_freeze, counted_open
+        try:
             cli.entrypoint()
-    finally:
-        gc.unfreeze()
-    assert info.value.code == 3
-    assert len(seen) == 1 and seen[0][0] == 1 and seen[0][1] > 0
-    assert len(freezes) == 1
+        except SystemExit as exc:
+            code = exc.code
+        gc.freeze, builtins.open = freeze, open_
+        print(json.dumps({"code": code, "freezes": freezes, "reads": reads, "end": loaded()}))
+    """), command, *argv, "--out", str(tmp_path / "out")],
+        env=_src_env(), capture_output=True, text=True)
+    run = json.loads(proc.stdout.splitlines()[-1])
+    assert run["code"] == 0, proc.stderr
+    assert len(run["freezes"]) == 1
+    assert {"numpy", "synthctl.panel"} <= set(run["freezes"][0])
+    # the command imports no module of its own after the freeze
+    assert run["freezes"][0] == run["end"]
+    assert run["reads"] and set(run["reads"]) == {1}
+
+
+def test_main_freezes_nothing(tmp_path, monkeypatch):
+    freezes = []
+    monkeypatch.setattr(gc, "freeze", lambda: freezes.append(1))
+    outcomes, predictors = _study_files(tmp_path)
+    assert main(["fit", "--outcomes", outcomes, "--predictors", predictors,
+                 "--treated", "10001", "--t0", _dates(40)[25],
+                 "--out", str(tmp_path / "out")]) == 0
+    assert freezes == []
 
 
 def test_module_launch_keeps_main_exit_codes_and_streams(tmp_path, capsys, monkeypatch):
